@@ -22,10 +22,10 @@ from .matching import max_weight_left_perfect_matching
 from .mms import (MmsAbsRun, MmsHighRun, SolveHalfMmsRun, alg_mms_abs,
                   alg_mms_high, prop1_subroutine, run_mms_abs, run_mms_high,
                   run_solve_half_mms, solve_half_mms)
-from .model import (Allocation, Instance, Valuation, demand_query,
-                    load_allocation, load_instance, rescale_instance,
-                    save_allocation, save_instance, validate_allocation,
-                    validate_instance, value_query)
+from .model import (Allocation, Instance, Valuation, load_allocation,
+                    load_instance, rescale_instance, save_allocation,
+                    save_instance, validate_allocation, validate_instance,
+                    value_query)
 from .oracles import (MmsProfile, constrained_opt, injected_profile,
                       max_welfare, mms_k, mms_lower_bound, mms_profile,
                       price_of_fairness)
@@ -39,7 +39,7 @@ __all__ = [
     "MmsProfile", "ParseError", "SolveEf1Run", "SolveHalfMmsRun",
     "ValidationError", "Valuation", "alg_ef1_abs", "alg_ef1_high",
     "alg_mms_abs", "alg_mms_high", "checks_enabled", "constrained_opt",
-    "demand_query", "extend_ef1", "generate_adversarial", "generate_random",
+    "extend_ef1", "generate_adversarial", "generate_random",
     "generate_random_subadditive", "injected_profile", "is_alpha_mms",
     "is_ef1", "is_prop1", "load_allocation", "load_instance",
     "max_weight_left_perfect_matching", "max_welfare", "mms_k",

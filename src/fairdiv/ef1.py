@@ -142,8 +142,8 @@ def reference_allocation(inst: Instance,
 class _LineValues:
     """Per-agent value of contiguous position ranges under a line order.
 
-    Additive agents get integer prefix sums (their own denominators cleared),
-    so each range query is O(1); explicit agents fall back to value queries.
+    Additive agents get exact `Fraction` prefix sums, so each range query is
+    O(1); explicit agents fall back to value queries.
     """
 
     def __init__(self, inst: Instance, line: LineOrder):

@@ -10,37 +10,9 @@ decision in integer/rational arithmetic: for a, b >= 0,
 No floating point is involved anywhere.
 """
 
-from fractions import Fraction
-
 
 def sqrt_ge(a, b, n: int) -> bool:
     """True iff sqrt(n) * a >= b, for nonnegative rationals a, b."""
     if a < 0 or b < 0:
         raise ValueError("sqrt comparisons require nonnegative operands")
     return n * a * a >= b * b
-
-
-def sqrt_gt(a, b, n: int) -> bool:
-    """True iff sqrt(n) * a > b, for nonnegative rationals a, b."""
-    if a < 0 or b < 0:
-        raise ValueError("sqrt comparisons require nonnegative operands")
-    return n * a * a > b * b
-
-
-def ge_over_sqrt(x, y, p: int, q: int, n: int) -> bool:
-    """True iff x >= (p/q) * y / sqrt(n), for nonnegative rationals x, y.
-
-    Covers the threshold family used by the solvers: p/q in {1/3, 2/3}
-    scaled by 1/sqrt(n), and the theorem bounds OPT/(16*sqrt(n)),
-    OPT/(15*sqrt(n)).
-    """
-    return sqrt_ge(q * x, p * y, n)
-
-
-def lt_over_sqrt(x, y, p: int, q: int, n: int) -> bool:
-    """True iff x < (p/q) * y / sqrt(n), for nonnegative rationals x, y."""
-    return not ge_over_sqrt(x, y, p, q, n)
-
-
-ZERO = Fraction(0)
-ONE = Fraction(1)

@@ -1,8 +1,9 @@
 """Maximum-weight bipartite matching that matches every agent.
 
 Exact rational weights throughout: the matrix is cleared to integers via the
-lcm of all denominators, then a rectangular Hungarian (potential + shortest
-augmenting path) solver runs in pure integer arithmetic. Among all
+lcm of all denominators, the lexicographic tie-break is folded into the
+integer weights, and one rectangular Hungarian (potential + shortest
+augmenting path) solve runs in pure integer arithmetic. Among all
 maximum-weight left-perfect matchings the lexicographically smallest good
 sequence (agent 0's good, then agent 1's, ...) is returned, which makes runs
 reproducible and sends the all-equal-weights case to the diagonal.
@@ -28,18 +29,15 @@ def _to_int_matrix(weights: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
-def _max_assignment(weights: list[list[int]], rows: list[int],
-                    cols: list[int]) -> int:
-    """Max total weight of a matching covering all `rows` within `cols`.
+def _max_assignment(weights: list[list[int]]) -> list[int]:
+    """Column of each row in a maximum-weight matching covering every row.
 
-    Hungarian algorithm on min-cost transform; requires len(rows) <= len(cols).
+    Hungarian algorithm on min-cost transform; requires rows <= columns.
     """
-    nr, nc = len(rows), len(cols)
-    if nr == 0:
-        return 0
+    nr, nc = len(weights), len(weights[0])
     assert nr <= nc
-    top = max((weights[r][c] for r in rows for c in cols), default=0)
-    cost = [[top - weights[r][c] for c in cols] for r in rows]
+    top = max(max(row) for row in weights)
+    cost = [[top - w for w in row] for row in weights]
     inf = sum(sum(row) for row in cost) + 1
 
     u = [0] * (nr + 1)
@@ -79,11 +77,11 @@ def _max_assignment(weights: list[list[int]], rows: list[int],
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    total_cost = 0
+    col_of = [0] * nr
     for j in range(1, nc + 1):
         if match[j]:
-            total_cost += cost[match[j] - 1][j - 1]
-    return nr * top - total_cost
+            col_of[match[j] - 1] = j - 1
+    return col_of
 
 
 def max_weight_left_perfect_matching(
@@ -93,6 +91,13 @@ def max_weight_left_perfect_matching(
 
     Returns (agent, good) pairs, 0-based; agents assigned a padding dummy
     (only possible when m < n) are omitted.
+
+    The single solve maximises ``K*w(i, g) - g*B**(n-1-i)`` over the cleared
+    integer weights, with ``B = width + 1`` and ``K = B**n``. The subtracted
+    terms of a matching spell its good sequence as a base-B number below K,
+    while two different cleared totals differ by at least 1, i.e. by at least
+    K after scaling. So the perturbed optimum is unique and is exactly the
+    lexicographically smallest maximum-weight left-perfect matching.
     """
     n = len(weights)
     if n == 0:
@@ -103,30 +108,13 @@ def max_weight_left_perfect_matching(
     if any(w < 0 for row in weights for w in row):
         raise ValueError("weights must be nonnegative")
 
-    intw = _to_int_matrix(weights)
     width = max(m, n)
-    for row in intw:
+    base = width + 1
+    scale = base ** n
+    perturbed = []
+    for i, row in enumerate(_to_int_matrix(weights)):
+        step = base ** (n - 1 - i)
         row.extend([0] * (width - m))
-
-    all_rows = list(range(n))
-    all_cols = list(range(width))
-    best = _max_assignment(intw, all_rows, all_cols)
-
-    chosen: list[int] = []
-    used: set[int] = set()
-    prefix = 0
-    for i in range(n):
-        rest_rows = list(range(i + 1, n))
-        for g in range(width):
-            if g in used:
-                continue
-            rest_cols = [c for c in all_cols if c not in used and c != g]
-            if prefix + intw[i][g] + _max_assignment(intw, rest_rows, rest_cols) == best:
-                chosen.append(g)
-                used.add(g)
-                prefix += intw[i][g]
-                break
-        else:
-            raise AssertionError("no extendable good found; solver bug")
-
-    return [(i, g) for i, g in enumerate(chosen) if g < m]
+        perturbed.append([scale * w - g * step for g, w in enumerate(row)])
+    cols = _max_assignment(perturbed)
+    return [(i, g) for i, g in enumerate(cols) if g < m]

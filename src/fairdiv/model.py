@@ -25,17 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InfeasibleError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 
 ADDITIVE = "additive"
 EXPLICIT = "explicit"
 
-# Explicit tables are exponential in m; both caps are overridable per call.
+# Explicit tables are exponential in m.
 EXPLICIT_GOODS_CAP = 20
-DEMAND_QUERY_CAP = 20
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -108,43 +106,6 @@ class Valuation:
 def value_query(valuation: Valuation, goods: Iterable[int]) -> Fraction:
     """Exact value of a subset of goods under the given valuation."""
     return valuation.value(goods)
-
-
-def demand_query(valuation: Valuation, prices: Sequence[Fraction],
-                 cap: int = DEMAND_QUERY_CAP) -> frozenset[int]:
-    """A profit-maximizing good set at the given nonnegative prices.
-
-    Additive valuations: every good whose value is at least its price
-    (zero-profit ties included, which keeps the all-zero-price answer at
-    the full set). Explicit valuations: exhaustive search over all 2^m
-    subsets, ties broken by smallest cardinality then lexicographically
-    on sorted indices.
-    """
-    m = valuation.m
-    if len(prices) != m:
-        raise ValueError(f"expected {m} prices, got {len(prices)}")
-    prices = [Fraction(p) for p in prices]
-    if any(p < 0 for p in prices):
-        raise ValueError("prices must be nonnegative")
-
-    if valuation.kind == ADDITIVE:
-        return frozenset(g for g in range(m) if valuation.values[g] >= prices[g])
-
-    if m > cap:
-        raise InfeasibleError(
-            f"demand query infeasible: explicit search over 2^{m} subsets "
-            f"exceeds cap of 2^{cap}")
-    best_profit = None
-    best_key = None
-    best_set = None
-    for mask in range(1 << m):
-        subset = frozenset(g for g in range(m) if mask >> g & 1)
-        profit = valuation.table[subset] - sum((prices[g] for g in subset), ZERO)
-        key = (len(subset), tuple(sorted(subset)))
-        if best_profit is None or profit > best_profit or \
-                (profit == best_profit and key < best_key):
-            best_profit, best_key, best_set = profit, key, subset
-    return best_set
 
 
 @dataclass(frozen=True)
@@ -336,14 +297,24 @@ def _valuation_from_json(obj, m: int, agent: int) -> Valuation:
     raise ParseError(f"agent {agent + 1}: unknown valuation kind {kind!r}")
 
 
+def _is_json_int(value) -> bool:
+    """True for a JSON integer; bools are ints in Python but not in JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def instance_from_json(data) -> Instance:
     try:
-        n = int(data["n"])
-        m = int(data["m"])
-        scaled = bool(data["scaled"])
+        n = data["n"]
+        m = data["m"]
+        scaled = data["scaled"]
         valuations_json = data["valuations"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed instance file: {exc}") from None
+    for name, count in (("n", n), ("m", m)):
+        if not _is_json_int(count):
+            raise ParseError(f"{name} must be a JSON integer, got {count!r}")
+    if not isinstance(scaled, bool):
+        raise ParseError(f"scaled must be true or false, got {scaled!r}")
     if not isinstance(valuations_json, list) or len(valuations_json) != n:
         raise ParseError(f"expected {n} valuations, got "
                          f"{len(valuations_json) if isinstance(valuations_json, list) else 'non-list'}")
@@ -395,7 +366,7 @@ def allocation_from_json(data) -> Allocation:
     for b in bundles_json:
         goods = []
         for g in b:
-            if not isinstance(g, int) or g < 1:
+            if not _is_json_int(g) or g < 1:
                 raise ParseError(f"bad good index {g!r} (goods are 1-based)")
             goods.append(g - 1)
         bundles.append(frozenset(goods))

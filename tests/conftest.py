@@ -97,16 +97,23 @@ def naive_mms(valuation: Valuation, k: int, goods=None) -> Fraction:
 
 
 def naive_matching(weights):
-    """Lex-first maximum-weight left-perfect matching by permutation scan."""
+    """Lex-first maximum-weight left-perfect matching by permutation scan.
+
+    With fewer goods than agents the rows are padded with zero-weight dummy
+    goods up to width n; agents matched to a dummy are left out of the pairs.
+    """
     n = len(weights)
     m = len(weights[0])
+    width = max(m, n)
+    padded = [list(row) + [Fraction(0)] * (width - m) for row in weights]
     best_goods = None
     best_weight = None
-    for goods in permutations(range(m), n):
-        weight = sum((weights[i][g] for i, g in enumerate(goods)), Fraction(0))
+    for goods in permutations(range(width), n):
+        weight = sum((padded[i][g] for i, g in enumerate(goods)), Fraction(0))
         if best_weight is None or weight > best_weight:
             best_weight, best_goods = weight, goods
-    return list(enumerate(best_goods)), best_weight
+    return ([(i, g) for i, g in enumerate(best_goods) if g < m],
+            best_weight)
 
 
 def random_additive_corpus(count, n_max, m_max, seed, scaled_mix=True):

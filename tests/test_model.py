@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairdiv import (Allocation, Instance, ParseError, ValidationError,
-                     Valuation, demand_query, load_allocation, load_instance,
+                     Valuation, load_allocation, load_instance,
                      rescale_instance, save_allocation, save_instance,
                      validate_instance, value_query)
-from fairdiv.errors import InfeasibleError
 
 from conftest import additive_instance
 
@@ -96,6 +95,27 @@ class TestLoadInstance:
         assert err.value.axiom == "nonnegative"
 
 
+ONE_AGENT = {"n": 1, "m": 1, "scaled": True,
+             "valuations": [{"kind": "additive", "values": ["1"]}]}
+
+
+@pytest.mark.parametrize("loader, data", [
+    (load_instance, dict(SYMMETRIC, n=2.0)),
+    (load_instance, dict(SYMMETRIC, n="2")),
+    (load_instance, dict(SYMMETRIC, m=2.9)),
+    (load_instance, dict(ONE_AGENT, n=True)),
+    (load_instance, dict(ONE_AGENT, m=True)),
+    (load_instance, dict(SYMMETRIC, scaled="false")),
+    (load_instance, dict(SYMMETRIC, scaled=1)),
+    (load_allocation, {"bundles": [[True]]}),
+    (load_allocation, {"bundles": [[2], [True]]}),
+], ids=["n-float", "n-string", "m-float", "n-bool", "m-bool",
+        "scaled-string", "scaled-int", "good-bool", "second-good-bool"])
+def test_loader_rejects_wrong_json_types(tmp_path, loader, data):
+    with pytest.raises(ParseError):
+        loader(write(tmp_path, "f.json", data))
+
+
 class TestRoundTrip:
     def test_additive(self, tmp_path):
         inst = additive_instance([["1/2", "1/3"], ["2/5", "1/7"]])
@@ -146,92 +166,6 @@ class TestValueQuery:
         inner = data.draw(st.sets(st.integers(0, m - 1)))
         extra = data.draw(st.sets(st.integers(0, m - 1)))
         assert value_query(v, inner) <= value_query(v, inner | extra)
-
-
-def brute_demand_optimum(valuation, prices):
-    best = None
-    for mask in range(1 << valuation.m):
-        subset = frozenset(g for g in range(valuation.m) if mask >> g & 1)
-        profit = value_query(valuation, subset) - sum(
-            (prices[g] for g in subset), Fraction(0))
-        if best is None or profit > best:
-            best = profit
-    return best
-
-
-class TestDemandQuery:
-    def test_only_profitable_good(self):
-        v = Valuation.additive([Fraction(1), Fraction(2)])
-        assert demand_query(v, [Fraction(2), Fraction(1)]) == {1}
-
-    def test_zero_prices_full_set(self):
-        v = Valuation.additive([Fraction(0), Fraction(2)])
-        assert demand_query(v, [Fraction(0), Fraction(0)]) == {0, 1}
-
-    def test_explicit_tie_cardinality_then_lex(self):
-        table = {frozenset(): Fraction(0), frozenset({0}): Fraction(1),
-                 frozenset({1}): Fraction(1), frozenset({0, 1}): Fraction(1)}
-        v = Valuation.explicit(2, table)
-        assert demand_query(v, [Fraction(1, 2), Fraction(1, 2)]) == {0}
-
-    def test_explicit_cap(self):
-        table = {frozenset(s for s in range(2) if mask >> s & 1):
-                 Fraction(mask.bit_count()) for mask in range(4)}
-        v = Valuation.explicit(2, table)
-        with pytest.raises(InfeasibleError):
-            demand_query(v, [Fraction(0), Fraction(0)], cap=1)
-
-    def test_negative_price_rejected(self):
-        v = Valuation.additive([Fraction(1)])
-        with pytest.raises(ValueError):
-            demand_query(v, [Fraction(-1)])
-
-    @given(st.integers(1, 5), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_additive_profit_is_optimal(self, m, data):
-        values = data.draw(st.lists(
-            st.fractions(min_value=0, max_value=2, max_denominator=16),
-            min_size=m, max_size=m))
-        prices = data.draw(st.lists(
-            st.fractions(min_value=0, max_value=2, max_denominator=16),
-            min_size=m, max_size=m))
-        v = Valuation.additive(values)
-        got = demand_query(v, prices)
-        profit = value_query(v, got) - sum((prices[g] for g in got),
-                                           Fraction(0))
-        assert profit == brute_demand_optimum(v, prices)
-
-    def test_additive_twelve_goods_spot_check(self):
-        import random
-        rng = random.Random(2024)
-        values = [Fraction(rng.randint(0, 40), 8) for _ in range(12)]
-        prices = [Fraction(rng.randint(0, 40), 8) for _ in range(12)]
-        v = Valuation.additive(values)
-        got = demand_query(v, prices)
-        profit = value_query(v, got) - sum((prices[g] for g in got),
-                                           Fraction(0))
-        assert profit == brute_demand_optimum(v, prices)
-
-    @given(st.integers(1, 4), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_explicit_profit_is_optimal(self, m, data):
-        # Monotone table built by accumulating nonnegative increments.
-        incr = data.draw(st.lists(
-            st.fractions(min_value=0, max_value=1, max_denominator=8),
-            min_size=2 ** m, max_size=2 ** m))
-        table = {frozenset(): Fraction(0)}
-        for mask in range(1, 1 << m):
-            subset = frozenset(g for g in range(m) if mask >> g & 1)
-            parents = [table[subset - {g}] for g in subset]
-            table[subset] = max(parents) + incr[mask]
-        v = Valuation.explicit(m, table)
-        prices = data.draw(st.lists(
-            st.fractions(min_value=0, max_value=2, max_denominator=8),
-            min_size=m, max_size=m))
-        got = demand_query(v, prices)
-        profit = value_query(v, got) - sum((prices[g] for g in got),
-                                           Fraction(0))
-        assert profit == brute_demand_optimum(v, prices)
 
 
 class TestRescale:
