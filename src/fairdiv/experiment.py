@@ -243,6 +243,9 @@ def _solver_row(ident: str, inst: Instance, solver: str,
     subadditive_scope = inst.additive or all(
         v.kind != "additive" and v.subadditive for v in inst.valuations)
 
+    # The half-MMS branch's profile, shared with constrained_opt. It stays
+    # None when beyond the MMS cap, and constrained_opt then raises as well.
+    profile = None
     if solver == "ef1":
         alloc, welfare = run.allocation, run.welfare
         trace_blob["branch"] = run.branch
@@ -312,7 +315,7 @@ def _solver_row(ident: str, inst: Instance, solver: str,
     constrained = None
     try:
         constrained = constrained_opt(inst, prop, alpha=prop_alpha,
-                                      cap=config.enum_cap,
+                                      profile=profile, cap=config.enum_cap,
                                       mms_cap=config.mms_state_cap)
     except InfeasibleError:
         row["constrained_welfare"] = "skipped"

@@ -290,10 +290,13 @@ def _valuation_from_json(obj, m: int, agent: int) -> Valuation:
         table_json = obj.get("table")
         if not isinstance(table_json, dict):
             raise ParseError(f"agent {agent + 1}: explicit valuation needs a table")
+        subadditive = obj.get("subadditive", False)
+        if not isinstance(subadditive, bool):
+            raise ParseError(f"agent {agent + 1}: subadditive must be true or "
+                             f"false, got {subadditive!r}")
         table = {_parse_subset_key(k, m): parse_rational(v)
                  for k, v in table_json.items()}
-        return Valuation.explicit(m, table,
-                                  subadditive=bool(obj.get("subadditive", False)))
+        return Valuation.explicit(m, table, subadditive=subadditive)
     raise ParseError(f"agent {agent + 1}: unknown valuation kind {kind!r}")
 
 
@@ -362,8 +365,12 @@ def allocation_from_json(data) -> Allocation:
         bundles_json = data["bundles"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed allocation file: {exc}") from None
+    if not isinstance(bundles_json, list):
+        raise ParseError(f"bundles must be a list, got {bundles_json!r}")
     bundles = []
     for b in bundles_json:
+        if not isinstance(b, list):
+            raise ParseError(f"a bundle must be a list of goods, got {b!r}")
         goods = []
         for g in b:
             if not _is_json_int(g) or g < 1:

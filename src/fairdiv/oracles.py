@@ -6,7 +6,9 @@ first-good symmetry breaking, best-min bound pruning, and memoization on
 (remaining goods, bundles left). Values are cleared to integers per agent
 (MMS only ever compares one agent's values), so the inner loop is pure
 integer arithmetic. The constrained-optimum search scans all n^m complete
-allocations with an upper-bound prune from per-good maxima.
+allocations depth-first with an upper-bound prune from per-good maxima.
+Bundles are bitmasks, and welfare, the bound and the EF1, Prop1 and
+alpha-MMS leaf checks are integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import lcm
+from operator import ge
 from typing import Iterable, Optional
 
 from .errors import InfeasibleError, ValidationError
-from .fairness import is_alpha_mms, is_ef1, is_prop1
-from .model import (ADDITIVE, Allocation, Instance, Valuation, ZERO,
-                    value_query)
+from .model import ADDITIVE, Allocation, Instance, Valuation, ZERO
 
 # Feasibility is judged on the k^|G| partition-state bound; the memoized DP
 # itself touches at most k * 3^|G| states.
@@ -252,17 +254,55 @@ def _bundles_of(assign: tuple[int, ...], n: int) -> list[frozenset[int]]:
 PROPERTIES = ("ef1", "prop1", "alpha-mms")
 
 
-def _property_checker(inst: Instance, prop: str, alpha, profile,
-                      mms_cap: int):
-    if prop == "ef1":
-        return lambda alloc: is_ef1(inst, alloc).holds
-    if prop == "prop1":
-        return lambda alloc: is_prop1(inst, alloc).holds
-    if prop == "alpha-mms":
-        alpha = Fraction(alpha if alpha is not None else Fraction(1, 2))
-        prof = profile if profile is not None else mms_profile(inst, cap=mms_cap)
-        return lambda alloc: is_alpha_mms(inst, alloc, alpha, prof).holds
-    raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+def _bits(mask: int):
+    """The single-bit masks set in `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _ef1_leaf(n, masks, owner, own, weights, floors, tables) -> bool:
+    """EF1 by definition: for every i and nonempty B_j some g in B_j has
+    v_i(B_i) >= v_i(B_j - {g}). Agents with the least own value, the
+    likeliest to envy, are checked first so failing leaves exit early."""
+    for i in sorted(range(n), key=own.__getitem__):
+        oi, w, t = own[i], weights[i], tables[i]
+        if t is None:
+            # Additive: v_i(B_j - {g}) is smallest for g the top good of B_j.
+            sums = [0] * n
+            tops = [floors[i]] * n
+            for j, x in zip(owner, w):
+                sums[j] += x
+                if x > tops[j]:
+                    tops[j] = x
+            for j in range(n):
+                if j != i and masks[j] and sums[j] - tops[j] > oi:
+                    return False
+        else:
+            for j in range(n):
+                bj = masks[j]
+                if j != i and bj and all(t[bj ^ low] > oi
+                                         for low in _bits(bj)):
+                    return False
+    return True
+
+
+def _prop1_leaf(n, masks, owner, own, weights, tables, totals,
+                full) -> bool:
+    """Prop1 by definition: n * max(v_i(B_i), max_g v_i(B_i + {g})) >=
+    v_i(G), g ranging over all of G (the own value settles empty G)."""
+    for i in range(n):
+        oi, w, t = own[i], weights[i], tables[i]
+        if t is None:
+            # Adding an owned good leaves the value at v_i(B_i).
+            best = oi + max([0] + [x for j, x in zip(owner, w) if j != i])
+        else:
+            mask = masks[i]
+            best = max([oi] + [t[mask | low] for low in _bits(full)])
+        if n * best < totals[i]:
+            return False
+    return True
 
 
 def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
@@ -271,55 +311,118 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
                     ) -> Optional[tuple[Allocation, Fraction]]:
     """Max-welfare complete allocation satisfying the given property, by
     exhaustive scan. Returns None when no allocation satisfies it (possible
-    only for alpha-mms)."""
-    if inst.m > 0 and inst.n ** inst.m > cap:
+    only for alpha-mms).
+
+    Goods are assigned in order, each to agents 0..n-1 in turn, so the
+    first optimum in lexicographic assignment order is kept. Every value is
+    an integer over one common denominator L: bundles are bitmasks, explicit
+    agents read a bitmask-indexed table, additive agents per-good values.
+    """
+    n, m = inst.n, inst.m
+    if m > 0 and n ** m > cap:
         raise InfeasibleError(
-            f"oracle infeasible: {inst.n}^{inst.m} allocations exceed cap {cap}")
-    passes = _property_checker(inst, prop, alpha, profile, mms_cap)
+            f"oracle infeasible: {n}^{m} allocations exceed cap {cap}")
+    if prop not in PROPERTIES:
+        raise ValueError(
+            f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    if prop == "alpha-mms":
+        alpha = Fraction(alpha if alpha is not None else Fraction(1, 2))
+        prof = profile if profile is not None else mms_profile(inst,
+                                                               cap=mms_cap)
+        if prof.mms is None:
+            raise ValidationError(
+                "mms-profile", "missing profile entry: exact MMS values "
+                "required")
+        if len(prof.mms) != n:
+            raise ValidationError(
+                "mms-profile", f"profile has {len(prof.mms)} entries, "
+                f"instance has {n} agents")
+
+    goods = list(range(m))
+    explicit = {i: _scaled_subset_values(v, goods)
+                for i, v in enumerate(inst.valuations) if v.kind != ADDITIVE}
+    scale = lcm(*(s for _, s in explicit.values()),
+                *(f.denominator for v in inst.valuations
+                  if v.kind == ADDITIVE for f in v.values))
+    weights: list[Optional[list[int]]] = [None] * n
+    tables: list[Optional[list[int]]] = [None] * n
+    for i, v in enumerate(inst.valuations):
+        if i in explicit:
+            ints, s = explicit[i]
+            tables[i] = [x * (scale // s) for x in ints]
+        else:
+            weights[i] = [int(f * scale) for f in v.values]
+    empty = [t[0] if t is not None else 0 for t in tables]
+
+    masks = [0] * n
+    owner = [0] * m
+    own = list(empty)
+    if prop == "ef1":
+        # Below every additive value: the start of a bundle's running max.
+        floors = [min(w, default=0) - 1 if w is not None else None
+                  for w in weights]
+        passes = partial(_ef1_leaf, n, masks, owner, own, weights, floors,
+                         tables)
+    elif prop == "prop1":
+        full = (1 << m) - 1
+        totals = [t[full] if t is not None else sum(w)
+                  for w, t in zip(weights, tables)]
+        passes = partial(_prop1_leaf, n, masks, owner, own, weights, tables,
+                         totals, full)
+    else:
+        # own_i >= alpha * MMS_i * L; own_i is an integer, so the ceiling.
+        required = [math.ceil(alpha * x * scale) for x in prof.mms]
+
+        def passes():
+            return all(map(ge, own, required))
 
     # Upper bound per good for the prune: valid for additive welfare and for
     # explicit tables flagged subadditive; otherwise no prune is sound
     # (supermodular tables can gain more than single-good values suggest).
-    additive = inst.additive
-    prunable = additive or all(
+    prunable = inst.additive or all(
         v.kind != ADDITIVE and v.subadditive for v in inst.valuations)
-    good_max = [max(inst.value(i, {g}) for i in range(inst.n))
-                for g in range(inst.m)]
-    suffix_max = [ZERO] * (inst.m + 1)
-    for g in range(inst.m - 1, -1, -1):
-        suffix_max[g] = suffix_max[g + 1] + good_max[g]
+    suffix_max = [0] * (m + 1)
+    for g in range(m - 1, -1, -1):
+        suffix_max[g] = suffix_max[g + 1] + max(
+            t[1 << g] if t is not None else w[g]
+            for w, t in zip(weights, tables))
 
-    best_welfare: Optional[Fraction] = None
-    best_assign = None
-    assign = [0] * inst.m
+    best_welfare: Optional[int] = None
+    best_masks: tuple[int, ...] = ()
+    last = m - 1
 
-    def current_welfare(bundles: list[set[int]]) -> Fraction:
-        return sum((inst.value(i, bundles[i]) for i in range(inst.n)), ZERO)
-
-    def search(pos: int, bundles: list[set[int]], partial: Fraction):
-        nonlocal best_welfare, best_assign
-        if pos == inst.m:
-            welfare = partial if additive else current_welfare(bundles)
-            if best_welfare is None or welfare > best_welfare:
-                if passes(Allocation.of(bundles)):
-                    best_welfare = welfare
-                    best_assign = tuple(assign)
+    def search(pos: int, sofar: int):
+        nonlocal best_welfare, best_masks
+        if (prunable and best_welfare is not None
+                and sofar + suffix_max[pos] <= best_welfare):
             return
-        if prunable and best_welfare is not None:
-            sofar = partial if additive else current_welfare(bundles)
-            if sofar + suffix_max[pos] <= best_welfare:
-                return
-        for agent in range(inst.n):
-            gain = inst.valuations[agent].values[pos] if additive else ZERO
-            assign[pos] = agent
-            bundles[agent].add(pos)
-            search(pos + 1, bundles, partial + gain)
-            bundles[agent].remove(pos)
+        bit = 1 << pos
+        for agent in range(n):
+            old = masks[agent]
+            t = tables[agent]
+            gain = t[old | bit] - t[old] if t is not None else \
+                weights[agent][pos]
+            masks[agent] = old | bit
+            owner[pos] = agent
+            own[agent] += gain
+            welfare = sofar + gain
+            if pos < last:
+                search(pos + 1, welfare)
+            elif (best_welfare is None or welfare > best_welfare) \
+                    and passes():
+                best_welfare = welfare
+                best_masks = tuple(masks)
+            masks[agent] = old
+            own[agent] -= gain
 
-    search(0, [set() for _ in range(inst.n)], ZERO)
-    if best_assign is None:
+    if m:
+        search(0, sum(empty))
+    elif passes():  # with no goods the empty allocation is the only leaf
+        best_welfare, best_masks = sum(empty), tuple(masks)
+    if best_welfare is None:
         return None
-    return Allocation.of(_bundles_of(best_assign, inst.n)), best_welfare
+    bundles = [[g for g in goods if mask >> g & 1] for mask in best_masks]
+    return Allocation.of(bundles), Fraction(best_welfare, scale)
 
 
 def price_of_fairness(inst: Instance, prop: str, alpha=None, profile=None,

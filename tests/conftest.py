@@ -73,12 +73,20 @@ def naive_is_ef1(inst: Instance, alloc: Allocation) -> bool:
 
 
 def naive_is_prop1(inst: Instance, alloc: Allocation) -> bool:
+    """Prop1 by definition; with no goods at all it holds vacuously."""
     for i in range(inst.n):
         threshold = value_query(inst.valuations[i], range(inst.m)) / inst.n
-        if not any(value_query(inst.valuations[i], alloc.bundles[i] | {g})
-                   >= threshold for g in range(inst.m)):
+        if inst.m and not any(
+                value_query(inst.valuations[i], alloc.bundles[i] | {g})
+                >= threshold for g in range(inst.m)):
             return False
     return True
+
+
+def naive_is_alpha_mms(inst: Instance, alloc: Allocation, alpha,
+                       shares) -> bool:
+    return all(value_query(inst.valuations[i], alloc.bundles[i])
+               >= alpha * shares[i] for i in range(inst.n))
 
 
 def naive_mms(valuation: Valuation, k: int, goods=None) -> Fraction:

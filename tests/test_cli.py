@@ -1,13 +1,36 @@
 """CLI surface and experiment harness."""
 
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fairdiv.cli import main
 from fairdiv.experiment import (BOUND_COLUMNS, ExperimentConfig,
                                 run_experiment)
+
+# The sha256 of the README example sweep's CSV, recorded by the benchmark.
+EXPECTED_SWEEP = Path(__file__).parent.parent / "perfbench" / "expected.json"
+
+# The example config in the README.
+README_CONFIG = {
+    "seed": 42,
+    "solvers": ["ef1", "half-mms"],
+    "epsilon": "0",
+    "enum_cap": 20000000,
+    "mms_state_cap": 1000000000,
+    "jobs": 1,
+    "trace": False,
+    "families": [
+        {"family": "ef1-unscaled", "n": [2, 3, 4, 5, 6]},
+        {"family": "mms-scaled-sqrt", "n": [4, 9, 16]},
+        {"family": "supermodular", "n": [3], "epsilon": "1/100"},
+        {"family": "random", "distribution": "dirichlet-scaled",
+         "n": [4], "m": [8], "count": 3},
+    ],
+}
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +65,18 @@ class TestCli:
                                 "--instance", str(inst),
                                 "--allocation", str(bad))
         assert code == 1 and not verdict["holds"]
+
+    def test_check_rejects_non_list_bundles(self, tmp_path, capsys):
+        inst = tmp_path / "i.json"
+        run_cli(capsys, "gen", "--family", "ef1-unscaled", "--n", "2",
+                "-o", str(inst))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"bundles": 5}))
+        code = main(["check", "--property", "ef1", "--instance", str(inst),
+                     "--allocation", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: bundles must be a list, got 5\n"
 
     def test_mms_subcommand(self, tmp_path, capsys):
         inst = tmp_path / "i.json"
@@ -227,6 +262,14 @@ class TestExperiment:
             })
         assert err.value.row["instance_id"] == "ef1-unscaled-n2"
         assert err.value.trace is not None
+
+    def test_readme_sweep_csv_matches_recorded_sha256(self, tmp_path):
+        recorded = json.loads(EXPECTED_SWEEP.read_text())["pof-sweep"]
+        run_experiment(dict(README_CONFIG, seed=recorded["seed"]),
+                       outdir=tmp_path)
+        csv_bytes = (tmp_path / "results.csv").read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == \
+            recorded["csv_sha256"]
 
     def test_worker_pool_matches_inline(self, tmp_path):
         seq = run_experiment(self.CONFIG)

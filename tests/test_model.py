@@ -99,6 +99,15 @@ ONE_AGENT = {"n": 1, "m": 1, "scaled": True,
              "valuations": [{"kind": "additive", "values": ["1"]}]}
 
 
+def not_subadditive(**flag):
+    """One agent, v({1}) = v({2}) = 1/10 and v({1,2}) = 1: a valid table
+    that is not subadditive."""
+    return {"n": 1, "m": 2, "scaled": True,
+            "valuations": [dict(kind="explicit", **flag,
+                                table={"1": "1/10", "2": "1/10",
+                                       "1,2": "1"})]}
+
+
 @pytest.mark.parametrize("loader, data", [
     (load_instance, dict(SYMMETRIC, n=2.0)),
     (load_instance, dict(SYMMETRIC, n="2")),
@@ -109,11 +118,25 @@ ONE_AGENT = {"n": 1, "m": 1, "scaled": True,
     (load_instance, dict(SYMMETRIC, scaled=1)),
     (load_allocation, {"bundles": [[True]]}),
     (load_allocation, {"bundles": [[2], [True]]}),
+    (load_allocation, {"bundles": 5}),
+    (load_allocation, {"bundles": "12"}),
+    (load_allocation, {"bundles": [[1], 2]}),
+    (load_instance, not_subadditive(subadditive="false")),
+    (load_instance, not_subadditive(subadditive=0)),
 ], ids=["n-float", "n-string", "m-float", "n-bool", "m-bool",
-        "scaled-string", "scaled-int", "good-bool", "second-good-bool"])
+        "scaled-string", "scaled-int", "good-bool", "second-good-bool",
+        "bundles-int", "bundles-string", "bundle-int", "subadditive-string",
+        "subadditive-int"])
 def test_loader_rejects_wrong_json_types(tmp_path, loader, data):
     with pytest.raises(ParseError):
         loader(write(tmp_path, "f.json", data))
+
+
+@pytest.mark.parametrize("flag", [{}, {"subadditive": False}])
+def test_subadditive_absent_or_false_loads(tmp_path, flag):
+    inst = load_instance(write(tmp_path, "i.json", not_subadditive(**flag)))
+    assert not inst.valuations[0].subadditive
+    assert value_query(inst.valuations[0], {0, 1}) == 1
 
 
 class TestRoundTrip:

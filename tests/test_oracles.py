@@ -3,17 +3,47 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from fairdiv import (Allocation, FamilySpec, InfeasibleError, MmsProfile,
-                     ValidationError, Valuation, constrained_opt,
-                     generate_adversarial, generate_random, injected_profile,
-                     is_ef1, max_welfare, mms_k, mms_lower_bound, mms_profile,
-                     price_of_fairness, social_welfare, value_query)
+from fairdiv import (Allocation, FamilySpec, InfeasibleError, Instance,
+                     MmsProfile, ValidationError, Valuation, constrained_opt,
+                     generate_adversarial, generate_random,
+                     injected_profile, is_ef1, max_welfare, mms_k,
+                     mms_lower_bound, mms_profile, price_of_fairness,
+                     social_welfare, validate_instance, value_query)
 
 from conftest import (additive_instance, naive_constrained_opt,
+                      naive_is_alpha_mms, naive_is_ef1, naive_is_prop1,
                       naive_max_welfare, naive_mms)
+
+
+def corpus_instance(family, n, m, rng):
+    """Unscaled instance over small value alphabets, so that welfare ties
+    and exact ties in the fairness checks are common. Agents differ in
+    scale, so the welfare optimum is often unfair. `additive` draws per-good
+    values, `subadditive` clips their sum at a budget, and `supermodular`
+    squares it (constrained_opt then cannot prune)."""
+    valuations = []
+    for _ in range(n):
+        unit = Fraction(rng.choice([1, 2, 5]), rng.choice([1, 3]))
+        base = [rng.randint(0, 3) * unit / 2 for _ in range(m)]
+        if family == "additive":
+            valuations.append(Valuation.additive(base))
+            continue
+        budget = max(base, default=0) + rng.randint(0, 3) * unit / 2
+        table = {}
+        for mask in range(1 << m):
+            subset = frozenset(g for g in range(m) if mask >> g & 1)
+            raw = sum((base[g] for g in subset), Fraction(0))
+            table[subset] = min(raw, budget) if family == "subadditive" \
+                else raw * raw
+        valuations.append(Valuation.explicit(
+            m, table, subadditive=family == "subadditive"))
+    inst = Instance(n, m, tuple(valuations))
+    validate_instance(inst)
+    return inst
 
 
 class TestMmsK:
@@ -185,6 +215,48 @@ class TestConstrainedOpt:
             want = naive_constrained_opt(inst,
                                          lambda a: is_ef1(inst, a).holds)
             assert got[1] == want[1]
+
+    @pytest.mark.parametrize("prop", ["ef1", "prop1", "alpha-mms"])
+    @pytest.mark.parametrize("family",
+                             ["additive", "subadditive", "supermodular"])
+    def test_equivalence_corpus(self, family, prop):
+        # The whole result, tie-break included, against a scan of every
+        # allocation in lexicographic order with definition-level checks.
+        rng = random.Random(f"{family}-{prop}")
+        for n, m, _ in product(range(1, 4), range(6), range(3)):
+            inst = corpus_instance(family, n, m, rng)
+            kwargs = {}
+            if prop == "ef1":
+                def passes(a):
+                    return naive_is_ef1(inst, a)
+            elif prop == "prop1":
+                def passes(a):
+                    return naive_is_prop1(inst, a)
+            else:
+                alpha = rng.choice([Fraction(1, 3), Fraction(1, 2),
+                                    Fraction(1), Fraction(3, 2)])
+                shares = tuple(naive_mms(v, n) for v in inst.valuations)
+                kwargs = {"alpha": alpha, "profile": MmsProfile(mms=shares)}
+
+                def passes(a):
+                    return naive_is_alpha_mms(inst, a, alpha, shares)
+            got = constrained_opt(inst, prop, **kwargs)
+            assert got == naive_constrained_opt(inst, passes), (n, m)
+
+    def test_prop1_added_good_is_not_an_owned_one(self):
+        # Agent 1 holding only good 1 fails Prop1, as 2 * (3 + 2) < 11;
+        # re-adding its own good 1 must not count as 2 * (3 + 3) >= 11.
+        inst = additive_instance([[3, 2, 2, 2, 2], [10] * 5])
+        got = constrained_opt(inst, "prop1")
+        assert got == naive_constrained_opt(
+            inst, lambda a: naive_is_prop1(inst, a))
+        assert got[0].bundles[0] == frozenset({0, 1}) and got[1] == 35
+
+    def test_alpha_mms_rejects_estimates_only_profile(self):
+        inst = additive_instance([["1", "1"], ["1", "1"]])
+        with pytest.raises(ValidationError):
+            constrained_opt(inst, "alpha-mms",
+                            profile=injected_profile([Fraction(1)] * 2))
 
     def test_infeasible_cap(self):
         inst = additive_instance([["1"] * 10] * 4)
