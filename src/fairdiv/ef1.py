@@ -25,8 +25,7 @@ from .envy_cycle import LiptonStats, run_extend_ef1
 from .errors import InfeasibleError, ValidationError
 from .fairness import is_ef1, social_welfare
 from .matching import max_weight_left_perfect_matching
-from .model import (ADDITIVE, Allocation, Instance, ZERO, validate_allocation,
-                    value_query)
+from .model import ADDITIVE, Allocation, Instance, ZERO, validate_allocation
 from .oracles import DEFAULT_ENUM_CAP, max_welfare
 
 
@@ -90,8 +89,9 @@ class SolveEf1Run:
 
 
 def run_ef1_abs(inst: Instance) -> Ef1AbsRun:
-    weights = [[value_query(inst.valuations[i], {g}) for g in range(inst.m)]
-               for i in range(inst.n)]
+    weights = [list(v.values) if v.kind == ADDITIVE
+               else [v.table[frozenset((g,))] for g in range(inst.m)]
+               for v in inst.valuations]
     matched = max_weight_left_perfect_matching(weights)
     bundles: list[frozenset[int]] = [frozenset() for _ in range(inst.n)]
     for agent, good in matched:
@@ -140,33 +140,39 @@ def reference_allocation(inst: Instance,
 
 
 class _LineValues:
-    """Per-agent value of contiguous position ranges under a line order.
+    """Per-agent value of contiguous position ranges under a line order, in
+    the agent's integers (`Valuation.ints`).
 
-    Additive agents get exact `Fraction` prefix sums, so each range query is
-    O(1); explicit agents fall back to value queries.
+    Additive agents get integer prefix sums; explicit agents read their
+    bitmask-indexed table at the range's mask, a difference of two prefix
+    masks. Either way each range query is O(1).
     """
 
     def __init__(self, inst: Instance, line: LineOrder):
-        self.inst = inst
-        self.line = line
-        self._prefix: list[Optional[list]] = []
-        for i in range(inst.n):
-            v = inst.valuations[i]
+        masks = [0]
+        for g in line.order:
+            masks.append(masks[-1] | 1 << g)
+        self._masks = masks
+        self._prefix: list[Optional[list[int]]] = []
+        self._tables: list[Optional[tuple[int, ...]]] = []
+        for v in inst.valuations:
+            ints, _ = v.ints
             if v.kind == ADDITIVE:
-                acc = [ZERO]
-                for p in range(inst.m):
-                    acc.append(acc[-1] + v.values[line.order[p]])
+                acc = [0]
+                for g in line.order:
+                    acc.append(acc[-1] + ints[g])
                 self._prefix.append(acc)
+                self._tables.append(None)
             else:
                 self._prefix.append(None)
+                self._tables.append(ints)
 
-    def range_value(self, agent: int, a: int, b: int) -> Fraction:
+    def range_value(self, agent: int, a: int, b: int) -> int:
         """Value of positions a..b inclusive."""
         pref = self._prefix[agent]
         if pref is not None:
             return pref[b + 1] - pref[a]
-        goods = {self.line.order[p] for p in range(a, b + 1)}
-        return self.inst.value(agent, goods)
+        return self._tables[agent][self._masks[b + 1] ^ self._masks[a]]
 
 
 def _components(intervals: list[Optional[tuple[int, int]]],
@@ -191,31 +197,32 @@ def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
     lv = _LineValues(inst, line)
 
     intervals: list[Optional[tuple[int, int]]] = [None] * n
-    own = [ZERO] * n
+    own = [0] * n               # agent i's own value in her integers
     for i in range(n):
         bundle = ref.bundles[i]
         if not bundle:
             continue
-        best_g = None
+        best_p = None
         best_val = None
         for g in sorted(bundle):
-            val = inst.value(i, {g})
+            p = line.position[g]
+            val = lv.range_value(i, p, p)
             if best_val is None or val > best_val:
-                best_g, best_val = g, val
-        p = line.position[best_g]
-        intervals[i] = (p, p)
+                best_p, best_val = p, val
+        intervals[i] = (best_p, best_p)
         own[i] = best_val
 
     trace: list[tuple[int, int, int, int]] = []
     t = 0
     guard = 2 * n * m * m + 10
+    value = lv.range_value
     while True:
         comps = _components(intervals, m)
         if debug.checks_enabled():
             assert len(comps) <= n + 1
         envied = None
         for a, b in comps:
-            if any(own[i] < lv.range_value(i, a, b) for i in range(n)):
+            if any(own[i] < value(i, a, b) for i in range(n)):
                 envied = (a, b)
                 break
         if envied is None:
@@ -224,14 +231,14 @@ def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
         chosen = None
         for c in range(a, b + 1):
             for k in range(n):
-                if own[k] < lv.range_value(k, a, c):
+                if own[k] < value(k, a, c):
                     chosen = (k, c)
                     break
             if chosen:
                 break
         k, c = chosen
         intervals[k] = (a, c)
-        own[k] = lv.range_value(k, a, c)
+        own[k] = value(k, a, c)
         t += 1
         trace.append((t, k, a, c))
         if t > guard:
@@ -243,7 +250,8 @@ def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
             assert all(line.contiguous(bundle) for bundle in snapshot.bundles)
 
     partial = _intervals_to_allocation(intervals, line, n)
-    partial_welfare = sum(own, ZERO)
+    partial_welfare = sum((Fraction(x, v.ints[1])
+                           for x, v in zip(own, inst.valuations)), ZERO)
     allocation, stats = run_extend_ef1(inst, partial)
     return Ef1HighRun(allocation=allocation, iterations=t, trace=trace,
                       partial=partial, partial_welfare=partial_welfare,

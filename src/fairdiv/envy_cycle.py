@@ -1,23 +1,28 @@
 """Envy-cycle elimination: extend a partial EF1 allocation to a complete EF1
 allocation without lowering any agent's own-bundle value.
 
-Works for any monotone valuations via value queries. Unallocated goods are
-handed out in ascending index order; each goes to the lowest-indexed
-unenvied agent, rotating envy cycles first so such an agent exists. Cycle
-detection is depth-first from the lowest-indexed agent; rotating a cycle
-hands every agent on it the bundle she strictly prefers, so total value
-strictly rises and the process terminates.
+Works for any monotone valuations. Unallocated goods are handed out in
+ascending index order; each goes to the lowest-indexed unenvied agent,
+rotating envy cycles first so such an agent exists. Cycle detection is
+depth-first from the lowest-indexed agent, visiting neighbours in ascending
+order; rotating a cycle hands every agent on it the bundle she strictly
+prefers, so total value strictly rises and the process terminates.
+
+Values are each agent's integers (`Valuation.ints`) and bundles are
+bitmasks. The envy graph is kept as one adjacency bitmask per agent and
+updated only where something moved: after a rotation the rows of the cycle's
+agents and the cycle's columns of every other row, after a hand-out the
+receiver's row and its column in every other row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import debug
 from .errors import ValidationError
 from .fairness import is_ef1
-from .model import ADDITIVE, Allocation, Instance
+from .model import ADDITIVE, Allocation, Instance, goods_mask, mask_goods
 
 
 @dataclass
@@ -33,43 +38,51 @@ class LiptonStats:
         return self.rotations + self.additions
 
 
-def _envy_edges(values: list[list[Fraction]], n: int) -> list[list[int]]:
-    """adj[i] = agents j (ascending) whose bundle i strictly prefers."""
-    return [[j for j in range(n) if j != i and values[i][i] < values[i][j]]
-            for i in range(n)]
+def _envy_row(row: list[int], i: int) -> int:
+    """Bitmask of the agents whose bundle agent i strictly prefers to her
+    own, given her values `row` of every bundle."""
+    own = row[i]
+    bits = 0
+    for j, x in enumerate(row):
+        if x > own:
+            bits |= 1 << j
+    return bits
 
 
-def _find_cycle(adj: list[list[int]], n: int) -> list[int] | None:
-    """First directed cycle by DFS from the lowest-indexed agent, or None."""
-    color = [0] * n             # 0 unseen, 1 on stack, 2 done
+def _find_cycle(adj: list[int], n: int) -> list[int] | None:
+    """First directed cycle by DFS from the lowest-indexed agent, visiting
+    neighbours in ascending order, or None."""
+    done = 0                    # agents fully explored
+    on_stack = 0
     parent: dict[int, int] = {}
     for start in range(n):
-        if color[start] != 0:
+        if (done | on_stack) >> start & 1:
             continue
-        stack = [(start, iter(adj[start]))]
-        color[start] = 1
+        stack = [[start, adj[start]]]
+        on_stack |= 1 << start
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    parent[nxt] = node
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-                if color[nxt] == 1:
-                    cycle = [node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                color[node] = 2
+            frame = stack[-1]
+            node = frame[0]
+            rest = frame[1] & ~done
+            if not rest:
+                done |= 1 << node
+                on_stack &= ~(1 << node)
                 stack.pop()
-        continue
+                continue
+            low = rest & -rest
+            frame[1] = rest ^ low
+            nxt = low.bit_length() - 1
+            if on_stack & low:
+                cycle = [node]
+                cur = node
+                while cur != nxt:
+                    cur = parent[cur]
+                    cycle.append(cur)
+                cycle.reverse()
+                return cycle
+            on_stack |= low
+            parent[nxt] = node
+            stack.append([nxt, adj[nxt]])
     return None
 
 
@@ -83,47 +96,75 @@ def run_extend_ef1(inst: Instance,
                               witness=verdict.witness)
 
     n = inst.n
-    bundles = [set(b) for b in partial.bundles]
-    # values[i][j] = v_i(bundle_j), kept in sync under rotations/additions.
-    values = [[inst.value(i, bundles[j]) for j in range(n)] for i in range(n)]
+    kernels = [v.ints[0] for v in inst.valuations]
+    additive = [v.kind == ADDITIVE for v in inst.valuations]
+    masks = [goods_mask(b) for b in partial.bundles]
+
+    # values[i][j] = v_i(bundle_j) in agent i's integers; adj[i] has bit j
+    # set iff i envies j. Both are kept in sync under rotations/additions.
+    values = [[sum(ints[g] for g in bundle) if add else ints[mask]
+               for bundle, mask in zip(partial.bundles, masks)]
+              for ints, add in zip(kernels, additive)]
+    adj = [_envy_row(values[i], i) for i in range(n)]
     start_values = [values[i][i] for i in range(n)]
     stats = LiptonStats()
+
+    def check_ef1():
+        assert is_ef1(inst, Allocation(tuple(map(mask_goods, masks)))).holds
 
     unallocated = sorted(frozenset(range(inst.m)) - partial.allocated())
     for g in unallocated:
         while True:
-            adj = _envy_edges(values, n)
             cycle = _find_cycle(adj, n)
             if cycle is None:
                 break
-            rotated = [bundles[cycle[(t + 1) % len(cycle)]] for t in range(len(cycle))]
-            for t, agent in enumerate(cycle):
-                bundles[agent] = rotated[t]
+            k = len(cycle)
+            moved = [cycle[(t + 1) % k] for t in range(k)]
+            rotated = [masks[j] for j in moved]
+            for agent, mask in zip(cycle, rotated):
+                masks[agent] = mask
+            cycle_bits = goods_mask(cycle)
             for i in range(n):
                 row = values[i]
-                moved = [row[cycle[(t + 1) % len(cycle)]] for t in range(len(cycle))]
-                for t, agent in enumerate(cycle):
-                    row[agent] = moved[t]
+                shifted = [row[j] for j in moved]
+                for agent, x in zip(cycle, shifted):
+                    row[agent] = x
+                if cycle_bits >> i & 1:
+                    adj[i] = _envy_row(row, i)
+                else:
+                    own = row[i]
+                    bits = adj[i] & ~cycle_bits
+                    for agent in cycle:
+                        if row[agent] > own:
+                            bits |= 1 << agent
+                    adj[i] = bits
             stats.rotations += 1
             if debug.checks_enabled():
-                assert is_ef1(inst, Allocation.of(bundles)).holds
-        adj = _envy_edges(values, n)
-        incoming = [False] * n
+                check_ef1()
+        incoming = 0
+        for bits in adj:
+            incoming |= bits
+        free = ~incoming & (incoming + 1)
+        source = free.bit_length() - 1
+        masks[source] |= 1 << g
+        bit = 1 << source
         for i in range(n):
-            for j in adj[i]:
-                incoming[j] = True
-        source = next(i for i in range(n) if not incoming[i])
-        bundles[source].add(g)
-        for i in range(n):
-            if inst.valuations[i].kind == ADDITIVE:
-                values[i][source] += inst.valuations[i].values[g]
+            row = values[i]
+            if additive[i]:
+                row[source] += kernels[i][g]
             else:
-                values[i][source] = inst.value(i, bundles[source])
+                row[source] = kernels[i][masks[source]]
+            if i == source:
+                adj[i] = _envy_row(row, i)
+            elif row[source] > row[i]:
+                adj[i] |= bit
+            else:
+                adj[i] &= ~bit
         stats.additions += 1
         if debug.checks_enabled():
-            assert is_ef1(inst, Allocation.of(bundles)).holds
+            check_ef1()
 
-    result = Allocation.of(bundles)
+    result = Allocation(tuple(map(mask_goods, masks)))
     if debug.checks_enabled():
         for i in range(n):
             assert values[i][i] >= start_values[i]

@@ -43,7 +43,8 @@ from .fairness import is_alpha_mms, is_ef1
 from .generators import (ADVERSARIAL_FAMILIES, FamilySpec,
                          generate_adversarial, generate_random,
                          generate_random_subadditive)
-from .model import Instance, ZERO, format_rational, parse_rational
+from .model import (Instance, ZERO, format_rational, is_json_int,
+                    parse_rational)
 from .mms import run_solve_half_mms
 from .ef1 import run_solve_ef1
 from .oracles import (DEFAULT_ENUM_CAP, DEFAULT_MMS_STATE_CAP,
@@ -92,6 +93,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ParseError("experiment config must be a JSON object")
         solvers = tuple(data.get("solvers", list(SOLVERS)))
         for s in solvers:
             if s not in SOLVERS:
@@ -99,15 +102,39 @@ class ExperimentConfig:
         families = data.get("families", [])
         if not isinstance(families, list):
             raise ParseError("'families' must be a list")
-        return ExperimentConfig(
-            seed=int(data.get("seed", 0)),
+        trace = data.get("trace", False)
+        if not isinstance(trace, bool):
+            raise ParseError(f"'trace' must be true or false, got {trace!r}")
+        config = ExperimentConfig(
+            seed=_json_int(data, "seed", 0),
             solvers=solvers,
             epsilon=parse_rational(str(data.get("epsilon", "0"))),
-            enum_cap=int(data.get("enum_cap", DEFAULT_ENUM_CAP)),
-            mms_state_cap=int(data.get("mms_state_cap", DEFAULT_MMS_STATE_CAP)),
-            jobs=int(data.get("jobs", 1)),
-            trace=bool(data.get("trace", False)),
+            enum_cap=_json_int(data, "enum_cap", DEFAULT_ENUM_CAP),
+            mms_state_cap=_json_int(data, "mms_state_cap",
+                                    DEFAULT_MMS_STATE_CAP),
+            jobs=_json_int(data, "jobs", 1),
+            trace=trace,
             families=tuple(families))
+        _instance_jobs(config)      # rejects malformed families up front
+        return config
+
+
+def _json_int(obj: dict, key: str, default: int) -> int:
+    """obj[key] as a JSON integer (bools are not), or the default if absent."""
+    value = obj.get(key, default)
+    if not is_json_int(value):
+        raise ParseError(f"'{key}' must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_ints(obj: dict, key: str, default) -> list[int]:
+    """obj[key] as a list of JSON integers; a single integer is a list of
+    one."""
+    value = obj.get(key, default)
+    values = value if isinstance(value, list) else [value]
+    if not all(is_json_int(v) for v in values):
+        raise ParseError(f"'{key}' must hold JSON integers, got {value!r}")
+    return values
 
 
 @dataclass
@@ -149,24 +176,24 @@ def _dec(value) -> str:
 def _instance_jobs(config: ExperimentConfig) -> list[dict]:
     jobs = []
     for fam in config.families:
+        if not isinstance(fam, dict):
+            raise ParseError(f"a family entry must be an object, got {fam!r}")
         family = fam.get("family")
-        ns = fam.get("n", [])
-        ns = ns if isinstance(ns, list) else [ns]
+        ns = _json_ints(fam, "n", [])
         eps = fam.get("epsilon")
         eps = parse_rational(str(eps)) if eps is not None else None
         if family in ADVERSARIAL_FAMILIES:
             for n in ns:
-                jobs.append({"family": family, "n": int(n), "epsilon": eps})
+                jobs.append({"family": family, "n": n, "epsilon": eps})
         elif family in ("random", "random-subadditive"):
-            ms = fam.get("m", [])
-            ms = ms if isinstance(ms, list) else [ms]
-            count = int(fam.get("count", 1))
+            ms = _json_ints(fam, "m", [])
+            count = _json_int(fam, "count", 1)
             distribution = fam.get("distribution", "uniform-rational")
             for n in ns:
                 for m in ms:
                     for idx in range(count):
-                        jobs.append({"family": family, "n": int(n),
-                                     "m": int(m), "index": idx,
+                        jobs.append({"family": family, "n": n,
+                                     "m": m, "index": idx,
                                      "distribution": distribution})
         else:
             raise ParseError(f"unknown family {family!r} in config")

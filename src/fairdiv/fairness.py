@@ -3,6 +3,10 @@
 Each predicate returns a FairnessVerdict carrying either a machine-checkable
 certificate (evidence the property holds) or a counterexample witness that
 reproduces the violated inequality when replayed through value queries.
+
+`is_ef1` decides on each agent's integer kernel (`Valuation.ints`), so no
+`Fraction` is built on success; certificates and witnesses, the public
+output, stay in exact rationals.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Iterable, Optional
 
 from .errors import ValidationError
 from .model import (Allocation, Instance, ADDITIVE, ZERO, format_rational,
-                    validate_allocation, value_query)
+                    goods_mask, validate_allocation)
 
 
 @dataclass(frozen=True)
@@ -57,20 +61,23 @@ def social_welfare(inst: Instance, alloc: Allocation) -> Fraction:
     return sum((inst.value(i, alloc.bundles[i]) for i in range(inst.n)), ZERO)
 
 
-def _best_removal(inst: Instance, i: int, bundle: frozenset[int]):
-    """Good whose removal shrinks agent i's view of `bundle` the most,
-    with the resulting residual value. Lowest good index wins ties."""
-    v = inst.valuations[i]
-    if v.kind == ADDITIVE:
-        top = max(v.values[x] for x in bundle)
-        g = min(x for x in bundle if v.values[x] == top)
-        return g, v.value(bundle) - v.values[g]
+def _certifying_good(ints: tuple[int, ...], additive: bool, own: int,
+                     bundle: frozenset[int]) -> Optional[int]:
+    """The good whose removal shrinks the agent's view of a nonempty
+    `bundle` the most (lowest good on ties) when the residual is at most
+    `own`, else None; all in the agent's integers."""
+    if additive:
+        top = max(ints[x] for x in bundle)
+        if own < sum(ints[x] for x in bundle) - top:
+            return None
+        return min(x for x in bundle if ints[x] == top)
+    mask = goods_mask(bundle)
     best_g, best_res = None, None
     for g in sorted(bundle):
-        res = v.value(bundle - {g})
+        res = ints[mask ^ (1 << g)]
         if best_res is None or res < best_res:
             best_g, best_res = g, res
-    return best_g, best_res
+    return best_g if own >= best_res else None
 
 
 def is_ef1(inst: Instance, alloc: Allocation) -> FairnessVerdict:
@@ -78,29 +85,37 @@ def is_ef1(inst: Instance, alloc: Allocation) -> FairnessVerdict:
 
     Holds iff for every ordered pair (i, j) with a nonempty bundle B_j there
     is a good g in B_j with v_i(own) >= v_i(B_j - {g}). The certificate
-    records one such g per pair; a failure witness lists the residual value
-    of every single-good removal so it can be replayed.
+    records one such g per pair (the one leaving the smallest residual,
+    lowest good on ties); a failure witness lists the residual value of
+    every single-good removal so it can be replayed. The decision runs on
+    each agent's integer kernel; only a failure builds `Fraction`s.
     """
     validate_allocation(alloc, inst)
     certificate: dict = {}
     for i in range(inst.n):
-        own = inst.value(i, alloc.bundles[i])
+        v = inst.valuations[i]
+        ints, _ = v.ints
+        additive = v.kind == ADDITIVE
+        own_goods = alloc.bundles[i]
+        own = (sum(ints[x] for x in own_goods) if additive
+               else ints[goods_mask(own_goods)])
         for j in range(inst.n):
             if j == i or not alloc.bundles[j]:
                 continue
-            g, residual = _best_removal(inst, i, alloc.bundles[j])
-            if own >= residual:
+            g = _certifying_good(ints, additive, own, alloc.bundles[j])
+            if g is not None:
                 certificate[(i + 1, j + 1)] = g + 1
-            else:
-                comparisons = [
-                    {"removed": h + 1,
-                     "residual": inst.value(i, alloc.bundles[j] - {h}),
-                     "own": own}
-                    for h in sorted(alloc.bundles[j])]
-                return FairnessVerdict(
-                    holds=False, prop="ef1",
-                    witness={"i": i + 1, "j": j + 1,
-                             "own": own, "comparisons": comparisons})
+                continue
+            own_value = inst.value(i, own_goods)
+            comparisons = [
+                {"removed": h + 1,
+                 "residual": inst.value(i, alloc.bundles[j] - {h}),
+                 "own": own_value}
+                for h in sorted(alloc.bundles[j])]
+            return FairnessVerdict(
+                holds=False, prop="ef1",
+                witness={"i": i + 1, "j": j + 1,
+                         "own": own_value, "comparisons": comparisons})
     return FairnessVerdict(holds=True, prop="ef1", certificate=certificate)
 
 

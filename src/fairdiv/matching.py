@@ -21,12 +21,10 @@ from typing import Sequence
 
 
 def _to_int_matrix(weights: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    denoms = [Fraction(w).denominator for row in weights for w in row]
-    scale = lcm(*denoms) if denoms else 1
-    out = []
-    for row in weights:
-        out.append([int(Fraction(w) * scale) for w in row])
-    return out
+    """The weights times the lcm of their denominators (Fractions or ints)."""
+    scale = lcm(*(w.denominator for row in weights for w in row))
+    return [[w.numerator * (scale // w.denominator) for w in row]
+            for row in weights]
 
 
 def _max_assignment(weights: list[list[int]]) -> list[int]:

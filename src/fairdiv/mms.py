@@ -18,12 +18,18 @@ reference order, growing an accumulator bundle that is swapped to
 temporary agents or assigned to uncovered ones as soon as it crosses
 their thresholds. At termination P and T cover all agents, |T| stays
 within 4*sqrt(n), and 3*sqrt(n)*SW + 4*sqrt(n) >= OPT.
+
+Both loops run on the agents' integer kernels (`Valuation.ints`). The
+absolute algorithm compares values across agents, so it rescales them to
+one common denominator; the high-welfare algorithm only compares within an
+agent, so each agent works over the lcm of her own denominator and Z_i's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional
 
 from . import debug
@@ -31,7 +37,7 @@ from .ef1 import LineOrder
 from .errors import ValidationError
 from .exact import sqrt_ge
 from .fairness import is_prop1, social_welfare
-from .model import Allocation, Instance, ZERO
+from .model import Allocation, Instance, ZERO, common_ints
 from .oracles import (DEFAULT_MMS_STATE_CAP, MmsProfile, max_welfare,
                       mms_profile)
 
@@ -56,7 +62,7 @@ def prop1_subroutine(inst: Instance, agents: Iterable[int],
         for i in order:
             if not remaining:
                 break
-            vals = inst.valuations[i].values
+            vals = inst.valuations[i].ints[0]
             top = max(vals[g] for g in remaining)
             pick = min(g for g in remaining if vals[g] == top)
             bundles[i].add(pick)
@@ -78,17 +84,19 @@ def run_mms_abs(inst: Instance) -> MmsAbsRun:
     _require_additive(inst, "alg_mms_abs")
     active = set(range(inst.n))
     remaining = set(range(inst.m))
-    totals = [sum((inst.valuations[i].values[g] for g in remaining), ZERO)
-              for i in range(inst.n)]
+    # The pick compares values across agents.
+    values, _ = common_ints(inst.valuations)
+    totals = [sum(row) for row in values]
     bundles: list[set[int]] = [set() for _ in range(inst.n)]
     trace: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
 
     while True:
         best = None           # (value, agent, good)
         k = len(active)
+        goods = sorted(remaining)
         for i in sorted(active):
-            vals = inst.valuations[i].values
-            for g in sorted(remaining):
+            vals = values[i]
+            for g in goods:
                 if 2 * k * vals[g] >= totals[i]:
                     if best is None or vals[g] > best[0]:
                         best = (vals[g], i, g)
@@ -101,7 +109,7 @@ def run_mms_abs(inst: Instance) -> MmsAbsRun:
         active.remove(agent)
         remaining.remove(good)
         for i in active:
-            totals[i] -= inst.valuations[i].values[good]
+            totals[i] -= values[i][good]
 
     leftover_dump = None
     if active:
@@ -141,13 +149,13 @@ class MmsHighRun:
     gamma_hard: frozenset[int]
 
 
-def _assert_state(inst: Instance, z, wstar_val, bundles, perm, temp, n):
+def _assert_state(vals, z, wstar_val, bundles, perm, temp, n):
     assert not (perm & temp)
     for i in perm:
-        bval = sum((inst.valuations[i].values[g] for g in bundles[i]), ZERO)
+        bval = sum(vals[i][g] for g in bundles[i])
         assert sqrt_ge(3 * bval, wstar_val[i], n)
     for i in perm | temp:
-        bval = sum((inst.valuations[i].values[g] for g in bundles[i]), ZERO)
+        bval = sum(vals[i][g] for g in bundles[i])
         assert 2 * bval >= z[i]
 
 
@@ -157,10 +165,22 @@ def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
         raise ValidationError("scaled",
                               "alg_mms_high requires a scaled instance")
     n, m = inst.n, inst.m
-    z = [profile.z(i) for i in range(n)]
-    if len(z) != n:
+    estimates = (profile.estimates if profile.estimates is not None
+                 else profile.mms)
+    if len(estimates) != n:
         raise ValidationError("mms-profile",
-                              f"profile covers {len(z)} agents, need {n}")
+                              f"profile covers {len(estimates)} agents, "
+                              f"need {n}")
+
+    # Every comparison below is within one agent, so each agent works in
+    # her own integers: her values and Z_i times lcm(her den, Z_i's den).
+    vals: list[list[int]] = []
+    z: list[int] = []
+    for v, zi in zip(inst.valuations, estimates):
+        ints, den = v.ints
+        scale = lcm(den, zi.denominator)
+        vals.append([x * (scale // den) for x in ints])
+        z.append(zi.numerator * (scale // zi.denominator))
 
     wstar, _ = max_welfare(inst)
     line = LineOrder.from_reference(wstar.bundles, m)
@@ -168,7 +188,7 @@ def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
     for i, bundle in enumerate(wstar.bundles):
         for g in bundle:
             owner[g] = i
-    wstar_val = [inst.value(i, wstar.bundles[i]) for i in range(n)]
+    wstar_val = [sum(vals[i][g] for g in wstar.bundles[i]) for i in range(n)]
 
     bundles: list[set[int]] = [set() for _ in range(n)]
     perm: set[int] = set()
@@ -178,22 +198,17 @@ def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
     def note(event: str, agent: int, dest: str):
         trace.append((event, agent, tuple(sorted(bundles[agent])), dest))
         if debug.checks_enabled():
-            _assert_state(inst, z, wstar_val, bundles, perm, temp, n)
-
-    def bundle_value(agent: int, goods) -> Fraction:
-        vals = inst.valuations[agent].values
-        return sum((vals[g] for g in goods), ZERO)
+            _assert_state(vals, z, wstar_val, bundles, perm, temp, n)
 
     # Zero-MMS triage. For additive valuations MMS_i = 0 exactly when agent
     # i values fewer than n goods positively, so no oracle call is needed.
     for i in range(n):
-        positives = sum(1 for g in range(m)
-                        if inst.valuations[i].values[g] > 0)
+        positives = sum(1 for x in vals[i] if x > 0)
         if positives < n:
             if z[i] != 0:
                 raise ValidationError(
                     "mms-profile", f"agent {i + 1} has zero maximin share "
-                    f"but estimate {z[i]}", agent=i + 1)
+                    f"but estimate {estimates[i]}", agent=i + 1)
             if wstar_val[i] == 0:
                 perm.add(i)
                 note("zero-mms", i, "P")
@@ -204,18 +219,17 @@ def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
     gamma_single = frozenset(
         i for i in range(n)
         if not sqrt_ge(3 * z[i], 2 * wstar_val[i], n)
-        and any(sqrt_ge(3 * inst.valuations[i].values[g], wstar_val[i], n)
+        and any(sqrt_ge(3 * vals[i][g], wstar_val[i], n)
                 for g in wstar.bundles[i]))
     gamma_hard = frozenset(
         i for i in range(n)
         if not sqrt_ge(3 * z[i], 2 * wstar_val[i], n)
-        and all(not sqrt_ge(3 * inst.valuations[i].values[g], wstar_val[i], n)
+        and all(not sqrt_ge(3 * vals[i][g], wstar_val[i], n)
                 for g in wstar.bundles[i]))
 
     for i in sorted(gamma_single):
-        vals = inst.valuations[i].values
-        top = max(vals[g] for g in wstar.bundles[i])
-        pick = min(g for g in wstar.bundles[i] if vals[g] == top)
+        top = max(vals[i][g] for g in wstar.bundles[i])
+        pick = min(g for g in wstar.bundles[i] if vals[i][g] == top)
         bundles[i] = {pick}
         perm.add(i)
         temp.discard(i)
@@ -234,12 +248,9 @@ def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
         free_agents = [a for a in range(n) if a not in perm and a not in temp]
         pick = None
         for a in free_agents:
-            vals = inst.valuations[a].values
-            for p in range(m):
-                h = line.order[p]
-                if h in taken:
-                    continue
-                if 2 * vals[h] >= z[a]:
+            va, za = vals[a], z[a]
+            for h in line.order:
+                if h not in taken and 2 * va[h] >= za:
                     pick = (a, h)
                     break
             if pick:
@@ -248,25 +259,29 @@ def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
             break
         a, h = pick
         bundles[a] = {h}
-        if sqrt_ge(3 * inst.valuations[a].values[h], wstar_val[a], n):
+        if sqrt_ge(3 * vals[a][h], wstar_val[a], n):
             perm.add(a)
             note("singleton-loop", a, "P")
         else:
             temp.add(a)
             note("singleton-loop", a, "T")
 
-    # Sweep the line order, accumulating still-unassigned goods into K.
+    # Sweep the line order, accumulating still-unassigned goods into K;
+    # acc_val[a] is agent a's value of K.
     snapshot_remaining = frozenset(range(m)) - assigned_goods()
     acc: set[int] = set()
-    for p in range(m):
-        g = line.order[p]
+    acc_val = [0] * n
+    for g in line.order:
         if g not in snapshot_remaining:
             continue
         acc.add(g)
+        for a in range(n):
+            acc_val[a] += vals[a][g]
 
         i = owner[g]
-        if i in temp and sqrt_ge(3 * bundle_value(i, acc), wstar_val[i], n):
+        if i in temp and sqrt_ge(3 * acc_val[i], wstar_val[i], n):
             bundles[i], acc = acc, bundles[i]
+            acc_val = [sum(va[x] for x in acc) for va in vals]
             perm.add(i)
             temp.discard(i)
             note("swap", i, "P")
@@ -275,14 +290,15 @@ def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
         for a in range(n):
             if a in perm or a in temp:
                 continue
-            if 2 * bundle_value(a, acc) >= z[a]:
+            if 2 * acc_val[a] >= z[a]:
                 cand = a
                 break
         if cand is not None:
+            got = acc_val[cand]
             bundles[cand] = acc
             acc = set()
-            if sqrt_ge(3 * bundle_value(cand, bundles[cand]),
-                       wstar_val[cand], n):
+            acc_val = [0] * n
+            if sqrt_ge(3 * got, wstar_val[cand], n):
                 perm.add(cand)
                 note("accumulate", cand, "P")
             else:

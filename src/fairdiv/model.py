@@ -5,6 +5,13 @@ fairness decision. Goods and agents are 1-indexed in files and 0-indexed
 internally. Every type is immutable after construction, so instances can be
 shared freely across workers.
 
+The solvers compute in integers: `Valuation.ints` is each agent's integer
+kernel, cached on first use. It holds the values multiplied by `den`, the
+lcm of the agent's denominators: one integer per good for additive agents,
+one per bitmask-indexed subset for explicit agents. Scaling by `den > 0`
+keeps the order of every comparison within one agent; comparisons across
+agents first rescale to a common lcm.
+
 Instance files are JSON::
 
     {"n": 2, "m": 2, "scaled": true,
@@ -12,17 +19,21 @@ Instance files are JSON::
                     {"kind": "explicit", "subadditive": true,
                      "table": {"1": "1/3", "2": "1/3", "1,2": "1/2"}}]}
 
-Rationals are "p/q" strings (plain integers allowed), explicit-table keys
-are sorted comma-joined 1-based good indices, and the empty-set key ""
-may be omitted (defaults to 0). Allocation files are
+Rationals are "p/q" strings or plain integers matching
+``-?[0-9]+(/[0-9]+)?``: no decimals, exponents, "+" signs, underscores or
+spaces. Explicit-table keys are sorted comma-joined 1-based good indices,
+and the empty-set key "" may be omitted (defaults to 0). Allocation files are
 ``{"bundles": [[1, 3], [2], []]}``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
@@ -35,14 +46,22 @@ EXPLICIT_GOODS_CAP = 20
 
 ZERO = Fraction(0)
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a "p/q" (or plain integer) string into an exact Fraction."""
-    try:
-        value = Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational: {text!r} ({exc})") from None
-    return value
+    """Parse a "p/q" or plain integer string (or a JSON integer) into an
+    exact Fraction."""
+    match = _RATIONAL.fullmatch(str(text))
+    if match is None:
+        raise ParseError(f"not a rational: {text!r} (expected p/q or an "
+                         "integer)")
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    if int(den) == 0:
+        raise ParseError(f"not a rational: {text!r} (zero denominator)")
+    return Fraction(int(num), int(den))
 
 
 def format_rational(value: Fraction) -> str:
@@ -54,6 +73,24 @@ def _good_set(goods: Iterable[int], m: int) -> frozenset[int]:
     if not all(isinstance(g, int) and 0 <= g < m for g in s):
         raise ValueError(f"good set {sorted(s)} not within 0..{m - 1}")
     return s
+
+
+def goods_mask(goods: Iterable[int]) -> int:
+    """Bitmask with bit g set for every good g."""
+    mask = 0
+    for g in goods:
+        mask |= 1 << g
+    return mask
+
+
+def mask_goods(mask: int) -> frozenset[int]:
+    """The goods whose bits are set in `mask`."""
+    goods = []
+    while mask:
+        low = mask & -mask
+        goods.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(goods)
 
 
 def _ext(goods: Iterable[int]) -> tuple[int, ...]:
@@ -74,7 +111,8 @@ class Valuation:
 
     @staticmethod
     def additive(values: Sequence[Fraction]) -> "Valuation":
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(v if type(v) is Fraction else Fraction(v)
+                     for v in values)
         return Valuation(kind=ADDITIVE, m=len(vals), values=vals)
 
     @staticmethod
@@ -101,6 +139,30 @@ class Valuation:
         if self.kind == ADDITIVE:
             return sum((self.values[g] for g in s), ZERO)
         return self.table[s]
+
+    @cached_property
+    def ints(self) -> tuple[tuple[int, ...], int]:
+        """Integer kernel `(ints, den)`: every value times `den`, the lcm of
+        this agent's denominators. Additive agents get one integer per
+        good, explicit agents one per subset, indexed by bitmask."""
+        if self.kind == ADDITIVE:
+            den = lcm(*(x.denominator for x in self.values))
+            return tuple(x.numerator * (den // x.denominator)
+                         for x in self.values), den
+        den = lcm(*(x.denominator for x in self.table.values()))
+        ints = [0] * (1 << self.m)
+        for s, x in self.table.items():
+            ints[goods_mask(s)] = x.numerator * (den // x.denominator)
+        return tuple(ints), den
+
+
+def common_ints(valuations: Sequence[Valuation]
+                ) -> tuple[list[list[int]], int]:
+    """Every agent's integer kernel rescaled to one common denominator, the
+    lcm of theirs, as comparisons across agents need."""
+    scale = lcm(*(v.ints[1] for v in valuations))
+    return [[x * (scale // den) for x in ints]
+            for ints, den in (v.ints for v in valuations)], scale
 
 
 def value_query(valuation: Valuation, goods: Iterable[int]) -> Fraction:
@@ -186,10 +248,10 @@ def _validate_valuation(v: Valuation, agent: int) -> None:
             raise ValidationError(
                 "value-count", f"{label}: expected {v.m} values, got "
                 f"{len(v.values)}", agent=agent + 1)
-        for g, val in enumerate(v.values):
-            if val < 0:
+        for g, x in enumerate(v.ints[0]):
+            if x < 0:
                 raise ValidationError(
-                    "nonnegative", f"{label}: v({g + 1}) = {val} < 0",
+                    "nonnegative", f"{label}: v({g + 1}) = {v.values[g]} < 0",
                     agent=agent + 1, witness=(g + 1,))
         return
 
@@ -249,7 +311,11 @@ def validate_instance(inst: Instance) -> None:
                 f"instance has {inst.m}", agent=i + 1)
         _validate_valuation(v, i)
     if inst.scaled:
-        for i in range(inst.n):
+        for i, v in enumerate(inst.valuations):
+            if v.kind == ADDITIVE:
+                ints, den = v.ints
+                if sum(ints) == den:
+                    continue
             total = inst.total_value(i)
             if total != 1:
                 raise ValidationError(
@@ -300,7 +366,7 @@ def _valuation_from_json(obj, m: int, agent: int) -> Valuation:
     raise ParseError(f"agent {agent + 1}: unknown valuation kind {kind!r}")
 
 
-def _is_json_int(value) -> bool:
+def is_json_int(value) -> bool:
     """True for a JSON integer; bools are ints in Python but not in JSON."""
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -314,7 +380,7 @@ def instance_from_json(data) -> Instance:
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed instance file: {exc}") from None
     for name, count in (("n", n), ("m", m)):
-        if not _is_json_int(count):
+        if not is_json_int(count):
             raise ParseError(f"{name} must be a JSON integer, got {count!r}")
     if not isinstance(scaled, bool):
         raise ParseError(f"scaled must be true or false, got {scaled!r}")
@@ -373,7 +439,7 @@ def allocation_from_json(data) -> Allocation:
             raise ParseError(f"a bundle must be a list of goods, got {b!r}")
         goods = []
         for g in b:
-            if not _is_json_int(g) or g < 1:
+            if not is_json_int(g) or g < 1:
                 raise ParseError(f"bad good index {g!r} (goods are 1-based)")
             goods.append(g - 1)
         bundles.append(frozenset(goods))

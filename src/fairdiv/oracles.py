@@ -23,7 +23,8 @@ from operator import ge
 from typing import Iterable, Optional
 
 from .errors import InfeasibleError, ValidationError
-from .model import ADDITIVE, Allocation, Instance, Valuation, ZERO
+from .model import (ADDITIVE, Allocation, Instance, Valuation, ZERO,
+                    common_ints, mask_goods)
 
 # Feasibility is judged on the k^|G| partition-state bound; the memoized DP
 # itself touches at most k * 3^|G| states.
@@ -220,15 +221,14 @@ def max_welfare(inst: Instance,
     first-in-lexicographic-order optimum kept.
     """
     if inst.additive:
+        rows, scale = common_ints(inst.valuations)
         bundles = [set() for _ in range(inst.n)]
-        opt = ZERO
-        for g in range(inst.m):
-            vals = [inst.valuations[i].values[g] for i in range(inst.n)]
+        opt = 0
+        for g, vals in enumerate(zip(*rows)):
             top = max(vals)
-            winner = vals.index(top)
-            bundles[winner].add(g)
+            bundles[vals.index(top)].add(g)
             opt += top
-        return Allocation.of(bundles), opt
+        return Allocation.of(bundles), Fraction(opt, scale)
 
     if inst.n ** inst.m > cap:
         raise InfeasibleError(
@@ -338,20 +338,14 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
                 "mms-profile", f"profile has {len(prof.mms)} entries, "
                 f"instance has {n} agents")
 
-    goods = list(range(m))
-    explicit = {i: _scaled_subset_values(v, goods)
-                for i, v in enumerate(inst.valuations) if v.kind != ADDITIVE}
-    scale = lcm(*(s for _, s in explicit.values()),
-                *(f.denominator for v in inst.valuations
-                  if v.kind == ADDITIVE for f in v.values))
+    rows, scale = common_ints(inst.valuations)
     weights: list[Optional[list[int]]] = [None] * n
     tables: list[Optional[list[int]]] = [None] * n
-    for i, v in enumerate(inst.valuations):
-        if i in explicit:
-            ints, s = explicit[i]
-            tables[i] = [x * (scale // s) for x in ints]
+    for i, (v, row) in enumerate(zip(inst.valuations, rows)):
+        if v.kind == ADDITIVE:
+            weights[i] = row
         else:
-            weights[i] = [int(f * scale) for f in v.values]
+            tables[i] = row
     empty = [t[0] if t is not None else 0 for t in tables]
 
     masks = [0] * n
@@ -421,8 +415,8 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
         best_welfare, best_masks = sum(empty), tuple(masks)
     if best_welfare is None:
         return None
-    bundles = [[g for g in goods if mask >> g & 1] for mask in best_masks]
-    return Allocation.of(bundles), Fraction(best_welfare, scale)
+    bundles = [mask_goods(mask) for mask in best_masks]
+    return Allocation(tuple(bundles)), Fraction(best_welfare, scale)
 
 
 def price_of_fairness(inst: Instance, prop: str, alpha=None, profile=None,

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fairdiv.cli import main
+from fairdiv.errors import ParseError
 from fairdiv.experiment import (BOUND_COLUMNS, ExperimentConfig,
                                 run_experiment)
 
@@ -145,6 +146,29 @@ class TestCli:
                             "--reference", str(ref))
         assert code == 0 and "welfare" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "supermodular", "--n", "3", "--epsilon", "0.01"],
+        ["solve", "--alg", "half-mms", "--epsilon", "1e-1"],
+        ["mms", "--epsilon", "+1/10"],
+        ["check", "--property", "mms", "--alpha", "0.5"],
+        ["pof", "--property", "mms", "--alpha", " 1/2"],
+    ], ids=["gen-epsilon", "solve-epsilon", "mms-epsilon", "check-alpha",
+            "pof-alpha"])
+    def test_non_strict_rational_option_rejected(self, tmp_path, capsys,
+                                                 argv):
+        inst = tmp_path / "i.json"
+        alloc = tmp_path / "a.json"
+        run_cli(capsys, "gen", "--family", "ef1-unscaled", "--n", "2",
+                "-o", str(inst))
+        alloc.write_text(json.dumps({"bundles": [[1], [2]]}))
+        files = {"gen": ["-o", str(tmp_path / "g.json")],
+                 "check": ["--instance", str(inst),
+                           "--allocation", str(alloc)]}
+        code = main(argv + files.get(argv[0], ["--instance", str(inst)]))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: not a rational: ")
+
     def test_error_reported_cleanly(self, tmp_path, capsys):
         code = main(["gen", "--family", "prop1-scaled", "--n", "5",
                      "-o", str(tmp_path / "x.json")])
@@ -270,6 +294,34 @@ class TestExperiment:
         csv_bytes = (tmp_path / "results.csv").read_bytes()
         assert hashlib.sha256(csv_bytes).hexdigest() == \
             recorded["csv_sha256"]
+
+    @pytest.mark.parametrize("change", [
+        {"trace": "false"}, {"trace": 0}, {"seed": 4.7}, {"seed": "7"},
+        {"seed": True}, {"jobs": "2"}, {"enum_cap": 1e6},
+        {"mms_state_cap": None}, {"epsilon": "0.1"},
+        {"families": [{"family": "ef1-unscaled", "n": [2.0]}]},
+        {"families": [{"family": "ef1-unscaled", "n": "2"}]},
+        {"families": [{"family": "random", "n": [2], "m": ["3"]}]},
+        {"families": [{"family": "random", "n": [2], "m": [3],
+                       "count": True}]},
+        {"families": ["ef1-unscaled"]},
+    ], ids=["trace-string", "trace-int", "seed-float", "seed-string",
+            "seed-bool", "jobs-string", "enum-cap-float", "mms-cap-null",
+            "epsilon-decimal", "family-n-float", "family-n-string",
+            "family-m-string", "family-count-bool", "family-string"])
+    def test_config_rejects_wrong_json_types(self, change):
+        with pytest.raises(ParseError):
+            ExperimentConfig.from_json(dict(self.CONFIG, **change))
+
+    def test_cli_experiment_rejects_coerced_config(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, trace="false")))
+        code = main(["experiment", "--config", str(cfg),
+                     "-o", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "'trace' must be true or false" in captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_worker_pool_matches_inline(self, tmp_path):
         seq = run_experiment(self.CONFIG)

@@ -11,12 +11,13 @@ from fairdiv import (Allocation, FamilySpec, InfeasibleError, LineOrder,
                      generate_adversarial, generate_random,
                      generate_random_subadditive, is_ef1, max_welfare,
                      reference_allocation, run_ef1_abs, run_ef1_high,
-                     run_solve_ef1, set_debug_checks, social_welfare,
+                     run_solve_ef1, social_welfare,
                      solve_ef1)
 from fairdiv.exact import sqrt_ge
 from fairdiv.model import ZERO
 
-from conftest import additive_instance, random_additive_corpus
+from conftest import (additive_instance, naive_ef1_high_loop,
+                      random_additive_corpus, random_allocation, tie_corpus)
 
 
 def total_value(inst):
@@ -100,14 +101,6 @@ class TestReferenceAllocation:
             reference_allocation(inst, supplied=Allocation.of([[0], []]))
 
 
-@pytest.fixture()
-def debug_mode():
-    # Turns on per-iteration EF1 + contiguity assertions inside the loops.
-    set_debug_checks(True)
-    yield
-    set_debug_checks(False)
-
-
 @pytest.mark.usefixtures("debug_mode")
 class TestHigh:
     def test_single_agent(self):
@@ -171,6 +164,23 @@ class TestHigh:
             new_val = inst.value(k, goods)
             assert new_val > lv_prev.get(k, ZERO)
             lv_prev[k] = new_val
+
+    def test_matches_fraction_reference(self):
+        # The integer range values against Fraction value queries over
+        # every range: same partial allocation, trace and partial welfare,
+        # on arbitrary references.
+        rng = random.Random(5)
+        iterations = 0
+        for inst in tie_corpus(240, seed=11):
+            ref = random_allocation(rng, inst.n, inst.m, partial=False)
+            run = run_ef1_high(inst, ref)
+            partial, trace, welfare = naive_ef1_high_loop(inst, ref)
+            assert (run.partial, run.trace, run.iterations) == \
+                (partial, trace, len(trace))
+            assert type(run.partial_welfare) is Fraction
+            assert run.partial_welfare == welfare
+            iterations += run.iterations
+        assert iterations >= 100
 
 
 class TestSolve:

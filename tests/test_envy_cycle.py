@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from fairdiv import (Allocation, ValidationError, extend_ef1, is_ef1,
-                     run_extend_ef1, set_debug_checks, social_welfare,
+                     run_extend_ef1, social_welfare,
                      value_query)
 
-from conftest import additive_instance, random_additive_corpus
+from conftest import (additive_instance, naive_extend_ef1,
+                      random_additive_corpus, random_allocation, tie_corpus)
 
 
 class TestBasics:
@@ -55,13 +56,6 @@ class TestBasics:
                 value_query(inst.valuations[i], singles.bundles[i])
 
 
-@pytest.fixture()
-def debug_mode():
-    set_debug_checks(True)
-    yield
-    set_debug_checks(False)
-
-
 @pytest.mark.usefixtures("debug_mode")
 class TestPropertyCorpus:
     def test_random_extensions(self):
@@ -82,3 +76,31 @@ class TestPropertyCorpus:
                 assert value_query(inst.valuations[i], result.bundles[i]) >= \
                     value_query(inst.valuations[i], partial.bundles[i])
             assert stats.steps <= inst.m * inst.n * inst.n
+
+
+@pytest.mark.usefixtures("debug_mode")
+def test_matches_full_rebuild_reference():
+    """The incremental bitmask graph against a full `Fraction` rebuild
+    before every step: same allocation, same rotations and additions, and
+    the same precondition witness when the partial input is not EF1."""
+    rng = random.Random(31)
+    rotations = failures = 0
+    for inst in tie_corpus(300, seed=2024):
+        goods = list(range(inst.m))
+        rng.shuffle(goods)
+        singles = [[g] for g in goods[:rng.randint(0, min(inst.n, inst.m))]]
+        singles += [[]] * (inst.n - len(singles))
+        for partial in (Allocation.of(singles),
+                        random_allocation(rng, inst.n, inst.m)):
+            try:
+                expected = naive_extend_ef1(inst, partial)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as err:
+                    run_extend_ef1(inst, partial)
+                assert err.value.witness == exc.witness
+                failures += 1
+                continue
+            result, stats = run_extend_ef1(inst, partial)
+            assert (result, stats.rotations, stats.additions) == expected
+            rotations += stats.rotations
+    assert rotations >= 50 and failures >= 50

@@ -9,8 +9,9 @@ from fairdiv import (Allocation, FamilySpec, MmsProfile, ValidationError,
                      generate_adversarial, generate_random, is_alpha_mms,
                      is_ef1, is_prop1, social_welfare, value_query)
 
-from conftest import (additive_instance, all_allocations, naive_is_ef1,
-                      naive_is_prop1)
+from conftest import (additive_instance, all_allocations, naive_ef1_verdict,
+                      naive_is_ef1, naive_is_prop1, random_allocation,
+                      tie_corpus)
 
 
 class TestSocialWelfare:
@@ -81,6 +82,19 @@ class TestEf1:
                                    seed=rng.randint(0, 10 ** 9))
             for alloc in all_allocations(n, m):
                 assert is_ef1(inst, alloc).holds == naive_is_ef1(inst, alloc)
+
+    def test_verdicts_match_fraction_reference(self):
+        # Whole verdicts, certificates and failing witnesses included.
+        rng = random.Random(17)
+        outcomes = set()
+        for inst in tie_corpus(300, seed=99):
+            for partial in (True, False, True, False):
+                alloc = random_allocation(rng, inst.n, inst.m, partial)
+                verdict = is_ef1(inst, alloc)
+                assert verdict.to_json() == \
+                    naive_ef1_verdict(inst, alloc).to_json()
+                outcomes.add(verdict.holds)
+        assert outcomes == {True, False}
 
 
 class TestProp1:

@@ -6,28 +6,22 @@ from fractions import Fraction
 
 import pytest
 
-from fairdiv import (Allocation, FamilySpec, ValidationError,
+from fairdiv import (Allocation, FamilySpec, MmsProfile, ValidationError,
                      alg_mms_abs, alg_mms_high, generate_adversarial,
                      generate_random, injected_profile, is_alpha_mms,
                      is_prop1, max_welfare, mms_lower_bound, mms_profile,
-                     prop1_subroutine, run_mms_abs, run_mms_high,
-                     run_solve_half_mms, set_debug_checks, social_welfare,
+                     prop1_subroutine, rescale_instance, run_mms_abs,
+                     run_mms_high, run_solve_half_mms, social_welfare,
                      solve_half_mms)
 from fairdiv.exact import sqrt_ge
 from fairdiv.model import ZERO
 
-from conftest import additive_instance
+from conftest import (additive_instance, naive_run_mms_abs,
+                      naive_run_mms_high, tie_corpus)
 
 
 def total_value(inst):
     return sum((inst.total_value(i) for i in range(inst.n)), ZERO)
-
-
-@pytest.fixture()
-def debug_mode():
-    set_debug_checks(True)
-    yield
-    set_debug_checks(False)
 
 
 class TestProp1Subroutine:
@@ -91,6 +85,14 @@ class TestAbs:
             profile = mms_profile(inst)
             assert is_alpha_mms(inst, alloc, Fraction(1, 2), profile).holds
             assert 3 * inst.n * social_welfare(inst, alloc) >= total_value(inst)
+
+    def test_matches_fraction_reference(self):
+        # Ties everywhere: the pick across agents must resolve exactly as
+        # in Fractions, and so must the round-robin remainder.
+        for inst in tie_corpus(300, seed=7, kinds=("additive",)):
+            run = run_mms_abs(inst)
+            assert (run.allocation, run.singleton_trace,
+                    run.leftover_dump) == naive_run_mms_abs(inst)
 
     def test_share_accounting_along_trace(self):
         # Replays the singleton trace and checks the per-iteration share
@@ -208,6 +210,51 @@ class TestHigh:
         with pytest.raises(ValidationError):
             alg_mms_high(inst, injected_profile([Fraction(1, 4),
                                                  Fraction(1, 4)]))
+
+    def test_matches_fraction_reference(self):
+        # Whole runs, traces and gamma sets included: exact and degraded
+        # estimates on rescaled tie-heavy instances, and injected lower
+        # bounds (scaled by 1, 3/4 and 1/2) on larger ones, where swaps
+        # followed by further accumulation are common.
+        rng = random.Random(3)
+        cases = []
+        for inst in tie_corpus(300, seed=3, kinds=("additive",)):
+            if inst.m and all(any(v.values) for v in inst.valuations):
+                inst = rescale_instance(inst)
+                cases += [(inst, mms_profile(inst)),
+                          (inst, mms_profile(inst, Fraction(1, 3)))]
+        while len(cases) < 1000:
+            n = rng.randint(2, 6)
+            rows = [[rng.choice("0124") for _ in range(rng.randint(n, 14))]]
+            rows += [[rng.choice("0124") for _ in rows[0]]
+                     for _ in range(n - 1)]
+            if any(set(row) == {"0"} for row in rows):
+                continue
+            inst = rescale_instance(additive_instance(rows))
+            z = [mms_lower_bound(v, n) for v in inst.valuations]
+            cases += [(inst, injected_profile([x * k for x in z]))
+                      for k in (1, Fraction(3, 4), Fraction(1, 2))]
+        events = set()
+        for inst, profile in cases:
+            run = run_mms_high(inst, profile)
+            assert (run.allocation, run.permanent, run.temporary,
+                    run.trace, run.gamma_single, run.gamma_hard) == \
+                naive_run_mms_high(inst, profile)
+            events |= {event for event, *_ in run.trace}
+        assert {"swap", "accumulate", "leftover"} <= events
+
+    @pytest.mark.parametrize("profile", [
+        injected_profile([Fraction(1, 4)]),
+        injected_profile([Fraction(1, 4)] * 3),
+        MmsProfile(mms=(Fraction(1, 2),)),
+        MmsProfile(mms=(Fraction(1, 2),) * 3),
+    ], ids=["estimates-short", "estimates-long", "mms-short", "mms-long"])
+    def test_profile_length_must_match_agents(self, profile):
+        inst = additive_instance([["1/2", "1/2"], ["1/2", "1/2"]],
+                                 scaled=True)
+        with pytest.raises(ValidationError) as err:
+            run_mms_high(inst, profile)
+        assert err.value.axiom == "mms-profile"
 
 
 class TestSolve:

@@ -11,6 +11,7 @@ from fairdiv import (Allocation, Instance, ParseError, ValidationError,
                      Valuation, load_allocation, load_instance,
                      rescale_instance, save_allocation, save_instance,
                      validate_instance, value_query)
+from fairdiv.model import parse_rational
 
 from conftest import additive_instance
 
@@ -137,6 +138,44 @@ def test_subadditive_absent_or_false_loads(tmp_path, flag):
     inst = load_instance(write(tmp_path, "i.json", not_subadditive(**flag)))
     assert not inst.valuations[0].subadditive
     assert value_query(inst.valuations[0], {0, 1}) == 1
+
+
+def one_value(value, kind):
+    """One agent and one good worth `value`, in an unscaled file."""
+    if kind == "additive":
+        valuation = {"kind": "additive", "values": [value]}
+    else:
+        valuation = {"kind": "explicit", "table": {"1": value}}
+    return {"n": 1, "m": 1, "scaled": False, "valuations": [valuation]}
+
+
+NON_STRICT_RATIONALS = ["1e400", "0.5", "+3", "1_000", " 1/2 ", "1/2\n",
+                        "1/-2", "--1", "1//2", "", "\u00bd", "\u0663", "1/0",
+                        0.5, True, None]
+
+
+@pytest.mark.parametrize("kind", ["additive", "explicit"])
+@pytest.mark.parametrize("text", NON_STRICT_RATIONALS,
+                         ids=[repr(t) for t in NON_STRICT_RATIONALS])
+def test_loader_rejects_non_strict_rationals(tmp_path, text, kind):
+    with pytest.raises(ParseError):
+        load_instance(write(tmp_path, "i.json", one_value(text, kind)))
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", 3), ("0", 0), ("-0", 0), ("2/4", Fraction(1, 2)), ("007", 7),
+    ("0/5", 0), (3, 3),
+])
+def test_loader_accepts_strict_rationals(tmp_path, text, value):
+    inst = load_instance(write(tmp_path, "i.json",
+                               one_value(text, "additive")))
+    assert inst.valuations[0].values == (value,)
+
+
+def test_parse_rational_negative():
+    # Negative values parse; validation, not parsing, rejects them.
+    assert parse_rational("-2/4") == Fraction(-1, 2)
+    assert parse_rational(-3) == -3
 
 
 class TestRoundTrip:
