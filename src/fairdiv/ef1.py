@@ -25,7 +25,8 @@ from .envy_cycle import LiptonStats, run_extend_ef1
 from .errors import InfeasibleError, ValidationError
 from .fairness import is_ef1, social_welfare
 from .matching import max_weight_left_perfect_matching
-from .model import ADDITIVE, Allocation, Instance, ZERO, validate_allocation
+from .model import (ADDITIVE, Allocation, Instance, ZERO, check_monotone,
+                    validate_allocation)
 from .oracles import DEFAULT_ENUM_CAP, max_welfare
 
 
@@ -192,6 +193,9 @@ def _components(intervals: list[Optional[tuple[int, int]]],
 
 def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
     validate_allocation(ref, inst, require_complete=True)
+    # Checked here too: the loop below already assumes monotone values.
+    for i, v in enumerate(inst.valuations):
+        check_monotone(v, i)
     n, m = inst.n, inst.m
     line = LineOrder.from_reference(ref.bundles, m)
     lv = _LineValues(inst, line)

@@ -1,12 +1,15 @@
 """Envy-cycle elimination: extend a partial EF1 allocation to a complete EF1
 allocation without lowering any agent's own-bundle value.
 
-Works for any monotone valuations. Unallocated goods are handed out in
-ascending index order; each goes to the lowest-indexed unenvied agent,
-rotating envy cycles first so such an agent exists. Cycle detection is
-depth-first from the lowest-indexed agent, visiting neighbours in ascending
-order; rotating a cycle hands every agent on it the bundle she strictly
-prefers, so total value strictly rises and the process terminates.
+Works for any monotone valuations, and raises ValidationError before it
+starts unless every valuation is monotone (an additive agent's values are
+nonnegative, an explicit table never falls as a set grows). Unallocated
+goods are handed out in ascending index order; each goes to the
+lowest-indexed unenvied agent, rotating envy cycles first so such an agent
+exists. Cycle detection is depth-first from the lowest-indexed agent,
+visiting neighbours in ascending order; rotating a cycle hands every agent
+on it the bundle she strictly prefers, so total value strictly rises and
+the process terminates.
 
 Values are each agent's integers (`Valuation.ints`) and bundles are
 bitmasks. The envy graph is kept as one adjacency bitmask per agent and
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 from . import debug
 from .errors import ValidationError
 from .fairness import is_ef1
-from .model import ADDITIVE, Allocation, Instance, goods_mask, mask_goods
+from .model import (ADDITIVE, Allocation, Instance, check_monotone,
+                    goods_mask, mask_goods)
 
 
 @dataclass
@@ -88,7 +92,12 @@ def _find_cycle(adj: list[int], n: int) -> list[int] | None:
 
 def run_extend_ef1(inst: Instance,
                    partial: Allocation) -> tuple[Allocation, LiptonStats]:
-    """Extension run returning the complete allocation plus step counts."""
+    """Extension run returning the complete allocation plus step counts.
+
+    Raises ValidationError when a valuation is not monotone or the partial
+    allocation is not EF1."""
+    for i, v in enumerate(inst.valuations):
+        check_monotone(v, i)
     verdict = is_ef1(inst, partial)
     if not verdict.holds:
         raise ValidationError("ef1-precondition",

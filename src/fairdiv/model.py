@@ -5,12 +5,12 @@ fairness decision. Goods and agents are 1-indexed in files and 0-indexed
 internally. Every type is immutable after construction, so instances can be
 shared freely across workers.
 
-The solvers compute in integers: `Valuation.ints` is each agent's integer
-kernel, cached on first use. It holds the values multiplied by `den`, the
-lcm of the agent's denominators: one integer per good for additive agents,
-one per bitmask-indexed subset for explicit agents. Scaling by `den > 0`
-keeps the order of every comparison within one agent; comparisons across
-agents first rescale to a common lcm.
+The solvers, the oracles and validation compute in integers: `Valuation.ints`
+is each agent's integer kernel, cached on first use. It holds the values
+multiplied by `den`, the lcm of the agent's denominators: one integer per
+good for additive agents, one per bitmask-indexed subset for explicit
+agents. Scaling by `den > 0` keeps the order of every comparison within one
+agent; comparisons across agents first rescale to a common lcm.
 
 Instance files are JSON::
 
@@ -126,12 +126,13 @@ class Valuation:
         full = {frozenset(k): Fraction(v) for k, v in table.items()}
         full.setdefault(frozenset(), ZERO)
         missing = [mask for mask in range(1 << m)
-                   if frozenset(g for g in range(m) if mask >> g & 1) not in full]
+                   if mask_goods(mask) not in full]
         if missing:
-            first = frozenset(g for g in range(m) if missing[0] >> g & 1)
             raise ParseError(
-                f"explicit table misses subset {_ext(first)} "
+                f"explicit table misses subset {_ext(mask_goods(missing[0]))} "
                 f"({len(missing)} of {1 << m} subsets absent)")
+        if len(full) > 1 << m:
+            raise ParseError(f"explicit table has keys outside goods 1..{m}")
         return Valuation(kind=EXPLICIT, m=m, table=full, subadditive=subadditive)
 
     def value(self, goods: Iterable[int]) -> Fraction:
@@ -240,6 +241,30 @@ def validate_allocation(alloc: Allocation, inst: Instance,
             witness=_ext(missing))
 
 
+def check_monotone(v: Valuation, agent: int) -> None:
+    """Raise ValidationError unless v is monotone: every value of an
+    additive agent is nonnegative, and an explicit table has v(S) <=
+    v(S + {g}) for every S and g outside S (scanned by mask, then good)."""
+    ints, den = v.ints
+    label = f"agent {agent + 1}"
+    if v.kind == ADDITIVE:
+        for g, x in enumerate(ints):
+            if x < 0:
+                raise ValidationError(
+                    "nonnegative", f"{label}: v({g + 1}) = {v.values[g]} < 0",
+                    agent=agent + 1, witness=(g + 1,))
+        return
+    for mask, x in enumerate(ints):
+        for g in range(v.m):
+            bigger = mask | 1 << g
+            if x > ints[bigger]:
+                s, sg = _ext(mask_goods(mask)), _ext(mask_goods(bigger))
+                raise ValidationError(
+                    "monotone", f"{label}: v({s}) = {Fraction(x, den)} > "
+                    f"v({sg}) = {Fraction(ints[bigger], den)}",
+                    agent=agent + 1, witness=(s, sg))
+
+
 def _validate_valuation(v: Valuation, agent: int) -> None:
     """Raise ValidationError naming the failing axiom, agent and witness."""
     label = f"agent {agent + 1}"
@@ -248,50 +273,40 @@ def _validate_valuation(v: Valuation, agent: int) -> None:
             raise ValidationError(
                 "value-count", f"{label}: expected {v.m} values, got "
                 f"{len(v.values)}", agent=agent + 1)
-        for g, x in enumerate(v.ints[0]):
-            if x < 0:
-                raise ValidationError(
-                    "nonnegative", f"{label}: v({g + 1}) = {v.values[g]} < 0",
-                    agent=agent + 1, witness=(g + 1,))
+        check_monotone(v, agent)
         return
 
-    empty = v.table[frozenset()]
-    if empty != 0:
+    ints, den = v.ints
+    if ints[0] != 0:
         raise ValidationError(
-            "normalized", f"{label}: not normalized, v({{}}) = {empty} != 0",
-            agent=agent + 1, witness=())
-    for subset, val in v.table.items():
-        if val < 0:
-            raise ValidationError(
-                "nonnegative", f"{label}: v({_ext(subset)}) = {val} < 0",
-                agent=agent + 1, witness=_ext(subset))
-    # Monotonicity: v(S) <= v(S + {g}) for every S and g outside S.
-    for mask in range(1 << v.m):
-        s = frozenset(g for g in range(v.m) if mask >> g & 1)
-        vs = v.table[s]
-        for g in range(v.m):
-            if mask >> g & 1:
-                continue
-            bigger = s | {g}
-            if vs > v.table[bigger]:
-                raise ValidationError(
-                    "monotone",
-                    f"{label}: v({_ext(s)}) = {vs} > v({_ext(bigger)}) = "
-                    f"{v.table[bigger]}", agent=agent + 1,
-                    witness=(_ext(s), _ext(bigger)))
+            "normalized", f"{label}: not normalized, v({{}}) = "
+            f"{Fraction(ints[0], den)} != 0", agent=agent + 1, witness=())
+    if min(ints) < 0:
+        # The first negative value in the order the table was given.
+        subset, val = next((s, x) for s, x in v.table.items() if x < 0)
+        raise ValidationError(
+            "nonnegative", f"{label}: v({_ext(subset)}) = {val} < 0",
+            agent=agent + 1, witness=_ext(subset))
+    check_monotone(v, agent)
     if v.subadditive:
-        subsets = [frozenset(g for g in range(v.m) if mask >> g & 1)
-                   for mask in range(1, 1 << v.m)]
-        for s in subsets:
-            vs = v.table[s]
-            for t in subsets:
-                if v.table[s | t] > vs + v.table[t]:
+        # Disjoint pairs only, S ascending, then T ascending over the
+        # nonempty submasks of S's complement. This finds the first violating
+        # pair of all pairs in that order: if (S, T) violates and T meets S,
+        # then (S, T - S) violates too (v(T - S) <= v(T) by monotonicity;
+        # T - S = {} would need v(T) < 0) and comes earlier.
+        full = len(ints) - 1
+        for s in range(1, full):
+            rest = full ^ s
+            t = rest & -rest
+            while t:
+                if ints[s | t] > ints[s] + ints[t]:
+                    S, T = _ext(mask_goods(s)), _ext(mask_goods(t))
                     raise ValidationError(
-                        "subadditive",
-                        f"{label}: v({_ext(s | t)}) = {v.table[s | t]} > "
-                        f"v(S) + v(T) = {vs + v.table[t]} for S = {_ext(s)}, "
-                        f"T = {_ext(t)}", agent=agent + 1,
-                        witness=(_ext(s), _ext(t)))
+                        "subadditive", f"{label}: v({_ext(mask_goods(s | t))}) = "
+                        f"{Fraction(ints[s | t], den)} > v(S) + v(T) = "
+                        f"{Fraction(ints[s] + ints[t], den)} for S = {S}, "
+                        f"T = {T}", agent=agent + 1, witness=(S, T))
+                t = (t - rest) & rest
 
 
 def validate_instance(inst: Instance) -> None:
@@ -312,15 +327,12 @@ def validate_instance(inst: Instance) -> None:
         _validate_valuation(v, i)
     if inst.scaled:
         for i, v in enumerate(inst.valuations):
-            if v.kind == ADDITIVE:
-                ints, den = v.ints
-                if sum(ints) == den:
-                    continue
-            total = inst.total_value(i)
-            if total != 1:
+            ints, den = v.ints
+            total = sum(ints) if v.kind == ADDITIVE else ints[-1]
+            if total != den:
                 raise ValidationError(
                     "scaled", f"scaled-flag mismatch: agent {i + 1} has "
-                    f"v([m]) = {total} != 1", agent=i + 1)
+                    f"v([m]) = {Fraction(total, den)} != 1", agent=i + 1)
 
 
 def _parse_subset_key(key: str, m: int) -> frozenset[int]:

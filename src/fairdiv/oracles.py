@@ -3,12 +3,13 @@ exact fairness-constrained optimal welfare on small instances.
 
 The MMS oracle enumerates k-partitions depth-first over bitmasks with
 first-good symmetry breaking, best-min bound pruning, and memoization on
-(remaining goods, bundles left). Values are cleared to integers per agent
-(MMS only ever compares one agent's values), so the inner loop is pure
-integer arithmetic. The constrained-optimum search scans all n^m complete
-allocations depth-first with an upper-bound prune from per-good maxima.
-Bundles are bitmasks, and welfare, the bound and the EF1, Prop1 and
-alpha-MMS leaf checks are integers over one common denominator.
+(remaining goods, bundles left). It reads the agent's integer kernel
+(`Valuation.ints`; MMS only ever compares one agent's values), so the inner
+loop is pure integer arithmetic. Maximum welfare on explicit or mixed
+instances and the fair optimum share one exhaustive search: all n^m complete
+allocations depth-first, with an upper-bound prune from per-good maxima
+where it is sound. Bundles are bitmasks, and welfare, the bound and the EF1,
+Prop1 and alpha-MMS leaf checks are integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
-from math import lcm
 from operator import ge
 from typing import Iterable, Optional
 
@@ -84,26 +83,19 @@ def injected_profile(estimates: Iterable[Fraction],
                       epsilon=Fraction(epsilon))
 
 
-def _scaled_subset_values(valuation: Valuation,
-                          goods: list[int]) -> tuple[list[int], int]:
-    """Integer values of every subset of `goods` (as bitmask-indexed list)
-    plus the common denominator that was cleared."""
-    k = len(goods)
-    if valuation.kind == ADDITIVE:
-        fracs = [valuation.values[g] for g in goods]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        ints = [int(f * scale) for f in fracs]
-        sums = [0] * (1 << k)
-        for mask in range(1, 1 << k):
-            low = mask & -mask
-            sums[mask] = sums[mask ^ low] + ints[low.bit_length() - 1]
-        return sums, scale
-    fracs = {}
-    for mask in range(1 << k):
-        subset = frozenset(goods[b] for b in range(k) if mask >> b & 1)
-        fracs[mask] = valuation.value(subset)
-    scale = lcm(*(f.denominator for f in fracs.values()))
-    return [int(fracs[mask] * scale) for mask in range(1 << k)], scale
+def _subset_ints(valuation: Valuation, goods: list[int]) -> list[int]:
+    """The kernel's value of every subset of `goods`, indexed by local
+    bitmask (bit b stands for goods[b]); an unvalidated table may value the
+    empty set above 0."""
+    ints = valuation.ints[0]
+    additive = valuation.kind == ADDITIVE
+    sums = [0] * (1 << len(goods))
+    for local in range(1, len(sums)):
+        low = local & -local
+        g = goods[low.bit_length() - 1]
+        sums[local] = sums[local ^ low] + (ints[g] if additive else 1 << g)
+    # For explicit agents the sums are the subsets' kernel masks.
+    return sums if additive else [ints[mask] for mask in sums]
 
 
 def mms_k(valuation: Valuation, k: int, goods: Optional[Iterable[int]] = None,
@@ -131,7 +123,7 @@ def mms_k(valuation: Valuation, k: int, goods: Optional[Iterable[int]] = None,
             f"oracle infeasible: {k}^{len(glist)} partition states exceed "
             f"cap {cap}")
 
-    val, scale = _scaled_subset_values(valuation, glist)
+    val = _subset_ints(valuation, glist)
     additive = valuation.kind == ADDITIVE
     memo: dict[tuple[int, int], int] = {}
 
@@ -171,7 +163,7 @@ def mms_k(valuation: Valuation, k: int, goods: Optional[Iterable[int]] = None,
         return top
 
     result = best((1 << len(glist)) - 1, k)
-    return Fraction(result, scale)
+    return Fraction(result, valuation.ints[1])
 
 
 def mms_lower_bound(valuation: Valuation, k: int,
@@ -217,8 +209,9 @@ def max_welfare(inst: Instance,
 
     Additive instances: each good goes to the agent valuing it most (ties to
     the lowest agent index), which is exact because welfare separates per
-    good. Explicit instances: exhaustive scan over all n^m assignments,
-    first-in-lexicographic-order optimum kept.
+    good. Explicit and mixed instances: the fair optimum's exhaustive search
+    with every leaf accepted, so the first optimum in lexicographic
+    assignment order is kept.
     """
     if inst.additive:
         rows, scale = common_ints(inst.valuations)
@@ -233,22 +226,7 @@ def max_welfare(inst: Instance,
     if inst.n ** inst.m > cap:
         raise InfeasibleError(
             f"oracle infeasible: {inst.n}^{inst.m} allocations exceed cap {cap}")
-    best_welfare = None
-    best_assign = None
-    for assign in product(range(inst.n), repeat=inst.m):
-        bundles = _bundles_of(assign, inst.n)
-        welfare = sum((inst.value(i, bundles[i]) for i in range(inst.n)), ZERO)
-        if best_welfare is None or welfare > best_welfare:
-            best_welfare, best_assign = welfare, assign
-    alloc = Allocation.of(_bundles_of(best_assign, inst.n))
-    return alloc, best_welfare
-
-
-def _bundles_of(assign: tuple[int, ...], n: int) -> list[frozenset[int]]:
-    out: list[set[int]] = [set() for _ in range(n)]
-    for g, agent in enumerate(assign):
-        out[agent].add(g)
-    return [frozenset(b) for b in out]
+    return _search(inst, *_split_kernels(inst))
 
 
 PROPERTIES = ("ef1", "prop1", "alpha-mms")
@@ -262,7 +240,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _ef1_leaf(n, masks, owner, own, weights, floors, tables) -> bool:
+def _ef1_leaf(n, weights, floors, tables, masks, owner, own) -> bool:
     """EF1 by definition: for every i and nonempty B_j some g in B_j has
     v_i(B_i) >= v_i(B_j - {g}). Agents with the least own value, the
     likeliest to envy, are checked first so failing leaves exit early."""
@@ -288,8 +266,7 @@ def _ef1_leaf(n, masks, owner, own, weights, floors, tables) -> bool:
     return True
 
 
-def _prop1_leaf(n, masks, owner, own, weights, tables, totals,
-                full) -> bool:
+def _prop1_leaf(n, weights, tables, totals, full, masks, owner, own) -> bool:
     """Prop1 by definition: n * max(v_i(B_i), max_g v_i(B_i + {g})) >=
     v_i(G), g ranging over all of G (the own value settles empty G)."""
     for i in range(n):
@@ -305,70 +282,30 @@ def _prop1_leaf(n, masks, owner, own, weights, tables, totals,
     return True
 
 
-def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
-                    cap: int = DEFAULT_ENUM_CAP,
-                    mms_cap: int = DEFAULT_MMS_STATE_CAP
-                    ) -> Optional[tuple[Allocation, Fraction]]:
-    """Max-welfare complete allocation satisfying the given property, by
-    exhaustive scan. Returns None when no allocation satisfies it (possible
-    only for alpha-mms).
+def _split_kernels(inst: Instance):
+    """Every kernel over one common denominator: per-good weights (additive
+    agents) or bitmask tables (explicit), None in the other list."""
+    rows, scale = common_ints(inst.valuations)
+    additive = [v.kind == ADDITIVE for v in inst.valuations]
+    weights = [row if add else None for row, add in zip(rows, additive)]
+    tables = [None if add else row for row, add in zip(rows, additive)]
+    return weights, tables, scale
 
-    Goods are assigned in order, each to agents 0..n-1 in turn, so the
-    first optimum in lexicographic assignment order is kept. Every value is
-    an integer over one common denominator L: bundles are bitmasks, explicit
-    agents read a bitmask-indexed table, additive agents per-good values.
+
+def _search(inst: Instance, weights, tables, scale: int, passes=None
+            ) -> Optional[tuple[Allocation, Fraction]]:
+    """First max-welfare complete allocation in lexicographic assignment
+    order whose leaf passes `passes(masks, owner, own)` (bundle bitmasks,
+    each good's agent, each agent's own value over `scale`), or None when
+    none does. `passes=None` accepts every leaf.
+
+    Goods are assigned in order, each to agents 0..n-1 in turn, and only a
+    strictly higher welfare replaces the best.
     """
     n, m = inst.n, inst.m
-    if m > 0 and n ** m > cap:
-        raise InfeasibleError(
-            f"oracle infeasible: {n}^{m} allocations exceed cap {cap}")
-    if prop not in PROPERTIES:
-        raise ValueError(
-            f"unknown property {prop!r}; expected one of {PROPERTIES}")
-    if prop == "alpha-mms":
-        alpha = Fraction(alpha if alpha is not None else Fraction(1, 2))
-        prof = profile if profile is not None else mms_profile(inst,
-                                                               cap=mms_cap)
-        if prof.mms is None:
-            raise ValidationError(
-                "mms-profile", "missing profile entry: exact MMS values "
-                "required")
-        if len(prof.mms) != n:
-            raise ValidationError(
-                "mms-profile", f"profile has {len(prof.mms)} entries, "
-                f"instance has {n} agents")
-
-    rows, scale = common_ints(inst.valuations)
-    weights: list[Optional[list[int]]] = [None] * n
-    tables: list[Optional[list[int]]] = [None] * n
-    for i, (v, row) in enumerate(zip(inst.valuations, rows)):
-        if v.kind == ADDITIVE:
-            weights[i] = row
-        else:
-            tables[i] = row
-    empty = [t[0] if t is not None else 0 for t in tables]
-
     masks = [0] * n
     owner = [0] * m
-    own = list(empty)
-    if prop == "ef1":
-        # Below every additive value: the start of a bundle's running max.
-        floors = [min(w, default=0) - 1 if w is not None else None
-                  for w in weights]
-        passes = partial(_ef1_leaf, n, masks, owner, own, weights, floors,
-                         tables)
-    elif prop == "prop1":
-        full = (1 << m) - 1
-        totals = [t[full] if t is not None else sum(w)
-                  for w, t in zip(weights, tables)]
-        passes = partial(_prop1_leaf, n, masks, owner, own, weights, tables,
-                         totals, full)
-    else:
-        # own_i >= alpha * MMS_i * L; own_i is an integer, so the ceiling.
-        required = [math.ceil(alpha * x * scale) for x in prof.mms]
-
-        def passes():
-            return all(map(ge, own, required))
+    own = [t[0] if t is not None else 0 for t in tables]
 
     # Upper bound per good for the prune: valid for additive welfare and for
     # explicit tables flagged subadditive; otherwise no prune is sound
@@ -402,21 +339,71 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
             welfare = sofar + gain
             if pos < last:
                 search(pos + 1, welfare)
-            elif (best_welfare is None or welfare > best_welfare) \
-                    and passes():
+            elif (best_welfare is None or welfare > best_welfare) and (
+                    passes is None or passes(masks, owner, own)):
                 best_welfare = welfare
                 best_masks = tuple(masks)
             masks[agent] = old
             own[agent] -= gain
 
     if m:
-        search(0, sum(empty))
-    elif passes():  # with no goods the empty allocation is the only leaf
-        best_welfare, best_masks = sum(empty), tuple(masks)
+        search(0, sum(own))
+    elif passes is None or passes(masks, owner, own):
+        # With no goods the empty allocation is the only leaf.
+        best_welfare, best_masks = sum(own), tuple(masks)
     if best_welfare is None:
         return None
     bundles = [mask_goods(mask) for mask in best_masks]
     return Allocation(tuple(bundles)), Fraction(best_welfare, scale)
+
+
+def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
+                    cap: int = DEFAULT_ENUM_CAP,
+                    mms_cap: int = DEFAULT_MMS_STATE_CAP
+                    ) -> Optional[tuple[Allocation, Fraction]]:
+    """Max-welfare complete allocation satisfying the given property, by
+    exhaustive scan; the first optimum in lexicographic assignment order is
+    kept. Returns None when no allocation satisfies it (possible only for
+    alpha-mms)."""
+    n, m = inst.n, inst.m
+    if m > 0 and n ** m > cap:
+        raise InfeasibleError(
+            f"oracle infeasible: {n}^{m} allocations exceed cap {cap}")
+    if prop not in PROPERTIES:
+        raise ValueError(
+            f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    if prop == "alpha-mms":
+        alpha = Fraction(alpha if alpha is not None else Fraction(1, 2))
+        prof = profile if profile is not None else mms_profile(inst,
+                                                               cap=mms_cap)
+        if prof.mms is None:
+            raise ValidationError(
+                "mms-profile", "missing profile entry: exact MMS values "
+                "required")
+        if len(prof.mms) != n:
+            raise ValidationError(
+                "mms-profile", f"profile has {len(prof.mms)} entries, "
+                f"instance has {n} agents")
+
+    weights, tables, scale = _split_kernels(inst)
+    if prop == "ef1":
+        # Below every additive value: the start of a bundle's running max.
+        floors = [min(w, default=0) - 1 if w is not None else None
+                  for w in weights]
+        passes = partial(_ef1_leaf, n, weights, floors, tables)
+    elif prop == "prop1":
+        full = (1 << m) - 1
+        totals = [t[full] if t is not None else sum(w)
+                  for w, t in zip(weights, tables)]
+        passes = partial(_prop1_leaf, n, weights, tables, totals, full)
+    else:
+        # own_i >= alpha * MMS_i * L; own_i is an integer, so the ceiling.
+        required = [math.ceil(alpha * x * scale) for x in prof.mms]
+
+        def passes(masks, owner, own):
+            return all(map(ge, own, required))
+
+    return _search(inst, weights, tables, scale, passes)
 
 
 def price_of_fairness(inst: Instance, prop: str, alpha=None, profile=None,

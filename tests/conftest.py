@@ -121,6 +121,60 @@ def naive_mms(valuation: Valuation, k: int, goods=None) -> Fraction:
     return best if best is not None else Fraction(0)
 
 
+def _ext(goods):
+    return tuple(sorted(g + 1 for g in goods))
+
+
+def naive_validate_valuation(v: Valuation, agent: int) -> None:
+    """Every valuation axiom checked in `Fraction`s over `frozenset`
+    subsets, subadditivity over all 4^m pairs (S, T) with S, then T,
+    ascending by bitmask. Raises the ValidationError the loader must
+    raise: same axiom, agent, witness and message."""
+    label = f"agent {agent + 1}"
+    if v.kind == "additive":
+        if len(v.values) != v.m:
+            raise ValidationError(
+                "value-count", f"{label}: expected {v.m} values, got "
+                f"{len(v.values)}", agent=agent + 1)
+        for g, x in enumerate(v.values):
+            if x < 0:
+                raise ValidationError(
+                    "nonnegative", f"{label}: v({g + 1}) = {x} < 0",
+                    agent=agent + 1, witness=(g + 1,))
+        return
+    empty = v.table[frozenset()]
+    if empty != 0:
+        raise ValidationError(
+            "normalized", f"{label}: not normalized, v({{}}) = {empty} != 0",
+            agent=agent + 1, witness=())
+    for subset, val in v.table.items():
+        if val < 0:
+            raise ValidationError(
+                "nonnegative", f"{label}: v({_ext(subset)}) = {val} < 0",
+                agent=agent + 1, witness=_ext(subset))
+    subsets = [frozenset(g for g in range(v.m) if mask >> g & 1)
+               for mask in range(1 << v.m)]
+    for s in subsets:
+        for g in range(v.m):
+            bigger = s | {g}
+            if g not in s and v.table[s] > v.table[bigger]:
+                raise ValidationError(
+                    "monotone",
+                    f"{label}: v({_ext(s)}) = {v.table[s]} > "
+                    f"v({_ext(bigger)}) = {v.table[bigger]}",
+                    agent=agent + 1, witness=(_ext(s), _ext(bigger)))
+    if v.subadditive:
+        for s in subsets[1:]:
+            for t in subsets[1:]:
+                if v.table[s | t] > v.table[s] + v.table[t]:
+                    raise ValidationError(
+                        "subadditive",
+                        f"{label}: v({_ext(s | t)}) = {v.table[s | t]} > "
+                        f"v(S) + v(T) = {v.table[s] + v.table[t]} for "
+                        f"S = {_ext(s)}, T = {_ext(t)}", agent=agent + 1,
+                        witness=(_ext(s), _ext(t)))
+
+
 def naive_matching(weights):
     """Lex-first maximum-weight left-perfect matching by permutation scan.
 

@@ -6,18 +6,20 @@ from fractions import Fraction
 
 import pytest
 
-from fairdiv import (Allocation, FamilySpec, InfeasibleError, LineOrder,
-                     ValidationError, alg_ef1_abs, alg_ef1_high,
+from fairdiv import (Allocation, FamilySpec, InfeasibleError, Instance,
+                     LineOrder, ValidationError, Valuation, alg_ef1_abs,
+                     alg_ef1_high, checks_enabled,
                      generate_adversarial, generate_random,
                      generate_random_subadditive, is_ef1, max_welfare,
                      reference_allocation, run_ef1_abs, run_ef1_high,
-                     run_solve_ef1, social_welfare,
-                     solve_ef1)
+                     run_extend_ef1, run_solve_ef1, set_debug_checks,
+                     social_welfare, solve_ef1)
 from fairdiv.exact import sqrt_ge
 from fairdiv.model import ZERO
 
-from conftest import (additive_instance, naive_ef1_high_loop,
-                      random_additive_corpus, random_allocation, tie_corpus)
+from conftest import (additive_instance, naive_ef1_high_loop, naive_is_ef1,
+                      naive_validate_valuation, random_additive_corpus,
+                      random_allocation, tie_corpus)
 
 
 def total_value(inst):
@@ -181,6 +183,65 @@ class TestHigh:
             assert run.partial_welfare == welfare
             iterations += run.iterations
         assert iterations >= 100
+
+
+def ef1_solver_calls(inst, rng):
+    ref = random_allocation(rng, inst.n, inst.m, partial=False)
+    empty = Allocation.of([[]] * inst.n)
+    return [lambda: run_extend_ef1(inst, empty)[0],
+            lambda: run_ef1_abs(inst).allocation,
+            lambda: run_ef1_high(inst, ref).allocation]
+
+
+def test_non_monotone_valuations_rejected():
+    """Explicit tables with every nonempty subset worth 0..3, mostly not
+    monotone: every EF1 solver raises the loader's first monotonicity
+    error (the same with debug checks on, before any of them fires), and
+    on monotone tables answers EF1."""
+    rng = random.Random(3)
+    rejected = answered = 0
+    for _ in range(600):
+        n, m = rng.randint(2, 3), rng.randint(2, 5)
+        valuations = []
+        for _ in range(n):
+            table = {frozenset(g for g in range(m) if mask >> g & 1):
+                     Fraction(rng.randint(0, 3) if mask else 0)
+                     for mask in range(1 << m)}
+            valuations.append(Valuation.explicit(m, table))
+        inst = Instance(n=n, m=m, valuations=tuple(valuations))
+        try:
+            for i, v in enumerate(valuations):
+                naive_validate_valuation(v, i)
+        except ValidationError as exc:
+            want = (exc.axiom, exc.agent, exc.witness, str(exc))
+            for call in ef1_solver_calls(inst, rng):
+                with pytest.raises(ValidationError) as err:
+                    call()
+                got = err.value
+                assert (got.axiom, got.agent, got.witness, str(got)) == want
+            rejected += 1
+        else:
+            for call in ef1_solver_calls(inst, rng):
+                assert naive_is_ef1(inst, call())
+            answered += 1
+    assert rejected >= 500 and answered >= 10
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_negative_additive_value_rejected(debug):
+    # run_ef1_abs is left out: its matching already refuses negative weights.
+    inst = additive_instance([[1, 1], [2, -1]])
+    before = checks_enabled()
+    set_debug_checks(debug)
+    try:
+        extend, _, high = ef1_solver_calls(inst, random.Random(1))
+        for call in (extend, high):
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert (err.value.axiom, err.value.agent, err.value.witness) == \
+                ("nonnegative", 2, (2,))
+    finally:
+        set_debug_checks(before)
 
 
 class TestSolve:

@@ -1,6 +1,7 @@
 """Core model: parsing, validation, queries, round-trips."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from fairdiv import (Allocation, Instance, ParseError, ValidationError,
                      validate_instance, value_query)
 from fairdiv.model import parse_rational
 
-from conftest import additive_instance
+from conftest import additive_instance, naive_validate_valuation
 
 
 def write(tmp_path, name, data):
@@ -247,3 +248,82 @@ class TestRescale:
 def test_explicit_goods_cap():
     with pytest.raises(ValidationError):
         Valuation.explicit(21, {})
+
+
+def test_explicit_table_rejects_goods_outside_range():
+    # Validation reads the bitmask kernel, which has no slot for good 2 here.
+    table = {frozenset({0}): Fraction(1), frozenset({2}): Fraction(1)}
+    with pytest.raises(ParseError, match="outside goods 1..1"):
+        Valuation.explicit(1, table)
+
+
+def random_table(rng, m):
+    """A seeded explicit table that may break any axiom. Values are built
+    up by bitmask: either a draw from a small alphabet times |S| (often
+    superadditive) or the best one-smaller subset plus a draw (monotone),
+    capped at a budget in some tables (then subadditive); a few entries
+    are then overwritten, possibly with negatives. Keys come in shuffled
+    order and the empty-set key is sometimes omitted."""
+    alphabet = [Fraction(x) for x in rng.choice(
+        [(0, 1, 2), (0, "1/2", 1, 3), ("1/3", "2/5", 1), (1,)])]
+    budget = rng.choice([None, Fraction(rng.randint(1, 4), 2)])
+    grow = rng.random() < 0.6
+    values = [Fraction(0)] * (1 << m)
+    for mask in range(1, 1 << m):
+        if grow:
+            below = max(values[mask & ~(1 << g)] for g in range(m)
+                        if mask >> g & 1)
+            x = below + rng.choice(alphabet)
+        else:
+            x = rng.choice(alphabet) * mask.bit_count()
+        values[mask] = x if budget is None else min(x, budget)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        values[rng.randrange(1 << m)] = Fraction(rng.randint(-1, 4), 2)
+    keys = list(range(1 << m))
+    rng.shuffle(keys)
+    table = {frozenset(g for g in range(m) if mask >> g & 1): values[mask]
+             for mask in keys if mask or values[0] or rng.random() < 0.5}
+    return Valuation.explicit(m, table, subadditive=rng.random() < 0.8)
+
+
+def test_validation_matches_fraction_reference():
+    """Integer validation against the `Fraction` scan of all pairs: the
+    whole error (axiom, agent, witness, message) or none, agent 2 explicit
+    behind an additive agent 1 that may hold a negative value."""
+    rng = random.Random(20261018)
+    axioms = []
+    for _ in range(1500):
+        m = rng.randint(0, 5)
+        additive = Valuation.additive(
+            [Fraction(rng.choice([0, 0, 1, 2, -1]), 2) for _ in range(m)])
+        inst = Instance(n=2, m=m, valuations=(additive, random_table(rng, m)))
+        try:
+            for i, v in enumerate(inst.valuations):
+                naive_validate_valuation(v, i)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as err:
+                validate_instance(inst)
+            got, want = err.value, exc
+            assert (got.axiom, got.agent, got.witness, str(got)) == \
+                (want.axiom, want.agent, want.witness, str(want))
+            axioms.append(want.axiom)
+        else:
+            validate_instance(inst)
+            axioms.append(None)
+    for axiom in (None, "nonnegative", "normalized", "monotone",
+                  "subadditive"):
+        assert axioms.count(axiom) >= 50, axiom
+
+
+def test_scaled_flag_on_the_kernel():
+    table = {frozenset(): Fraction(0), frozenset({0}): Fraction(1, 3),
+             frozenset({1}): Fraction(1, 2), frozenset({0, 1}): Fraction(2, 3)}
+    explicit = Valuation.explicit(2, table)
+    halves = Valuation.additive([Fraction(1, 2), Fraction(1, 2)])
+    with pytest.raises(ValidationError) as err:
+        validate_instance(Instance(2, 2, (halves, explicit), scaled=True))
+    assert (err.value.axiom, err.value.agent, str(err.value)) == (
+        "scaled", 2, "scaled-flag mismatch: agent 2 has v([m]) = 2/3 != 1")
+    table[frozenset({0, 1})] = Fraction(1)
+    validate_instance(Instance(2, 2, (halves, Valuation.explicit(2, table)),
+                               scaled=True))

@@ -16,7 +16,8 @@ from fairdiv import (Allocation, FamilySpec, InfeasibleError, Instance,
 
 from conftest import (additive_instance, naive_constrained_opt,
                       naive_is_alpha_mms, naive_is_ef1, naive_is_prop1,
-                      naive_max_welfare, naive_mms)
+                      naive_max_welfare, naive_mms,
+                      random_subadditive_corpus, tie_corpus)
 
 
 def corpus_instance(family, n, m, rng):
@@ -86,6 +87,21 @@ class TestMmsK:
             table[subset] = Fraction(min(len(subset), 2), 2)
         v = Valuation.explicit(3, table, subadditive=True)
         assert mms_k(v, 2) == naive_mms(v, 2)
+
+    def test_explicit_subsets_match_naive(self):
+        # Unvalidated monotone tables, some valuing the empty set above 0,
+        # over random subsets of at least k goods (with fewer, mms_k answers
+        # 0 while every k-partition holds an empty bundle).
+        rng = random.Random(41)
+        nonzero_empty = 0
+        for inst in tie_corpus(120, seed=41, kinds=("explicit",)):
+            for v in inst.valuations:
+                nonzero_empty += v.ints[0][0] > 0
+                for k in (2, 3):
+                    goods = [g for g in range(inst.m) if rng.random() < 0.8]
+                    if len(goods) >= k:
+                        assert mms_k(v, k, goods) == naive_mms(v, k, goods)
+        assert nonzero_empty >= 20
 
     def test_cap(self):
         v = Valuation.additive([Fraction(1)] * 10)
@@ -183,6 +199,24 @@ class TestMaxWelfare:
         _, want = naive_max_welfare(inst)
         # Best split is 2 goods + 1 good: min(2,2)/2 + min(1,2)/2 = 3/2.
         assert got == want == Fraction(3, 2)
+
+
+    @pytest.mark.parametrize("corpus", [
+        # Unvalidated explicit and mixed tables: no prune.
+        lambda: [inst for inst in tie_corpus(400, 20261018,
+                                             kinds=("explicit", "mixed"))
+                 if inst.n ** inst.m <= 3 ** 6],
+        # Every explicit agent subadditive: the bound prune is on.
+        lambda: random_subadditive_corpus(60, 3, 6, 7),
+        # Supermodular tables, where no prune would be sound.
+        lambda: [generate_adversarial(FamilySpec(
+            "supermodular", n, epsilon=Fraction(1, 100))) for n in (2, 3, 4)],
+    ], ids=["tie-explicit-mixed", "subadditive", "supermodular"])
+    def test_explicit_matches_naive_scan(self, corpus):
+        # The whole result, tie-break included, against a scan of every
+        # allocation in lexicographic order.
+        for inst in corpus():
+            assert max_welfare(inst) == naive_max_welfare(inst)
 
 
 class TestConstrainedOpt:
