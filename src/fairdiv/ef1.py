@@ -90,6 +90,10 @@ class SolveEf1Run:
 
 
 def run_ef1_abs(inst: Instance) -> Ef1AbsRun:
+    # Checked before the matching, which would refuse a negative weight
+    # without naming the agent.
+    for i, v in enumerate(inst.valuations):
+        check_monotone(v, i)
     weights = [list(v.values) if v.kind == ADDITIVE
                else [v.table[frozenset((g,))] for g in range(inst.m)]
                for v in inst.valuations]

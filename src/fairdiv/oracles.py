@@ -10,6 +10,16 @@ instances and the fair optimum share one exhaustive search: all n^m complete
 allocations depth-first, with an upper-bound prune from per-good maxima
 where it is sound. Bundles are bitmasks, and welfare, the bound and the EF1,
 Prop1 and alpha-MMS leaf checks are integers over one common denominator.
+
+The search skips leaves that only relabel twins. Twin agents have equal
+kernel rows (and, for alpha-MMS, equal requirements); an agent may take its
+first good only once its nearest lower twin holds one. Twin goods, on
+additive instances only, are valued equally by every agent; a good's owner
+is never below its nearest lower twin's owner. This is exact: a leaf that
+breaks either rule becomes lexicographically smaller when the two agents'
+labels, or the two goods' owners, are swapped, and the swapped leaf has the
+same welfare and the same EF1, Prop1 or alpha-MMS verdict. So the first
+optimum, which the search returns, obeys both rules and is never skipped.
 """
 
 from __future__ import annotations
@@ -111,7 +121,9 @@ def mms_k(valuation: Valuation, k: int, goods: Optional[Iterable[int]] = None,
     if k == 1:
         return valuation.value(glist)
     if len(glist) < k:
-        return ZERO
+        # Every k-partition holds an empty bundle, and no bundle of a
+        # monotone valuation is worth less.
+        return valuation.value(())
     if valuation.value(glist) == 0:
         return ZERO
     if valuation.kind == ADDITIVE:
@@ -292,20 +304,41 @@ def _split_kernels(inst: Instance):
     return weights, tables, scale
 
 
-def _search(inst: Instance, weights, tables, scale: int, passes=None
-            ) -> Optional[tuple[Allocation, Fraction]]:
+def _twins(keys) -> list[int]:
+    """Each position's nearest lower position with an equal key, or -1."""
+    last: dict = {}
+    out = []
+    for pos, key in enumerate(keys):
+        out.append(last.get(key, -1))
+        last[key] = pos
+    return out
+
+
+def _search(inst: Instance, weights, tables, scale: int, passes=None,
+            required=None) -> Optional[tuple[Allocation, Fraction]]:
     """First max-welfare complete allocation in lexicographic assignment
     order whose leaf passes `passes(masks, owner, own)` (bundle bitmasks,
     each good's agent, each agent's own value over `scale`), or None when
-    none does. `passes=None` accepts every leaf.
+    none does. `passes=None` accepts every leaf; `required` (per-agent
+    alpha-MMS requirements, when `passes` depends on them) keeps agents with
+    different requirements from being twins.
 
     Goods are assigned in order, each to agents 0..n-1 in turn, and only a
-    strictly higher welfare replaces the best.
+    strictly higher welfare replaces the best. Leaves that break a twin rule
+    are skipped: an agent takes its first good only once its nearest lower
+    twin agent (equal kernel row and requirement) holds one, and on additive
+    instances a good goes to no agent below the owner of its nearest lower
+    twin good (equal value for every agent). Swapping the twins turns such a
+    leaf into a lexicographically smaller one with the same welfare and
+    verdict, so the first optimum obeys both rules and is still found.
     """
     n, m = inst.n, inst.m
     masks = [0] * n
     owner = [0] * m
     own = [t[0] if t is not None else 0 for t in tables]
+    agent_twin = _twins((v.kind, v.ints, r) for v, r in
+                        zip(inst.valuations, required or [None] * n))
+    good_twin = _twins(zip(*weights)) if inst.additive else [-1] * m
 
     # Upper bound per good for the prune: valid for additive welfare and for
     # explicit tables flagged subadditive; otherwise no prune is sound
@@ -328,8 +361,12 @@ def _search(inst: Instance, weights, tables, scale: int, passes=None
                 and sofar + suffix_max[pos] <= best_welfare):
             return
         bit = 1 << pos
-        for agent in range(n):
+        twin_good = good_twin[pos]
+        for agent in range(owner[twin_good] if twin_good >= 0 else 0, n):
             old = masks[agent]
+            twin = agent_twin[agent]
+            if not (old or twin < 0 or masks[twin]):
+                continue    # a first good before the twin's first good
             t = tables[agent]
             gain = t[old | bit] - t[old] if t is not None else \
                 weights[agent][pos]
@@ -386,6 +423,7 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
                 f"instance has {n} agents")
 
     weights, tables, scale = _split_kernels(inst)
+    required = None
     if prop == "ef1":
         # Below every additive value: the start of a bundle's running max.
         floors = [min(w, default=0) - 1 if w is not None else None
@@ -403,7 +441,7 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
         def passes(masks, owner, own):
             return all(map(ge, own, required))
 
-    return _search(inst, weights, tables, scale, passes)
+    return _search(inst, weights, tables, scale, passes, required)
 
 
 def price_of_fairness(inst: Instance, prop: str, alpha=None, profile=None,

@@ -266,6 +266,33 @@ def tie_corpus(count, seed, kinds=("additive", "explicit", "mixed")):
     return out
 
 
+def twin_corpus(count, seed, kinds=("additive", "explicit", "mixed")):
+    """Seeded small instances (n 2..4, m 1..6) full of twins: every agent
+    copies one of at most three drawn valuations, and additive values depend
+    only on a good's type, of which there are at most m // 2 + 1. Like
+    `tie_corpus`, explicit tables are unvalidated and `kinds` cycle."""
+    rng = random.Random(seed)
+    out = []
+    for idx in range(count):
+        n, m = rng.randint(2, 4), rng.randint(1, 6)
+        kind = kinds[idx % len(kinds)]
+        alphabet = [Fraction(x) for x in rng.choice(TIE_ALPHABETS)]
+        types = [rng.randrange(m // 2 + 1) for _ in range(m)]
+        templates = []
+        for _ in range(rng.randint(1, 3)):
+            agent_kind = (rng.choice(("additive", "explicit"))
+                          if kind == "mixed" else kind)
+            if agent_kind == "additive":
+                per_type = [rng.choice(alphabet) for _ in range(m // 2 + 1)]
+                templates.append(Valuation.additive(
+                    [per_type[t] for t in types]))
+            else:
+                templates.append(_monotone_table(rng, m, alphabet))
+        valuations = tuple(rng.choice(templates) for _ in range(n))
+        out.append(Instance(n=n, m=m, valuations=valuations))
+    return out
+
+
 def random_allocation(rng, n, m, partial=True):
     """Each good to a random agent, or (when partial) possibly to nobody."""
     owners = [rng.randrange(n + 1 if partial else n) for _ in range(m)]

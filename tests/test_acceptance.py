@@ -283,3 +283,16 @@ def test_criterion_11_termination_envelopes(ef1_corpus):
                 assert solve_run.high_run.iterations <= bound_iters
                 assert solve_run.high_run.lipton.steps <= bound_steps
         assert time.perf_counter() - started < 120
+
+
+def test_criterion_12_exact_fair_optimum_at_n9():
+    with criterion(12, "scaled 1/2-MMS gap instance at n = 9: exact search"):
+        started = time.perf_counter()
+        inst = generate_adversarial(FamilySpec("mms-scaled-sqrt", 9))
+        # 9^9 allocations: beyond the default cap, but the twin rules skip
+        # nearly all of them.
+        _, half_mms = constrained_opt(inst, "alpha-mms", cap=10 ** 9)
+        assert half_mms <= 2
+        _, ef1 = constrained_opt(inst, "ef1", cap=10 ** 9)
+        assert ef1 == Fraction(5, 3)
+        assert time.perf_counter() - started < 1

@@ -229,13 +229,11 @@ def test_non_monotone_valuations_rejected():
 
 @pytest.mark.parametrize("debug", [False, True])
 def test_negative_additive_value_rejected(debug):
-    # run_ef1_abs is left out: its matching already refuses negative weights.
     inst = additive_instance([[1, 1], [2, -1]])
     before = checks_enabled()
     set_debug_checks(debug)
     try:
-        extend, _, high = ef1_solver_calls(inst, random.Random(1))
-        for call in (extend, high):
+        for call in ef1_solver_calls(inst, random.Random(1)):
             with pytest.raises(ValidationError) as err:
                 call()
             assert (err.value.axiom, err.value.agent, err.value.witness) == \

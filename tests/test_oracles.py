@@ -17,7 +17,7 @@ from fairdiv import (Allocation, FamilySpec, InfeasibleError, Instance,
 from conftest import (additive_instance, naive_constrained_opt,
                       naive_is_alpha_mms, naive_is_ef1, naive_is_prop1,
                       naive_max_welfare, naive_mms,
-                      random_subadditive_corpus, tie_corpus)
+                      random_subadditive_corpus, tie_corpus, twin_corpus)
 
 
 def corpus_instance(family, n, m, rng):
@@ -90,18 +90,23 @@ class TestMmsK:
 
     def test_explicit_subsets_match_naive(self):
         # Unvalidated monotone tables, some valuing the empty set above 0,
-        # over random subsets of at least k goods (with fewer, mms_k answers
-        # 0 while every k-partition holds an empty bundle).
+        # over random subsets, some with fewer goods than bundles.
         rng = random.Random(41)
-        nonzero_empty = 0
+        nonzero_empty = too_few = 0
         for inst in tie_corpus(120, seed=41, kinds=("explicit",)):
             for v in inst.valuations:
                 nonzero_empty += v.ints[0][0] > 0
                 for k in (2, 3):
                     goods = [g for g in range(inst.m) if rng.random() < 0.8]
-                    if len(goods) >= k:
-                        assert mms_k(v, k, goods) == naive_mms(v, k, goods)
-        assert nonzero_empty >= 20
+                    assert mms_k(v, k, goods) == naive_mms(v, k, goods)
+                    too_few += v.ints[0][0] > 0 and len(goods) < k
+        assert nonzero_empty >= 20 and too_few >= 10
+
+    def test_fewer_goods_than_bundles_keeps_empty_value(self):
+        # Every 2-partition of one good holds an empty bundle worth 1.
+        v = Valuation.explicit(1, {frozenset(): Fraction(1),
+                                   frozenset({0}): Fraction(2)})
+        assert mms_k(v, 2, [0]) == naive_mms(v, 2, [0]) == 1
 
     def test_cap(self):
         v = Valuation.additive([Fraction(1)] * 10)
@@ -303,6 +308,55 @@ class TestConstrainedOpt:
         profile = MmsProfile(mms=(Fraction(1), Fraction(1)))
         assert constrained_opt(inst, "alpha-mms", alpha=Fraction(1),
                                profile=profile) is None
+
+
+class TestTwins:
+    """The search skips leaves that only relabel twin agents or twin goods;
+    its whole result must still be the first optimum of a full scan."""
+
+    @pytest.mark.parametrize("kind", ["additive", "explicit", "mixed"])
+    def test_matches_naive_scan(self, kind):
+        rng = random.Random(kind)
+        twin_agents = twin_goods = split_twins = 0
+        for inst in twin_corpus(60, seed=11, kinds=(kind,)):
+            if inst.n ** inst.m > 3 ** 6:
+                continue
+            rows = [v.ints for v in inst.valuations]
+            twin_agents += len(set(rows)) < inst.n
+            if inst.additive:
+                twin_goods += len(set(zip(*(r for r, _ in rows)))) < inst.m
+            else:
+                assert max_welfare(inst) == naive_max_welfare(inst)
+            # Requirements scaled per agent, so twins often differ in them.
+            alpha = rng.choice([Fraction(1, 2), Fraction(1)])
+            shares = tuple(mms_k(v, inst.n) * rng.choice([0, 1, 1, 2])
+                           for v in inst.valuations)
+            split_twins += any(rows[a] == rows[b] and shares[a] != shares[b]
+                               for a in range(inst.n) for b in range(a))
+            checks = {
+                "ef1": ({}, lambda a: naive_is_ef1(inst, a)),
+                "prop1": ({}, lambda a: naive_is_prop1(inst, a)),
+                "alpha-mms": (
+                    {"alpha": alpha, "profile": MmsProfile(mms=shares)},
+                    lambda a: naive_is_alpha_mms(inst, a, alpha, shares)),
+            }
+            for prop, (kwargs, passes) in checks.items():
+                assert constrained_opt(inst, prop, **kwargs) == \
+                    naive_constrained_opt(inst, passes), (prop, inst)
+        assert twin_agents >= 30 and split_twins >= 5
+        assert kind != "additive" or twin_goods >= 30
+
+    def test_twins_with_different_requirements_stay_apart(self):
+        # Equal agents, but only agent 2 must reach 2. Treated as twins,
+        # agent 2 could not take good 1 before agent 1 holds a good, and no
+        # allocation would pass.
+        inst = additive_instance([[2, 1], [2, 1]])
+        shares = (Fraction(0), Fraction(2))
+        got = constrained_opt(inst, "alpha-mms", alpha=Fraction(1),
+                              profile=MmsProfile(mms=shares))
+        assert got == naive_constrained_opt(
+            inst, lambda a: naive_is_alpha_mms(inst, a, 1, shares))
+        assert got == (Allocation.of([{1}, {0}]), 3)
 
 
 class TestPriceOfFairness:
