@@ -22,7 +22,7 @@ from .matching import max_weight_left_perfect_matching
 from .mms import (MmsAbsRun, MmsHighRun, SolveHalfMmsRun, alg_mms_abs,
                   alg_mms_high, prop1_subroutine, run_mms_abs, run_mms_high,
                   run_solve_half_mms, solve_half_mms)
-from .model import (Allocation, Instance, Valuation, load_allocation,
+from .model import (Allocation, Event, Instance, Valuation, load_allocation,
                     load_instance, rescale_instance, save_allocation,
                     save_instance, validate_allocation, validate_instance,
                     value_query)
@@ -33,7 +33,7 @@ from .oracles import (MmsProfile, constrained_opt, injected_profile,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADVERSARIAL_FAMILIES", "Allocation", "Ef1AbsRun", "Ef1HighRun",
+    "ADVERSARIAL_FAMILIES", "Allocation", "Ef1AbsRun", "Ef1HighRun", "Event",
     "FairdivError", "FairnessVerdict", "FamilySpec", "InfeasibleError",
     "Instance", "LineOrder", "LiptonStats", "MmsAbsRun", "MmsHighRun",
     "MmsProfile", "ParseError", "SolveEf1Run", "SolveHalfMmsRun",

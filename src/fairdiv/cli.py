@@ -13,7 +13,9 @@ Subcommands::
     fairdiv experiment --config exp.json -o report/
 
 `check` exits 0 when the property holds and 1 when it fails, printing the
-JSON verdict either way.
+JSON verdict either way. `solve --trace` adds the high-welfare run's steps
+as ``"trace": [{"phase", "agent", "bundle", "label"}, ...]`` (1-based agent
+and goods; see `fairdiv.model.Event`).
 """
 
 from __future__ import annotations
@@ -92,32 +94,22 @@ def _cmd_solve(args) -> int:
     if args.alg == "ef1":
         reference = load_allocation(args.reference) if args.reference else None
         run = run_solve_ef1(inst, reference=reference)
-        summary = {"algorithm": "ef1", "branch": run.branch,
-                   "welfare": format_rational(run.welfare)}
-        if args.trace and run.high_run is not None:
-            summary["trace"] = [
-                {"t": t, "agent": k + 1, "from": a + 1, "to": c + 1}
-                for t, k, a, c in run.high_run.trace]
-        alloc = run.allocation
     elif args.alg == "half-mms":
         eps = parse_rational(args.epsilon) if args.epsilon else Fraction(0)
         run = run_solve_half_mms(inst, epsilon=eps)
-        summary = {"algorithm": "half-mms", "branch": run.branch,
-                   "welfare": format_rational(run.welfare),
-                   "opt": format_rational(run.opt)}
-        if args.trace and run.high_run is not None:
-            summary["trace"] = [
-                {"event": event, "agent": agent + 1,
-                 "bundle": [g + 1 for g in goods], "set": dest}
-                for event, agent, goods, dest in run.high_run.trace]
-        alloc = run.allocation
     else:
         raise FairdivError(f"unknown algorithm {args.alg!r}")
+    summary = {"algorithm": args.alg, "branch": run.branch,
+               "welfare": format_rational(run.welfare)}
+    if args.alg == "half-mms":
+        summary["opt"] = format_rational(run.opt)
+    if args.trace and run.high_run is not None:
+        summary["trace"] = [e.to_json() for e in run.high_run.trace]
     if args.output:
-        save_allocation(alloc, args.output)
+        save_allocation(run.allocation, args.output)
         summary["path"] = args.output
     else:
-        summary["allocation"] = allocation_to_json(alloc)["bundles"]
+        summary["allocation"] = allocation_to_json(run.allocation)["bundles"]
     _emit(summary)
     return 0
 

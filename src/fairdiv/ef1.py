@@ -25,8 +25,8 @@ from .envy_cycle import LiptonStats, run_extend_ef1
 from .errors import InfeasibleError, ValidationError
 from .fairness import is_ef1, social_welfare
 from .matching import max_weight_left_perfect_matching
-from .model import (ADDITIVE, Allocation, Instance, ZERO, check_monotone,
-                    validate_allocation)
+from .model import (ADDITIVE, Allocation, Event, Instance, ZERO,
+                    check_monotone, validate_allocation)
 from .oracles import DEFAULT_ENUM_CAP, max_welfare
 
 
@@ -64,20 +64,21 @@ class LineOrder:
 @dataclass
 class Ef1AbsRun:
     allocation: Allocation
-    matched: list[tuple[int, int]]
-    partial: Allocation
     lipton: LiptonStats
 
 
 @dataclass
 class Ef1HighRun:
     allocation: Allocation
-    iterations: int
-    trace: list[tuple[int, int, int, int]]   # (t, agent, a, c) line positions
+    trace: list[Event]      # ("prefix", agent, her new bundle, "") per step
     partial: Allocation
     partial_welfare: Fraction
     line_order: LineOrder
     lipton: LiptonStats
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 @dataclass
@@ -101,10 +102,8 @@ def run_ef1_abs(inst: Instance) -> Ef1AbsRun:
     bundles: list[frozenset[int]] = [frozenset() for _ in range(inst.n)]
     for agent, good in matched:
         bundles[agent] = frozenset({good})
-    partial = Allocation(tuple(bundles))
-    allocation, stats = run_extend_ef1(inst, partial)
-    return Ef1AbsRun(allocation=allocation, matched=matched, partial=partial,
-                     lipton=stats)
+    allocation, stats = run_extend_ef1(inst, Allocation(tuple(bundles)))
+    return Ef1AbsRun(allocation=allocation, lipton=stats)
 
 
 def alg_ef1_abs(inst: Instance) -> Allocation:
@@ -220,8 +219,7 @@ def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
         intervals[i] = (best_p, best_p)
         own[i] = best_val
 
-    trace: list[tuple[int, int, int, int]] = []
-    t = 0
+    trace: list[Event] = []
     guard = 2 * n * m * m + 10
     value = lv.range_value
     while True:
@@ -247,9 +245,9 @@ def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
         k, c = chosen
         intervals[k] = (a, c)
         own[k] = value(k, a, c)
-        t += 1
-        trace.append((t, k, a, c))
-        if t > guard:
+        trace.append(Event("prefix", k, tuple(sorted(line.order[a:c + 1])),
+                           ""))
+        if len(trace) > guard:
             raise AssertionError("high-welfare loop exceeded its iteration "
                                  "envelope; solver bug")
         if debug.checks_enabled():
@@ -261,9 +259,9 @@ def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
     partial_welfare = sum((Fraction(x, v.ints[1])
                            for x, v in zip(own, inst.valuations)), ZERO)
     allocation, stats = run_extend_ef1(inst, partial)
-    return Ef1HighRun(allocation=allocation, iterations=t, trace=trace,
-                      partial=partial, partial_welfare=partial_welfare,
-                      line_order=line, lipton=stats)
+    return Ef1HighRun(allocation=allocation, trace=trace, partial=partial,
+                      partial_welfare=partial_welfare, line_order=line,
+                      lipton=stats)
 
 
 def _intervals_to_allocation(intervals, line: LineOrder, n: int) -> Allocation:

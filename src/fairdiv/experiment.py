@@ -17,12 +17,17 @@ A config file names families, size grids, solvers and caps::
        {"family": "random", "distribution": "dirichlet-scaled",
         "n": [4], "m": [8], "count": 2}]}
 
+`solvers` is a list of solver names and `epsilon` a rational in [0, 1/2).
+
 Outputs are `results.csv` (fully deterministic: exact rationals plus 6
 significant-digit decimal renderings, no timings) and `results.json`
 (same rows plus runtime_ms). Oracle cells beyond the enumeration caps are
 reported as "skipped", never silently omitted. A failed theorem inequality
 aborts the run with the offending row and trace attached: the bounds are
 proven guarantees, so any violation is an implementation bug.
+With `"trace": true` each row also writes `traces/row<i>_<id>_<solver>.json`;
+its `high_trace` holds the high-welfare run's steps as `Event.to_json`
+objects: `{"phase", "agent", "bundle", "label"}`, agent and goods 1-based.
 """
 
 from __future__ import annotations
@@ -95,7 +100,10 @@ class ExperimentConfig:
     def from_json(data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ParseError("experiment config must be a JSON object")
-        solvers = tuple(data.get("solvers", list(SOLVERS)))
+        solvers = data.get("solvers", list(SOLVERS))
+        if not isinstance(solvers, list):
+            raise ParseError(f"'solvers' must be a list of solver names, "
+                             f"got {solvers!r}")
         for s in solvers:
             if s not in SOLVERS:
                 raise ParseError(f"unknown solver {s!r}; expected {SOLVERS}")
@@ -105,10 +113,14 @@ class ExperimentConfig:
         trace = data.get("trace", False)
         if not isinstance(trace, bool):
             raise ParseError(f"'trace' must be true or false, got {trace!r}")
+        epsilon = parse_rational(str(data.get("epsilon", "0")))
+        if not 0 <= epsilon < Fraction(1, 2):
+            raise ParseError(f"'epsilon' must lie in [0, 1/2), got "
+                             f"{format_rational(epsilon)}")
         config = ExperimentConfig(
             seed=_json_int(data, "seed", 0),
-            solvers=solvers,
-            epsilon=parse_rational(str(data.get("epsilon", "0"))),
+            solvers=tuple(solvers),
+            epsilon=epsilon,
             enum_cap=_json_int(data, "enum_cap", DEFAULT_ENUM_CAP),
             mms_state_cap=_json_int(data, "mms_state_cap",
                                     DEFAULT_MMS_STATE_CAP),
@@ -270,12 +282,15 @@ def _solver_row(ident: str, inst: Instance, solver: str,
     subadditive_scope = inst.additive or all(
         v.kind != "additive" and v.subadditive for v in inst.valuations)
 
+    alloc, welfare = run.allocation, run.welfare
+    trace_blob["branch"] = run.branch
+    if run.high_run is not None:
+        trace_blob["high_trace"] = [e.to_json() for e in run.high_run.trace]
+
     # The half-MMS branch's profile, shared with constrained_opt. It stays
     # None when beyond the MMS cap, and constrained_opt then raises as well.
     profile = None
     if solver == "ef1":
-        alloc, welfare = run.allocation, run.welfare
-        trace_blob["branch"] = run.branch
         verdict = is_ef1(inst, alloc)
         row["ef1_holds"] = _check("ef1_holds", verdict.holds, row, trace_blob)
         if subadditive_scope:
@@ -287,7 +302,6 @@ def _solver_row(ident: str, inst: Instance, solver: str,
                 "welfare_vs_opt_16sqrt", sqrt_ge(16 * welfare, opt, inst.n),
                 row, trace_blob)
         if run.high_run is not None:
-            trace_blob["high_trace"] = run.high_run.trace
             trace_blob["high_iterations"] = run.high_run.iterations
             row["high_iters_vs_nm2"] = _check(
                 "high_iters_vs_nm2",
@@ -303,8 +317,6 @@ def _solver_row(ident: str, inst: Instance, solver: str,
         prop = "ef1"
         prop_alpha = None
     else:
-        alloc, welfare = run.allocation, run.welfare
-        trace_blob["branch"] = run.branch
         try:
             profile = mms_profile(inst, epsilon=config.epsilon,
                                   cap=config.mms_state_cap)
@@ -322,9 +334,6 @@ def _solver_row(ident: str, inst: Instance, solver: str,
                 "welfare_vs_opt_15sqrt", sqrt_ge(15 * welfare, opt, inst.n),
                 row, trace_blob)
         if run.high_run is not None:
-            trace_blob["high_trace"] = [
-                (event, agent + 1, [g + 1 for g in goods], dest)
-                for event, agent, goods, dest in run.high_run.trace]
             tsize = len(run.high_run.temporary)
             row["high_T_vs_4sqrt"] = _check(
                 "high_T_vs_4sqrt", sqrt_ge(Fraction(4), Fraction(tsize),
@@ -416,7 +425,7 @@ def run_experiment(config_data, outdir=None) -> ExperimentReport:
             tdir.mkdir(parents=True, exist_ok=True)
             rel = f"traces/row{i:04d}_{row['instance_id']}_{row['solver']}.json"
             with open(out / rel, "w") as fh:
-                json.dump(trace_blob, fh, indent=2, sort_keys=True, default=str)
+                json.dump(trace_blob, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             row["trace_path"] = rel
 

@@ -37,7 +37,7 @@ from .ef1 import LineOrder
 from .errors import ValidationError
 from .exact import sqrt_ge
 from .fairness import is_prop1, social_welfare
-from .model import Allocation, Instance, ZERO, common_ints
+from .model import Allocation, Event, Instance, ZERO, common_ints
 from .oracles import (DEFAULT_MMS_STATE_CAP, MmsProfile, max_welfare,
                       mms_profile)
 
@@ -73,11 +73,11 @@ def prop1_subroutine(inst: Instance, agents: Iterable[int],
 @dataclass
 class MmsAbsRun:
     allocation: Allocation
-    # (agent, good, active agents before, remaining goods before), in
-    # assignment order; feeds the per-iteration share-accounting checks.
-    singleton_trace: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]
-    leftover_dump: Optional[int] = None       # agent absorbing goods when
-                                              # every agent got a singleton
+    # ("singleton", agent, (good,), "") in assignment order, then one
+    # ("leftover", agent, goods, "") if every agent took a singleton before
+    # the goods ran out; the earlier singletons give the agents and goods
+    # left before each step.
+    trace: list[Event]
 
 
 def run_mms_abs(inst: Instance) -> MmsAbsRun:
@@ -88,7 +88,7 @@ def run_mms_abs(inst: Instance) -> MmsAbsRun:
     values, _ = common_ints(inst.valuations)
     totals = [sum(row) for row in values]
     bundles: list[set[int]] = [set() for _ in range(inst.n)]
-    trace: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
+    trace: list[Event] = []
 
     while True:
         best = None           # (value, agent, good)
@@ -103,15 +103,13 @@ def run_mms_abs(inst: Instance) -> MmsAbsRun:
         if best is None:
             break
         _, agent, good = best
-        trace.append((agent, good, tuple(sorted(active)),
-                      tuple(sorted(remaining))))
+        trace.append(Event("singleton", agent, (good,), ""))
         bundles[agent] = {good}
         active.remove(agent)
         remaining.remove(good)
         for i in active:
             totals[i] -= values[i][good]
 
-    leftover_dump = None
     if active:
         rest = prop1_subroutine(inst, active, remaining)
         for i in active:
@@ -124,11 +122,12 @@ def run_mms_abs(inst: Instance) -> MmsAbsRun:
         # Every agent took a singleton before the goods ran out; park the
         # leftovers with the last taker (extra goods only raise her value,
         # so both guarantees survive).
-        leftover_dump = trace[-1][0]
-        bundles[leftover_dump] |= remaining
+        last = trace[-1].agent
+        bundles[last] |= remaining
+        trace.append(Event("leftover", last, tuple(sorted(bundles[last])),
+                           ""))
 
-    return MmsAbsRun(allocation=Allocation.of(bundles),
-                     singleton_trace=trace, leftover_dump=leftover_dump)
+    return MmsAbsRun(allocation=Allocation.of(bundles), trace=trace)
 
 
 def alg_mms_abs(inst: Instance) -> Allocation:
@@ -141,10 +140,10 @@ class MmsHighRun:
     allocation: Allocation
     permanent: frozenset[int]
     temporary: frozenset[int]
-    # (event, agent, bundle goods 0-based sorted, set label) in order.
-    trace: list[tuple[str, int, tuple[int, ...], str]]
-    line_order: LineOrder
-    reference: Allocation
+    # One event per placement, phases zero-mms, single, singleton-loop,
+    # swap, accumulate and leftover; the label is the set the agent is in
+    # after it: "P" (permanent), "T" (temporary) or "-" (neither).
+    trace: list[Event]
     gamma_single: frozenset[int]
     gamma_hard: frozenset[int]
 
@@ -193,12 +192,17 @@ def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
     bundles: list[set[int]] = [set() for _ in range(n)]
     perm: set[int] = set()
     temp: set[int] = set()
-    trace: list[tuple[str, int, tuple[int, ...], str]] = []
+    trace: list[Event] = []
 
-    def note(event: str, agent: int, dest: str):
-        trace.append((event, agent, tuple(sorted(bundles[agent])), dest))
+    def note(phase: str, agent: int, label: str):
+        trace.append(Event(phase, agent, tuple(sorted(bundles[agent])), label))
         if debug.checks_enabled():
             _assert_state(vals, z, wstar_val, bundles, perm, temp, n)
+
+    def place(phase: str, agent: int, permanent: bool):
+        temp.discard(agent)
+        (perm if permanent else temp).add(agent)
+        note(phase, agent, "P" if permanent else "T")
 
     # Zero-MMS triage. For additive valuations MMS_i = 0 exactly when agent
     # i values fewer than n goods positively, so no oracle call is needed.
@@ -209,12 +213,7 @@ def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
                 raise ValidationError(
                     "mms-profile", f"agent {i + 1} has zero maximin share "
                     f"but estimate {estimates[i]}", agent=i + 1)
-            if wstar_val[i] == 0:
-                perm.add(i)
-                note("zero-mms", i, "P")
-            else:
-                temp.add(i)
-                note("zero-mms", i, "T")
+            place("zero-mms", i, wstar_val[i] == 0)
 
     gamma_single = frozenset(
         i for i in range(n)
@@ -231,9 +230,7 @@ def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
         top = max(vals[i][g] for g in wstar.bundles[i])
         pick = min(g for g in wstar.bundles[i] if vals[i][g] == top)
         bundles[i] = {pick}
-        perm.add(i)
-        temp.discard(i)
-        note("single", i, "P")
+        place("single", i, True)
 
     def assigned_goods() -> set[int]:
         out: set[int] = set()
@@ -259,12 +256,7 @@ def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
             break
         a, h = pick
         bundles[a] = {h}
-        if sqrt_ge(3 * vals[a][h], wstar_val[a], n):
-            perm.add(a)
-            note("singleton-loop", a, "P")
-        else:
-            temp.add(a)
-            note("singleton-loop", a, "T")
+        place("singleton-loop", a, sqrt_ge(3 * vals[a][h], wstar_val[a], n))
 
     # Sweep the line order, accumulating still-unassigned goods into K;
     # acc_val[a] is agent a's value of K.
@@ -282,9 +274,7 @@ def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
         if i in temp and sqrt_ge(3 * acc_val[i], wstar_val[i], n):
             bundles[i], acc = acc, bundles[i]
             acc_val = [sum(va[x] for x in acc) for va in vals]
-            perm.add(i)
-            temp.discard(i)
-            note("swap", i, "P")
+            place("swap", i, True)
 
         cand = None
         for a in range(n):
@@ -298,25 +288,18 @@ def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
             bundles[cand] = acc
             acc = set()
             acc_val = [0] * n
-            if sqrt_ge(3 * got, wstar_val[cand], n):
-                perm.add(cand)
-                note("accumulate", cand, "P")
-            else:
-                temp.add(cand)
-                note("accumulate", cand, "T")
+            place("accumulate", cand, sqrt_ge(3 * got, wstar_val[cand], n))
 
     leftover = frozenset(range(m)) - assigned_goods()
     for g in sorted(leftover):
         bundles[owner[g]].add(g)
-    if leftover:
-        for i in sorted({owner[g] for g in leftover}):
-            trace.append(("leftover", i, tuple(sorted(bundles[i])),
-                          "P" if i in perm else ("T" if i in temp else "-")))
+    for i in sorted({owner[g] for g in leftover}):
+        note("leftover", i, "P" if i in perm else ("T" if i in temp else "-"))
 
     return MmsHighRun(allocation=Allocation.of(bundles),
                       permanent=frozenset(perm), temporary=frozenset(temp),
-                      trace=trace, line_order=line, reference=wstar,
-                      gamma_single=gamma_single, gamma_hard=gamma_hard)
+                      trace=trace, gamma_single=gamma_single,
+                      gamma_hard=gamma_hard)
 
 
 def alg_mms_high(inst: Instance, profile: MmsProfile) -> Allocation:

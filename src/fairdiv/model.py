@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -210,6 +210,22 @@ class Allocation:
 
     def is_complete(self, m: int) -> bool:
         return self.allocated() == frozenset(range(m))
+
+
+class Event(NamedTuple):
+    """One step of a solver run: its phase, the 0-based agent it moved, that
+    agent's bundle after the step (sorted 0-based goods), and the phase's
+    label, "" where the phase has none."""
+
+    phase: str
+    agent: int
+    goods: tuple[int, ...]
+    label: str
+
+    def to_json(self) -> dict:
+        """The event with 1-based agent and goods."""
+        return {"phase": self.phase, "agent": self.agent + 1,
+                "bundle": [g + 1 for g in self.goods], "label": self.label}
 
 
 def validate_allocation(alloc: Allocation, inst: Instance,

@@ -17,7 +17,7 @@ from itertools import permutations, product
 
 import pytest
 
-from fairdiv import (Allocation, FairnessVerdict, Instance, LineOrder,
+from fairdiv import (Allocation, Event, FairnessVerdict, Instance, LineOrder,
                      ValidationError, Valuation, checks_enabled,
                      generate_random, generate_random_subadditive,
                      max_welfare, set_debug_checks, value_query)
@@ -392,8 +392,8 @@ def naive_extend_ef1(inst: Instance, partial: Allocation):
 
 def naive_ef1_high_loop(inst: Instance, ref: Allocation):
     """The EF1 high-welfare loop on `Fraction` value queries, with no
-    prefix sums. Returns the partial allocation,
-    the (t, agent, a, c) trace and the partial welfare."""
+    prefix sums. Returns the partial allocation, the ("prefix", agent,
+    goods, "") trace and the partial welfare."""
     n, m = inst.n, inst.m
     line = LineOrder.from_reference(ref.bundles, m)
 
@@ -429,7 +429,9 @@ def naive_ef1_high_loop(inst: Instance, ref: Allocation):
                     if own[k] < value(k, a, c))
         intervals[k] = (a, c)
         own[k] = value(k, a, c)
-        trace.append((len(trace) + 1, k, a, c))
+        trace.append(Event("prefix", k,
+                           tuple(sorted(line.order[p]
+                                        for p in range(a, c + 1))), ""))
     partial = Allocation.of(
         [] if iv is None else [line.order[p] for p in range(iv[0], iv[1] + 1)]
         for iv in intervals)
@@ -437,9 +439,8 @@ def naive_ef1_high_loop(inst: Instance, ref: Allocation):
 
 
 def naive_run_mms_abs(inst: Instance):
-    """The greedy 1/2-MMS loop in `Fraction`s. Returns the allocation, the
-    (agent, good, active, remaining) singleton trace and the leftover
-    taker, as `run_mms_abs` does."""
+    """The greedy 1/2-MMS loop in `Fraction`s. Returns the allocation and
+    the singleton and leftover events, as `run_mms_abs` does."""
     active, remaining = set(range(inst.n)), set(range(inst.m))
     bundles = [set() for _ in range(inst.n)]
     trace = []
@@ -455,12 +456,10 @@ def naive_run_mms_abs(inst: Instance):
         if best is None:
             break
         _, agent, good = best
-        trace.append((agent, good, tuple(sorted(active)),
-                      tuple(sorted(remaining))))
+        trace.append(Event("singleton", agent, (good,), ""))
         bundles[agent] = {good}
         active.remove(agent)
         remaining.remove(good)
-    leftover_dump = None
     if active:
         order = sorted(active)
         while remaining:
@@ -472,9 +471,10 @@ def naive_run_mms_abs(inst: Instance):
                 bundles[i].add(pick)
                 remaining.remove(pick)
     elif remaining:
-        leftover_dump = trace[-1][0]
-        bundles[leftover_dump] |= remaining
-    return Allocation.of(bundles), trace, leftover_dump
+        last = trace[-1].agent
+        bundles[last] |= remaining
+        trace.append(Event("leftover", last, tuple(sorted(bundles[last])), ""))
+    return Allocation.of(bundles), trace
 
 
 def naive_run_mms_high(inst: Instance, profile):
@@ -490,8 +490,8 @@ def naive_run_mms_high(inst: Instance, profile):
     bundles = [set() for _ in range(n)]
     perm, temp, trace = set(), set(), []
 
-    def note(event, agent, dest):
-        trace.append((event, agent, tuple(sorted(bundles[agent])), dest))
+    def note(phase, agent, label):
+        trace.append(Event(phase, agent, tuple(sorted(bundles[agent])), label))
 
     def high(i, goods):
         return sqrt_ge(3 * inst.value(i, goods), wval[i], n)

@@ -7,9 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from fairdiv import (generate_random, load_instance, run_solve_ef1,
+                     run_solve_half_mms)
 from fairdiv.cli import main
 from fairdiv.errors import ParseError
 from fairdiv.experiment import (BOUND_COLUMNS, ExperimentConfig,
+                                _build_instance, _instance_jobs,
                                 run_experiment)
 
 # The sha256 of the README example sweep's CSV, recorded by the benchmark.
@@ -120,14 +123,26 @@ class TestCli:
         assert load_instance(dst).scaled
 
     def test_random_gen_with_trace_solve(self, tmp_path, capsys):
-        inst = tmp_path / "i.json"
+        path = tmp_path / "i.json"
         run_cli(capsys, "gen", "--family", "random", "--distribution",
-                "dirichlet-scaled", "--n", "3", "--m", "6", "--seed", "8",
-                "-o", str(inst))
+                "dirichlet-scaled", "--n", "4", "--m", "8", "--seed", "0",
+                "-o", str(path))
+        inst = load_instance(path)
+        assert inst == generate_random(4, 8, "dirichlet-scaled", seed=0)
         code, out = run_cli(capsys, "solve", "--alg", "ef1", "--trace",
-                            "--instance", str(inst))
+                            "--instance", str(path))
         assert code == 0
-        assert "allocation" in out
+        run = run_solve_ef1(inst)
+        assert out["allocation"] == [[g + 1 for g in sorted(b)]
+                                     for b in run.allocation.bundles]
+        assert run.high_run.iterations >= 1
+        assert out["trace"] == [e.to_json() for e in run.high_run.trace]
+        for event in out["trace"]:
+            assert set(event) == {"phase", "agent", "bundle", "label"}
+            assert event["phase"] == "prefix" and event["label"] == ""
+            assert 1 <= event["agent"] <= inst.n
+            assert event["bundle"] and all(1 <= g <= inst.m
+                                           for g in event["bundle"])
 
     def test_solve_with_supplied_reference(self, tmp_path, capsys):
         inst = tmp_path / "i.json"
@@ -250,14 +265,36 @@ class TestExperiment:
         assert report.rows[0]["welfare"] == "skipped"
 
     def test_trace_files_written(self, tmp_path):
-        run_experiment({
-            "seed": 3, "solvers": ["ef1"], "trace": True,
+        # Two instances, one whose EF1 high loop records no step and one
+        # that records three; half-mms takes its absolute branch on both,
+        # so those rows carry no high trace.
+        config = ExperimentConfig.from_json({
+            "seed": 3, "solvers": ["ef1", "half-mms"], "trace": True,
             "families": [{"family": "random",
                           "distribution": "dirichlet-scaled",
-                          "n": [3], "m": [5], "count": 1}],
-        }, outdir=tmp_path / "t")
-        traces = list((tmp_path / "t" / "traces").glob("*.json"))
-        assert traces
+                          "n": [4], "m": [8], "count": 2}],
+        })
+        report = run_experiment(config, outdir=tmp_path / "t")
+        insts = [_build_instance(job, config.seed)[1]
+                 for job in _instance_jobs(config)]
+        steps = 0
+        for row, (inst, solver) in zip(report.rows, [
+                (inst, s) for inst in insts for s in config.solvers]):
+            assert row["solver"] == solver
+            blob = json.loads((tmp_path / "t" / row["trace_path"]).read_text())
+            run = (run_solve_ef1(inst) if solver == "ef1"
+                   else run_solve_half_mms(inst))
+            assert blob["branch"] == run.branch
+            if run.high_run is None:
+                assert "high_trace" not in blob
+                continue
+            assert blob["high_trace"] == [e.to_json()
+                                          for e in run.high_run.trace]
+            for event in blob["high_trace"]:
+                assert 1 <= event["agent"] <= inst.n
+                assert all(1 <= g <= inst.m for g in event["bundle"])
+            steps += len(blob["high_trace"])
+        assert len(report.rows) == 4 and steps == 3
 
     def test_cli_experiment(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"
@@ -305,10 +342,14 @@ class TestExperiment:
         {"families": [{"family": "random", "n": [2], "m": [3],
                        "count": True}]},
         {"families": ["ef1-unscaled"]},
+        {"solvers": 5}, {"solvers": "ef1"},
+        {"epsilon": "1/2"}, {"epsilon": "-1/10"},
     ], ids=["trace-string", "trace-int", "seed-float", "seed-string",
             "seed-bool", "jobs-string", "enum-cap-float", "mms-cap-null",
             "epsilon-decimal", "family-n-float", "family-n-string",
-            "family-m-string", "family-count-bool", "family-string"])
+            "family-m-string", "family-count-bool", "family-string",
+            "solvers-int", "solvers-string", "epsilon-half",
+            "epsilon-negative"])
     def test_config_rejects_wrong_json_types(self, change):
         with pytest.raises(ParseError):
             ExperimentConfig.from_json(dict(self.CONFIG, **change))

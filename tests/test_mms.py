@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from fairdiv import (Allocation, FamilySpec, MmsProfile, ValidationError,
-                     alg_mms_abs, alg_mms_high, generate_adversarial,
-                     generate_random, injected_profile, is_alpha_mms,
-                     is_prop1, max_welfare, mms_lower_bound, mms_profile,
-                     prop1_subroutine, rescale_instance, run_mms_abs,
-                     run_mms_high, run_solve_half_mms, social_welfare,
-                     solve_half_mms)
+from fairdiv import (Allocation, Event, FamilySpec, MmsProfile,
+                     ValidationError, alg_mms_abs, alg_mms_high,
+                     generate_adversarial, generate_random, injected_profile,
+                     is_alpha_mms, is_prop1, max_welfare, mms_lower_bound,
+                     mms_profile, prop1_subroutine, rescale_instance,
+                     run_mms_abs, run_mms_high, run_solve_half_mms,
+                     social_welfare, solve_half_mms)
 from fairdiv.exact import sqrt_ge
 from fairdiv.model import ZERO
 
@@ -63,7 +63,7 @@ class TestAbs:
         run = run_mms_abs(inst)
         assert all(len(b) == 1 for b in run.allocation.bundles)
         # Highest-value eligible pair first: agent 1 grabs good 1.
-        assert run.singleton_trace[0][:2] == (0, 0)
+        assert run.trace[0] == Event("singleton", 0, (0,), "")
         profile = mms_profile(inst)
         assert is_alpha_mms(inst, run.allocation, Fraction(1, 2),
                             profile).holds
@@ -89,10 +89,12 @@ class TestAbs:
     def test_matches_fraction_reference(self):
         # Ties everywhere: the pick across agents must resolve exactly as
         # in Fractions, and so must the round-robin remainder.
+        phases = set()
         for inst in tie_corpus(300, seed=7, kinds=("additive",)):
             run = run_mms_abs(inst)
-            assert (run.allocation, run.singleton_trace,
-                    run.leftover_dump) == naive_run_mms_abs(inst)
+            assert (run.allocation, run.trace) == naive_run_mms_abs(inst)
+            phases |= {e.phase for e in run.trace}
+        assert phases == {"singleton", "leftover"}
 
     def test_share_accounting_along_trace(self):
         # Replays the singleton trace and checks the per-iteration share
@@ -105,11 +107,11 @@ class TestAbs:
             inst = generate_random(n, m, "uniform-rational",
                                    seed=rng.randint(0, 10 ** 9))
             run = run_mms_abs(inst)
-            trace = run.singleton_trace
+            singles = [e for e in run.trace if e.phase == "singleton"]
             prefix = ZERO
             assigned: set[int] = set()
             served: set[int] = set()
-            for j, (agent, good, _, _) in enumerate(trace, start=1):
+            for j, (_, agent, (good,), _) in enumerate(singles, start=1):
                 prefix += inst.value(agent, {good}) / (n - j + 1)
                 assigned.add(good)
                 served.add(agent)

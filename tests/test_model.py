@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdiv import (Allocation, Instance, ParseError, ValidationError,
-                     Valuation, load_allocation, load_instance,
-                     rescale_instance, save_allocation, save_instance,
-                     validate_instance, value_query)
+from fairdiv import (Allocation, Event, Instance, ParseError,
+                     ValidationError, Valuation, load_allocation,
+                     load_instance, rescale_instance, save_allocation,
+                     save_instance, validate_instance, value_query)
 from fairdiv.model import parse_rational
 
 from conftest import additive_instance, naive_validate_valuation
@@ -327,3 +327,9 @@ def test_scaled_flag_on_the_kernel():
     table[frozenset({0, 1})] = Fraction(1)
     validate_instance(Instance(2, 2, (halves, Valuation.explicit(2, table)),
                                scaled=True))
+
+
+def test_event_json_is_one_based():
+    assert Event("swap", 0, (0, 2), "P").to_json() == {
+        "phase": "swap", "agent": 1, "bundle": [1, 3], "label": "P"}
+    assert Event("zero-mms", 2, (), "P").to_json()["bundle"] == []
