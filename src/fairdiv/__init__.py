@@ -24,8 +24,7 @@ from .mms import (MmsAbsRun, MmsHighRun, SolveHalfMmsRun, alg_mms_abs,
                   run_solve_half_mms, solve_half_mms)
 from .model import (Allocation, Event, Instance, Valuation, load_allocation,
                     load_instance, rescale_instance, save_allocation,
-                    save_instance, validate_allocation, validate_instance,
-                    value_query)
+                    save_instance, validate_allocation, validate_instance)
 from .oracles import (MmsProfile, constrained_opt, injected_profile,
                       max_welfare, mms_k, mms_lower_bound, mms_profile,
                       price_of_fairness)
@@ -49,5 +48,4 @@ __all__ = [
     "run_mms_high", "run_solve_ef1", "run_solve_half_mms", "save_allocation",
     "save_instance", "set_debug_checks", "social_welfare", "solve_ef1",
     "solve_half_mms", "validate_allocation", "validate_instance",
-    "value_query",
 ]

@@ -26,7 +26,7 @@ from .errors import InfeasibleError, ValidationError
 from .fairness import is_ef1, social_welfare
 from .matching import max_weight_left_perfect_matching
 from .model import (ADDITIVE, Allocation, Event, Instance, ZERO,
-                    check_monotone, validate_allocation)
+                    check_monotone, common_ints, validate_allocation)
 from .oracles import DEFAULT_ENUM_CAP, max_welfare
 
 
@@ -95,9 +95,11 @@ def run_ef1_abs(inst: Instance) -> Ef1AbsRun:
     # without naming the agent.
     for i, v in enumerate(inst.valuations):
         check_monotone(v, i)
-    weights = [list(v.values) if v.kind == ADDITIVE
-               else [v.table[frozenset((g,))] for g in range(inst.m)]
-               for v in inst.valuations]
+    # Singleton values over one scale: additive rows, explicit one-good masks.
+    rows, _ = common_ints(inst.valuations)
+    weights = [row if v.kind == ADDITIVE
+               else [row[1 << g] for g in range(inst.m)]
+               for row, v in zip(rows, inst.valuations)]
     matched = max_weight_left_perfect_matching(weights)
     bundles: list[frozenset[int]] = [frozenset() for _ in range(inst.n)]
     for agent, good in matched:

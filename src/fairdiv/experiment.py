@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -45,11 +44,11 @@ from pathlib import Path
 from .errors import FairdivError, InfeasibleError, ParseError, ValidationError
 from .exact import sqrt_ge
 from .fairness import is_alpha_mms, is_ef1
-from .generators import (ADVERSARIAL_FAMILIES, FamilySpec,
-                         generate_adversarial, generate_random,
-                         generate_random_subadditive)
+from .generators import (ADVERSARIAL_FAMILIES, RANDOM_FAMILIES, FamilySpec,
+                         check_family_args, generate_adversarial,
+                         generate_random, generate_random_subadditive)
 from .model import (Instance, ZERO, format_rational, is_json_int,
-                    parse_rational)
+                    parse_rational, read_json, write_json)
 from .mms import run_solve_half_mms
 from .ef1 import run_solve_ef1
 from .oracles import (DEFAULT_ENUM_CAP, DEFAULT_MMS_STATE_CAP,
@@ -165,9 +164,7 @@ class ExperimentReport:
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "results.csv").write_text(self.csv_text())
-        with open(out / "results.json", "w") as fh:
-            json.dump({"rows": self.rows}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json({"rows": self.rows}, out / "results.json")
 
 
 def _derived_seed(base: int, family: str, n: int, m: int, index: int) -> int:
@@ -197,7 +194,7 @@ def _instance_jobs(config: ExperimentConfig) -> list[dict]:
         if family in ADVERSARIAL_FAMILIES:
             for n in ns:
                 jobs.append({"family": family, "n": n, "epsilon": eps})
-        elif family in ("random", "random-subadditive"):
+        elif family in RANDOM_FAMILIES:
             ms = _json_ints(fam, "m", [])
             count = _json_int(fam, "count", 1)
             distribution = fam.get("distribution", "uniform-rational")
@@ -209,6 +206,12 @@ def _instance_jobs(config: ExperimentConfig) -> list[dict]:
                                      "distribution": distribution})
         else:
             raise ParseError(f"unknown family {family!r} in config")
+    for job in jobs:
+        try:
+            check_family_args(job["family"], job["n"], job.get("m"),
+                              job.get("epsilon"), job.get("distribution"))
+        except (ValueError, ValidationError) as exc:
+            raise ParseError(f"family {job['family']!r}: {exc}") from None
     return jobs
 
 
@@ -424,9 +427,7 @@ def run_experiment(config_data, outdir=None) -> ExperimentReport:
             tdir = out / "traces"
             tdir.mkdir(parents=True, exist_ok=True)
             rel = f"traces/row{i:04d}_{row['instance_id']}_{row['solver']}.json"
-            with open(out / rel, "w") as fh:
-                json.dump(trace_blob, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_json(trace_blob, out / rel)
             row["trace_path"] = rel
 
     report = ExperimentReport(rows=rows)
@@ -436,11 +437,4 @@ def run_experiment(config_data, outdir=None) -> ExperimentReport:
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    return ExperimentConfig.from_json(data)
+    return ExperimentConfig.from_json(read_json(path))

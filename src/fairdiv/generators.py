@@ -34,11 +34,39 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
-from .model import Instance, Valuation, validate_instance
+from .model import (Instance, Valuation, check_explicit_goods_cap,
+                    validate_instance)
 
 ADVERSARIAL_FAMILIES = ("ef1-unscaled", "mms-unscaled", "mms-scaled-sqrt",
                         "prop1-unscaled", "prop1-scaled", "supermodular")
+RANDOM_FAMILIES = ("random", "random-subadditive")
 RANDOM_DISTRIBUTIONS = ("uniform-rational", "dirichlet-scaled")
+
+
+def check_family_args(family: str, n: int, m: Optional[int] = None,
+                      epsilon: Optional[Fraction] = None,
+                      distribution: Optional[str] = None) -> None:
+    """The generators' argument rules, checked before any work: ValueError
+    for arguments that name no instance, the explicit-goods-cap
+    ValidationError for explicit tables over the cap."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if epsilon is not None and not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if family in RANDOM_FAMILIES and (m is None or m < 1):
+        raise ValueError(f"need m >= 1, got {m}")
+    if family == "random" and distribution not in RANDOM_DISTRIBUTIONS:
+        raise ValueError(f"unknown distribution {distribution!r}; "
+                         f"expected one of {RANDOM_DISTRIBUTIONS}")
+    if family in ("mms-unscaled", "supermodular") and epsilon is None:
+        raise ValueError(f"{family} needs an epsilon in (0, 1)")
+    if family == "prop1-scaled" and isqrt(n) ** 2 != n:
+        raise ValueError(f"prop1-scaled requires a square agent count, "
+                         f"got {n}")
+    if family == "supermodular" and n < 2:
+        raise ValueError("supermodular needs n >= 2")
+    if family in ("random-subadditive", "supermodular"):
+        check_explicit_goods_cap(n if family == "supermodular" else m)
 
 
 @dataclass(frozen=True)
@@ -51,10 +79,7 @@ class FamilySpec:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        if self.epsilon is not None and not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        check_family_args(self.family, self.n, epsilon=self.epsilon)
 
 
 def _uniform_rows(rows: list[list[Fraction]], scaled: bool) -> Instance:
@@ -73,21 +98,22 @@ def generate_adversarial(spec: FamilySpec) -> Instance:
         return _uniform_rows(rows, scaled=False)
 
     if family == "mms-unscaled":
-        if spec.epsilon is None:
-            raise ValueError("mms-unscaled needs an epsilon in (0, 1)")
         rows = [[Fraction(1)] * n] + [[spec.epsilon] * n] * (n - 1)
         return _uniform_rows(rows, scaled=False)
 
-    if family == "mms-scaled-sqrt":
+    if family in ("mms-scaled-sqrt", "prop1-scaled"):
+        # Block agents own floor(sqrt(n)) goods each; the rest value all
+        # m goods alike.
         s = isqrt(n)
+        m = n if family == "mms-scaled-sqrt" else n + 1
         rows = []
         for i in range(n):
             if i < s:
-                row = [Fraction(0)] * n
+                row = [Fraction(0)] * m
                 for g in range(i * s, (i + 1) * s):
                     row[g] = Fraction(1, s)
             else:
-                row = [Fraction(1, n)] * n
+                row = [Fraction(1, m)] * m
             rows.append(row)
         return _uniform_rows(rows, scaled=True)
 
@@ -96,28 +122,7 @@ def generate_adversarial(spec: FamilySpec) -> Instance:
         rows = [[Fraction(n + 1)] * m] + [[Fraction(1, n + 1)] * m] * (n - 1)
         return _uniform_rows(rows, scaled=False)
 
-    if family == "prop1-scaled":
-        s = isqrt(n)
-        if s * s != n:
-            raise ValueError(
-                f"prop1-scaled requires a square agent count, got {n}")
-        m = n + 1
-        rows = []
-        for i in range(n):
-            if i < s:
-                row = [Fraction(0)] * m
-                for g in range(i * s, (i + 1) * s):
-                    row[g] = Fraction(1, s)
-            else:
-                row = [Fraction(1, n + 1)] * m
-            rows.append(row)
-        return _uniform_rows(rows, scaled=True)
-
     if family == "supermodular":
-        if spec.epsilon is None:
-            raise ValueError("supermodular needs an epsilon in (0, 1)")
-        if n < 2:
-            raise ValueError("supermodular needs n >= 2")
         m = n
         eps = spec.epsilon
         slope = (1 - eps) / (m - 1)
@@ -142,30 +147,25 @@ def generate_random(n: int, m: int, distribution: str = "uniform-rational",
                     seed: int = 0) -> Instance:
     """Seeded random additive instance; identical seeds give identical
     instances byte-for-byte."""
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
+    check_family_args("random", n, m, distribution=distribution)
     rng = random.Random(seed)
     if distribution == "uniform-rational":
         rows = [[Fraction(rng.randint(0, 1000), 1000) for _ in range(m)]
                 for _ in range(n)]
         return _uniform_rows(rows, scaled=False)
-    if distribution == "dirichlet-scaled":
-        rows = []
-        for _ in range(n):
-            weights = [rng.randint(1, 1000) for _ in range(m)]
-            total = sum(weights)
-            rows.append([Fraction(w, total) for w in weights])
-        return _uniform_rows(rows, scaled=True)
-    raise ValueError(f"unknown distribution {distribution!r}; "
-                     f"expected one of {RANDOM_DISTRIBUTIONS}")
+    rows = []                           # dirichlet-scaled
+    for _ in range(n):
+        weights = [rng.randint(1, 1000) for _ in range(m)]
+        total = sum(weights)
+        rows.append([Fraction(w, total) for w in weights])
+    return _uniform_rows(rows, scaled=True)
 
 
 def generate_random_subadditive(n: int, m: int, seed: int = 0) -> Instance:
     """Seeded random budget-additive explicit instance (subadditive): each
     agent's bundle value is the sum of per-good draws clipped at a random
     budget, which preserves normalization and monotonicity."""
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
+    check_family_args("random-subadditive", n, m)
     rng = random.Random(seed)
     valuations = []
     for _ in range(n):

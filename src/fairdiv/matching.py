@@ -1,9 +1,9 @@
 """Maximum-weight bipartite matching that matches every agent.
 
-Exact rational weights throughout: the matrix is cleared to integers via the
-lcm of all denominators, the lexicographic tie-break is folded into the
-integer weights, and one rectangular Hungarian (potential + shortest
-augmenting path) solve runs in pure integer arithmetic. Among all
+The weights are nonnegative integers (callers bring rationals onto one
+scale with `fairdiv.model.common_ints`). The lexicographic tie-break is
+folded into the weights, and one rectangular Hungarian (potential +
+shortest augmenting path) solve runs in pure integer arithmetic. Among all
 maximum-weight left-perfect matchings the lexicographically smallest good
 sequence (agent 0's good, then agent 1's, ...) is returned, which makes runs
 reproducible and sends the all-equal-weights case to the diagonal.
@@ -15,16 +15,7 @@ end up with empty bundles downstream.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Sequence
-
-
-def _to_int_matrix(weights: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """The weights times the lcm of their denominators (Fractions or ints)."""
-    scale = lcm(*(w.denominator for row in weights for w in row))
-    return [[w.numerator * (scale // w.denominator) for w in row]
-            for row in weights]
 
 
 def _max_assignment(weights: list[list[int]]) -> list[int]:
@@ -83,18 +74,20 @@ def _max_assignment(weights: list[list[int]]) -> list[int]:
 
 
 def max_weight_left_perfect_matching(
-        weights: Sequence[Sequence[Fraction]]) -> list[tuple[int, int]]:
+        weights: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     """Match every agent (row) to a distinct good (column) with maximum
     total weight; deterministic lexicographic tie-breaking.
 
     Returns (agent, good) pairs, 0-based; agents assigned a padding dummy
-    (only possible when m < n) are omitted.
+    (only possible when m < n) are omitted. A ragged matrix, a weight that is
+    not an `int` (`Fraction`, `float`, `bool`) or a negative one raise
+    ValueError.
 
-    The single solve maximises ``K*w(i, g) - g*B**(n-1-i)`` over the cleared
-    integer weights, with ``B = width + 1`` and ``K = B**n``. The subtracted
-    terms of a matching spell its good sequence as a base-B number below K,
-    while two different cleared totals differ by at least 1, i.e. by at least
-    K after scaling. So the perturbed optimum is unique and is exactly the
+    The single solve maximises ``K*w(i, g) - g*B**(n-1-i)`` over the integer
+    weights, with ``B = width + 1`` and ``K = B**n``. The subtracted terms of
+    a matching spell its good sequence as a base-B number below K, while two
+    different integer totals differ by at least 1, i.e. by at least K after
+    scaling. So the perturbed optimum is unique and is exactly the
     lexicographically smallest maximum-weight left-perfect matching.
     """
     n = len(weights)
@@ -103,6 +96,8 @@ def max_weight_left_perfect_matching(
     m = len(weights[0])
     if any(len(row) != m for row in weights):
         raise ValueError("weight matrix is ragged")
+    if any(type(w) is not int for row in weights for w in row):
+        raise ValueError("weights must be integers")
     if any(w < 0 for row in weights for w in row):
         raise ValueError("weights must be nonnegative")
 
@@ -110,9 +105,10 @@ def max_weight_left_perfect_matching(
     base = width + 1
     scale = base ** n
     perturbed = []
-    for i, row in enumerate(_to_int_matrix(weights)):
+    padding = [0] * (width - m)
+    for i, row in enumerate(weights):
         step = base ** (n - 1 - i)
-        row.extend([0] * (width - m))
-        perturbed.append([scale * w - g * step for g, w in enumerate(row)])
+        perturbed.append([scale * w - g * step
+                          for g, w in enumerate([*row, *padding])])
     cols = _max_assignment(perturbed)
     return [(i, g) for i, g in enumerate(cols) if g < m]

@@ -20,16 +20,15 @@ their thresholds. At termination P and T cover all agents, |T| stays
 within 4*sqrt(n), and 3*sqrt(n)*SW + 4*sqrt(n) >= OPT.
 
 Both loops run on the agents' integer kernels (`Valuation.ints`). The
-absolute algorithm compares values across agents, so it rescales them to
-one common denominator; the high-welfare algorithm only compares within an
-agent, so each agent works over the lcm of her own denominator and Z_i's.
+absolute algorithm compares values across agents, so it reads them over one
+common denominator (`common_ints`); the high-welfare algorithm only compares
+within an agent, so each agent reads hers and Z_i over one (`ints_with`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional
 
 from . import debug
@@ -37,7 +36,7 @@ from .ef1 import LineOrder
 from .errors import ValidationError
 from .exact import sqrt_ge
 from .fairness import is_prop1, social_welfare
-from .model import Allocation, Event, Instance, ZERO, common_ints
+from .model import Allocation, Event, Instance, ZERO, common_ints, ints_with
 from .oracles import (DEFAULT_MMS_STATE_CAP, MmsProfile, max_welfare,
                       mms_profile)
 
@@ -172,14 +171,10 @@ def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
                               f"need {n}")
 
     # Every comparison below is within one agent, so each agent works in
-    # her own integers: her values and Z_i times lcm(her den, Z_i's den).
-    vals: list[list[int]] = []
-    z: list[int] = []
-    for v, zi in zip(inst.valuations, estimates):
-        ints, den = v.ints
-        scale = lcm(den, zi.denominator)
-        vals.append([x * (scale // den) for x in ints])
-        z.append(zi.numerator * (scale // zi.denominator))
+    # her own integers: her values and Z_i over one denominator.
+    pairs = [ints_with(v, zi) for v, zi in zip(inst.valuations, estimates)]
+    vals = [row for row, _ in pairs]
+    z = [zi for _, zi in pairs]
 
     wstar, _ = max_welfare(inst)
     line = LineOrder.from_reference(wstar.bundles, m)

@@ -5,12 +5,13 @@ fairness decision. Goods and agents are 1-indexed in files and 0-indexed
 internally. Every type is immutable after construction, so instances can be
 shared freely across workers.
 
-The solvers, the oracles and validation compute in integers: `Valuation.ints`
-is each agent's integer kernel, cached on first use. It holds the values
-multiplied by `den`, the lcm of the agent's denominators: one integer per
-good for additive agents, one per bitmask-indexed subset for explicit
-agents. Scaling by `den > 0` keeps the order of every comparison within one
-agent; comparisons across agents first rescale to a common lcm.
+Rationals become integers here and nowhere else: the solvers, the oracles
+and validation compute on `Valuation.ints`, each agent's integer kernel,
+cached on first use. It holds the values multiplied by `den`, the lcm of
+the agent's denominators: one integer per good for additive agents, one per
+bitmask-indexed subset for explicit agents. Scaling by `den > 0` keeps the
+order of every comparison within one agent; comparisons across agents first
+rescale to a common lcm (`common_ints`, `ints_with`).
 
 Instance files are JSON::
 
@@ -68,7 +69,7 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def _good_set(goods: Iterable[int], m: int) -> frozenset[int]:
+def good_set(goods: Iterable[int], m: int) -> frozenset[int]:
     s = frozenset(goods)
     if not all(isinstance(g, int) and 0 <= g < m for g in s):
         raise ValueError(f"good set {sorted(s)} not within 0..{m - 1}")
@@ -98,6 +99,15 @@ def _ext(goods: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(g + 1 for g in goods))
 
 
+def check_explicit_goods_cap(m: int) -> None:
+    """Refuse an explicit table over more than EXPLICIT_GOODS_CAP goods."""
+    if m > EXPLICIT_GOODS_CAP:
+        raise ValidationError(
+            "explicit-goods-cap",
+            f"explicit valuation over {m} goods exceeds the cap of "
+            f"{EXPLICIT_GOODS_CAP} (table size is 2^m)")
+
+
 @dataclass(frozen=True)
 class Valuation:
     """One agent's valuation: additive (per-good values) or an explicit
@@ -118,11 +128,7 @@ class Valuation:
     @staticmethod
     def explicit(m: int, table: Mapping[frozenset[int], Fraction],
                  subadditive: bool = False) -> "Valuation":
-        if m > EXPLICIT_GOODS_CAP:
-            raise ValidationError(
-                "explicit-goods-cap",
-                f"explicit valuation over {m} goods exceeds the cap of "
-                f"{EXPLICIT_GOODS_CAP} (table size is 2^m)")
+        check_explicit_goods_cap(m)
         full = {frozenset(k): Fraction(v) for k, v in table.items()}
         full.setdefault(frozenset(), ZERO)
         missing = [mask for mask in range(1 << m)
@@ -136,7 +142,7 @@ class Valuation:
         return Valuation(kind=EXPLICIT, m=m, table=full, subadditive=subadditive)
 
     def value(self, goods: Iterable[int]) -> Fraction:
-        s = _good_set(goods, self.m)
+        s = good_set(goods, self.m)
         if self.kind == ADDITIVE:
             return sum((self.values[g] for g in s), ZERO)
         return self.table[s]
@@ -157,18 +163,25 @@ class Valuation:
         return tuple(ints), den
 
 
+def _rescaled(ints: Sequence[int], den: int, scale: int) -> list[int]:
+    """Integers over `den` re-expressed over `scale`, a multiple of `den`."""
+    return [x * (scale // den) for x in ints]
+
+
 def common_ints(valuations: Sequence[Valuation]
                 ) -> tuple[list[list[int]], int]:
     """Every agent's integer kernel rescaled to one common denominator, the
     lcm of theirs, as comparisons across agents need."""
     scale = lcm(*(v.ints[1] for v in valuations))
-    return [[x * (scale // den) for x in ints]
+    return [_rescaled(ints, den, scale)
             for ints, den in (v.ints for v in valuations)], scale
 
 
-def value_query(valuation: Valuation, goods: Iterable[int]) -> Fraction:
-    """Exact value of a subset of goods under the given valuation."""
-    return valuation.value(goods)
+def ints_with(valuation: Valuation, x: Fraction) -> tuple[list[int], int]:
+    """The agent's kernel and `x` over the lcm of their denominators."""
+    ints, den = valuation.ints
+    scale = lcm(den, x.denominator)
+    return _rescaled(ints, den, scale), x.numerator * (scale // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -436,22 +449,31 @@ def instance_to_json(inst: Instance) -> dict:
     return {"n": inst.n, "m": inst.m, "scaled": inst.scaled, "valuations": vals}
 
 
-def load_instance(path) -> Instance:
-    """Load and fully validate an instance file."""
+def read_json(path):
+    """A UTF-8 JSON file's document; ParseError if unreadable or not JSON."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    return instance_from_json(data)
+
+
+def write_json(data, path) -> None:
+    """Write `data` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_instance(path) -> Instance:
+    """Load and fully validate an instance file."""
+    return instance_from_json(read_json(path))
 
 
 def save_instance(inst: Instance, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_json(inst), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(instance_to_json(inst), path)
 
 
 def allocation_from_json(data) -> Allocation:
@@ -479,20 +501,11 @@ def allocation_to_json(alloc: Allocation) -> dict:
 
 
 def load_allocation(path) -> Allocation:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    return allocation_from_json(data)
+    return allocation_from_json(read_json(path))
 
 
 def save_allocation(alloc: Allocation, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(allocation_to_json(alloc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(allocation_to_json(alloc), path)
 
 
 def rescale_instance(inst: Instance) -> Instance:

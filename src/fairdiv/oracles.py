@@ -33,7 +33,7 @@ from typing import Iterable, Optional
 
 from .errors import InfeasibleError, ValidationError
 from .model import (ADDITIVE, Allocation, Instance, Valuation, ZERO,
-                    common_ints, mask_goods)
+                    common_ints, good_set, goods_mask, mask_goods)
 
 # Feasibility is judged on the k^|G| partition-state bound; the memoized DP
 # itself touches at most k * 3^|G| states.
@@ -108,35 +108,40 @@ def _subset_ints(valuation: Valuation, goods: list[int]) -> list[int]:
     return sums if additive else [ints[mask] for mask in sums]
 
 
+def _goods(valuation: Valuation, k: int, goods) -> list[int]:
+    """`goods` (all if None) sorted, checked as `Valuation.value` does."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    return sorted(good_set(range(valuation.m) if goods is None else goods,
+                           valuation.m))
+
+
 def mms_k(valuation: Valuation, k: int, goods: Optional[Iterable[int]] = None,
           cap: int = DEFAULT_MMS_STATE_CAP) -> Fraction:
     """Exact max over k-partitions of `goods` of the minimum bundle value.
 
     The agent's full maximin share is mms_k(v, n, all goods).
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    glist = sorted(goods) if goods is not None else list(range(valuation.m))
+    glist = _goods(valuation, k, goods)
+    ints, den = valuation.ints
+    additive = valuation.kind == ADDITIVE
     # Constant-time outcomes first; only genuine enumeration hits the cap.
+    total = (sum(ints[g] for g in glist) if additive
+             else ints[goods_mask(glist)])
     if k == 1:
-        return valuation.value(glist)
+        return Fraction(total, den)
     if len(glist) < k:
         # Every k-partition holds an empty bundle, and no bundle of a
         # monotone valuation is worth less.
-        return valuation.value(())
-    if valuation.value(glist) == 0:
+        return Fraction(0 if additive else ints[0], den)
+    if total == 0 or (additive and sum(ints[g] > 0 for g in glist) < k):
         return ZERO
-    if valuation.kind == ADDITIVE:
-        positive = sum(1 for g in glist if valuation.values[g] > 0)
-        if positive < k:
-            return ZERO
     if k ** max(len(glist), 1) > cap:
         raise InfeasibleError(
             f"oracle infeasible: {k}^{len(glist)} partition states exceed "
             f"cap {cap}")
 
     val = _subset_ints(valuation, glist)
-    additive = valuation.kind == ADDITIVE
     memo: dict[tuple[int, int], int] = {}
 
     def best(mask: int, parts: int) -> int:
@@ -174,32 +179,26 @@ def mms_k(valuation: Valuation, k: int, goods: Optional[Iterable[int]] = None,
         memo[key] = top
         return top
 
-    result = best((1 << len(glist)) - 1, k)
-    return Fraction(result, valuation.ints[1])
+    return Fraction(best((1 << len(glist)) - 1, k), den)
 
 
 def mms_lower_bound(valuation: Valuation, k: int,
                     goods: Optional[Iterable[int]] = None) -> Fraction:
     """Certified lower bound on mms_k: the minimum bundle value of a greedy
     largest-first partition. Any concrete partition's minimum is a valid
-    lower bound, so this never needs the exhaustive oracle."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    glist = sorted(goods) if goods is not None else list(range(valuation.m))
-    bundles: list[set[int]] = [set() for _ in range(k)]
-    if valuation.kind == ADDITIVE:
-        totals = [ZERO] * k
-        order = sorted(glist, key=lambda g: (-valuation.values[g], g))
-        for g in order:
-            j = min(range(k), key=lambda b: (totals[b], b))
-            bundles[j].add(g)
-            totals[j] += valuation.values[g]
-        return min(totals)
-    order = sorted(glist, key=lambda g: (-valuation.value({g}), g))
-    for g in order:
-        j = min(range(k), key=lambda b: (valuation.value(bundles[b]), b))
-        bundles[j].add(g)
-    return min(valuation.value(b) for b in bundles)
+    lower bound, so this never needs the exhaustive oracle. Goods go largest
+    first, each to the least-valued bundle, lowest index on ties."""
+    glist = _goods(valuation, k, goods)
+    ints, den = valuation.ints
+    additive = valuation.kind == ADDITIVE
+    masks = [0] * k
+    totals = [0 if additive else ints[0]] * k
+    single = ints if additive else [ints[1 << g] for g in range(valuation.m)]
+    for g in sorted(glist, key=lambda g: (-single[g], g)):
+        j = min(range(k), key=lambda b: (totals[b], b))
+        masks[j] |= 1 << g
+        totals[j] = (totals[j] + ints[g]) if additive else ints[masks[j]]
+    return Fraction(min(totals), den)
 
 
 def mms_profile(inst: Instance, epsilon: Fraction = ZERO,

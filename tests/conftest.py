@@ -20,7 +20,7 @@ import pytest
 from fairdiv import (Allocation, Event, FairnessVerdict, Instance, LineOrder,
                      ValidationError, Valuation, checks_enabled,
                      generate_random, generate_random_subadditive,
-                     max_welfare, set_debug_checks, value_query)
+                     max_welfare, set_debug_checks)
 from fairdiv.exact import sqrt_ge
 
 
@@ -78,12 +78,11 @@ def naive_constrained_opt(inst: Instance, passes):
 
 def naive_is_ef1(inst: Instance, alloc: Allocation) -> bool:
     for i in range(inst.n):
-        own = value_query(inst.valuations[i], alloc.bundles[i])
+        own = inst.valuations[i].value(alloc.bundles[i])
         for j in range(inst.n):
             if i == j or not alloc.bundles[j]:
                 continue
-            if not any(own >= value_query(inst.valuations[i],
-                                          alloc.bundles[j] - {g})
+            if not any(own >= inst.value(i, alloc.bundles[j] - {g})
                        for g in alloc.bundles[j]):
                 return False
     return True
@@ -92,9 +91,9 @@ def naive_is_ef1(inst: Instance, alloc: Allocation) -> bool:
 def naive_is_prop1(inst: Instance, alloc: Allocation) -> bool:
     """Prop1 by definition; with no goods at all it holds vacuously."""
     for i in range(inst.n):
-        threshold = value_query(inst.valuations[i], range(inst.m)) / inst.n
+        threshold = inst.valuations[i].value(range(inst.m)) / inst.n
         if inst.m and not any(
-                value_query(inst.valuations[i], alloc.bundles[i] | {g})
+                inst.valuations[i].value(alloc.bundles[i] | {g})
                 >= threshold for g in range(inst.m)):
             return False
     return True
@@ -102,23 +101,47 @@ def naive_is_prop1(inst: Instance, alloc: Allocation) -> bool:
 
 def naive_is_alpha_mms(inst: Instance, alloc: Allocation, alpha,
                        shares) -> bool:
-    return all(value_query(inst.valuations[i], alloc.bundles[i])
+    return all(inst.valuations[i].value(alloc.bundles[i])
                >= alpha * shares[i] for i in range(inst.n))
 
 
 def naive_mms(valuation: Valuation, k: int, goods=None) -> Fraction:
     glist = sorted(goods) if goods is not None else list(range(valuation.m))
     if k == 1:
-        return value_query(valuation, glist)
+        return valuation.value(glist)
     best = None
     for assign in product(range(k), repeat=len(glist)):
         bundles = [set() for _ in range(k)]
         for pos, b in enumerate(assign):
             bundles[b].add(glist[pos])
-        worst = min(value_query(valuation, b) for b in bundles)
+        worst = min(valuation.value(b) for b in bundles)
         if best is None or worst > best:
             best = worst
     return best if best is not None else Fraction(0)
+
+
+def naive_mms_lower_bound(valuation: Valuation, k: int,
+                          goods=None) -> Fraction:
+    """`mms_lower_bound` in `Fraction`s: the greedy largest-first
+    partition's minimum bundle value, goods by falling single-good value
+    (lowest index on ties), each to the bundle of least value (lowest index
+    on ties). Additive agents keep running totals, explicit agents query
+    whole bundles."""
+    glist = sorted(goods) if goods is not None else list(range(valuation.m))
+    bundles: list[set[int]] = [set() for _ in range(k)]
+    if valuation.kind == "additive":
+        totals = [Fraction(0)] * k
+        order = sorted(glist, key=lambda g: (-valuation.values[g], g))
+        for g in order:
+            j = min(range(k), key=lambda b: (totals[b], b))
+            bundles[j].add(g)
+            totals[j] += valuation.values[g]
+        return min(totals)
+    order = sorted(glist, key=lambda g: (-valuation.value({g}), g))
+    for g in order:
+        j = min(range(k), key=lambda b: (valuation.value(bundles[b]), b))
+        bundles[j].add(g)
+    return min(valuation.value(b) for b in bundles)
 
 
 def _ext(goods):

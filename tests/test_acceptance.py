@@ -18,8 +18,7 @@ from fairdiv import (Allocation, FamilySpec, alg_mms_abs, constrained_opt,
                      mms_lower_bound, mms_profile, price_of_fairness,
                      reference_allocation, run_ef1_abs, run_ef1_high,
                      run_mms_abs, run_mms_high, run_solve_ef1,
-                     run_solve_half_mms, social_welfare, solve_half_mms,
-                     value_query)
+                     run_solve_half_mms, social_welfare, solve_half_mms)
 from fairdiv.exact import sqrt_ge
 from fairdiv.model import ZERO
 
@@ -258,13 +257,13 @@ def test_criterion_10_lemma_level_invariants():
                 size = rng.randint(1, 2)
                 bundle, pool = frozenset(pool[:size]), pool[size:]
                 bundles.append(bundle)
-                if len(bundle) != 1 and value_query(v, bundle) > share:
+                if len(bundle) != 1 and v.value(bundle) > share:
                     valid = False
             if not valid:
                 continue
             assigned = frozenset().union(*bundles) if bundles else frozenset()
             rest = frozenset(range(m)) - assigned
-            assert value_query(v, rest) >= (n - len(chosen)) * share
+            assert v.value(rest) >= (n - len(chosen)) * share
             trials += 1
         assert time.perf_counter() - started < 300
 

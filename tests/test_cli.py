@@ -189,6 +189,15 @@ class TestCli:
                      "-o", str(tmp_path / "x.json")])
         assert code == 2
 
+    def test_gen_refuses_explicit_goods_over_cap(self, capsys):
+        code = main(["gen", "--family", "random-subadditive", "--n", "2",
+                     "--m", "21"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "exceeds the cap of 20" in lines[0]
+
 
 class TestExperiment:
     CONFIG = {
@@ -344,12 +353,36 @@ class TestExperiment:
         {"families": ["ef1-unscaled"]},
         {"solvers": 5}, {"solvers": "ef1"},
         {"epsilon": "1/2"}, {"epsilon": "-1/10"},
+        {"families": [{"family": "random", "distribution": "bogus",
+                       "n": [2], "m": [3]}]},
+        {"families": [{"family": "random", "distribution": 5,
+                       "n": [2], "m": [3]}]},
+        {"families": [{"family": "random", "n": [0], "m": [3]}]},
+        {"families": [{"family": "random", "n": [2], "m": [0]}]},
+        {"families": [{"family": "random", "n": [2], "m": [-1]}]},
+        {"families": [{"family": "ef1-unscaled", "n": [0]}]},
+        {"families": [{"family": "supermodular", "n": [3],
+                       "epsilon": "2"}]},
+        {"families": [{"family": "supermodular", "n": [3]}]},
+        {"families": [{"family": "supermodular", "n": [1],
+                       "epsilon": "1/100"}]},
+        {"families": [{"family": "prop1-scaled", "n": [3]}]},
+        {"families": [{"family": "mms-unscaled", "n": [3]}]},
+        {"families": [{"family": "random-subadditive", "n": [2],
+                       "m": [21]}]},
+        {"families": [{"family": "supermodular", "n": [21],
+                       "epsilon": "1/100"}]},
     ], ids=["trace-string", "trace-int", "seed-float", "seed-string",
             "seed-bool", "jobs-string", "enum-cap-float", "mms-cap-null",
             "epsilon-decimal", "family-n-float", "family-n-string",
             "family-m-string", "family-count-bool", "family-string",
             "solvers-int", "solvers-string", "epsilon-half",
-            "epsilon-negative"])
+            "epsilon-negative", "distribution-bogus", "distribution-int",
+            "random-n-zero", "random-m-zero", "random-m-negative",
+            "ef1-unscaled-n-zero", "supermodular-epsilon-two",
+            "supermodular-no-epsilon", "supermodular-n-one",
+            "prop1-scaled-n-not-square", "mms-unscaled-no-epsilon",
+            "subadditive-m-over-cap", "supermodular-n-over-cap"])
     def test_config_rejects_wrong_json_types(self, change):
         with pytest.raises(ParseError):
             ExperimentConfig.from_json(dict(self.CONFIG, **change))

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fairdiv import (Allocation, ValidationError, extend_ef1, is_ef1,
-                     run_extend_ef1, social_welfare,
-                     value_query)
+                     run_extend_ef1, social_welfare)
 
 from conftest import (additive_instance, naive_extend_ef1,
                       random_additive_corpus, random_allocation, tie_corpus)
@@ -40,8 +39,8 @@ class TestBasics:
         result, stats = run_extend_ef1(inst, partial)
         assert stats.rotations >= 1
         assert is_ef1(inst, result).holds
-        assert value_query(inst.valuations[0], result.bundles[0]) >= 1
-        assert value_query(inst.valuations[1], result.bundles[1]) >= 1
+        assert inst.valuations[0].value(result.bundles[0]) >= 1
+        assert inst.valuations[1].value(result.bundles[1]) >= 1
 
     def test_monotone_valuations_supported(self):
         # Budget-additive explicit valuations (non-additive, monotone).
@@ -52,8 +51,8 @@ class TestBasics:
         assert result.is_complete(inst.m)
         assert is_ef1(inst, result).holds
         for i in range(3):
-            assert value_query(inst.valuations[i], result.bundles[i]) >= \
-                value_query(inst.valuations[i], singles.bundles[i])
+            assert inst.valuations[i].value(result.bundles[i]) >= \
+                inst.valuations[i].value(singles.bundles[i])
 
 
 @pytest.mark.usefixtures("debug_mode")
@@ -73,8 +72,8 @@ class TestPropertyCorpus:
             assert result.is_complete(inst.m)
             assert is_ef1(inst, result).holds
             for i in range(inst.n):
-                assert value_query(inst.valuations[i], result.bundles[i]) >= \
-                    value_query(inst.valuations[i], partial.bundles[i])
+                assert inst.valuations[i].value(result.bundles[i]) >= \
+                    inst.valuations[i].value(partial.bundles[i])
             assert stats.steps <= inst.m * inst.n * inst.n
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from fairdiv import (Allocation, FamilySpec, MmsProfile, ValidationError,
                      generate_adversarial, generate_random, is_alpha_mms,
-                     is_ef1, is_prop1, social_welfare, value_query)
+                     is_ef1, is_prop1, social_welfare)
 
 from conftest import (additive_instance, all_allocations, naive_ef1_verdict,
                       naive_is_ef1, naive_is_prop1, random_allocation,
@@ -64,12 +64,12 @@ class TestEf1:
         verdict = is_ef1(inst, Allocation.of([[0, 1, 2], [], []]))
         w = verdict.witness
         i, j = w["i"] - 1, w["j"] - 1
-        own = value_query(inst.valuations[i], frozenset())
+        own = inst.valuations[i].value(frozenset())
         assert own == w["own"]
         bundle = frozenset({0, 1, 2})
         for comp in w["comparisons"]:
             removed = comp["removed"] - 1
-            residual = value_query(inst.valuations[i], bundle - {removed})
+            residual = inst.valuations[i].value(bundle - {removed})
             assert residual == comp["residual"]
             assert own < residual
 
@@ -179,6 +179,5 @@ class TestAlphaMms:
         alloc = Allocation.of([[0], [1], [2]])
         verdict = is_alpha_mms(inst, alloc, Fraction(1, 2), profile)
         for agent_1b, cert in verdict.certificate.items():
-            own = value_query(inst.valuations[agent_1b - 1],
-                              alloc.bundles[agent_1b - 1])
+            own = inst.value(agent_1b - 1, alloc.bundles[agent_1b - 1])
             assert own == cert["own"] >= cert["required"]

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from fairdiv import (FamilySpec, generate_adversarial, generate_random,
-                     generate_random_subadditive, max_welfare, save_instance,
-                     validate_instance)
+from fairdiv import (FamilySpec, ValidationError, generate_adversarial,
+                     generate_random, generate_random_subadditive,
+                     max_welfare, save_instance, validate_instance)
 from fairdiv.model import instance_to_json
 
 
@@ -105,6 +105,26 @@ class TestAdversarialFamilies:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             generate_adversarial(FamilySpec("nope", 3))
+
+
+class TestExplicitGoodsCap:
+    """Both explicit families refuse m over the cap before drawing a value
+    or building a table (2^m subsets)."""
+
+    def test_random_subadditive(self, monkeypatch):
+        import fairdiv.generators as gen
+        monkeypatch.setattr(gen, "random", None)           # no draws
+        with pytest.raises(ValidationError) as err:
+            generate_random_subadditive(2, 21, seed=0)
+        assert err.value.axiom == "explicit-goods-cap"
+
+    def test_supermodular(self, monkeypatch):
+        import fairdiv.generators as gen
+        monkeypatch.setattr(gen, "Valuation", None)        # no tables
+        with pytest.raises(ValidationError) as err:
+            generate_adversarial(FamilySpec("supermodular", 21,
+                                            epsilon=Fraction(1, 100)))
+        assert err.value.axiom == "explicit-goods-cap"
 
 
 class TestRandomFamilies:

@@ -1,4 +1,8 @@
-"""Matching solver against exhaustive permutation search."""
+"""Matching solver against exhaustive permutation search.
+
+The matching takes integer weights; the rational alphabets of the random
+matrices are scaled by 60, a multiple of every denominator drawn, so their
+ties survive."""
 
 import random
 from fractions import Fraction
@@ -6,42 +10,49 @@ from fractions import Fraction
 import pytest
 
 from fairdiv import FamilySpec, generate_adversarial, max_weight_left_perfect_matching
+from fairdiv.model import common_ints
 
 from conftest import naive_matching
 
 
 def weight_of(weights, pairs):
-    return sum((weights[i][g] for i, g in pairs), Fraction(0))
+    return sum(weights[i][g] for i, g in pairs)
 
 
 class TestKnownMatrices:
     def test_identity_like(self):
-        w = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+        w = [[1, 0], [0, 1]]
         pairs = max_weight_left_perfect_matching(w)
         assert pairs == [(0, 0), (1, 1)]
         assert weight_of(w, pairs) == 2
 
     def test_all_equal_gives_diagonal(self):
         for n in (4, 12):
-            w = [[Fraction(2, 7)] * n for _ in range(n)]
+            w = [[2] * n for _ in range(n)]
             assert max_weight_left_perfect_matching(w) == [(i, i)
                                                            for i in range(n)]
 
     def test_high_agent_matrix(self):
         inst = generate_adversarial(FamilySpec("ef1-unscaled", 3))
-        w = [[inst.value(i, {g}) for g in range(3)] for i in range(3)]
+        w, scale = common_ints(inst.valuations)
         pairs = max_weight_left_perfect_matching(w)
-        assert weight_of(w, pairs) == 3 + Fraction(2, 3)
+        assert Fraction(weight_of(w, pairs), scale) == 3 + Fraction(2, 3)
 
     def test_fewer_goods_than_agents(self):
-        w = [[Fraction(1)], [Fraction(2)], [Fraction(3)]]
+        w = [[1], [2], [3]]
         pairs = max_weight_left_perfect_matching(w)
         # Only one real good; it goes to the agent valuing it most.
         assert pairs == [(2, 0)]
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            max_weight_left_perfect_matching([[Fraction(-1)]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            max_weight_left_perfect_matching([[-1]])
+
+    @pytest.mark.parametrize("weight", [Fraction(1), 1.0, True],
+                             ids=["fraction", "float", "bool"])
+    def test_rejects_non_integer_weights(self, weight):
+        with pytest.raises(ValueError, match="integers"):
+            max_weight_left_perfect_matching([[1, 2], [weight, 0]])
 
 
 class TestAgainstBruteForce:
@@ -50,7 +61,7 @@ class TestAgainstBruteForce:
         for _ in range(60):
             n = rng.randint(1, 5)
             m = rng.randint(1, 7)
-            w = [[Fraction(rng.randint(0, 12), rng.randint(1, 6))
+            w = [[rng.randint(0, 12) * 60 // rng.randint(1, 6)
                   for _ in range(m)] for _ in range(n)]
             got = max_weight_left_perfect_matching(w)
             want_pairs, want_weight = naive_matching(w)
@@ -63,7 +74,7 @@ class TestAgainstBruteForce:
             n = rng.randint(2, 4)
             m = rng.randint(1, 5)
             # Small value alphabet to force plenty of ties.
-            w = [[Fraction(rng.randint(0, 2)) for _ in range(m)]
+            w = [[rng.randint(0, 2) for _ in range(m)]
                  for _ in range(n)]
             got = max_weight_left_perfect_matching(w)
             want_pairs, want_weight = naive_matching(w)
@@ -77,10 +88,10 @@ def test_pigeonhole_lower_bound():
     for _ in range(40):
         n = rng.randint(1, 5)
         m = rng.randint(n, 7)
-        w = [[Fraction(rng.randint(0, 20), 10) for _ in range(m)]
+        w = [[rng.randint(0, 20) * 6 for _ in range(m)]
              for _ in range(n)]
         pairs = max_weight_left_perfect_matching(w)
         got = weight_of(w, pairs)
-        bound = sum((sum(sorted(w[i], reverse=True)[:n], Fraction(0))
-                     for i in range(n)), Fraction(0)) / n
+        bound = Fraction(sum(sum(sorted(w[i], reverse=True)[:n])
+                             for i in range(n)), n)
         assert got >= bound

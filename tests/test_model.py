@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from fairdiv import (Allocation, Event, Instance, ParseError,
                      ValidationError, Valuation, load_allocation,
                      load_instance, rescale_instance, save_allocation,
-                     save_instance, validate_instance, value_query)
+                     save_instance, validate_instance)
+from fairdiv.experiment import load_config
 from fairdiv.model import parse_rational
 
 from conftest import additive_instance, naive_validate_valuation
@@ -82,6 +83,15 @@ class TestLoadInstance:
         with pytest.raises(ParseError):
             load_instance(path)
 
+    @pytest.mark.parametrize("loader", [load_instance, load_allocation,
+                                        load_config])
+    def test_parse_error_on_undecodable_bytes(self, tmp_path, loader):
+        # A UTF-16 byte order mark is not UTF-8, whatever the locale.
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ParseError, match="invalid JSON"):
+            loader(path)
+
     def test_missing_table_entry(self, tmp_path):
         data = {"n": 1, "m": 2, "scaled": False,
                 "valuations": [{"kind": "explicit",
@@ -138,7 +148,7 @@ def test_loader_rejects_wrong_json_types(tmp_path, loader, data):
 def test_subadditive_absent_or_false_loads(tmp_path, flag):
     inst = load_instance(write(tmp_path, "i.json", not_subadditive(**flag)))
     assert not inst.valuations[0].subadditive
-    assert value_query(inst.valuations[0], {0, 1}) == 1
+    assert inst.valuations[0].value({0, 1}) == 1
 
 
 def one_value(value, kind):
@@ -206,18 +216,18 @@ class TestRoundTrip:
 class TestValueQuery:
     def test_full_set(self):
         v = Valuation.additive([Fraction(1, 4), Fraction(3, 4)])
-        assert value_query(v, {0, 1}) == 1
+        assert v.value({0, 1}) == 1
 
     def test_empty_set_is_zero(self):
         v = Valuation.additive([Fraction(1, 4), Fraction(3, 4)])
-        assert value_query(v, set()) == 0
+        assert v.value(set()) == 0
         table = {frozenset(): Fraction(0), frozenset({0}): Fraction(1)}
-        assert value_query(Valuation.explicit(1, table), set()) == 0
+        assert Valuation.explicit(1, table).value(set()) == 0
 
     def test_high_agent_single_good(self):
         # Agent valuing every good at n sees a single good at n.
         v = Valuation.additive([Fraction(3)] * 3)
-        assert value_query(v, {1}) == 3
+        assert v.value({1}) == 3
 
     @given(st.integers(1, 5), st.data())
     @settings(max_examples=60, deadline=None)
@@ -228,7 +238,7 @@ class TestValueQuery:
         v = Valuation.additive(values)
         inner = data.draw(st.sets(st.integers(0, m - 1)))
         extra = data.draw(st.sets(st.integers(0, m - 1)))
-        assert value_query(v, inner) <= value_query(v, inner | extra)
+        assert v.value(inner) <= v.value(inner | extra)
 
 
 class TestRescale:

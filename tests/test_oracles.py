@@ -12,11 +12,11 @@ from fairdiv import (Allocation, FamilySpec, InfeasibleError, Instance,
                      generate_adversarial, generate_random,
                      injected_profile, is_ef1, max_welfare, mms_k,
                      mms_lower_bound, mms_profile, price_of_fairness,
-                     social_welfare, validate_instance, value_query)
+                     social_welfare, validate_instance)
 
 from conftest import (additive_instance, naive_constrained_opt,
                       naive_is_alpha_mms, naive_is_ef1, naive_is_prop1,
-                      naive_max_welfare, naive_mms,
+                      naive_max_welfare, naive_mms, naive_mms_lower_bound,
                       random_subadditive_corpus, tie_corpus, twin_corpus)
 
 
@@ -113,6 +113,37 @@ class TestMmsK:
         with pytest.raises(InfeasibleError):
             mms_k(v, 4, cap=100)
 
+    @pytest.mark.parametrize("oracle", [mms_k, mms_lower_bound])
+    @pytest.mark.parametrize("kind", ["additive", "explicit"])
+    def test_goods_out_of_range_rejected(self, oracle, kind):
+        v = (Valuation.additive([Fraction(1), Fraction(2)]) if kind == "additive"
+             else Valuation.explicit(2, {frozenset({0}): Fraction(1),
+                                         frozenset({1}): Fraction(2),
+                                         frozenset({0, 1}): Fraction(3)}))
+        for goods in ([-1, 0], [0, 2]):
+            for k in (1, 2, 3):
+                with pytest.raises(ValueError, match="not within 0..1"):
+                    oracle(v, k, goods)
+
+    def test_lower_bound_matches_fraction_reference(self):
+        # Tie-heavy corpora with unvalidated tables (v of the empty set may
+        # be above 0): every k up to n + 1, on all goods, on the empty set
+        # and on random subsets.
+        rng = random.Random(5)
+        instances = tie_corpus(1500, seed=99) + twin_corpus(400, seed=3)
+        calls = nonzero_empty = 0
+        for inst in instances:
+            for v in inst.valuations:
+                nonzero_empty += v.kind == "explicit" and v.ints[0][0] > 0
+                subsets = [None, [], [g for g in range(inst.m)
+                                      if rng.random() < 0.6]]
+                for k in range(1, inst.n + 2):
+                    for goods in subsets:
+                        assert mms_lower_bound(v, k, goods) == \
+                            naive_mms_lower_bound(v, k, goods)
+                        calls += 1
+        assert calls > 50000 and nonzero_empty > 100
+
     def test_lower_bound_brackets(self):
         rng = random.Random(13)
         for _ in range(30):
@@ -122,7 +153,7 @@ class TestMmsK:
                                     for _ in range(m)])
             exact = mms_k(v, k)
             lower = mms_lower_bound(v, k)
-            total = value_query(v, range(m))
+            total = v.value(range(m))
             assert lower <= exact <= total / k
 
 
@@ -422,13 +453,13 @@ class TestLemmaLevelInvariants:
                 bundle, pool = frozenset(pool[:size]), pool[size:]
                 bundles[a] = bundle
                 if len(bundle) != 1 and \
-                        value_query(inst.valuations[ell], bundle) > share:
+                        inst.valuations[ell].value(bundle) > share:
                     ok = False
             if not ok:
                 continue
             assigned = frozenset().union(*bundles.values()) if bundles else frozenset()
             rest = frozenset(range(m)) - assigned
-            lhs = value_query(inst.valuations[ell], rest)
+            lhs = inst.valuations[ell].value(rest)
             assert lhs >= (n - len(subset)) * share
             checked += 1
 
