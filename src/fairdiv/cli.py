@@ -161,7 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--epsilon")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="random seed for the random families (the "
+                        "adversarial families are deterministic)")
     p.add_argument("--distribution", default="uniform-rational",
                    choices=RANDOM_DISTRIBUTIONS)
     p.add_argument("-o", "--output")

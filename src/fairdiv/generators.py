@@ -76,7 +76,6 @@ class FamilySpec:
     family: str
     n: int
     epsilon: Optional[Fraction] = None
-    seed: Optional[int] = None
 
     def __post_init__(self):
         check_family_args(self.family, self.n, epsilon=self.epsilon)

@@ -1,17 +1,21 @@
 """Exact-rational data model: valuations, instances, allocations.
 
-All values are `fractions.Fraction`; no floating point ever enters a
-fairness decision. Goods and agents are 1-indexed in files and 0-indexed
-internally. Every type is immutable after construction, so instances can be
-shared freely across workers.
+Values are exact rationals; no floating point ever enters a fairness
+decision. Goods and agents are 1-indexed in files and 0-indexed internally.
+Every type is immutable after construction, so instances can be shared
+freely across workers.
 
-Rationals become integers here and nowhere else: the solvers, the oracles
-and validation compute on `Valuation.ints`, each agent's integer kernel,
-cached on first use. It holds the values multiplied by `den`, the lcm of
-the agent's denominators: one integer per good for additive agents, one per
-bitmask-indexed subset for explicit agents. Scaling by `den > 0` keeps the
-order of every comparison within one agent; comparisons across agents first
-rescale to a common lcm (`common_ints`, `ints_with`).
+Rationals become integers here and nowhere else. A `Valuation` stores its
+integer kernel: the values multiplied by `den`, the lcm of the agent's
+reduced denominators, one integer per good for additive agents and one per
+bitmask-indexed subset for explicit agents. The solvers, the oracles and
+validation compute on it (`Valuation.ints`). `Fraction`s appear only at the
+edges: the loader parses each rational straight into integers, and
+`Valuation.values`, `Valuation.table` and `Valuation.value` are views built
+from the kernel (the constructors keep the Fractions they are given as the
+view). Scaling by `den > 0` keeps the order of every comparison within one
+agent; comparisons across agents first rescale to a common lcm
+(`common_ints`, `ints_with`).
 
 Instance files are JSON::
 
@@ -34,8 +38,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from math import gcd, lcm
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -50,28 +54,40 @@ ZERO = Fraction(0)
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a "p/q" or plain integer string (or a JSON integer) into an
-    exact Fraction."""
+def _parse_ratio(text) -> tuple[int, int]:
+    """The integers (p, q) of a "p/q" or plain integer string, or of a JSON
+    integer: q > 0, the pair not necessarily in lowest terms."""
     match = _RATIONAL.fullmatch(str(text))
     if match is None:
         raise ParseError(f"not a rational: {text!r} (expected p/q or an "
                          "integer)")
     num, den = match.groups()
     if den is None:
-        return Fraction(int(num))
-    if int(den) == 0:
+        return int(num), 1
+    q = int(den)
+    if q == 0:
         raise ParseError(f"not a rational: {text!r} (zero denominator)")
-    return Fraction(int(num), int(den))
+    return int(num), q
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a "p/q" or plain integer string (or a JSON integer) into an
+    exact Fraction."""
+    return Fraction(*_parse_ratio(text))
 
 
 def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+def is_json_int(value) -> bool:
+    """True for a JSON integer; bools are ints in Python but not in JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def good_set(goods: Iterable[int], m: int) -> frozenset[int]:
     s = frozenset(goods)
-    if not all(isinstance(g, int) and 0 <= g < m for g in s):
+    if not all(is_json_int(g) and 0 <= g < m for g in s):
         raise ValueError(f"good set {sorted(s)} not within 0..{m - 1}")
     return s
 
@@ -108,59 +124,117 @@ def check_explicit_goods_cap(m: int) -> None:
             f"{EXPLICIT_GOODS_CAP} (table size is 2^m)")
 
 
+def _kernel(ratios: Collection[tuple[int, int]]) -> tuple[list[int], int]:
+    """Integers over one denominator for (p, q) pairs with q > 0: `den` is
+    the lcm of the reduced denominators, so gcd(den, *ints) == 1."""
+    den = lcm(*(q for _, q in ratios))
+    ints = [p * (den // q) for p, q in ratios]
+    common = gcd(den, *ints)
+    if common > 1:
+        den //= common
+        ints = [x // common for x in ints]
+    return ints, den
+
+
+def _as_fraction(x) -> Fraction:
+    """A constructor's input value as a Fraction. Floats and bools are
+    refused: neither is an exact rational a caller means."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, str):
+        return parse_rational(x)
+    if is_json_int(x):
+        return Fraction(x)
+    raise ValueError(f"valuation values must be Fractions, integers or "
+                     f"p/q strings, got {x!r}")
+
+
 @dataclass(frozen=True)
 class Valuation:
-    """One agent's valuation: additive (per-good values) or an explicit
-    table over all 2^m subsets."""
+    """One agent's valuation, additive (per-good values) or an explicit
+    table over all 2^m subsets, stored as its integer kernel: the values
+    times `den`, the lcm of their reduced denominators. `kernel` holds one
+    integer per good (additive) or one per subset, indexed by bitmask
+    (explicit)."""
 
     kind: str
     m: int
-    values: tuple[Fraction, ...] | None = None
-    table: Mapping[frozenset[int], Fraction] | None = None
+    kernel: tuple[int, ...]
+    den: int
     subadditive: bool = False
 
     @staticmethod
     def additive(values: Sequence[Fraction]) -> "Valuation":
-        vals = tuple(v if type(v) is Fraction else Fraction(v)
-                     for v in values)
-        return Valuation(kind=ADDITIVE, m=len(vals), values=vals)
+        vals = tuple(_as_fraction(x) for x in values)
+        v = _additive([(x.numerator, x.denominator) for x in vals])
+        v.__dict__["values"] = vals     # the given Fractions are the view
+        return v
 
     @staticmethod
     def explicit(m: int, table: Mapping[frozenset[int], Fraction],
                  subadditive: bool = False) -> "Valuation":
-        check_explicit_goods_cap(m)
-        full = {frozenset(k): Fraction(v) for k, v in table.items()}
+        full = {frozenset(k): _as_fraction(x) for k, x in table.items()}
         full.setdefault(frozenset(), ZERO)
-        missing = [mask for mask in range(1 << m)
-                   if mask_goods(mask) not in full]
-        if missing:
-            raise ParseError(
-                f"explicit table misses subset {_ext(mask_goods(missing[0]))} "
-                f"({len(missing)} of {1 << m} subsets absent)")
-        if len(full) > 1 << m:
-            raise ParseError(f"explicit table has keys outside goods 1..{m}")
-        return Valuation(kind=EXPLICIT, m=m, table=full, subadditive=subadditive)
+        v = _explicit(m, {goods_mask(s): (x.numerator, x.denominator)
+                          for s, x in full.items()}, subadditive)
+        v.__dict__["table"] = full      # the given Fractions are the view
+        return v
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...] | None:
+        """An additive agent's per-good values; None for explicit agents."""
+        if self.kind != ADDITIVE:
+            return None
+        return tuple(Fraction(x, self.den) for x in self.kernel)
+
+    @cached_property
+    def table(self) -> dict[frozenset[int], Fraction] | None:
+        """An explicit agent's table in the order it was given; None for
+        additive agents."""
+        if self.kind != EXPLICIT:
+            return None
+        order = self.__dict__.get("_order", range(len(self.kernel)))
+        return {mask_goods(mask): Fraction(self.kernel[mask], self.den)
+                for mask in order}
+
+    @property
+    def ints(self) -> tuple[tuple[int, ...], int]:
+        """Integer kernel `(ints, den)`."""
+        return self.kernel, self.den
 
     def value(self, goods: Iterable[int]) -> Fraction:
         s = good_set(goods, self.m)
         if self.kind == ADDITIVE:
-            return sum((self.values[g] for g in s), ZERO)
-        return self.table[s]
+            return Fraction(sum(self.kernel[g] for g in s), self.den)
+        return Fraction(self.kernel[goods_mask(s)], self.den)
 
-    @cached_property
-    def ints(self) -> tuple[tuple[int, ...], int]:
-        """Integer kernel `(ints, den)`: every value times `den`, the lcm of
-        this agent's denominators. Additive agents get one integer per
-        good, explicit agents one per subset, indexed by bitmask."""
-        if self.kind == ADDITIVE:
-            den = lcm(*(x.denominator for x in self.values))
-            return tuple(x.numerator * (den // x.denominator)
-                         for x in self.values), den
-        den = lcm(*(x.denominator for x in self.table.values()))
-        ints = [0] * (1 << self.m)
-        for s, x in self.table.items():
-            ints[goods_mask(s)] = x.numerator * (den // x.denominator)
-        return tuple(ints), den
+
+def _additive(ratios: Collection[tuple[int, int]]) -> Valuation:
+    """An additive valuation from each good's (p, q)."""
+    ints, den = _kernel(ratios)
+    return Valuation(ADDITIVE, len(ints), tuple(ints), den)
+
+
+def _explicit(m: int, entries: dict[int, tuple[int, int]],
+              subadditive: bool) -> Valuation:
+    """An explicit valuation from each subset's (p, q), keyed by bitmask in
+    the order given; the empty set defaults to 0."""
+    check_explicit_goods_cap(m)
+    entries.setdefault(0, (0, 1))
+    missing = [mask for mask in range(1 << m) if mask not in entries]
+    if missing:
+        raise ParseError(
+            f"explicit table misses subset {_ext(mask_goods(missing[0]))} "
+            f"({len(missing)} of {1 << m} subsets absent)")
+    if len(entries) > 1 << m:
+        raise ParseError(f"explicit table has keys outside goods 1..{m}")
+    ints, den = _kernel(entries.values())
+    kernel = [0] * (1 << m)
+    for mask, x in zip(entries, ints):
+        kernel[mask] = x
+    v = Valuation(EXPLICIT, m, tuple(kernel), den, subadditive)
+    v.__dict__["_order"] = tuple(entries)   # the order of the table view
+    return v
 
 
 def _rescaled(ints: Sequence[int], den: int, scale: int) -> list[int]:
@@ -280,7 +354,8 @@ def check_monotone(v: Valuation, agent: int) -> None:
         for g, x in enumerate(ints):
             if x < 0:
                 raise ValidationError(
-                    "nonnegative", f"{label}: v({g + 1}) = {v.values[g]} < 0",
+                    "nonnegative",
+                    f"{label}: v({g + 1}) = {Fraction(x, den)} < 0",
                     agent=agent + 1, witness=(g + 1,))
         return
     for mask, x in enumerate(ints):
@@ -298,10 +373,10 @@ def _validate_valuation(v: Valuation, agent: int) -> None:
     """Raise ValidationError naming the failing axiom, agent and witness."""
     label = f"agent {agent + 1}"
     if v.kind == ADDITIVE:
-        if len(v.values) != v.m:
+        if len(v.kernel) != v.m:
             raise ValidationError(
                 "value-count", f"{label}: expected {v.m} values, got "
-                f"{len(v.values)}", agent=agent + 1)
+                f"{len(v.kernel)}", agent=agent + 1)
         check_monotone(v, agent)
         return
 
@@ -364,9 +439,10 @@ def validate_instance(inst: Instance) -> None:
                     f"v([m]) = {Fraction(total, den)} != 1", agent=i + 1)
 
 
-def _parse_subset_key(key: str, m: int) -> frozenset[int]:
+def _parse_subset_key(key: str, m: int) -> int:
+    """The bitmask of a subset key."""
     if key == "":
-        return frozenset()
+        return 0
     try:
         goods = [int(part) for part in key.split(",")]
     except ValueError:
@@ -375,7 +451,7 @@ def _parse_subset_key(key: str, m: int) -> frozenset[int]:
         raise ParseError(f"subset key {key!r} outside goods 1..{m}")
     if len(set(goods)) != len(goods):
         raise ParseError(f"subset key {key!r} repeats a good")
-    return frozenset(g - 1 for g in goods)
+    return goods_mask(g - 1 for g in goods)
 
 
 def _subset_key(subset: frozenset[int]) -> str:
@@ -392,7 +468,7 @@ def _valuation_from_json(obj, m: int, agent: int) -> Valuation:
         if not isinstance(vals, list) or len(vals) != m:
             raise ParseError(
                 f"agent {agent + 1}: additive valuation needs exactly {m} values")
-        return Valuation.additive([parse_rational(v) for v in vals])
+        return _additive([_parse_ratio(v) for v in vals])
     if kind == EXPLICIT:
         table_json = obj.get("table")
         if not isinstance(table_json, dict):
@@ -401,15 +477,10 @@ def _valuation_from_json(obj, m: int, agent: int) -> Valuation:
         if not isinstance(subadditive, bool):
             raise ParseError(f"agent {agent + 1}: subadditive must be true or "
                              f"false, got {subadditive!r}")
-        table = {_parse_subset_key(k, m): parse_rational(v)
-                 for k, v in table_json.items()}
-        return Valuation.explicit(m, table, subadditive=subadditive)
+        entries = {_parse_subset_key(k, m): _parse_ratio(v)
+                   for k, v in table_json.items()}
+        return _explicit(m, entries, subadditive)
     raise ParseError(f"agent {agent + 1}: unknown valuation kind {kind!r}")
-
-
-def is_json_int(value) -> bool:
-    """True for a JSON integer; bools are ints in Python but not in JSON."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def instance_from_json(data) -> Instance:
@@ -516,10 +587,11 @@ def rescale_instance(inst: Instance) -> Instance:
         raise ValidationError("rescale", "only additive instances can be rescaled")
     new_vals = []
     for i, v in enumerate(inst.valuations):
-        total = sum(v.values, ZERO)
+        total = sum(v.kernel)
         if total == 0:
             raise ValidationError(
                 "rescale", f"agent {i + 1} values every good at 0; cannot scale",
                 agent=i + 1)
-        new_vals.append(Valuation.additive([x / total for x in v.values]))
+        new_vals.append(Valuation.additive([Fraction(x, total)
+                                            for x in v.kernel]))
     return Instance(n=inst.n, m=inst.m, valuations=tuple(new_vals), scaled=True)

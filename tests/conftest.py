@@ -11,9 +11,11 @@ results, tie-breaks included.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 import pytest
 
@@ -196,6 +198,38 @@ def naive_validate_valuation(v: Valuation, agent: int) -> None:
                         f"v(S) + v(T) = {v.table[s] + v.table[t]} for "
                         f"S = {_ext(s)}, T = {_ext(t)}", agent=agent + 1,
                         witness=(_ext(s), _ext(t)))
+
+
+def naive_load_instance(path) -> Instance:
+    """The instance file's `Fraction` reading, not validated: each rational
+    through `Fraction(text)` (for the valid strings the tests write, the
+    same numbers as the strict grammar), each valuation through
+    `Valuation.additive` or `Valuation.explicit`."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    valuations = []
+    for obj in data["valuations"]:
+        if obj["kind"] == "additive":
+            valuations.append(Valuation.additive(
+                [Fraction(str(x)) for x in obj["values"]]))
+        else:
+            table = {frozenset(int(g) - 1 for g in key.split(",") if g):
+                     Fraction(str(x)) for key, x in obj["table"].items()}
+            valuations.append(Valuation.explicit(
+                data["m"], table, obj.get("subadditive", False)))
+    return Instance(data["n"], data["m"], tuple(valuations), data["scaled"])
+
+
+def naive_kernel(v: Valuation) -> tuple[tuple[int, ...], int]:
+    """Integer kernel read off the `Fraction` view: every value times the
+    lcm of the reduced denominators, explicit tables indexed by bitmask."""
+    if v.kind == "additive":
+        fractions = dict(enumerate(v.values))
+    else:
+        fractions = {sum(1 << g for g in s): x for s, x in v.table.items()}
+    den = lcm(*(x.denominator for x in fractions.values()))
+    return tuple(fractions[i].numerator * (den // fractions[i].denominator)
+                 for i in range(len(fractions))), den
 
 
 def naive_matching(weights):

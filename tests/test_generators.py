@@ -21,6 +21,12 @@ class TestFamilySpec:
         with pytest.raises(ValueError):
             FamilySpec("supermodular", 3, epsilon=Fraction(3, 2))
 
+    def test_has_no_seed(self):
+        # The adversarial families are deterministic; a seed would be
+        # silently ignored.
+        with pytest.raises(TypeError):
+            FamilySpec("ef1-unscaled", 3, seed=1)
+
 
 class TestAdversarialFamilies:
     def test_ef1_unscaled_rows(self):

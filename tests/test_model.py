@@ -2,20 +2,26 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdiv import (Allocation, Event, Instance, ParseError,
-                     ValidationError, Valuation, load_allocation,
-                     load_instance, rescale_instance, save_allocation,
-                     save_instance, validate_instance)
+from fairdiv import (ADVERSARIAL_FAMILIES, Allocation, Event, FamilySpec,
+                     Instance, ParseError, ValidationError, Valuation,
+                     generate_adversarial, generate_random,
+                     generate_random_subadditive, load_allocation,
+                     load_instance, rescale_instance, run_solve_half_mms,
+                     save_allocation, save_instance, validate_instance)
 from fairdiv.experiment import load_config
 from fairdiv.model import parse_rational
 
-from conftest import additive_instance, naive_validate_valuation
+from conftest import (additive_instance, naive_kernel, naive_load_instance,
+                      naive_validate_valuation, random_additive_corpus,
+                      random_subadditive_corpus, tie_corpus, twin_corpus)
 
 
 def write(tmp_path, name, data):
@@ -181,6 +187,9 @@ def test_loader_accepts_strict_rationals(tmp_path, text, value):
     inst = load_instance(write(tmp_path, "i.json",
                                one_value(text, "additive")))
     assert inst.valuations[0].values == (value,)
+    inst = load_instance(write(tmp_path, "e.json",
+                               one_value(text, "explicit")))
+    assert inst.valuations[0].table[frozenset({0})] == value
 
 
 def test_parse_rational_negative():
@@ -206,6 +215,23 @@ class TestRoundTrip:
         save_instance(inst, path)
         assert load_instance(path) == inst
 
+    def test_every_generator_family(self, tmp_path):
+        eps = Fraction(1, 5)
+        insts = [generate_adversarial(FamilySpec(
+                     family, 4, epsilon=eps if family in (
+                         "mms-unscaled", "supermodular") else None))
+                 for family in ADVERSARIAL_FAMILIES]
+        insts += [generate_random(3, 5, "uniform-rational", seed=1),
+                  generate_random(3, 5, "dirichlet-scaled", seed=2),
+                  generate_random_subadditive(2, 4, seed=3)]
+        for idx, inst in enumerate(insts):
+            path = tmp_path / f"{idx}.json"
+            save_instance(inst, path)
+            loaded = load_instance(path)
+            assert loaded == inst
+            for got, want in zip(loaded.valuations, inst.valuations):
+                assert (got.values, got.table) == (want.values, want.table)
+
     def test_allocation(self, tmp_path):
         alloc = Allocation.of([[0, 2], [1], []])
         path = tmp_path / "a.json"
@@ -224,6 +250,14 @@ class TestValueQuery:
         table = {frozenset(): Fraction(0), frozenset({0}): Fraction(1)}
         assert Valuation.explicit(1, table).value(set()) == 0
 
+    def test_bool_is_not_a_good(self):
+        for v in (Valuation.additive([Fraction(1), Fraction(2)]),
+                  Valuation.explicit(2, {frozenset({0}): Fraction(1),
+                                         frozenset({1}): Fraction(2),
+                                         frozenset({0, 1}): Fraction(3)})):
+            with pytest.raises(ValueError, match="not within 0..1"):
+                v.value([True, 0])
+
     def test_high_agent_single_good(self):
         # Agent valuing every good at n sees a single good at n.
         v = Valuation.additive([Fraction(3)] * 3)
@@ -239,6 +273,141 @@ class TestValueQuery:
         inner = data.draw(st.sets(st.integers(0, m - 1)))
         extra = data.draw(st.sets(st.integers(0, m - 1)))
         assert v.value(inner) <= v.value(inner | extra)
+
+
+# Pairwise coprime, so an agent's denominator can have hundreds of bits.
+LARGE_PRIMES = (10 ** 9 + 7, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 89 - 1)
+
+
+def rational_text(rng, x, forms):
+    """A valid file rendering of `x`, often not the canonical one: JSON
+    integers, "-0", leading zeros and unreduced fractions. Counts each
+    form used in `forms`."""
+    p, q = x.numerator, x.denominator
+    k = rng.randint(2, 9)
+    choices = [("canonical", str(x)), ("unreduced", f"{p * k}/{q * k}")]
+    if q == 1:
+        zeros = "-00" if p < 0 else "00"
+        choices += [("json-int", p), ("leading-zeros", zeros + str(abs(p)))]
+    if p == 0:
+        choices += [("minus-zero", "-0"), ("zero-over-q", f"0/{k}")]
+    form, text = rng.choice(choices)
+    forms[form] += 1
+    return text
+
+
+def file_json(rng, inst, forms):
+    """`inst` as an instance file with varied rational texts, explicit keys
+    in shuffled order and the empty-set key often left out when it is 0;
+    some agents get two negative values, and the scaled flag is sometimes
+    claimed wrongly."""
+    vals = []
+    for v in inst.valuations:
+        if v.kind == "additive":
+            items = list(enumerate(v.values))
+        else:
+            items = [(",".join(str(g + 1) for g in sorted(subset)), x)
+                     for subset, x in v.table.items()
+                     if subset or x or rng.random() < 0.5]
+            rng.shuffle(items)
+        if items and rng.random() < 0.15:
+            for j in rng.sample(range(len(items)), min(2, len(items))):
+                items[j] = items[j][0], -Fraction(rng.randint(1, 3), 2)
+        if v.kind == "additive":
+            vals.append({"kind": "additive", "values": [
+                rational_text(rng, x, forms) for _, x in items]})
+            continue
+        vals.append({"kind": "explicit", "subadditive": v.subadditive,
+                     "table": {key: rational_text(rng, x, forms)
+                               for key, x in items}})
+    return {"n": inst.n, "m": inst.m, "valuations": vals,
+            "scaled": inst.scaled or rng.random() < 0.2}
+
+
+def large_denominator_corpus(rng, count):
+    """Additive instances whose values have large coprime denominators,
+    with some zero values."""
+    out = []
+    for _ in range(count):
+        n, m = rng.randint(1, 4), rng.randint(1, 6)
+        rows = [[Fraction(rng.choice([0, rng.randint(1, q)]), q)
+                 for q in (rng.choice(LARGE_PRIMES) for _ in range(m))]
+                for _ in range(n)]
+        out.append(additive_instance(rows))
+    return out
+
+
+def test_loader_matches_fraction_reference(tmp_path):
+    """The integer loader against `Fraction(text)` and the `Fraction`
+    constructors on seeded additive, explicit and mixed files: the same
+    instance (equality and hash), the same views in the same order, the
+    kernel read off the Fractions in lowest terms; or the same
+    ValidationError."""
+    rng = random.Random(20261019)
+    corpus = (tie_corpus(240, 4242) + twin_corpus(60, 77)
+              + random_additive_corpus(60, 5, 8, 8)
+              + random_subadditive_corpus(30, 3, 5, 9)
+              + large_denominator_corpus(rng, 60))
+    forms, outcomes = Counter(), Counter()
+    for idx, inst in enumerate(corpus):
+        path = write(tmp_path, f"{idx}.json", file_json(rng, inst, forms))
+        want = naive_load_instance(path)
+        try:
+            validate_instance(want)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as err:
+                load_instance(path)
+            assert (err.value.axiom, err.value.agent, err.value.witness,
+                    str(err.value)) == (exc.axiom, exc.agent, exc.witness,
+                                        str(exc))
+            outcomes[exc.axiom] += 1
+            continue
+        got = load_instance(path)
+        assert got == want and hash(got) == hash(want)
+        for g, w in zip(got.valuations, want.valuations):
+            assert g.ints == w.ints == naive_kernel(w)
+            assert gcd(g.den, *g.kernel) == 1
+            assert g.values == w.values
+            assert (g.table is None) == (w.table is None)
+            if g.table is not None:
+                assert list(g.table.items()) == list(w.table.items())
+        outcomes[g.kind] += 1
+    assert outcomes["additive"] >= 100 and outcomes["explicit"] >= 50
+    for axiom in ("normalized", "nonnegative", "scaled"):
+        assert outcomes[axiom] >= 20, axiom
+    assert min(forms.values()) >= 50 and len(forms) == 6
+
+
+def test_solving_a_loaded_file_builds_no_fraction_view(tmp_path):
+    path = tmp_path / "i.json"
+    save_instance(generate_random(6, 24, "dirichlet-scaled", seed=4), path)
+    inst = load_instance(path)
+    run_solve_half_mms(inst)
+    assert not any("values" in v.__dict__ for v in inst.valuations)
+
+
+class TestConstructorInputs:
+    """Values are exact rationals: Fractions, ints and "p/q" strings."""
+
+    @staticmethod
+    def build(kind, x):
+        if kind == "additive":
+            return Valuation.additive([x])
+        return Valuation.explicit(1, {frozenset({0}): x})
+
+    @pytest.mark.parametrize("kind", ["additive", "explicit"])
+    @pytest.mark.parametrize("x", [0.1, 0.5, True, False, None])
+    def test_rejects_floats_and_bools(self, kind, x):
+        with pytest.raises(ValueError, match="must be Fractions"):
+            self.build(kind, x)
+
+    @pytest.mark.parametrize("kind", ["additive", "explicit"])
+    def test_accepts_exact_rationals(self, kind):
+        for x, want in ((Fraction(2, 4), Fraction(1, 2)), (3, 3),
+                        ("6/9", Fraction(2, 3)), ("-0", 0)):
+            v = self.build(kind, x)
+            assert v.value({0}) == want
+            assert v == self.build(kind, want)
 
 
 class TestRescale:

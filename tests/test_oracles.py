@@ -120,7 +120,8 @@ class TestMmsK:
              else Valuation.explicit(2, {frozenset({0}): Fraction(1),
                                          frozenset({1}): Fraction(2),
                                          frozenset({0, 1}): Fraction(3)}))
-        for goods in ([-1, 0], [0, 2]):
+        # A bool is an int in Python, but not a good.
+        for goods in ([-1, 0], [0, 2], [True, 0], [True]):
             for k in (1, 2, 3):
                 with pytest.raises(ValueError, match="not within 0..1"):
                     oracle(v, k, goods)
