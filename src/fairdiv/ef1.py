@@ -25,8 +25,7 @@ from .envy_cycle import LiptonStats, run_extend_ef1
 from .errors import InfeasibleError, ValidationError
 from .fairness import is_ef1, social_welfare
 from .matching import max_weight_left_perfect_matching
-from .model import (ADDITIVE, Allocation, Event, Instance, ZERO,
-                    check_monotone, common_ints, validate_allocation)
+from .model import ADDITIVE, Allocation, Event, Instance, validate_allocation
 from .oracles import DEFAULT_ENUM_CAP, max_welfare
 
 
@@ -71,9 +70,7 @@ class Ef1AbsRun:
 class Ef1HighRun:
     allocation: Allocation
     trace: list[Event]      # ("prefix", agent, her new bundle, "") per step
-    partial: Allocation
-    partial_welfare: Fraction
-    line_order: LineOrder
+    partial: Allocation     # the loop's allocation, before the extension
     lipton: LiptonStats
 
     @property
@@ -93,10 +90,9 @@ class SolveEf1Run:
 def run_ef1_abs(inst: Instance) -> Ef1AbsRun:
     # Checked before the matching, which would refuse a negative weight
     # without naming the agent.
-    for i, v in enumerate(inst.valuations):
-        check_monotone(v, i)
+    inst.require_monotone()
     # Singleton values over one scale: additive rows, explicit one-good masks.
-    rows, _ = common_ints(inst.valuations)
+    rows, _ = inst.common
     weights = [row if v.kind == ADDITIVE
                else [row[1 << g] for g in range(inst.m)]
                for row, v in zip(rows, inst.valuations)]
@@ -198,28 +194,20 @@ def _components(intervals: list[Optional[tuple[int, int]]],
 
 def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
     validate_allocation(ref, inst, require_complete=True)
-    # Checked here too: the loop below already assumes monotone values.
-    for i, v in enumerate(inst.valuations):
-        check_monotone(v, i)
+    # The loop below already assumes monotone values.
+    inst.require_monotone()
     n, m = inst.n, inst.m
     line = LineOrder.from_reference(ref.bundles, m)
     lv = _LineValues(inst, line)
 
     intervals: list[Optional[tuple[int, int]]] = [None] * n
     own = [0] * n               # agent i's own value in her integers
-    for i in range(n):
-        bundle = ref.bundles[i]
-        if not bundle:
-            continue
-        best_p = None
-        best_val = None
-        for g in sorted(bundle):
-            p = line.position[g]
-            val = lv.range_value(i, p, p)
-            if best_val is None or val > best_val:
-                best_p, best_val = p, val
-        intervals[i] = (best_p, best_p)
-        own[i] = best_val
+    for i, bundle in enumerate(ref.bundles):
+        if bundle:      # her best reference good, the lowest on ties
+            p = max((line.position[g] for g in sorted(bundle)),
+                    key=lambda p: lv.range_value(i, p, p))
+            intervals[i] = (p, p)
+            own[i] = lv.range_value(i, p, p)
 
     trace: list[Event] = []
     guard = 2 * n * m * m + 10
@@ -258,11 +246,8 @@ def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
             assert all(line.contiguous(bundle) for bundle in snapshot.bundles)
 
     partial = _intervals_to_allocation(intervals, line, n)
-    partial_welfare = sum((Fraction(x, v.ints[1])
-                           for x, v in zip(own, inst.valuations)), ZERO)
     allocation, stats = run_extend_ef1(inst, partial)
     return Ef1HighRun(allocation=allocation, trace=trace, partial=partial,
-                      partial_welfare=partial_welfare, line_order=line,
                       lipton=stats)
 
 

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from . import debug
 from .errors import ValidationError
 from .fairness import is_ef1
-from .model import (ADDITIVE, Allocation, Instance, check_monotone,
-                    goods_mask, mask_goods)
+from .model import ADDITIVE, Allocation, Instance, goods_mask, mask_goods
 
 
 @dataclass
@@ -96,8 +95,7 @@ def run_extend_ef1(inst: Instance,
 
     Raises ValidationError when a valuation is not monotone or the partial
     allocation is not EF1."""
-    for i, v in enumerate(inst.valuations):
-        check_monotone(v, i)
+    inst.require_monotone()
     verdict = is_ef1(inst, partial)
     if not verdict.holds:
         raise ValidationError("ef1-precondition",

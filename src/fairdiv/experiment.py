@@ -120,21 +120,24 @@ class ExperimentConfig:
             seed=_json_int(data, "seed", 0),
             solvers=tuple(solvers),
             epsilon=epsilon,
-            enum_cap=_json_int(data, "enum_cap", DEFAULT_ENUM_CAP),
+            enum_cap=_json_int(data, "enum_cap", DEFAULT_ENUM_CAP, 0),
             mms_state_cap=_json_int(data, "mms_state_cap",
-                                    DEFAULT_MMS_STATE_CAP),
-            jobs=_json_int(data, "jobs", 1),
+                                    DEFAULT_MMS_STATE_CAP, 0),
+            jobs=_json_int(data, "jobs", 1, 1),
             trace=trace,
             families=tuple(families))
         _instance_jobs(config)      # rejects malformed families up front
         return config
 
 
-def _json_int(obj: dict, key: str, default: int) -> int:
-    """obj[key] as a JSON integer (bools are not), or the default if absent."""
+def _json_int(obj: dict, key: str, default: int, least=None) -> int:
+    """obj[key] as a JSON integer (bools are not) of at least `least`, or
+    the default if absent."""
     value = obj.get(key, default)
     if not is_json_int(value):
         raise ParseError(f"'{key}' must be a JSON integer, got {value!r}")
+    if least is not None and value < least:
+        raise ParseError(f"'{key}' must be at least {least}, got {value}")
     return value
 
 
@@ -196,7 +199,7 @@ def _instance_jobs(config: ExperimentConfig) -> list[dict]:
                 jobs.append({"family": family, "n": n, "epsilon": eps})
         elif family in RANDOM_FAMILIES:
             ms = _json_ints(fam, "m", [])
-            count = _json_int(fam, "count", 1)
+            count = _json_int(fam, "count", 1, 1)
             distribution = fam.get("distribution", "uniform-rational")
             for n in ns:
                 for m in ms:
@@ -260,10 +263,21 @@ def _solver_row(ident: str, inst: Instance, solver: str,
     row["opt"] = format_rational(opt) if opt is not None else "skipped"
     row["opt_dec"] = _dec(opt)
 
+    # One half-MMS profile for the solver, half_mms_holds and constrained_opt;
+    # None beyond the MMS cap, where each of them that needs it raises.
+    profile = None
+    if solver == "half-mms" and inst.additive:
+        try:
+            profile = mms_profile(inst, epsilon=config.epsilon,
+                                  cap=config.mms_state_cap)
+        except InfeasibleError:
+            pass
+
     trace_blob: dict = {}
     try:
         run = (run_solve_ef1(inst, cap=config.enum_cap) if solver == "ef1"
                else run_solve_half_mms(inst, epsilon=config.epsilon,
+                                       profile=profile,
                                        mms_cap=config.mms_state_cap))
     except (InfeasibleError, ValidationError) as exc:
         # Solver not applicable (wrong valuation class) or beyond its caps:
@@ -290,9 +304,6 @@ def _solver_row(ident: str, inst: Instance, solver: str,
     if run.high_run is not None:
         trace_blob["high_trace"] = [e.to_json() for e in run.high_run.trace]
 
-    # The half-MMS branch's profile, shared with constrained_opt. It stays
-    # None when beyond the MMS cap, and constrained_opt then raises as well.
-    profile = None
     if solver == "ef1":
         verdict = is_ef1(inst, alloc)
         row["ef1_holds"] = _check("ef1_holds", verdict.holds, row, trace_blob)
@@ -320,15 +331,13 @@ def _solver_row(ident: str, inst: Instance, solver: str,
         prop = "ef1"
         prop_alpha = None
     else:
-        try:
-            profile = mms_profile(inst, epsilon=config.epsilon,
-                                  cap=config.mms_state_cap)
+        if profile is None:
+            row["half_mms_holds"] = "skipped"
+        else:
             half = Fraction(1, 2) - config.epsilon
             verdict = is_alpha_mms(inst, alloc, half, profile)
             row["half_mms_holds"] = _check("half_mms_holds", verdict.holds,
                                            row, trace_blob)
-        except InfeasibleError:
-            row["half_mms_holds"] = "skipped"
         row["welfare_vs_total_3n"] = _check(
             "welfare_vs_total_3n", 3 * inst.n * welfare >= total, row,
             trace_blob)
@@ -351,32 +360,24 @@ def _solver_row(ident: str, inst: Instance, solver: str,
     row["welfare"] = format_rational(welfare)
     row["welfare_dec"] = _dec(welfare)
 
-    constrained = None
     try:
         constrained = constrained_opt(inst, prop, alpha=prop_alpha,
                                       profile=profile, cap=config.enum_cap,
                                       mms_cap=config.mms_state_cap)
     except InfeasibleError:
-        row["constrained_welfare"] = "skipped"
-        row["price_ratio"] = "skipped"
-        row["price_ratio_dec"] = ""
+        constrained = None
+    row["constrained_welfare"] = row["price_ratio"] = "skipped"
+    row["price_ratio_dec"] = ""
     if constrained is not None:
         cw = constrained[1]
         row["constrained_welfare"] = format_rational(cw)
-        if opt is None:
-            row["price_ratio"] = "skipped"
-            row["price_ratio_dec"] = ""
-        elif cw == 0:
+        if cw == 0 and opt is not None:
             row["price_ratio"] = "inf" if opt > 0 else "1"
             row["price_ratio_dec"] = "inf" if opt > 0 else "1"
-        else:
+        elif opt is not None:
             ratio = opt / cw
             row["price_ratio"] = format_rational(ratio)
             row["price_ratio_dec"] = _dec(ratio)
-    elif "constrained_welfare" not in row:
-        row["constrained_welfare"] = "skipped"
-        row["price_ratio"] = "skipped"
-        row["price_ratio_dec"] = ""
 
     if opt is not None and welfare > 0:
         solver_ratio = opt / welfare

@@ -1,7 +1,7 @@
 """Maximum-weight bipartite matching that matches every agent.
 
 The weights are nonnegative integers (callers bring rationals onto one
-scale with `fairdiv.model.common_ints`). The lexicographic tie-break is
+scale with `fairdiv.model.Instance.common`). The lexicographic tie-break is
 folded into the weights, and one rectangular Hungarian (potential +
 shortest augmenting path) solve runs in pure integer arithmetic. Among all
 maximum-weight left-perfect matchings the lexicographically smallest good

@@ -21,8 +21,9 @@ within 4*sqrt(n), and 3*sqrt(n)*SW + 4*sqrt(n) >= OPT.
 
 Both loops run on the agents' integer kernels (`Valuation.ints`). The
 absolute algorithm compares values across agents, so it reads them over one
-common denominator (`common_ints`); the high-welfare algorithm only compares
-within an agent, so each agent reads hers and Z_i over one (`ints_with`).
+common denominator (`Instance.common`); the high-welfare algorithm only
+compares within an agent, so each agent reads hers and Z_i over one
+(`ints_with`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .ef1 import LineOrder
 from .errors import ValidationError
 from .exact import sqrt_ge
 from .fairness import is_prop1, social_welfare
-from .model import Allocation, Event, Instance, ZERO, common_ints, ints_with
+from .model import Allocation, Event, Instance, ZERO, ints_with
 from .oracles import (DEFAULT_MMS_STATE_CAP, MmsProfile, max_welfare,
                       mms_profile)
 
@@ -84,7 +85,7 @@ def run_mms_abs(inst: Instance) -> MmsAbsRun:
     active = set(range(inst.n))
     remaining = set(range(inst.m))
     # The pick compares values across agents.
-    values, _ = common_ints(inst.valuations)
+    values, _ = inst.common
     totals = [sum(row) for row in values]
     bundles: list[set[int]] = [set() for _ in range(inst.n)]
     trace: list[Event] = []
@@ -210,16 +211,11 @@ def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
                     f"but estimate {estimates[i]}", agent=i + 1)
             place("zero-mms", i, wstar_val[i] == 0)
 
+    low = [i for i in range(n) if not sqrt_ge(3 * z[i], 2 * wstar_val[i], n)]
     gamma_single = frozenset(
-        i for i in range(n)
-        if not sqrt_ge(3 * z[i], 2 * wstar_val[i], n)
-        and any(sqrt_ge(3 * vals[i][g], wstar_val[i], n)
-                for g in wstar.bundles[i]))
-    gamma_hard = frozenset(
-        i for i in range(n)
-        if not sqrt_ge(3 * z[i], 2 * wstar_val[i], n)
-        and all(not sqrt_ge(3 * vals[i][g], wstar_val[i], n)
-                for g in wstar.bundles[i]))
+        i for i in low if any(sqrt_ge(3 * vals[i][g], wstar_val[i], n)
+                              for g in wstar.bundles[i]))
+    gamma_hard = frozenset(low) - gamma_single
 
     for i in sorted(gamma_single):
         top = max(vals[i][g] for g in wstar.bundles[i])

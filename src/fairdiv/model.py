@@ -15,7 +15,8 @@ edges: the loader parses each rational straight into integers, and
 from the kernel (the constructors keep the Fractions they are given as the
 view). Scaling by `den > 0` keeps the order of every comparison within one
 agent; comparisons across agents first rescale to a common lcm
-(`common_ints`, `ints_with`).
+(`ints_with`, or `Instance.common` for every agent). An `Instance` computes
+such per-instance facts once, on first use, outside its dataclass fields.
 
 Instance files are JSON::
 
@@ -62,12 +63,14 @@ def _parse_ratio(text) -> tuple[int, int]:
         raise ParseError(f"not a rational: {text!r} (expected p/q or an "
                          "integer)")
     num, den = match.groups()
-    if den is None:
-        return int(num), 1
-    q = int(den)
+    try:
+        p, q = int(num), 1 if den is None else int(den)
+    except ValueError:      # more digits than int() converts
+        raise ParseError(f"not a rational: {str(text)[:20]!r}... has more "
+                         "digits than an integer may have") from None
     if q == 0:
         raise ParseError(f"not a rational: {text!r} (zero denominator)")
-    return int(num), q
+    return p, q
 
 
 def parse_rational(text: str) -> Fraction:
@@ -237,21 +240,13 @@ def _explicit(m: int, entries: dict[int, tuple[int, int]],
     return v
 
 
-def _rescaled(ints: Sequence[int], den: int, scale: int) -> list[int]:
+def _rescaled(ints: Sequence[int], den: int, scale: int) -> tuple[int, ...]:
     """Integers over `den` re-expressed over `scale`, a multiple of `den`."""
-    return [x * (scale // den) for x in ints]
+    factor = scale // den
+    return tuple([x * factor for x in ints])
 
 
-def common_ints(valuations: Sequence[Valuation]
-                ) -> tuple[list[list[int]], int]:
-    """Every agent's integer kernel rescaled to one common denominator, the
-    lcm of theirs, as comparisons across agents need."""
-    scale = lcm(*(v.ints[1] for v in valuations))
-    return [_rescaled(ints, den, scale)
-            for ints, den in (v.ints for v in valuations)], scale
-
-
-def ints_with(valuation: Valuation, x: Fraction) -> tuple[list[int], int]:
+def ints_with(valuation: Valuation, x: Fraction) -> tuple[Sequence[int], int]:
     """The agent's kernel and `x` over the lcm of their denominators."""
     ints, den = valuation.ints
     scale = lcm(den, x.denominator)
@@ -277,6 +272,22 @@ class Instance:
 
     def total_value(self, agent: int) -> Fraction:
         return self.valuations[agent].value(range(self.m))
+
+    @cached_property
+    def common(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """`(rows, scale)`: every agent's kernel over the lcm of their
+        denominators, built once; the rows are tuples, shared by readers."""
+        scale = lcm(*(v.den for v in self.valuations))
+        return tuple(_rescaled(v.kernel, v.den, scale)
+                     for v in self.valuations), scale
+
+    def require_monotone(self) -> None:
+        """`check_monotone` on every agent in order. A pass is remembered; a
+        failure is not, so each call raises the same first error."""
+        if "_monotone" not in self.__dict__:
+            for i, v in enumerate(self.valuations):
+                check_monotone(v, i)
+            self.__dict__["_monotone"] = True
 
 
 @dataclass(frozen=True)
@@ -494,6 +505,8 @@ def instance_from_json(data) -> Instance:
     for name, count in (("n", n), ("m", m)):
         if not is_json_int(count):
             raise ParseError(f"{name} must be a JSON integer, got {count!r}")
+    if m < 0:
+        raise ParseError(f"m must be at least 0, got {m}")
     if not isinstance(scaled, bool):
         raise ParseError(f"scaled must be true or false, got {scaled!r}")
     if not isinstance(valuations_json, list) or len(valuations_json) != n:
@@ -527,7 +540,7 @@ def read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:   # bad JSON or UTF-8, or an over-long integer
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 

@@ -33,7 +33,7 @@ from typing import Iterable, Optional
 
 from .errors import InfeasibleError, ValidationError
 from .model import (ADDITIVE, Allocation, Instance, Valuation, ZERO,
-                    common_ints, good_set, goods_mask, mask_goods)
+                    good_set, goods_mask, mask_goods)
 
 # Feasibility is judged on the k^|G| partition-state bound; the memoized DP
 # itself touches at most k * 3^|G| states.
@@ -225,7 +225,7 @@ def max_welfare(inst: Instance,
     assignment order is kept.
     """
     if inst.additive:
-        rows, scale = common_ints(inst.valuations)
+        rows, scale = inst.common
         bundles = [set() for _ in range(inst.n)]
         opt = 0
         for g, vals in enumerate(zip(*rows)):
@@ -296,7 +296,7 @@ def _prop1_leaf(n, weights, tables, totals, full, masks, owner, own) -> bool:
 def _split_kernels(inst: Instance):
     """Every kernel over one common denominator: per-good weights (additive
     agents) or bitmask tables (explicit), None in the other list."""
-    rows, scale = common_ints(inst.valuations)
+    rows, scale = inst.common
     additive = [v.kind == ADDITIVE for v in inst.valuations]
     weights = [row if add else None for row, add in zip(rows, additive)]
     tables = [None if add else row for row, add in zip(rows, additive)]

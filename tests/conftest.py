@@ -232,6 +232,14 @@ def naive_kernel(v: Valuation) -> tuple[tuple[int, ...], int]:
                  for i in range(len(fractions))), den
 
 
+def naive_common_ints(valuations):
+    """Every agent's integer kernel rescaled to the lcm of their
+    denominators, as lists: the reference for `Instance.common`."""
+    scale = lcm(*(v.ints[1] for v in valuations))
+    return [[x * (scale // den) for x in ints]
+            for ints, den in (v.ints for v in valuations)], scale
+
+
 def naive_matching(weights):
     """Lex-first maximum-weight left-perfect matching by permutation scan.
 
@@ -449,8 +457,8 @@ def naive_extend_ef1(inst: Instance, partial: Allocation):
 
 def naive_ef1_high_loop(inst: Instance, ref: Allocation):
     """The EF1 high-welfare loop on `Fraction` value queries, with no
-    prefix sums. Returns the partial allocation, the ("prefix", agent,
-    goods, "") trace and the partial welfare."""
+    prefix sums. Returns the partial allocation and the ("prefix", agent,
+    goods, "") trace."""
     n, m = inst.n, inst.m
     line = LineOrder.from_reference(ref.bundles, m)
 
@@ -492,7 +500,7 @@ def naive_ef1_high_loop(inst: Instance, ref: Allocation):
     partial = Allocation.of(
         [] if iv is None else [line.order[p] for p in range(iv[0], iv[1] + 1)]
         for iv in intervals)
-    return partial, trace, sum(own, Fraction(0))
+    return partial, trace
 
 
 def naive_run_mms_abs(inst: Instance):

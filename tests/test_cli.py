@@ -372,6 +372,11 @@ class TestExperiment:
                        "m": [21]}]},
         {"families": [{"family": "supermodular", "n": [21],
                        "epsilon": "1/100"}]},
+        {"jobs": 0}, {"jobs": -1}, {"enum_cap": -1}, {"mms_state_cap": -1},
+        {"families": [{"family": "random", "n": [2], "m": [3],
+                       "count": 0}]},
+        {"families": [{"family": "random", "n": [2], "m": [3],
+                       "count": -2}]},
     ], ids=["trace-string", "trace-int", "seed-float", "seed-string",
             "seed-bool", "jobs-string", "enum-cap-float", "mms-cap-null",
             "epsilon-decimal", "family-n-float", "family-n-string",
@@ -382,7 +387,10 @@ class TestExperiment:
             "ef1-unscaled-n-zero", "supermodular-epsilon-two",
             "supermodular-no-epsilon", "supermodular-n-one",
             "prop1-scaled-n-not-square", "mms-unscaled-no-epsilon",
-            "subadditive-m-over-cap", "supermodular-n-over-cap"])
+            "subadditive-m-over-cap", "supermodular-n-over-cap",
+            "jobs-zero", "jobs-negative", "enum-cap-negative",
+            "mms-cap-negative", "family-count-zero",
+            "family-count-negative"])
     def test_config_rejects_wrong_json_types(self, change):
         with pytest.raises(ParseError):
             ExperimentConfig.from_json(dict(self.CONFIG, **change))

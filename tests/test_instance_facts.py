@@ -1,0 +1,159 @@
+"""Per-instance integer facts: `Instance.common` (every kernel over one
+common denominator) and `Instance.require_monotone()`, each computed once
+per instance and read by the solvers, the oracles and the report row."""
+
+import pickle
+from collections import Counter
+from functools import cached_property
+
+import pytest
+
+import fairdiv.ef1
+import fairdiv.envy_cycle
+import fairdiv.experiment
+import fairdiv.mms
+import fairdiv.model
+import fairdiv.oracles
+from fairdiv import (Allocation, Instance, ValidationError, Valuation,
+                     generate_random, run_ef1_abs, run_extend_ef1,
+                     run_solve_ef1, run_solve_half_mms)
+from fairdiv.experiment import ExperimentConfig, _solver_row
+
+from conftest import (additive_instance, naive_common_ints, tie_corpus,
+                      twin_corpus)
+
+
+def corpus():
+    return tie_corpus(120, seed=19) + twin_corpus(120, seed=29)
+
+
+def kinds(inst):
+    found = {v.kind for v in inst.valuations}
+    return found.pop() if len(found) == 1 else "mixed"
+
+
+def test_common_matches_reference():
+    seen = Counter()
+    for inst in corpus():
+        rows, scale = inst.common
+        want_rows, want_scale = naive_common_ints(inst.valuations)
+        assert scale == want_scale
+        assert type(rows) is tuple and all(type(r) is tuple for r in rows)
+        assert [list(row) for row in rows] == want_rows
+        assert inst.common is inst.common           # built once
+        seen[kinds(inst)] += 1
+        seen["rescaled"] += any(v.den != scale for v in inst.valuations)
+    assert min(seen[k] for k in ("additive", "explicit", "mixed")) >= 30
+    assert seen["rescaled"] >= 30
+
+
+def test_cached_facts_leave_equality_hash_and_pickle_alone():
+    for inst in corpus()[:80]:
+        fresh = Instance(inst.n, inst.m, inst.valuations, inst.scaled)
+        before = hash(inst)
+        inst.common
+        try:
+            inst.require_monotone()
+        except ValidationError:
+            pass
+        assert inst == fresh and hash(inst) == hash(fresh) == before
+        for original in (inst, fresh):
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy == inst and hash(copy) == before
+            assert copy.common == inst.common
+
+
+@pytest.mark.parametrize("valuations", [
+    (Valuation.additive([1, 2]), Valuation.additive([1, -1]),
+     Valuation.additive([-2, 0])),
+    (Valuation.additive([1, 2]),
+     Valuation.explicit(2, {frozenset({0}): 2, frozenset({1}): 1,
+                            frozenset({0, 1}): 1})),
+], ids=["additive", "explicit"])
+def test_non_monotone_instance_raises_the_same_error_every_call(valuations):
+    inst = Instance(len(valuations), 2, valuations)
+    errors = []
+    for call in (inst.require_monotone, inst.require_monotone,
+                 lambda: run_ef1_abs(inst), lambda: run_ef1_abs(inst)):
+        with pytest.raises(ValidationError) as info:
+            call()
+        errors.append(info.value)
+    first = errors[0]
+    assert first.agent == 2
+    for error in errors[1:]:
+        assert (str(error), error.axiom, error.agent, error.witness) == \
+            (str(first), first.axiom, first.agent, first.witness)
+
+
+@pytest.fixture()
+def counts(monkeypatch):
+    """Counts common-scale builds and per-agent monotonicity checks, however
+    a module reaches `check_monotone`."""
+    seen = Counter()
+    build = Instance.__dict__["common"].func
+
+    def counted_build(inst):
+        seen["common"] += 1
+        return build(inst)
+
+    common = cached_property(counted_build)
+    common.__set_name__(Instance, "common")
+    monkeypatch.setattr(Instance, "common", common)
+    check = fairdiv.model.check_monotone
+
+    def counted_check(v, agent):
+        seen["monotone"] += 1
+        check(v, agent)
+
+    for module in (fairdiv.model, fairdiv.ef1, fairdiv.envy_cycle):
+        monkeypatch.setattr(module, "check_monotone", counted_check,
+                            raising=False)
+    return seen
+
+
+def diagonal(n):
+    """n agents and n goods; agent i values only good i, at 1. OPT = n
+    exceeds 5 sqrt(n) from n = 26, so half-MMS takes the high branch."""
+    return additive_instance([["1" if g == i else "0" for g in range(n)]
+                              for i in range(n)], scaled=True)
+
+
+def test_one_build_and_one_scan_per_ef1_solve(counts):
+    for inst in (generate_random(5, 20, "dirichlet-scaled", seed=3),
+                 generate_random(4, 9, "uniform-rational", seed=4)):
+        counts.clear()
+        run = run_solve_ef1(inst)
+        # Scaled: abs, the reference optimum, high and two extensions.
+        assert (run.high_run is not None) == inst.scaled
+        assert counts == {"common": 1, "monotone": inst.n}
+        counts.clear()
+        run_extend_ef1(inst, Allocation.of([[]] * inst.n))
+        assert counts == {}
+
+
+def test_one_build_per_half_mms_solve(counts):
+    # Half-MMS needs no monotonicity scan: its agents are additive.
+    for inst, branch in ((generate_random(5, 20, "dirichlet-scaled", seed=3),
+                          "abs"), (diagonal(26), "high")):
+        counts.clear()
+        assert run_solve_half_mms(inst).branch == branch
+        assert counts == {"common": 1}
+
+
+def test_one_mms_profile_per_half_mms_row(monkeypatch):
+    calls = []
+    profile = fairdiv.oracles.mms_profile
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return profile(*args, **kwargs)
+
+    for module in (fairdiv.experiment, fairdiv.mms, fairdiv.oracles):
+        monkeypatch.setattr(module, "mms_profile", counted)
+    inst = diagonal(26)
+    row = _solver_row("diagonal", inst, "half-mms",
+                      ExperimentConfig.from_json({}))
+    assert row["_trace"]["branch"] == "high"
+    assert row["half_mms_holds"] == "pass"
+    assert row["constrained_welfare"] == "skipped"      # 26^26 leaves
+    assert calls == [inst]

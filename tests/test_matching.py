@@ -10,8 +10,6 @@ from fractions import Fraction
 import pytest
 
 from fairdiv import FamilySpec, generate_adversarial, max_weight_left_perfect_matching
-from fairdiv.model import common_ints
-
 from conftest import naive_matching
 
 
@@ -34,7 +32,7 @@ class TestKnownMatrices:
 
     def test_high_agent_matrix(self):
         inst = generate_adversarial(FamilySpec("ef1-unscaled", 3))
-        w, scale = common_ints(inst.valuations)
+        w, scale = inst.common
         pairs = max_weight_left_perfect_matching(w)
         assert Fraction(weight_of(w, pairs), scale) == 3 + Fraction(2, 3)
 

@@ -141,10 +141,13 @@ def not_subadditive(**flag):
     (load_allocation, {"bundles": [[1], 2]}),
     (load_instance, not_subadditive(subadditive="false")),
     (load_instance, not_subadditive(subadditive=0)),
+    (load_instance, dict(ONE_AGENT, m=-1)),
+    (load_instance, dict(ONE_AGENT, m=-1, valuations=[
+        {"kind": "explicit", "table": {}}])),
 ], ids=["n-float", "n-string", "m-float", "n-bool", "m-bool",
         "scaled-string", "scaled-int", "good-bool", "second-good-bool",
         "bundles-int", "bundles-string", "bundle-int", "subadditive-string",
-        "subadditive-int"])
+        "subadditive-int", "m-negative-additive", "m-negative-explicit"])
 def test_loader_rejects_wrong_json_types(tmp_path, loader, data):
     with pytest.raises(ParseError):
         loader(write(tmp_path, "f.json", data))
@@ -190,6 +193,26 @@ def test_loader_accepts_strict_rationals(tmp_path, text, value):
     inst = load_instance(write(tmp_path, "e.json",
                                one_value(text, "explicit")))
     assert inst.valuations[0].table[frozenset({0})] == value
+
+
+@pytest.mark.parametrize("kind", ["additive", "explicit"])
+@pytest.mark.parametrize("text", ["1" + "0" * 5000, "1/" + "1" * 5000,
+                                  "-" + "7" * 4301 + "/3"],
+                         ids=["numerator", "denominator", "negative"])
+def test_loader_rejects_over_long_numbers(tmp_path, text, kind):
+    # Python refuses int() on more than 4300 digits; that is a ParseError
+    # here, with a message that quotes only the start of the number.
+    with pytest.raises(ParseError, match="more digits") as info:
+        load_instance(write(tmp_path, "i.json", one_value(text, kind)))
+    assert len(str(info.value)) < 200
+
+
+def test_loader_rejects_over_long_json_integer(tmp_path):
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps(one_value(7, "additive"))
+                    .replace("7", "1" + "0" * 5000))
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_instance(path)
 
 
 def test_parse_rational_negative():
