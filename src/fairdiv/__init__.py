@@ -7,10 +7,10 @@ used to measure the price of fairness.
 """
 
 from .debug import checks_enabled, set_debug_checks
-from .ef1 import (Ef1AbsRun, Ef1HighRun, LineOrder, SolveEf1Run, alg_ef1_abs,
-                  alg_ef1_high, reference_allocation, run_ef1_abs,
-                  run_ef1_high, run_solve_ef1, solve_ef1)
-from .envy_cycle import LiptonStats, extend_ef1, run_extend_ef1
+from .ef1 import (Ef1AbsRun, Ef1HighRun, LineOrder, SolveEf1Run,
+                  reference_allocation, run_ef1_abs, run_ef1_high,
+                  run_solve_ef1)
+from .envy_cycle import LiptonStats, run_extend_ef1
 from .errors import (FairdivError, InfeasibleError, ParseError,
                      ValidationError)
 from .fairness import (FairnessVerdict, is_alpha_mms, is_ef1, is_prop1,
@@ -19,9 +19,8 @@ from .generators import (ADVERSARIAL_FAMILIES, FamilySpec,
                          generate_adversarial, generate_random,
                          generate_random_subadditive)
 from .matching import max_weight_left_perfect_matching
-from .mms import (MmsAbsRun, MmsHighRun, SolveHalfMmsRun, alg_mms_abs,
-                  alg_mms_high, prop1_subroutine, run_mms_abs, run_mms_high,
-                  run_solve_half_mms, solve_half_mms)
+from .mms import (MmsAbsRun, MmsHighRun, SolveHalfMmsRun, prop1_subroutine,
+                  run_mms_abs, run_mms_high, run_solve_half_mms)
 from .model import (Allocation, Event, Instance, Valuation, load_allocation,
                     load_instance, rescale_instance, save_allocation,
                     save_instance, validate_allocation, validate_instance)
@@ -36,9 +35,8 @@ __all__ = [
     "FairdivError", "FairnessVerdict", "FamilySpec", "InfeasibleError",
     "Instance", "LineOrder", "LiptonStats", "MmsAbsRun", "MmsHighRun",
     "MmsProfile", "ParseError", "SolveEf1Run", "SolveHalfMmsRun",
-    "ValidationError", "Valuation", "alg_ef1_abs", "alg_ef1_high",
-    "alg_mms_abs", "alg_mms_high", "checks_enabled", "constrained_opt",
-    "extend_ef1", "generate_adversarial", "generate_random",
+    "ValidationError", "Valuation", "checks_enabled", "constrained_opt",
+    "generate_adversarial", "generate_random",
     "generate_random_subadditive", "injected_profile", "is_alpha_mms",
     "is_ef1", "is_prop1", "load_allocation", "load_instance",
     "max_weight_left_perfect_matching", "max_welfare", "mms_k",
@@ -46,6 +44,6 @@ __all__ = [
     "prop1_subroutine", "reference_allocation", "rescale_instance",
     "run_ef1_abs", "run_ef1_high", "run_extend_ef1", "run_mms_abs",
     "run_mms_high", "run_solve_ef1", "run_solve_half_mms", "save_allocation",
-    "save_instance", "set_debug_checks", "social_welfare", "solve_ef1",
-    "solve_half_mms", "validate_allocation", "validate_instance",
+    "save_instance", "set_debug_checks", "social_welfare",
+    "validate_allocation", "validate_instance",
 ]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -37,7 +36,7 @@ from .ef1 import run_solve_ef1
 from .model import (allocation_to_json, format_rational, instance_to_json,
                     load_allocation, load_instance, parse_rational,
                     rescale_instance, save_allocation, save_instance)
-from .oracles import max_welfare, mms_profile, price_of_fairness
+from .oracles import mms_profile, price_of_fairness
 
 
 def _emit(data) -> None:
@@ -128,11 +127,10 @@ def _cmd_pof(args) -> int:
     inst = load_instance(args.instance)
     alpha = parse_rational(args.alpha) if args.alpha else Fraction(1, 2)
     prop = "alpha-mms" if args.property == "mms" else args.property
-    _, opt = max_welfare(inst)
-    price = price_of_fairness(inst, prop, alpha=alpha)
+    opt, price = price_of_fairness(inst, prop, alpha=alpha)
     _emit({"property": args.property, "opt": format_rational(opt),
-           "price": "infinite" if price == math.inf else format_rational(price),
-           "price_dec": ("inf" if price == math.inf else f"{float(price):.6g}")})
+           "price": "infinite" if price is None else format_rational(price),
+           "price_dec": "inf" if price is None else f"{float(price):.6g}"})
     return 0
 
 

@@ -1,5 +1,7 @@
-"""EF1 solvers: the matching-based absolute-welfare algorithm, the
-line-graph high-welfare algorithm, and the best-of-two combination.
+"""EF1 solvers: the matching-based absolute-welfare algorithm
+(`run_ef1_abs`), the line-graph high-welfare algorithm (`run_ef1_high`), and
+the best-of-two combination (`run_solve_ef1`). Each returns a run record
+whose `allocation` is the result, next to the steps that produced it.
 
 The absolute algorithm matches every agent to a single good by maximum-weight
 matching and extends via envy-cycle elimination; its welfare is at least
@@ -88,6 +90,7 @@ class SolveEf1Run:
 
 
 def run_ef1_abs(inst: Instance) -> Ef1AbsRun:
+    """EF1 allocation with welfare >= (1/2n) * sum_i v_i([m])."""
     # Checked before the matching, which would refuse a negative weight
     # without naming the agent.
     inst.require_monotone()
@@ -102,11 +105,6 @@ def run_ef1_abs(inst: Instance) -> Ef1AbsRun:
         bundles[agent] = frozenset({good})
     allocation, stats = run_extend_ef1(inst, Allocation(tuple(bundles)))
     return Ef1AbsRun(allocation=allocation, lipton=stats)
-
-
-def alg_ef1_abs(inst: Instance) -> Allocation:
-    """EF1 allocation with welfare >= (1/2n) * sum_i v_i([m])."""
-    return run_ef1_abs(inst).allocation
 
 
 def reference_allocation(inst: Instance,
@@ -193,6 +191,8 @@ def _components(intervals: list[Optional[tuple[int, int]]],
 
 
 def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
+    """EF1 allocation whose welfare, on scaled instances, is at least
+    SW(ref)/(6*sqrt(n)) - 1/6."""
     validate_allocation(ref, inst, require_complete=True)
     # The loop below already assumes monotone values.
     inst.require_monotone()
@@ -262,15 +262,15 @@ def _intervals_to_allocation(intervals, line: LineOrder, n: int) -> Allocation:
     return Allocation(tuple(bundles))
 
 
-def alg_ef1_high(inst: Instance, ref: Allocation) -> Allocation:
-    """EF1 allocation whose welfare, on scaled instances, is at least
-    SW(ref)/(6*sqrt(n)) - 1/6."""
-    return run_ef1_high(inst, ref).allocation
-
-
 def run_solve_ef1(inst: Instance,
                   reference: Optional[Allocation] = None,
                   cap: int = DEFAULT_ENUM_CAP) -> SolveEf1Run:
+    """Best-of-two EF1 solver.
+
+    Scaled instances run both algorithms and keep the higher welfare, which
+    is at least OPT/(16*sqrt(n)); unscaled instances run the absolute
+    algorithm alone, giving at least OPT/(2n).
+    """
     abs_run = run_ef1_abs(inst)
     abs_welfare = social_welfare(inst, abs_run.allocation)
     if not inst.scaled:
@@ -285,14 +285,3 @@ def run_solve_ef1(inst: Instance,
                            high_run=high_run)
     return SolveEf1Run(allocation=abs_run.allocation, branch="abs",
                        welfare=abs_welfare, abs_run=abs_run, high_run=high_run)
-
-
-def solve_ef1(inst: Instance, reference: Optional[Allocation] = None,
-              cap: int = DEFAULT_ENUM_CAP) -> Allocation:
-    """Best-of-two EF1 solver.
-
-    Scaled instances run both algorithms and keep the higher welfare, which
-    is at least OPT/(16*sqrt(n)); unscaled instances run the absolute
-    algorithm alone, giving at least OPT/(2n).
-    """
-    return run_solve_ef1(inst, reference=reference, cap=cap).allocation

@@ -1,5 +1,6 @@
-"""Envy-cycle elimination: extend a partial EF1 allocation to a complete EF1
-allocation without lowering any agent's own-bundle value.
+"""Envy-cycle elimination: `run_extend_ef1` extends a partial EF1 allocation
+to a complete EF1 allocation without lowering any agent's own-bundle value,
+and returns it with the run's step counts (`LiptonStats`).
 
 Works for any monotone valuations, and raises ValidationError before it
 starts unless every valuation is monotone (an additive agent's values are
@@ -91,7 +92,8 @@ def _find_cycle(adj: list[int], n: int) -> list[int] | None:
 
 def run_extend_ef1(inst: Instance,
                    partial: Allocation) -> tuple[Allocation, LiptonStats]:
-    """Extension run returning the complete allocation plus step counts.
+    """Complete EF1 extension of `partial`, with its step counts; every
+    agent ends at least as well off as in the partial input.
 
     Raises ValidationError when a valuation is not monotone or the partial
     allocation is not EF1."""
@@ -176,9 +178,3 @@ def run_extend_ef1(inst: Instance,
         for i in range(n):
             assert values[i][i] >= start_values[i]
     return result, stats
-
-
-def extend_ef1(inst: Instance, partial: Allocation) -> Allocation:
-    """Complete EF1 extension; every agent ends at least as well off as in
-    the partial input."""
-    return run_extend_ef1(inst, partial)[0]

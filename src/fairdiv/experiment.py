@@ -52,7 +52,8 @@ from .model import (Instance, ZERO, format_rational, is_json_int,
 from .mms import run_solve_half_mms
 from .ef1 import run_solve_ef1
 from .oracles import (DEFAULT_ENUM_CAP, DEFAULT_MMS_STATE_CAP,
-                      constrained_opt, max_welfare, mms_profile)
+                      constrained_opt, max_welfare, mms_profile,
+                      price_ratio)
 
 SOLVERS = ("ef1", "half-mms")
 
@@ -180,8 +181,6 @@ def _dec(value) -> str:
     stays authoritative."""
     if value is None:
         return ""
-    if value == float("inf"):
-        return "inf"
     return f"{float(value):.6g}"
 
 
@@ -371,13 +370,11 @@ def _solver_row(ident: str, inst: Instance, solver: str,
     if constrained is not None:
         cw = constrained[1]
         row["constrained_welfare"] = format_rational(cw)
-        if cw == 0 and opt is not None:
-            row["price_ratio"] = "inf" if opt > 0 else "1"
-            row["price_ratio_dec"] = "inf" if opt > 0 else "1"
-        elif opt is not None:
-            ratio = opt / cw
-            row["price_ratio"] = format_rational(ratio)
-            row["price_ratio_dec"] = _dec(ratio)
+        if opt is not None:
+            ratio = price_ratio(opt, cw)
+            row["price_ratio"] = ("inf" if ratio is None
+                                  else format_rational(ratio))
+            row["price_ratio_dec"] = "inf" if ratio is None else _dec(ratio)
 
     if opt is not None and welfare > 0:
         solver_ratio = opt / welfare

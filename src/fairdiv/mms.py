@@ -1,6 +1,8 @@
 """Half-maximin-share solvers for additive valuations: the greedy
-singleton-plus-Prop1 absolute-welfare algorithm, the line-accumulation
-high-welfare algorithm, and the case-split combination.
+singleton-plus-Prop1 absolute-welfare algorithm (`run_mms_abs`), the
+line-accumulation high-welfare algorithm (`run_mms_high`), and the
+case-split combination (`run_solve_half_mms`). Each returns a run record
+whose `allocation` is the result, next to the steps that produced it.
 
 The absolute algorithm repeatedly hands the highest-valued "large" good
 (one worth at least half the per-capita remainder to its taker) to that
@@ -81,7 +83,8 @@ class MmsAbsRun:
 
 
 def run_mms_abs(inst: Instance) -> MmsAbsRun:
-    _require_additive(inst, "alg_mms_abs")
+    """1/2-MMS allocation with welfare >= (1/3n) * sum_i v_i([m])."""
+    _require_additive(inst, "run_mms_abs")
     active = set(range(inst.n))
     remaining = set(range(inst.m))
     # The pick compares values across agents.
@@ -130,11 +133,6 @@ def run_mms_abs(inst: Instance) -> MmsAbsRun:
     return MmsAbsRun(allocation=Allocation.of(bundles), trace=trace)
 
 
-def alg_mms_abs(inst: Instance) -> Allocation:
-    """1/2-MMS allocation with welfare >= (1/3n) * sum_i v_i([m])."""
-    return run_mms_abs(inst).allocation
-
-
 @dataclass
 class MmsHighRun:
     allocation: Allocation
@@ -159,10 +157,12 @@ def _assert_state(vals, z, wstar_val, bundles, perm, temp, n):
 
 
 def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
-    _require_additive(inst, "alg_mms_high")
+    """(1/2 - eps)-MMS allocation on a scaled additive instance satisfying
+    3*sqrt(n)*SW + 4*sqrt(n) >= OPT."""
+    _require_additive(inst, "run_mms_high")
     if not inst.scaled:
         raise ValidationError("scaled",
-                              "alg_mms_high requires a scaled instance")
+                              "run_mms_high requires a scaled instance")
     n, m = inst.n, inst.m
     estimates = (profile.estimates if profile.estimates is not None
                  else profile.mms)
@@ -293,12 +293,6 @@ def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
                       gamma_hard=gamma_hard)
 
 
-def alg_mms_high(inst: Instance, profile: MmsProfile) -> Allocation:
-    """(1/2 - eps)-MMS allocation on a scaled additive instance satisfying
-    3*sqrt(n)*SW + 4*sqrt(n) >= OPT."""
-    return run_mms_high(inst, profile).allocation
-
-
 @dataclass
 class SolveHalfMmsRun:
     allocation: Allocation
@@ -312,7 +306,13 @@ class SolveHalfMmsRun:
 def run_solve_half_mms(inst: Instance, epsilon: Fraction = ZERO,
                        profile: Optional[MmsProfile] = None,
                        mms_cap: int = DEFAULT_MMS_STATE_CAP) -> SolveHalfMmsRun:
-    _require_additive(inst, "solve_half_mms")
+    """(1/2 - eps)-MMS solver: welfare >= OPT/(15*sqrt(n)) on scaled
+    instances, >= (1/3n) * sum_i v_i([m]) otherwise. Raises ValidationError
+    unless 0 <= eps < 1/2, below which the guarantee is not vacuous."""
+    _require_additive(inst, "run_solve_half_mms")
+    if not 0 <= epsilon < Fraction(1, 2):
+        raise ValidationError("epsilon", f"epsilon {epsilon} outside "
+                              "[0, 1/2)")
     _, opt = max_welfare(inst)
     # The high branch pays off only when OPT exceeds 5*sqrt(n); below that
     # the absolute algorithm's welfare floor of 1/3 already achieves the
@@ -328,12 +328,3 @@ def run_solve_half_mms(inst: Instance, epsilon: Fraction = ZERO,
     return SolveHalfMmsRun(allocation=abs_run.allocation, branch="abs",
                            welfare=social_welfare(inst, abs_run.allocation),
                            opt=opt, abs_run=abs_run)
-
-
-def solve_half_mms(inst: Instance, epsilon: Fraction = ZERO,
-                   profile: Optional[MmsProfile] = None,
-                   mms_cap: int = DEFAULT_MMS_STATE_CAP) -> Allocation:
-    """(1/2 - eps)-MMS solver: welfare >= OPT/(15*sqrt(n)) on scaled
-    instances, >= (1/3n) * sum_i v_i([m]) otherwise."""
-    return run_solve_half_mms(inst, epsilon=epsilon, profile=profile,
-                              mms_cap=mms_cap).allocation

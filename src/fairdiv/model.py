@@ -11,12 +11,12 @@ reduced denominators, one integer per good for additive agents and one per
 bitmask-indexed subset for explicit agents. The solvers, the oracles and
 validation compute on it (`Valuation.ints`). `Fraction`s appear only at the
 edges: the loader parses each rational straight into integers, and
-`Valuation.values`, `Valuation.table` and `Valuation.value` are views built
-from the kernel (the constructors keep the Fractions they are given as the
-view). Scaling by `den > 0` keeps the order of every comparison within one
-agent; comparisons across agents first rescale to a common lcm
-(`ints_with`, or `Instance.common` for every agent). An `Instance` computes
-such per-instance facts once, on first use, outside its dataclass fields.
+`Valuation.values`, `Valuation.table` (in ascending bitmask order) and
+`Valuation.value` are views built from the kernel alone. Scaling by
+`den > 0` keeps the order of every comparison within one agent; comparisons
+across agents first rescale to a common lcm (`ints_with`, or
+`Instance.common` for every agent). An `Instance` computes such
+per-instance facts once, on first use, outside its dataclass fields.
 
 Instance files are JSON::
 
@@ -139,15 +139,13 @@ def _kernel(ratios: Collection[tuple[int, int]]) -> tuple[list[int], int]:
     return ints, den
 
 
-def _as_fraction(x) -> Fraction:
-    """A constructor's input value as a Fraction. Floats and bools are
+def _as_ratio(x) -> tuple[int, int]:
+    """A constructor's input value as (p, q), q > 0. Floats and bools are
     refused: neither is an exact rational a caller means."""
-    if isinstance(x, Fraction):
-        return x
     if isinstance(x, str):
-        return parse_rational(x)
-    if is_json_int(x):
-        return Fraction(x)
+        return _parse_ratio(x)
+    if isinstance(x, Fraction) or is_json_int(x):
+        return x.numerator, x.denominator
     raise ValueError(f"valuation values must be Fractions, integers or "
                      f"p/q strings, got {x!r}")
 
@@ -168,20 +166,13 @@ class Valuation:
 
     @staticmethod
     def additive(values: Sequence[Fraction]) -> "Valuation":
-        vals = tuple(_as_fraction(x) for x in values)
-        v = _additive([(x.numerator, x.denominator) for x in vals])
-        v.__dict__["values"] = vals     # the given Fractions are the view
-        return v
+        return _additive([_as_ratio(x) for x in values])
 
     @staticmethod
     def explicit(m: int, table: Mapping[frozenset[int], Fraction],
                  subadditive: bool = False) -> "Valuation":
-        full = {frozenset(k): _as_fraction(x) for k, x in table.items()}
-        full.setdefault(frozenset(), ZERO)
-        v = _explicit(m, {goods_mask(s): (x.numerator, x.denominator)
-                          for s, x in full.items()}, subadditive)
-        v.__dict__["table"] = full      # the given Fractions are the view
-        return v
+        return _explicit(m, {goods_mask(s): _as_ratio(x)
+                             for s, x in table.items()}, subadditive)
 
     @cached_property
     def values(self) -> tuple[Fraction, ...] | None:
@@ -192,13 +183,12 @@ class Valuation:
 
     @cached_property
     def table(self) -> dict[frozenset[int], Fraction] | None:
-        """An explicit agent's table in the order it was given; None for
+        """An explicit agent's table in ascending bitmask order; None for
         additive agents."""
         if self.kind != EXPLICIT:
             return None
-        order = self.__dict__.get("_order", range(len(self.kernel)))
-        return {mask_goods(mask): Fraction(self.kernel[mask], self.den)
-                for mask in order}
+        return {mask_goods(mask): Fraction(x, self.den)
+                for mask, x in enumerate(self.kernel)}
 
     @property
     def ints(self) -> tuple[tuple[int, ...], int]:
@@ -220,8 +210,8 @@ def _additive(ratios: Collection[tuple[int, int]]) -> Valuation:
 
 def _explicit(m: int, entries: dict[int, tuple[int, int]],
               subadditive: bool) -> Valuation:
-    """An explicit valuation from each subset's (p, q), keyed by bitmask in
-    the order given; the empty set defaults to 0."""
+    """An explicit valuation from each subset's (p, q), keyed by bitmask;
+    the empty set defaults to 0."""
     check_explicit_goods_cap(m)
     entries.setdefault(0, (0, 1))
     missing = [mask for mask in range(1 << m) if mask not in entries]
@@ -235,9 +225,7 @@ def _explicit(m: int, entries: dict[int, tuple[int, int]],
     kernel = [0] * (1 << m)
     for mask, x in zip(entries, ints):
         kernel[mask] = x
-    v = Valuation(EXPLICIT, m, tuple(kernel), den, subadditive)
-    v.__dict__["_order"] = tuple(entries)   # the order of the table view
-    return v
+    return Valuation(EXPLICIT, m, tuple(kernel), den, subadditive)
 
 
 def _rescaled(ints: Sequence[int], den: int, scale: int) -> tuple[int, ...]:
@@ -397,11 +385,13 @@ def _validate_valuation(v: Valuation, agent: int) -> None:
             "normalized", f"{label}: not normalized, v({{}}) = "
             f"{Fraction(ints[0], den)} != 0", agent=agent + 1, witness=())
     if min(ints) < 0:
-        # The first negative value in the order the table was given.
-        subset, val = next((s, x) for s, x in v.table.items() if x < 0)
+        # The first negative value by bitmask.
+        mask = next(mask for mask, x in enumerate(ints) if x < 0)
+        subset = _ext(mask_goods(mask))
         raise ValidationError(
-            "nonnegative", f"{label}: v({_ext(subset)}) = {val} < 0",
-            agent=agent + 1, witness=_ext(subset))
+            "nonnegative", f"{label}: v({subset}) = "
+            f"{Fraction(ints[mask], den)} < 0", agent=agent + 1,
+            witness=subset)
     check_monotone(v, agent)
     if v.subadditive:
         # Disjoint pairs only, S ascending, then T ascending over the

@@ -65,6 +65,10 @@ class MmsProfile:
             raise ValidationError("mms-profile",
                                   f"epsilon {self.epsilon} outside [0, 1)")
         if self.mms is not None and self.estimates is not None:
+            if len(self.mms) != len(self.estimates):
+                raise ValidationError(
+                    "mms-profile", f"profile has {len(self.mms)} mms values "
+                    f"and {len(self.estimates)} estimates")
             lo = 1 - self.epsilon
             for i, (exact, z) in enumerate(zip(self.mms, self.estimates)):
                 if not (lo * exact <= z <= exact):
@@ -445,16 +449,22 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
 
 def price_of_fairness(inst: Instance, prop: str, alpha=None, profile=None,
                       cap: int = DEFAULT_ENUM_CAP,
-                      mms_cap: int = DEFAULT_MMS_STATE_CAP):
-    """This instance's contribution to the price of fairness: OPT divided by
-    the best welfare among property-satisfying allocations. Returns
-    math.inf when the fairness constraint forces zero welfare but OPT is
-    positive."""
+                      mms_cap: int = DEFAULT_MMS_STATE_CAP
+                      ) -> tuple[Fraction, Optional[Fraction]]:
+    """`(opt, price)`: the maximum welfare OPT, and this instance's
+    contribution to the price of fairness, OPT divided by the best welfare
+    among property-satisfying allocations. The price is None (infinite)
+    when the fairness constraint forces zero welfare but OPT is positive."""
     _, opt = max_welfare(inst, cap=cap)
     constrained = constrained_opt(inst, prop, alpha=alpha, profile=profile,
                                   cap=cap, mms_cap=mms_cap)
-    if constrained is None or constrained[1] == 0:
-        if opt > 0:
-            return math.inf
-        return Fraction(1)
-    return opt / constrained[1]
+    return opt, price_ratio(opt, ZERO if constrained is None
+                            else constrained[1])
+
+
+def price_ratio(opt: Fraction, fair_welfare: Fraction) -> Optional[Fraction]:
+    """OPT over the best fair welfare; None (infinite) when the fair
+    welfare is 0 but OPT is positive, 1 when both are 0."""
+    if fair_welfare == 0:
+        return None if opt > 0 else Fraction(1)
+    return opt / fair_welfare

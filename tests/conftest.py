@@ -43,6 +43,25 @@ def additive_instance(rows, scaled=False) -> Instance:
                     scaled=scaled)
 
 
+def diagonal(n) -> Instance:
+    """n agents and n goods; agent i values only good i, at 1. OPT = n
+    exceeds 5 sqrt(n) from n = 26, so half-MMS takes the high branch."""
+    return additive_instance([["1" if g == i else "0" for g in range(n)]
+                              for i in range(n)], scaled=True)
+
+
+def dense_blocks(n, b) -> Instance:
+    """Scaled "dense blocks": n agents and m = b*n goods; agent i puts 9/10
+    on her own block of b goods (goods b*i .. b*i + b - 1) and 1/(10m) on
+    every good. OPT = 9n/10 + 1/10, each agent taking her block."""
+    m = b * n
+    spread = Fraction(1, 10 * m)
+    own = Fraction(9, 10 * b) + spread
+    return additive_instance([[own if g // b == i else spread
+                               for g in range(m)] for i in range(n)],
+                             scaled=True)
+
+
 def all_allocations(n: int, m: int):
     """Every complete allocation as a bundle tuple, lexicographic order."""
     for assign in product(range(n), repeat=m):
@@ -200,33 +219,41 @@ def naive_validate_valuation(v: Valuation, agent: int) -> None:
                         witness=(_ext(s), _ext(t)))
 
 
-def naive_load_instance(path) -> Instance:
-    """The instance file's `Fraction` reading, not validated: each rational
-    through `Fraction(text)` (for the valid strings the tests write, the
-    same numbers as the strict grammar), each valuation through
-    `Valuation.additive` or `Valuation.explicit`."""
+def naive_load_instance(path):
+    """The instance file's `Fraction` reading, not validated: `(instance,
+    views)`, each rational through `Fraction(text)` (for the valid strings
+    the tests write, the same numbers as the strict grammar). `views` holds
+    the parsed Fractions, read from the file text alone: a tuple per
+    additive agent, and per explicit agent a dict in the file's key order,
+    the empty set defaulting to 0. The instance builds each valuation from
+    them through `Valuation.additive` or `Valuation.explicit`."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    valuations = []
+    valuations, views = [], []
     for obj in data["valuations"]:
         if obj["kind"] == "additive":
-            valuations.append(Valuation.additive(
-                [Fraction(str(x)) for x in obj["values"]]))
+            values = tuple(Fraction(str(x)) for x in obj["values"])
+            valuations.append(Valuation.additive(values))
+            views.append(values)
         else:
             table = {frozenset(int(g) - 1 for g in key.split(",") if g):
                      Fraction(str(x)) for key, x in obj["table"].items()}
+            table.setdefault(frozenset(), Fraction(0))
             valuations.append(Valuation.explicit(
                 data["m"], table, obj.get("subadditive", False)))
-    return Instance(data["n"], data["m"], tuple(valuations), data["scaled"])
+            views.append(table)
+    return (Instance(data["n"], data["m"], tuple(valuations), data["scaled"]),
+            views)
 
 
-def naive_kernel(v: Valuation) -> tuple[tuple[int, ...], int]:
-    """Integer kernel read off the `Fraction` view: every value times the
-    lcm of the reduced denominators, explicit tables indexed by bitmask."""
-    if v.kind == "additive":
-        fractions = dict(enumerate(v.values))
+def naive_kernel(view) -> tuple[tuple[int, ...], int]:
+    """Integer kernel read off a `Fraction` view (a tuple per good, or a
+    dict keyed by subset): every value times the lcm of the reduced
+    denominators, explicit tables indexed by bitmask."""
+    if isinstance(view, tuple):
+        fractions = dict(enumerate(view))
     else:
-        fractions = {sum(1 << g for g in s): x for s, x in v.table.items()}
+        fractions = {sum(1 << g for g in s): x for s, x in view.items()}
     den = lcm(*(x.denominator for x in fractions.values()))
     return tuple(fractions[i].numerator * (den // fractions[i].denominator)
                  for i in range(len(fractions))), den

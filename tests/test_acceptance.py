@@ -6,23 +6,24 @@ runtime budgets are asserted from wall-clock measurements of the work each
 criterion covers.
 """
 
+import math
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
-from fairdiv import (Allocation, FamilySpec, alg_mms_abs, constrained_opt,
+from fairdiv import (Allocation, FamilySpec, constrained_opt,
                      generate_adversarial, generate_random, injected_profile,
                      is_alpha_mms, is_ef1, max_welfare, mms_k,
                      mms_lower_bound, mms_profile, price_of_fairness,
                      reference_allocation, run_ef1_abs, run_ef1_high,
                      run_mms_abs, run_mms_high, run_solve_ef1,
-                     run_solve_half_mms, social_welfare, solve_half_mms)
+                     run_solve_half_mms, social_welfare)
 from fairdiv.exact import sqrt_ge
 from fairdiv.model import ZERO
 
-from conftest import (all_allocations, random_additive_corpus,
+from conftest import (all_allocations, dense_blocks, random_additive_corpus,
                       random_subadditive_corpus)
 
 
@@ -65,10 +66,18 @@ def mms_corpus():
     runs = []
     for inst in instances:
         profile = mms_profile(inst)
-        abs_alloc = alg_mms_abs(inst)
-        solve_alloc = solve_half_mms(inst, epsilon=ZERO)
+        abs_alloc = run_mms_abs(inst).allocation
+        solve_alloc = run_solve_half_mms(inst, epsilon=ZERO).allocation
         runs.append((inst, profile, abs_alloc, solve_alloc))
     return runs, time.perf_counter() - started
+
+
+def print_margin(label, inst, welfare, opt, floor):
+    """Prints the margin sqrt(n)*SW/OPT, which the theorem keeps at or
+    above `floor`; the float is for reading only."""
+    margin = math.sqrt(inst.n) * float(welfare / opt)
+    print(f"    {label} n={inst.n}: margin {margin:.3f} (floor {floor} = "
+          f"{float(floor):.4f})")
 
 
 @pytest.fixture(scope="session")
@@ -102,7 +111,7 @@ def test_criterion_2_absolute_welfare_bounds(ef1_corpus):
             sw = social_welfare(inst, abs_run.allocation)
             assert 2 * inst.n * sw >= total
             if inst.additive:
-                mms_sw = social_welfare(inst, alg_mms_abs(inst))
+                mms_sw = social_welfare(inst, run_mms_abs(inst).allocation)
                 assert 3 * inst.n * mms_sw >= total
         assert time.perf_counter() - started < 120
 
@@ -122,32 +131,52 @@ def test_criterion_3_half_mms_against_oracle(mms_corpus):
 def test_criterion_4_scaled_ef1_bound(scaled_grid):
     with criterion(4, "scaled EF1 bound SW >= OPT/(16*sqrt(n))"):
         started = time.perf_counter()
-        for inst in scaled_grid:
+        # On the grid OPT <= n <= 8*sqrt(n), so the bound already follows
+        # from the 1/(2n) floor. Dense blocks have OPT > 8*sqrt(n): there the
+        # check is independent of it.
+        dense = [dense_blocks(n, 2) for n in (81, 100)]
+        for inst in scaled_grid + dense:
             run = run_solve_ef1(inst)
             _, opt = max_welfare(inst)
             assert is_ef1(inst, run.allocation).holds
             assert sqrt_ge(16 * run.welfare, opt, inst.n)
+            if inst in dense:
+                assert not sqrt_ge(Fraction(8), opt, inst.n)
+            print_margin("dense blocks" if inst in dense else "dirichlet",
+                         inst, run.welfare, opt, Fraction(1, 16))
         assert time.perf_counter() - started < 120
 
 
 def test_criterion_5_scaled_half_mms_bound(scaled_grid):
     with criterion(5, "scaled 1/2-MMS bound and P/T discipline"):
         started = time.perf_counter()
-        for inst in scaled_grid:
-            run = run_solve_half_mms(inst, epsilon=ZERO)
-            assert sqrt_ge(15 * run.welfare, run.opt, inst.n)
-            # Direct high-algorithm runs: exact profile where the oracle is
-            # feasible, injected constructive lower bounds beyond it.
+        # On the grid OPT <= n <= 5*sqrt(n): the solver takes the absolute
+        # branch and the bound follows from its 1/3 floor. Dense blocks have
+        # OPT > 5*sqrt(n) and take the high branch.
+        dense = [dense_blocks(n, 2) for n in (36, 49)]
+        for inst in scaled_grid + dense:
+            # Exact profile where the oracle is feasible, injected
+            # constructive lower bounds beyond it.
             if inst.n <= 4:
                 profile = mms_profile(inst)
             else:
                 profile = injected_profile(
                     [mms_lower_bound(inst.valuations[i], inst.n)
                      for i in range(inst.n)])
+            run = run_solve_half_mms(inst, epsilon=ZERO, profile=profile)
+            assert sqrt_ge(15 * run.welfare, run.opt, inst.n)
+            if inst in dense:
+                assert not sqrt_ge(Fraction(5), run.opt, inst.n)
+                assert run.branch == "high"
+            print_margin("dense blocks" if inst in dense else "dirichlet",
+                         inst, run.welfare, run.opt, Fraction(1, 15))
+            # Direct high-algorithm runs.
             high = run_mms_high(inst, profile)
             assert high.permanent | high.temporary == frozenset(range(inst.n))
             assert sqrt_ge(Fraction(4), Fraction(len(high.temporary)),
                            inst.n)
+            high_sw = social_welfare(inst, high.allocation)
+            assert sqrt_ge(3 * high_sw + 4, run.opt, inst.n)
             if inst.n <= 4:
                 assert is_alpha_mms(inst, high.allocation, Fraction(1, 2),
                                     profile).holds
@@ -162,7 +191,7 @@ def test_criterion_6_ef1_lower_bound_reproduction():
         assert opt == 16
         _, cw = constrained_opt(inst, "ef1")
         assert cw == Fraction(19, 4)
-        price = price_of_fairness(inst, "ef1")
+        _, price = price_of_fairness(inst, "ef1")
         assert price == Fraction(64, 19)
         assert price >= Fraction(16, 5)     # n^2/(n+1)
         assert time.perf_counter() - started < 1
@@ -207,7 +236,7 @@ def test_criterion_8_supermodular_reproduction():
         assert opt == 1
         _, cw = constrained_opt(inst, "ef1")
         assert cw == Fraction(3, 100)
-        price = price_of_fairness(inst, "ef1")
+        _, price = price_of_fairness(inst, "ef1")
         assert price == Fraction(100, 3)
         assert price >= 1 / (3 * eps)
         assert time.perf_counter() - started < 1

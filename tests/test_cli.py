@@ -111,6 +111,32 @@ class TestCli:
         assert code == 0
         assert out["price"] == "64/19"
 
+    def test_pof_infinite(self, tmp_path, capsys):
+        # Both agents value both goods at 1, so MMS = 1 and no allocation
+        # gives each agent 2 * MMS.
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({
+            "n": 2, "m": 2, "scaled": False,
+            "valuations": [{"kind": "additive", "values": ["1", "1"]}] * 2}))
+        code = main(["pof", "--instance", str(inst), "--property", "mms",
+                     "--alpha", "2"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            '{\n  "opt": "2",\n  "price": "infinite",\n'
+            '  "price_dec": "inf",\n  "property": "mms"\n}\n')
+
+    def test_half_mms_epsilon_outside_half_rejected(self, tmp_path, capsys):
+        path = tmp_path / "i.json"
+        run_cli(capsys, "gen", "--family", "random", "--distribution",
+                "dirichlet-scaled", "--n", "4", "--m", "8", "--seed", "1",
+                "-o", str(path))
+        code = main(["solve", "--alg", "half-mms", "--epsilon", "5",
+                     "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines == ["error: epsilon 5 outside [0, 1/2)"]
+
     def test_rescale(self, tmp_path, capsys):
         src = tmp_path / "u.json"
         dst = tmp_path / "s.json"

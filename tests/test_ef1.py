@@ -7,13 +7,12 @@ from fractions import Fraction
 import pytest
 
 from fairdiv import (Allocation, FamilySpec, InfeasibleError, Instance,
-                     LineOrder, ValidationError, Valuation, alg_ef1_abs,
-                     alg_ef1_high, checks_enabled,
+                     LineOrder, ValidationError, Valuation, checks_enabled,
                      generate_adversarial, generate_random,
                      generate_random_subadditive, is_ef1, max_welfare,
                      reference_allocation, run_ef1_abs, run_ef1_high,
                      run_extend_ef1, run_solve_ef1, set_debug_checks,
-                     social_welfare, solve_ef1)
+                     social_welfare)
 from fairdiv.exact import sqrt_ge
 from fairdiv.model import ZERO
 
@@ -42,22 +41,22 @@ class TestLineOrder:
 class TestAbs:
     def test_single_agent_gets_everything(self):
         inst = additive_instance([["1/2", "1/3", "1/6"]], scaled=True)
-        alloc = alg_ef1_abs(inst)
+        alloc = run_ef1_abs(inst).allocation
         assert alloc.bundles[0] == frozenset({0, 1, 2})
 
     def test_opposed_preferences(self):
         inst = additive_instance([["1", "0"], ["0", "1"]])
-        alloc = alg_ef1_abs(inst)
+        alloc = run_ef1_abs(inst).allocation
         assert social_welfare(inst, alloc) == 2
 
     def test_scaled_floor_half(self):
         inst = generate_adversarial(FamilySpec("mms-scaled-sqrt", 9))
-        alloc = alg_ef1_abs(inst)
+        alloc = run_ef1_abs(inst).allocation
         assert social_welfare(inst, alloc) >= Fraction(1, 2)
 
     def test_welfare_floor_on_random_corpus(self):
         for inst in random_additive_corpus(60, n_max=5, m_max=8, seed=77):
-            alloc = alg_ef1_abs(inst)
+            alloc = run_ef1_abs(inst).allocation
             assert is_ef1(inst, alloc).holds
             assert 2 * inst.n * social_welfare(inst, alloc) >= total_value(inst)
 
@@ -67,7 +66,7 @@ class TestAbs:
             inst = generate_random_subadditive(rng.randint(1, 3),
                                                rng.randint(1, 5),
                                                seed=rng.randint(0, 10 ** 9))
-            alloc = alg_ef1_abs(inst)
+            alloc = run_ef1_abs(inst).allocation
             assert is_ef1(inst, alloc).holds
             assert 2 * inst.n * social_welfare(inst, alloc) >= total_value(inst)
 
@@ -108,7 +107,7 @@ class TestHigh:
     def test_single_agent(self):
         inst = additive_instance([["1/2", "1/2"]], scaled=True)
         ref = reference_allocation(inst)
-        alloc = alg_ef1_high(inst, ref)
+        alloc = run_ef1_high(inst, ref).allocation
         assert alloc.bundles[0] == frozenset({0, 1})
 
     def test_loop_postcondition_no_envied_components(self):
@@ -250,7 +249,7 @@ def test_negative_additive_value_rejected(debug):
 class TestSolve:
     def test_identical_agents_ratio_one(self):
         inst = additive_instance([["1/3"] * 3] * 3, scaled=True)
-        alloc = solve_ef1(inst)
+        alloc = run_solve_ef1(inst).allocation
         _, opt = max_welfare(inst)
         assert social_welfare(inst, alloc) == opt
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from fairdiv import (Allocation, ValidationError, extend_ef1, is_ef1,
-                     run_extend_ef1, social_welfare)
+from fairdiv import (Allocation, ValidationError, is_ef1, run_extend_ef1,
+                     social_welfare)
 
 from conftest import (additive_instance, naive_extend_ef1,
                       random_additive_corpus, random_allocation, tie_corpus)
@@ -16,7 +16,7 @@ class TestBasics:
     def test_complete_input_returned_unchanged(self):
         inst = additive_instance([["1", "2"], ["2", "1"]])
         alloc = Allocation.of([[1], [0]])
-        assert extend_ef1(inst, alloc) == alloc
+        assert run_extend_ef1(inst, alloc)[0] == alloc
 
     def test_from_empty_two_agents(self):
         inst = additive_instance([["1", "1"], ["1", "1"]])
@@ -28,7 +28,7 @@ class TestBasics:
     def test_non_ef1_input_rejected_with_witness(self):
         inst = additive_instance([["1", "1"], ["1", "1"]])
         with pytest.raises(ValidationError) as err:
-            extend_ef1(inst, Allocation.of([[0, 1], []]))
+            run_extend_ef1(inst, Allocation.of([[0, 1], []]))
         assert err.value.witness is not None
 
     def test_cycle_rotation_improves_both(self):

@@ -19,7 +19,7 @@ from fairdiv import (Allocation, Instance, ValidationError, Valuation,
                      run_solve_ef1, run_solve_half_mms)
 from fairdiv.experiment import ExperimentConfig, _solver_row
 
-from conftest import (additive_instance, naive_common_ints, tie_corpus,
+from conftest import (diagonal, naive_common_ints, tie_corpus,
                       twin_corpus)
 
 
@@ -109,13 +109,6 @@ def counts(monkeypatch):
         monkeypatch.setattr(module, "check_monotone", counted_check,
                             raising=False)
     return seen
-
-
-def diagonal(n):
-    """n agents and n goods; agent i values only good i, at 1. OPT = n
-    exceeds 5 sqrt(n) from n = 26, so half-MMS takes the high branch."""
-    return additive_instance([["1" if g == i else "0" for g in range(n)]
-                              for i in range(n)], scaled=True)
 
 
 def test_one_build_and_one_scan_per_ef1_solve(counts):

@@ -7,16 +7,15 @@ from fractions import Fraction
 import pytest
 
 from fairdiv import (Allocation, Event, FamilySpec, MmsProfile,
-                     ValidationError, alg_mms_abs, alg_mms_high,
-                     generate_adversarial, generate_random, injected_profile,
-                     is_alpha_mms, is_prop1, max_welfare, mms_lower_bound,
-                     mms_profile, prop1_subroutine, rescale_instance,
-                     run_mms_abs, run_mms_high, run_solve_half_mms,
-                     social_welfare, solve_half_mms)
+                     ValidationError, generate_adversarial, generate_random,
+                     injected_profile, is_alpha_mms, is_prop1, max_welfare,
+                     mms_lower_bound, mms_profile, prop1_subroutine,
+                     rescale_instance, run_mms_abs, run_mms_high,
+                     run_solve_half_mms, social_welfare)
 from fairdiv.exact import sqrt_ge
 from fairdiv.model import ZERO
 
-from conftest import (additive_instance, naive_run_mms_abs,
+from conftest import (additive_instance, diagonal, naive_run_mms_abs,
                       naive_run_mms_high, tie_corpus)
 
 
@@ -70,7 +69,7 @@ class TestAbs:
 
     def test_single_agent_takes_all(self):
         inst = additive_instance([["1", "2", "0"]])
-        alloc = alg_mms_abs(inst)
+        alloc = run_mms_abs(inst).allocation
         assert alloc.bundles[0] == frozenset({0, 1, 2})
 
     def test_random_corpus_half_mms_and_welfare(self):
@@ -80,7 +79,7 @@ class TestAbs:
             m = rng.randint(1, 8)
             inst = generate_random(n, m, "uniform-rational",
                                    seed=rng.randint(0, 10 ** 9))
-            alloc = alg_mms_abs(inst)
+            alloc = run_mms_abs(inst).allocation
             assert alloc.is_complete(inst.m)
             profile = mms_profile(inst)
             assert is_alpha_mms(inst, alloc, Fraction(1, 2), profile).holds
@@ -169,7 +168,7 @@ class TestHigh:
         for seed in range(20):
             inst = generate_random(4, 8, "dirichlet-scaled", seed=seed + 100)
             profile = mms_profile(inst)
-            alloc = alg_mms_high(inst, profile)
+            alloc = run_mms_high(inst, profile).allocation
             assert is_alpha_mms(inst, alloc, Fraction(1, 2), profile).holds
 
     def test_epsilon_estimates_keep_welfare_inequality(self):
@@ -188,7 +187,7 @@ class TestHigh:
         inst = additive_instance([["1", "2"], ["2", "1"]])
         profile = injected_profile([ZERO, ZERO])
         with pytest.raises(ValidationError):
-            alg_mms_high(inst, profile)
+            run_mms_high(inst, profile)
 
     def test_injected_lpt_estimates_at_larger_n(self):
         # Beyond the exact-oracle comfort zone the solver runs on injected
@@ -210,7 +209,7 @@ class TestHigh:
         # claims a positive share.
         inst = additive_instance([["1", "0"], ["1/2", "1/2"]], scaled=True)
         with pytest.raises(ValidationError):
-            alg_mms_high(inst, injected_profile([Fraction(1, 4),
+            run_mms_high(inst, injected_profile([Fraction(1, 4),
                                                  Fraction(1, 4)]))
 
     def test_matches_fraction_reference(self):
@@ -267,7 +266,7 @@ class TestSolve:
             m = rng.randint(1, 7)
             inst = generate_random(n, m, "dirichlet-scaled",
                                    seed=rng.randint(0, 10 ** 9))
-            alloc = solve_half_mms(inst)
+            alloc = run_solve_half_mms(inst).allocation
             profile = mms_profile(inst)
             assert is_alpha_mms(inst, alloc, Fraction(1, 2), profile).holds
 
@@ -288,16 +287,26 @@ class TestSolve:
         # 36 agents each valuing only their own good: OPT = 36 > 5*6, and
         # every maximin share is zero so the exact profile is instant.
         n = 36
-        rows = []
-        for i in range(n):
-            row = [Fraction(0)] * n
-            row[i] = Fraction(1)
-            rows.append(row)
-        inst = additive_instance(rows, scaled=True)
+        inst = diagonal(n)
         run = run_solve_half_mms(inst)
         assert run.branch == "high"
         assert run.welfare == 36
         assert sqrt_ge(15 * run.welfare, run.opt, n)
+
+    @pytest.mark.parametrize("epsilon", [Fraction(-1, 10), Fraction(1, 2),
+                                         Fraction(3, 4), Fraction(1),
+                                         Fraction(5)])
+    @pytest.mark.parametrize("branch", ["abs", "high"])
+    def test_epsilon_outside_half_rejected_on_both_branches(self, branch,
+                                                            epsilon):
+        # (1/2 - eps)-MMS is vacuous from eps = 1/2 on, whichever branch the
+        # instance takes.
+        inst = (generate_random(4, 8, "dirichlet-scaled", seed=1)
+                if branch == "abs" else diagonal(36))
+        assert run_solve_half_mms(inst, Fraction(49, 100)).branch == branch
+        with pytest.raises(ValidationError) as err:
+            run_solve_half_mms(inst, epsilon=epsilon)
+        assert err.value.axiom == "epsilon"
 
     def test_fifteen_sqrt_bound_on_scaled_grid(self):
         for n in (4, 9):

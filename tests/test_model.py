@@ -112,6 +112,17 @@ class TestLoadInstance:
             load_instance(write(tmp_path, "i.json", data))
         assert err.value.axiom == "nonnegative"
 
+    def test_negative_witness_follows_bitmask_order(self, tmp_path):
+        # The file lists good 2 before good 1; the witness is the first
+        # negative subset by bitmask, whatever the key order.
+        data = {"n": 1, "m": 2, "scaled": False,
+                "valuations": [{"kind": "explicit", "table": {
+                    "2": "-1", "1": "-1", "1,2": "1"}}]}
+        with pytest.raises(ValidationError) as err:
+            load_instance(write(tmp_path, "i.json", data))
+        assert (err.value.axiom, err.value.witness) == ("nonnegative", (1,))
+        assert str(err.value) == "agent 1: v((1,)) = -1 < 0"
+
 
 ONE_AGENT = {"n": 1, "m": 1, "scaled": True,
              "valuations": [{"kind": "additive", "values": ["1"]}]}
@@ -363,9 +374,10 @@ def large_denominator_corpus(rng, count):
 def test_loader_matches_fraction_reference(tmp_path):
     """The integer loader against `Fraction(text)` and the `Fraction`
     constructors on seeded additive, explicit and mixed files: the same
-    instance (equality and hash), the same views in the same order, the
-    kernel read off the Fractions in lowest terms; or the same
-    ValidationError."""
+    instance (equality and hash), views equal to the Fractions parsed from
+    the file text (explicit tables in ascending bitmask order, whatever the
+    file's key order), the kernel read off those Fractions in lowest terms;
+    or the same ValidationError."""
     rng = random.Random(20261019)
     corpus = (tie_corpus(240, 4242) + twin_corpus(60, 77)
               + random_additive_corpus(60, 5, 8, 8)
@@ -374,7 +386,7 @@ def test_loader_matches_fraction_reference(tmp_path):
     forms, outcomes = Counter(), Counter()
     for idx, inst in enumerate(corpus):
         path = write(tmp_path, f"{idx}.json", file_json(rng, inst, forms))
-        want = naive_load_instance(path)
+        want, views = naive_load_instance(path)
         try:
             validate_instance(want)
         except ValidationError as exc:
@@ -387,15 +399,21 @@ def test_loader_matches_fraction_reference(tmp_path):
             continue
         got = load_instance(path)
         assert got == want and hash(got) == hash(want)
-        for g, w in zip(got.valuations, want.valuations):
-            assert g.ints == w.ints == naive_kernel(w)
+        for g, w, view in zip(got.valuations, want.valuations, views):
+            assert g.ints == w.ints == naive_kernel(view)
             assert gcd(g.den, *g.kernel) == 1
-            assert g.values == w.values
-            assert (g.table is None) == (w.table is None)
-            if g.table is not None:
-                assert list(g.table.items()) == list(w.table.items())
+            if isinstance(view, tuple):
+                assert g.values == w.values == view and g.table is None
+            else:
+                by_mask = sorted(view.items(),
+                                 key=lambda kv: sum(1 << i for i in kv[0]))
+                assert list(g.table.items()) == by_mask
+                assert list(w.table.items()) == by_mask
+                outcomes["reordered"] += list(view.items()) != by_mask
+                assert g.values is None
         outcomes[g.kind] += 1
     assert outcomes["additive"] >= 100 and outcomes["explicit"] >= 50
+    assert outcomes["reordered"] >= 50
     for axiom in ("normalized", "nonnegative", "scaled"):
         assert outcomes[axiom] >= 20, axiom
     assert min(forms.values()) >= 50 and len(forms) == 6

@@ -1,6 +1,5 @@
 """Brute-force oracles against direct definition-level enumeration."""
 
-import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -188,6 +187,15 @@ class TestMmsProfile:
         with pytest.raises(ValidationError):
             MmsProfile(mms=(Fraction(1),), estimates=(Fraction(1, 2),),
                        epsilon=Fraction(1, 4))
+
+    @pytest.mark.parametrize("mms, estimates", [((1, 1), (1,)),
+                                                ((1,), (1, 1))])
+    def test_mms_and_estimates_must_cover_the_same_agents(self, mms,
+                                                          estimates):
+        with pytest.raises(ValidationError) as err:
+            MmsProfile(mms=tuple(map(Fraction, mms)),
+                       estimates=tuple(map(Fraction, estimates)))
+        assert err.value.axiom == "mms-profile"
 
     def test_injected_profile_has_no_exact_values(self):
         profile = injected_profile([Fraction(1, 2)])
@@ -394,25 +402,24 @@ class TestTwins:
 class TestPriceOfFairness:
     def test_identical_agents_equal_goods(self):
         inst = additive_instance([["1/3"] * 3] * 3, scaled=True)
-        assert price_of_fairness(inst, "ef1") == 1
+        assert price_of_fairness(inst, "ef1") == (1, 1)
 
     def test_supermodular_price(self):
         inst = generate_adversarial(FamilySpec("supermodular", 3,
                                                epsilon=Fraction(1, 100)))
-        price = price_of_fairness(inst, "ef1")
+        _, price = price_of_fairness(inst, "ef1")
         assert price == Fraction(100, 3)
         assert price >= Fraction(1, 3 * Fraction(1, 100))
 
     def test_high_agent_family_price(self):
         inst = generate_adversarial(FamilySpec("ef1-unscaled", 4))
-        assert price_of_fairness(inst, "ef1") == Fraction(64, 19)
+        assert price_of_fairness(inst, "ef1") == (16, Fraction(64, 19))
 
     def test_infinite_when_constraint_forces_zero(self):
         inst = additive_instance([["1"], ["1"]])
         profile = MmsProfile(mms=(Fraction(1), Fraction(1)))
-        price = price_of_fairness(inst, "alpha-mms", alpha=Fraction(1),
-                                  profile=profile)
-        assert price == math.inf
+        assert price_of_fairness(inst, "alpha-mms", alpha=Fraction(1),
+                                 profile=profile) == (1, None)
 
 
 class TestLemmaLevelInvariants:
