@@ -33,9 +33,10 @@ from .generators import (ADVERSARIAL_FAMILIES, RANDOM_DISTRIBUTIONS,
                          generate_random_subadditive)
 from .mms import run_solve_half_mms
 from .ef1 import run_solve_ef1
-from .model import (allocation_to_json, format_rational, instance_to_json,
-                    load_allocation, load_instance, parse_rational,
-                    rescale_instance, save_allocation, save_instance)
+from .model import (allocation_to_json, format_decimal, format_rational,
+                    instance_to_json, load_allocation, load_instance,
+                    parse_rational, rescale_instance, save_allocation,
+                    save_instance)
 from .oracles import mms_profile, price_of_fairness
 
 
@@ -130,7 +131,7 @@ def _cmd_pof(args) -> int:
     opt, price = price_of_fairness(inst, prop, alpha=alpha)
     _emit({"property": args.property, "opt": format_rational(opt),
            "price": "infinite" if price is None else format_rational(price),
-           "price_dec": "inf" if price is None else f"{float(price):.6g}"})
+           "price_dec": "inf" if price is None else format_decimal(price)})
     return 0
 
 

@@ -1,18 +1,18 @@
 """Exact comparisons against sqrt(n)-scaled thresholds.
 
-Every irrational bound in this library has the shape ``sqrt(n) * a >= b``
-with nonnegative rational ``a`` and ``b`` (e.g. welfare >= OPT/(16*sqrt(n))
-rearranges to sqrt(n) * 16 * welfare >= OPT). Squaring both sides keeps the
-decision in integer/rational arithmetic: for a, b >= 0,
+Every bound in this library has the shape ``sqrt(n)^k * a >= b`` with k in
+{0, 1, 2} and nonnegative rationals ``a``, ``b`` (welfare >= OPT/(16*sqrt(n))
+is k = 1, a = 16 * welfare, b = OPT). Squaring keeps the decision in
+integer/rational arithmetic: for a, b >= 0,
 
-    sqrt(n) * a >= b   iff   n * a^2 >= b^2.
+    sqrt(n)^k * a >= b   iff   n^k * a^2 >= b^2.
 
 No floating point is involved anywhere.
 """
 
 
-def sqrt_ge(a, b, n: int) -> bool:
-    """True iff sqrt(n) * a >= b, for nonnegative rationals a, b."""
+def sqrt_ge(a, b, n: int, k: int = 1) -> bool:
+    """True iff sqrt(n)^k * a >= b, for nonnegative rationals a, b."""
     if a < 0 or b < 0:
         raise ValueError("sqrt comparisons require nonnegative operands")
-    return n * a * a >= b * b
+    return n ** k * a * a >= b * b

@@ -21,10 +21,11 @@ A config file names families, size grids, solvers and caps::
 
 Outputs are `results.csv` (fully deterministic: exact rationals plus 6
 significant-digit decimal renderings, no timings) and `results.json`
-(same rows plus runtime_ms). Oracle cells beyond the enumeration caps are
-reported as "skipped", never silently omitted. A failed theorem inequality
-aborts the run with the offending row and trace attached: the bounds are
-proven guarantees, so any violation is an implementation bug.
+(same rows plus runtime_ms and margins). Oracle cells beyond the enumeration
+caps are reported as "skipped", never silently omitted. `BOUNDS` writes each
+theorem inequality once, with its exact margin; a failed one aborts the run
+with the offending row and trace attached: the bounds are proven guarantees,
+so any violation is an implementation bug.
 With `"trace": true` each row also writes `traces/row<i>_<id>_<solver>.json`;
 its `high_trace` holds the high-welfare run's steps as `Event.to_json`
 objects: `{"phase", "agent", "bundle", "label"}`, agent and goods 1-based.
@@ -40,6 +41,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .errors import FairdivError, InfeasibleError, ParseError, ValidationError
 from .exact import sqrt_ge
@@ -47,8 +50,8 @@ from .fairness import is_alpha_mms, is_ef1
 from .generators import (ADVERSARIAL_FAMILIES, RANDOM_FAMILIES, FamilySpec,
                          check_family_args, generate_adversarial,
                          generate_random, generate_random_subadditive)
-from .model import (Instance, ZERO, format_rational, is_json_int,
-                    parse_rational, read_json, write_json)
+from .model import (Instance, ZERO, format_decimal, format_rational,
+                    is_json_int, parse_rational, read_json, write_json)
 from .mms import run_solve_half_mms
 from .ef1 import run_solve_ef1
 from .oracles import (DEFAULT_ENUM_CAP, DEFAULT_MMS_STATE_CAP,
@@ -57,18 +60,47 @@ from .oracles import (DEFAULT_ENUM_CAP, DEFAULT_MMS_STATE_CAP,
 
 SOLVERS = ("ef1", "half-mms")
 
-BOUND_COLUMNS = (
-    "ef1_holds",
-    "half_mms_holds",
-    "welfare_vs_total_2n",
-    "welfare_vs_total_3n",
-    "welfare_vs_opt_16sqrt",
-    "welfare_vs_opt_15sqrt",
-    "high_iters_vs_nm2",
-    "lipton_steps_vs_mn2",
-    "high_T_vs_4sqrt",
-    "high_PT_cover",
+
+class Bound(NamedTuple):
+    """One theorem inequality: checked on `solver` rows that hold every fact
+    in `when`, else the cell reads `otherwise`. `check` gives a bare verdict
+    or the sides (k, a, b) of sqrt(n)^k * a >= b, whose margin in the row's
+    `margins` is n^k * a^2 / b^2 ("inf" when b = 0)."""
+
+    column: str
+    solver: str
+    when: tuple[str, ...]
+    check: Callable[[SimpleNamespace], object]
+    otherwise: str = "n/a"
+
+
+# The EF1 welfare bounds are proven for subadditive valuations only; EF1-ness
+# is checked on supermodular tables too, where the price of EF1 is unbounded.
+BOUNDS = (
+    Bound("ef1_holds", "ef1", (), lambda r: is_ef1(r.inst, r.alloc).holds),
+    Bound("half_mms_holds", "half-mms", ("profile",),
+          lambda r: is_alpha_mms(r.inst, r.alloc, r.half, r.profile).holds,
+          otherwise="skipped"),
+    Bound("welfare_vs_total_2n", "ef1", ("subadditive",),
+          lambda r: (2, 2 * r.welfare, r.total)),
+    Bound("welfare_vs_total_3n", "half-mms", (),
+          lambda r: (2, 3 * r.welfare, r.total)),
+    Bound("welfare_vs_opt_16sqrt", "ef1", ("scaled", "opt", "subadditive"),
+          lambda r: (1, 16 * r.welfare, r.opt)),
+    Bound("welfare_vs_opt_15sqrt", "half-mms", ("scaled", "opt"),
+          lambda r: (1, 15 * r.welfare, r.opt)),
+    Bound("high_iters_vs_nm2", "ef1", ("high",),
+          lambda r: (0, r.n * r.m * r.m, r.high.iterations)),
+    Bound("lipton_steps_vs_mn2", "ef1", (),
+          lambda r: (0, r.m * r.n * r.n, r.steps)),
+    Bound("high_T_vs_4sqrt", "half-mms", ("high",),
+          lambda r: (1, 4, len(r.high.temporary))),
+    Bound("high_PT_cover", "half-mms", ("high",),
+          lambda r: (0, len(r.agents & (r.high.permanent | r.high.temporary)),
+                     r.n)),
 )
+
+BOUND_COLUMNS = tuple(bound.column for bound in BOUNDS)
 
 CSV_COLUMNS = ("instance_id", "family", "n", "m", "solver", "opt", "opt_dec",
                "welfare", "welfare_dec", "constrained_welfare",
@@ -176,14 +208,6 @@ def _derived_seed(base: int, family: str, n: int, m: int, index: int) -> int:
     return zlib.crc32(key)
 
 
-def _dec(value) -> str:
-    """6-significant-digit decimal rendering; the exact rational next to it
-    stays authoritative."""
-    if value is None:
-        return ""
-    return f"{float(value):.6g}"
-
-
 def _instance_jobs(config: ExperimentConfig) -> list[dict]:
     jobs = []
     for fam in config.families:
@@ -238,19 +262,11 @@ def _build_instance(job: dict, seed: int) -> tuple[str, Instance]:
     return ident, inst
 
 
-def _check(name: str, ok: bool, row: dict, trace) -> str:
-    if not ok:
-        raise BoundViolation(
-            f"theorem inequality {name} failed on {row['instance_id']} "
-            f"(solver {row['solver']})", row=row, trace=trace)
-    return "pass"
-
-
 def _solver_row(ident: str, inst: Instance, solver: str,
                 config: ExperimentConfig) -> dict:
     start = time.perf_counter_ns()
     row: dict = {"instance_id": ident, "solver": solver, "family": None,
-                 "n": inst.n, "m": inst.m}
+                 "n": inst.n, "m": inst.m, "margins": {}}
     for col in BOUND_COLUMNS:
         row[col] = "n/a"
     total = sum((inst.total_value(i) for i in range(inst.n)), ZERO)
@@ -260,7 +276,7 @@ def _solver_row(ident: str, inst: Instance, solver: str,
     except InfeasibleError:
         opt = None
     row["opt"] = format_rational(opt) if opt is not None else "skipped"
-    row["opt_dec"] = _dec(opt)
+    row["opt_dec"] = format_decimal(opt) if opt is not None else ""
 
     # One half-MMS profile for the solver, half_mms_holds and constrained_opt;
     # None beyond the MMS cap, where each of them that needs it raises.
@@ -292,75 +308,49 @@ def _solver_row(ident: str, inst: Instance, solver: str,
         row["_trace"] = trace_blob
         return row
 
-    # The EF1 welfare guarantees are proven for subadditive valuations only;
-    # supermodular tables (where the price of EF1 is unbounded) still get
-    # their EF1-ness checked but no welfare bound applies.
-    subadditive_scope = inst.additive or all(
-        v.kind != "additive" and v.subadditive for v in inst.valuations)
-
-    alloc, welfare = run.allocation, run.welfare
+    alloc, welfare, high = run.allocation, run.welfare, run.high_run
+    half = Fraction(1, 2) - config.epsilon
     trace_blob["branch"] = run.branch
-    if run.high_run is not None:
-        trace_blob["high_trace"] = [e.to_json() for e in run.high_run.trace]
-
+    if high is not None:
+        trace_blob["high_trace"] = [e.to_json() for e in high.trace]
     if solver == "ef1":
-        verdict = is_ef1(inst, alloc)
-        row["ef1_holds"] = _check("ef1_holds", verdict.holds, row, trace_blob)
-        if subadditive_scope:
-            row["welfare_vs_total_2n"] = _check(
-                "welfare_vs_total_2n", 2 * inst.n * welfare >= total, row,
-                trace_blob)
-        if inst.scaled and opt is not None and subadditive_scope:
-            row["welfare_vs_opt_16sqrt"] = _check(
-                "welfare_vs_opt_16sqrt", sqrt_ge(16 * welfare, opt, inst.n),
-                row, trace_blob)
-        if run.high_run is not None:
-            trace_blob["high_iterations"] = run.high_run.iterations
-            row["high_iters_vs_nm2"] = _check(
-                "high_iters_vs_nm2",
-                run.high_run.iterations <= inst.n * inst.m * inst.m, row,
-                trace_blob)
-        steps = run.abs_run.lipton.steps
-        if run.high_run is not None:
-            steps = max(steps, run.high_run.lipton.steps)
-        trace_blob["lipton_steps"] = steps
-        row["lipton_steps_vs_mn2"] = _check(
-            "lipton_steps_vs_mn2", steps <= inst.m * inst.n * inst.n, row,
-            trace_blob)
-        prop = "ef1"
-        prop_alpha = None
-    else:
-        if profile is None:
-            row["half_mms_holds"] = "skipped"
-        else:
-            half = Fraction(1, 2) - config.epsilon
-            verdict = is_alpha_mms(inst, alloc, half, profile)
-            row["half_mms_holds"] = _check("half_mms_holds", verdict.holds,
-                                           row, trace_blob)
-        row["welfare_vs_total_3n"] = _check(
-            "welfare_vs_total_3n", 3 * inst.n * welfare >= total, row,
-            trace_blob)
-        if inst.scaled and opt is not None:
-            row["welfare_vs_opt_15sqrt"] = _check(
-                "welfare_vs_opt_15sqrt", sqrt_ge(15 * welfare, opt, inst.n),
-                row, trace_blob)
-        if run.high_run is not None:
-            tsize = len(run.high_run.temporary)
-            row["high_T_vs_4sqrt"] = _check(
-                "high_T_vs_4sqrt", sqrt_ge(Fraction(4), Fraction(tsize),
-                                           inst.n), row, trace_blob)
-            covered = run.high_run.permanent | run.high_run.temporary
-            row["high_PT_cover"] = _check(
-                "high_PT_cover", covered == frozenset(range(inst.n)), row,
-                trace_blob)
-        prop = "alpha-mms"
-        prop_alpha = Fraction(1, 2) - config.epsilon
+        if high is not None:
+            trace_blob["high_iterations"] = high.iterations
+        trace_blob["lipton_steps"] = max(
+            run.abs_run.lipton.steps,
+            high.lipton.steps if high is not None else 0)
+
+    facts = SimpleNamespace(
+        inst=inst, n=inst.n, m=inst.m, agents=frozenset(range(inst.n)),
+        alloc=alloc, welfare=welfare, total=total, opt=opt, half=half,
+        profile=profile, high=high, steps=trace_blob.get("lipton_steps"))
+    held = {"scaled": inst.scaled, "subadditive": inst.subadditive,
+            "opt": opt is not None, "high": high is not None,
+            "profile": profile is not None}
+    for bound in (b for b in BOUNDS if b.solver == solver):
+        if not all(held[name] for name in bound.when):
+            row[bound.column] = bound.otherwise
+            continue
+        verdict = bound.check(facts)
+        if isinstance(verdict, tuple):
+            k, a, b = verdict
+            verdict = sqrt_ge(a, b, inst.n, k)
+            row["margins"][bound.column] = (
+                format_rational(Fraction(inst.n ** k * a * a) / (b * b))
+                if b else "inf")
+        if not verdict:
+            raise BoundViolation(
+                f"theorem inequality {bound.column} failed on "
+                f"{row['instance_id']} (solver {row['solver']})",
+                row=row, trace=trace_blob)
+        row[bound.column] = "pass"
+    prop = "ef1" if solver == "ef1" else "alpha-mms"
 
     row["welfare"] = format_rational(welfare)
-    row["welfare_dec"] = _dec(welfare)
+    row["welfare_dec"] = format_decimal(welfare)
 
     try:
-        constrained = constrained_opt(inst, prop, alpha=prop_alpha,
+        constrained = constrained_opt(inst, prop, alpha=half,
                                       profile=profile, cap=config.enum_cap,
                                       mms_cap=config.mms_state_cap)
     except InfeasibleError:
@@ -374,12 +364,13 @@ def _solver_row(ident: str, inst: Instance, solver: str,
             ratio = price_ratio(opt, cw)
             row["price_ratio"] = ("inf" if ratio is None
                                   else format_rational(ratio))
-            row["price_ratio_dec"] = "inf" if ratio is None else _dec(ratio)
+            row["price_ratio_dec"] = ("inf" if ratio is None
+                                      else format_decimal(ratio))
 
     if opt is not None and welfare > 0:
         solver_ratio = opt / welfare
         row["solver_ratio"] = format_rational(solver_ratio)
-        row["solver_ratio_dec"] = _dec(solver_ratio)
+        row["solver_ratio_dec"] = format_decimal(solver_ratio)
     else:
         row["solver_ratio"] = "skipped"
         row["solver_ratio_dec"] = ""
@@ -390,11 +381,13 @@ def _solver_row(ident: str, inst: Instance, solver: str,
     return row
 
 
-def _compute_row(args) -> dict:
-    ident, inst, family, solver, config = args
-    row = _solver_row(ident, inst, solver, config)
-    row["family"] = family
-    return row
+def _instance_rows(args) -> list[dict]:
+    """Every solver's row for one instance job, in config order. The
+    instance is built here, so a sweep holds one instance per worker."""
+    job, config = args
+    ident, inst = _build_instance(job, config.seed)
+    return [_solver_row(ident, inst, s, config) | {"family": job["family"]}
+            for s in config.solvers]
 
 
 def run_experiment(config_data, outdir=None) -> ExperimentReport:
@@ -405,17 +398,13 @@ def run_experiment(config_data, outdir=None) -> ExperimentReport:
     else:
         config = ExperimentConfig.from_json(config_data)
 
-    tasks = []
-    for job in _instance_jobs(config):
-        ident, inst = _build_instance(job, config.seed)
-        for solver in config.solvers:
-            tasks.append((ident, inst, job["family"], solver, config))
-
+    tasks = [(job, config) for job in _instance_jobs(config)]
     if config.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_compute_row, tasks))
+            rows = [row for batch in pool.map(_instance_rows, tasks)
+                    for row in batch]
     else:
-        rows = [_compute_row(t) for t in tasks]
+        rows = [row for task in tasks for row in _instance_rows(task)]
 
     out = Path(outdir) if outdir is not None else None
     for i, row in enumerate(rows):

@@ -83,6 +83,11 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+def format_decimal(value: Fraction) -> str:
+    """6-significant-digit decimal, for display beside the exact rational."""
+    return f"{float(value):.6g}"
+
+
 def is_json_int(value) -> bool:
     """True for a JSON integer; bools are ints in Python but not in JSON."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -257,6 +262,12 @@ class Instance:
     @property
     def additive(self) -> bool:
         return all(v.kind == ADDITIVE for v in self.valuations)
+
+    @property
+    def subadditive(self) -> bool:
+        """Every agent is additive or an explicit table flagged subadditive."""
+        return all(v.kind == ADDITIVE or v.subadditive
+                   for v in self.valuations)
 
     def total_value(self, agent: int) -> Fraction:
         return self.valuations[agent].value(range(self.m))

@@ -343,11 +343,9 @@ def _search(inst: Instance, weights, tables, scale: int, passes=None,
                         zip(inst.valuations, required or [None] * n))
     good_twin = _twins(zip(*weights)) if inst.additive else [-1] * m
 
-    # Upper bound per good for the prune: valid for additive welfare and for
-    # explicit tables flagged subadditive; otherwise no prune is sound
+    # Upper bound per good for the prune, sound on subadditive instances only
     # (supermodular tables can gain more than single-good values suggest).
-    prunable = inst.additive or all(
-        v.kind != ADDITIVE and v.subadditive for v in inst.valuations)
+    prunable = inst.subadditive
     suffix_max = [0] * (m + 1)
     for g in range(m - 1, -1, -1):
         suffix_max[g] = suffix_max[g + 1] + max(

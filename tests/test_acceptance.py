@@ -6,7 +6,6 @@ runtime budgets are asserted from wall-clock measurements of the work each
 criterion covers.
 """
 
-import math
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -72,12 +71,13 @@ def mms_corpus():
     return runs, time.perf_counter() - started
 
 
-def print_margin(label, inst, welfare, opt, floor):
-    """Prints the margin sqrt(n)*SW/OPT, which the theorem keeps at or
-    above `floor`; the float is for reading only."""
-    margin = math.sqrt(inst.n) * float(welfare / opt)
-    print(f"    {label} n={inst.n}: margin {margin:.3f} (floor {floor} = "
-          f"{float(floor):.4f})")
+def print_margin(label, inst, c, welfare, opt):
+    """Prints the exact squared margin n*(c*SW)^2/OPT^2 of SW >=
+    OPT/(c*sqrt(n)), which the theorem keeps at or above 1; the float is for
+    reading only."""
+    margin = inst.n * (c * welfare) ** 2 / opt ** 2
+    print(f"    {label} n={inst.n}: squared margin {float(margin):.3f} "
+          f"(floor 1 for c = {c})")
 
 
 @pytest.fixture(scope="session")
@@ -143,7 +143,7 @@ def test_criterion_4_scaled_ef1_bound(scaled_grid):
             if inst in dense:
                 assert not sqrt_ge(Fraction(8), opt, inst.n)
             print_margin("dense blocks" if inst in dense else "dirichlet",
-                         inst, run.welfare, opt, Fraction(1, 16))
+                         inst, 16, run.welfare, opt)
         assert time.perf_counter() - started < 120
 
 
@@ -169,7 +169,7 @@ def test_criterion_5_scaled_half_mms_bound(scaled_grid):
                 assert not sqrt_ge(Fraction(5), run.opt, inst.n)
                 assert run.branch == "high"
             print_margin("dense blocks" if inst in dense else "dirichlet",
-                         inst, run.welfare, run.opt, Fraction(1, 15))
+                         inst, 15, run.welfare, run.opt)
             # Direct high-algorithm runs.
             high = run_mms_high(inst, profile)
             assert high.permanent | high.temporary == frozenset(range(inst.n))

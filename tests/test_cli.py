@@ -1,19 +1,25 @@
 """CLI surface and experiment harness."""
 
+import gc
 import hashlib
 import json
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import fairdiv.experiment as exp
 from fairdiv import (generate_random, load_instance, run_solve_ef1,
                      run_solve_half_mms)
 from fairdiv.cli import main
 from fairdiv.errors import ParseError
 from fairdiv.experiment import (BOUND_COLUMNS, ExperimentConfig,
-                                _build_instance, _instance_jobs,
+                                _build_instance, _instance_jobs, _solver_row,
                                 run_experiment)
+from fairdiv.model import instance_from_json
+
+from conftest import diagonal
 
 # The sha256 of the README example sweep's CSV, recorded by the benchmark.
 EXPECTED_SWEEP = Path(__file__).parent.parent / "perfbench" / "expected.json"
@@ -243,6 +249,13 @@ class TestExperiment:
         for row in report.rows:
             for col in BOUND_COLUMNS:
                 assert row[col] in ("pass", "n/a", "skipped")
+            # Every passing cell but the two fairness verdicts has a
+            # margin, and each margin is at least 1.
+            assert set(row["margins"]) == {
+                col for col in BOUND_COLUMNS if row[col] == "pass"} - {
+                "ef1_holds", "half_mms_holds"}
+            for margin in row["margins"].values():
+                assert margin == "inf" or Fraction(margin) >= 1
         assert (tmp_path / "r" / "results.csv").exists()
         assert (tmp_path / "r" / "results.json").exists()
 
@@ -267,6 +280,50 @@ class TestExperiment:
         assert by_n[16]["constrained_welfare"] == "skipped"
         # Bound-only mode still checks the theorem inequalities.
         assert by_n[16]["welfare_vs_opt_15sqrt"] == "pass"
+
+    def test_block_family_sqrt_margins(self):
+        # (16*(2 - 1/sqrt n))^2 and (15*(2 - 1/sqrt n))^2: the solvers' exact
+        # squared margins n*(c*SW)^2/OPT^2 on the block family.
+        report = run_experiment({
+            "seed": 2, "solvers": ["ef1", "half-mms"],
+            "families": [{"family": "mms-scaled-sqrt", "n": [4, 9, 16]}],
+        })
+        margins = {(r["n"], col): r["margins"][col] for r in report.rows
+                   for col in r["margins"] if "_opt_" in col}
+        assert margins == {
+            (4, "welfare_vs_opt_16sqrt"): "576",
+            (9, "welfare_vs_opt_16sqrt"): "6400/9",
+            (16, "welfare_vs_opt_16sqrt"): "784",
+            (4, "welfare_vs_opt_15sqrt"): "2025/4",
+            (9, "welfare_vs_opt_15sqrt"): "625",
+            (16, "welfare_vs_opt_15sqrt"): "11025/16"}
+
+    def test_mixed_additive_and_subadditive_in_bound_scope(self):
+        # Additive valuations are subadditive, so an additive agent beside a
+        # subadditive table keeps the EF1 welfare bounds in scope.
+        inst = instance_from_json({
+            "n": 2, "m": 3, "scaled": True, "valuations": [
+                {"kind": "additive", "values": ["1/2", "1/4", "1/4"]},
+                {"kind": "explicit", "subadditive": True, "table": {
+                    "1": "1/2", "2": "1/2", "3": "1/2", "1,2": "3/4",
+                    "1,3": "3/4", "2,3": "3/4", "1,2,3": "1"}}]})
+        row = _solver_row("mixed", inst, "ef1", ExperimentConfig.from_json({}))
+        assert row["welfare_vs_total_2n"] == "pass"
+        assert row["welfare_vs_opt_16sqrt"] == "pass"
+
+    def test_one_instance_alive_at_a_time(self, monkeypatch):
+        build, alive = exp._build_instance, []
+
+        def tracked(job, seed):
+            gc.collect()
+            assert [ref for ref in alive if ref() is not None] == []
+            ident, inst = build(job, seed)
+            alive.append(weakref.ref(inst))
+            return ident, inst
+
+        monkeypatch.setattr(exp, "_build_instance", tracked)
+        assert len(run_experiment(self.CONFIG).rows) == 12
+        assert len(alive) == 6
 
     def test_determinism_byte_identical_csv(self, tmp_path):
         a = run_experiment(self.CONFIG, outdir=tmp_path / "a")
@@ -344,7 +401,6 @@ class TestExperiment:
         # The welfare bounds are proven, so a violation can only mean an
         # implementation bug; simulate one and confirm the run aborts with
         # the offending row and trace attached rather than emitting it.
-        import fairdiv.experiment as exp
         from fairdiv.fairness import FairnessVerdict
 
         monkeypatch.setattr(
@@ -358,6 +414,31 @@ class TestExperiment:
             })
         assert err.value.row["instance_id"] == "ef1-unscaled-n2"
         assert err.value.trace is not None
+
+    @pytest.mark.parametrize("column", BOUND_COLUMNS)
+    def test_each_bound_violation_aborts(self, column, monkeypatch):
+        # Each entry, forced false on a row where it applies (a scaled
+        # instance for EF1; OPT > 5*sqrt(n) takes half-MMS's high branch).
+        def failing(check):
+            def forced(facts):
+                sides = check(facts)
+                return (sides[0], 0, 1) if isinstance(sides, tuple) else False
+            return forced
+
+        bounds = tuple(b._replace(check=failing(b.check))
+                       if b.column == column else b for b in exp.BOUNDS)
+        monkeypatch.setattr(exp, "BOUNDS", bounds)
+        solver = next(b.solver for b in bounds if b.column == column)
+        ident, inst = (("dirichlet", generate_random(
+            4, 8, "dirichlet-scaled", seed=1)) if solver == "ef1"
+            else ("diagonal", diagonal(26)))
+        with pytest.raises(exp.BoundViolation) as err:
+            _solver_row(ident, inst, solver, ExperimentConfig.from_json({}))
+        assert str(err.value) == (f"theorem inequality {column} failed on "
+                                  f"{ident} (solver {solver})")
+        assert err.value.row["instance_id"] == ident
+        assert err.value.row[column] == "n/a"
+        assert err.value.trace["branch"]
 
     def test_readme_sweep_csv_matches_recorded_sha256(self, tmp_path):
         recorded = json.loads(EXPECTED_SWEEP.read_text())["pof-sweep"]
