@@ -27,7 +27,8 @@ from .envy_cycle import LiptonStats, run_extend_ef1
 from .errors import InfeasibleError, ValidationError
 from .fairness import is_ef1, social_welfare
 from .matching import max_weight_left_perfect_matching
-from .model import ADDITIVE, Allocation, Event, Instance, validate_allocation
+from .model import (ADDITIVE, Allocation, Event, Instance, common_ints,
+                    validate_allocation)
 from .oracles import DEFAULT_ENUM_CAP, max_welfare
 
 
@@ -94,8 +95,8 @@ def run_ef1_abs(inst: Instance) -> Ef1AbsRun:
     # Checked before the matching, which would refuse a negative weight
     # without naming the agent.
     inst.require_monotone()
-    # Singleton values over one scale: additive rows, explicit one-good masks.
-    rows, _ = inst.common
+    # The matching adds across agents: singleton values over one scale.
+    rows, _ = common_ints(inst.valuations)
     weights = [row if v.kind == ADDITIVE
                else [row[1 << g] for g in range(inst.m)]
                for row, v in zip(rows, inst.valuations)]
@@ -141,7 +142,7 @@ def reference_allocation(inst: Instance,
 
 class _LineValues:
     """Per-agent value of contiguous position ranges under a line order, in
-    the agent's integers (`Valuation.ints`).
+    the agent's integers (`Valuation.kernel`).
 
     Additive agents get integer prefix sums; explicit agents read their
     bitmask-indexed table at the range's mask, a difference of two prefix
@@ -156,16 +157,15 @@ class _LineValues:
         self._prefix: list[Optional[list[int]]] = []
         self._tables: list[Optional[tuple[int, ...]]] = []
         for v in inst.valuations:
-            ints, _ = v.ints
             if v.kind == ADDITIVE:
                 acc = [0]
                 for g in line.order:
-                    acc.append(acc[-1] + ints[g])
+                    acc.append(acc[-1] + v.kernel[g])
                 self._prefix.append(acc)
                 self._tables.append(None)
             else:
                 self._prefix.append(None)
-                self._tables.append(ints)
+                self._tables.append(v.kernel)
 
     def range_value(self, agent: int, a: int, b: int) -> int:
         """Value of positions a..b inclusive."""

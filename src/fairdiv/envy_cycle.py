@@ -12,7 +12,7 @@ visiting neighbours in ascending order; rotating a cycle hands every agent
 on it the bundle she strictly prefers, so total value strictly rises and
 the process terminates.
 
-Values are each agent's integers (`Valuation.ints`) and bundles are
+Values are each agent's integers (`Valuation.kernel`) and bundles are
 bitmasks. The envy graph is kept as one adjacency bitmask per agent and
 updated only where something moved: after a rotation the rows of the cycle's
 agents and the cycle's columns of every other row, after a hand-out the
@@ -105,7 +105,7 @@ def run_extend_ef1(inst: Instance,
                               witness=verdict.witness)
 
     n = inst.n
-    kernels = [v.ints[0] for v in inst.valuations]
+    kernels = [v.kernel for v in inst.valuations]
     additive = [v.kind == ADDITIVE for v in inst.valuations]
     masks = [goods_mask(b) for b in partial.bundles]
 

@@ -4,7 +4,7 @@ Each predicate returns a FairnessVerdict carrying either a machine-checkable
 certificate (evidence the property holds) or a counterexample witness that
 reproduces the violated inequality when replayed through value queries.
 
-`is_ef1` decides on each agent's integer kernel (`Valuation.ints`), so no
+`is_ef1` decides on each agent's integer kernel (`Valuation.kernel`), so no
 `Fraction` is built on success; certificates and witnesses, the public
 output, stay in exact rationals.
 """
@@ -94,7 +94,7 @@ def is_ef1(inst: Instance, alloc: Allocation) -> FairnessVerdict:
     certificate: dict = {}
     for i in range(inst.n):
         v = inst.valuations[i]
-        ints, _ = v.ints
+        ints = v.kernel
         additive = v.kind == ADDITIVE
         own_goods = alloc.bundles[i]
         own = (sum(ints[x] for x in own_goods) if additive
@@ -170,14 +170,9 @@ def is_alpha_mms(inst: Instance, alloc: Allocation, alpha: Fraction,
     """alpha-approximate maximin share fairness against an exact MMS profile."""
     validate_allocation(alloc, inst)
     alpha = Fraction(alpha)
-    mms = profile.mms
-    if mms is None:
-        raise ValidationError(
-            "mms-profile", "missing profile entry: exact MMS values required")
-    if len(mms) != inst.n:
-        raise ValidationError(
-            "mms-profile", f"profile has {len(mms)} entries, instance has "
-            f"{inst.n} agents")
+    if alpha < 0:
+        raise ValidationError("alpha", f"alpha {alpha} is negative")
+    mms = profile.exact_mms(inst.n)
     certificate: dict = {}
     for i in range(inst.n):
         own = inst.value(i, alloc.bundles[i])

@@ -1,7 +1,7 @@
 """Maximum-weight bipartite matching that matches every agent.
 
 The weights are nonnegative integers (callers bring rationals onto one
-scale with `fairdiv.model.Instance.common`). The lexicographic tie-break is
+scale with `fairdiv.model.common_ints`). The lexicographic tie-break is
 folded into the weights, and one rectangular Hungarian (potential +
 shortest augmenting path) solve runs in pure integer arithmetic. Among all
 maximum-weight left-perfect matchings the lexicographically smallest good
@@ -18,15 +18,13 @@ from __future__ import annotations
 from typing import Sequence
 
 
-def _max_assignment(weights: list[list[int]]) -> list[int]:
-    """Column of each row in a maximum-weight matching covering every row.
+def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
+    """Column of each row in a minimum-cost matching covering every row.
 
-    Hungarian algorithm on min-cost transform; requires rows <= columns.
+    Hungarian algorithm on nonnegative costs; requires rows <= columns.
     """
-    nr, nc = len(weights), len(weights[0])
+    nr, nc = len(cost), len(cost[0])
     assert nr <= nc
-    top = max(max(row) for row in weights)
-    cost = [[top - w for w in row] for row in weights]
     inf = sum(sum(row) for row in cost) + 1
 
     u = [0] * (nr + 1)
@@ -104,11 +102,12 @@ def max_weight_left_perfect_matching(
     width = max(m, n)
     base = width + 1
     scale = base ** n
-    perturbed = []
+    top = max(max(row, default=0) for row in weights)
+    cost = []
     padding = [0] * (width - m)
     for i, row in enumerate(weights):
         step = base ** (n - 1 - i)
-        perturbed.append([scale * w - g * step
-                          for g, w in enumerate([*row, *padding])])
-    cols = _max_assignment(perturbed)
+        cost.append([scale * (top - w) + g * step
+                     for g, w in enumerate([*row, *padding])])
+    cols = _min_cost_assignment(cost)
     return [(i, g) for i, g in enumerate(cols) if g < m]

@@ -21,11 +21,11 @@ temporary agents or assigned to uncovered ones as soon as it crosses
 their thresholds. At termination P and T cover all agents, |T| stays
 within 4*sqrt(n), and 3*sqrt(n)*SW + 4*sqrt(n) >= OPT.
 
-Both loops run on the agents' integer kernels (`Valuation.ints`). The
-absolute algorithm compares values across agents, so it reads them over one
-common denominator (`Instance.common`); the high-welfare algorithm only
-compares within an agent, so each agent reads hers and Z_i over one
-(`ints_with`).
+Both loops run on the agents' integer kernels (`Valuation.kernel`). The
+absolute algorithm's pick compares values across agents by
+cross-multiplying with their denominators; the high-welfare algorithm only
+compares within an agent, so each agent reads her values and Z_i over one
+denominator (`ints_with`).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def prop1_subroutine(inst: Instance, agents: Iterable[int],
         for i in order:
             if not remaining:
                 break
-            vals = inst.valuations[i].ints[0]
+            vals = inst.valuations[i].kernel
             top = max(vals[g] for g in remaining)
             pick = min(g for g in remaining if vals[g] == top)
             bundles[i].add(pick)
@@ -87,25 +87,25 @@ def run_mms_abs(inst: Instance) -> MmsAbsRun:
     _require_additive(inst, "run_mms_abs")
     active = set(range(inst.n))
     remaining = set(range(inst.m))
-    # The pick compares values across agents.
-    values, _ = inst.common
+    # The pick compares values across agents by cross-multiplying.
+    values = [v.kernel for v in inst.valuations]
     totals = [sum(row) for row in values]
     bundles: list[set[int]] = [set() for _ in range(inst.n)]
     trace: list[Event] = []
 
     while True:
-        best = None           # (value, agent, good)
+        best = None           # (value, den, agent, good)
         k = len(active)
         goods = sorted(remaining)
         for i in sorted(active):
-            vals = values[i]
+            vals, den = values[i], inst.valuations[i].den
             for g in goods:
                 if 2 * k * vals[g] >= totals[i]:
-                    if best is None or vals[g] > best[0]:
-                        best = (vals[g], i, g)
+                    if best is None or vals[g] * best[1] > best[0] * den:
+                        best = (vals[g], den, i, g)
         if best is None:
             break
-        _, agent, good = best
+        _, _, agent, good = best
         trace.append(Event("singleton", agent, (good,), ""))
         bundles[agent] = {good}
         active.remove(agent)

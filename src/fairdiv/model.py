@@ -9,21 +9,21 @@ Rationals become integers here and nowhere else. A `Valuation` stores its
 integer kernel: the values multiplied by `den`, the lcm of the agent's
 reduced denominators, one integer per good for additive agents and one per
 bitmask-indexed subset for explicit agents. The solvers, the oracles and
-validation compute on it (`Valuation.ints`). `Fraction`s appear only at the
-edges: the loader parses each rational straight into integers, and
-`Valuation.values`, `Valuation.table` (in ascending bitmask order) and
-`Valuation.value` are views built from the kernel alone. Scaling by
-`den > 0` keeps the order of every comparison within one agent; comparisons
-across agents first rescale to a common lcm (`ints_with`, or
-`Instance.common` for every agent). An `Instance` computes such
-per-instance facts once, on first use, outside its dataclass fields.
+validation compute on it. `Fraction`s appear only at the edges: the loader
+parses each rational straight into integers, and `Valuation.values`,
+`Valuation.table` (in ascending bitmask order) and `Valuation.value` are
+views built from the kernel alone. Scaling by `den > 0` keeps the order of
+every comparison within one agent; comparisons across agents cross-multiply
+by the denominators. Only sums across agents rescale every kernel to a
+common lcm (`common_ints`); `ints_with` puts one agent's kernel and a
+rational over one.
 
 Instance files are JSON::
 
     {"n": 2, "m": 2, "scaled": true,
      "valuations": [{"kind": "additive", "values": ["1/2", "1/2"]},
                     {"kind": "explicit", "subadditive": true,
-                     "table": {"1": "1/3", "2": "1/3", "1,2": "1/2"}}]}
+                     "table": {"1": "2/3", "2": "1/2", "1,2": "1"}}]}
 
 Rationals are "p/q" strings or plain integers matching
 ``-?[0-9]+(/[0-9]+)?``: no decimals, exponents, "+" signs, underscores or
@@ -195,11 +195,6 @@ class Valuation:
         return {mask_goods(mask): Fraction(x, self.den)
                 for mask, x in enumerate(self.kernel)}
 
-    @property
-    def ints(self) -> tuple[tuple[int, ...], int]:
-        """Integer kernel `(ints, den)`."""
-        return self.kernel, self.den
-
     def value(self, goods: Iterable[int]) -> Fraction:
         s = good_set(goods, self.m)
         if self.kind == ADDITIVE:
@@ -241,9 +236,17 @@ def _rescaled(ints: Sequence[int], den: int, scale: int) -> tuple[int, ...]:
 
 def ints_with(valuation: Valuation, x: Fraction) -> tuple[Sequence[int], int]:
     """The agent's kernel and `x` over the lcm of their denominators."""
-    ints, den = valuation.ints
-    scale = lcm(den, x.denominator)
-    return _rescaled(ints, den, scale), x.numerator * (scale // x.denominator)
+    scale = lcm(valuation.den, x.denominator)
+    return (_rescaled(valuation.kernel, valuation.den, scale),
+            x.numerator * (scale // x.denominator))
+
+
+def common_ints(valuations: Sequence[Valuation]
+                ) -> tuple[list[tuple[int, ...]], int]:
+    """`(rows, scale)`: every agent's kernel over `scale`, the lcm of their
+    denominators, built anew on each call."""
+    scale = lcm(*(v.den for v in valuations))
+    return [_rescaled(v.kernel, v.den, scale) for v in valuations], scale
 
 
 @dataclass(frozen=True)
@@ -271,14 +274,6 @@ class Instance:
 
     def total_value(self, agent: int) -> Fraction:
         return self.valuations[agent].value(range(self.m))
-
-    @cached_property
-    def common(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """`(rows, scale)`: every agent's kernel over the lcm of their
-        denominators, built once; the rows are tuples, shared by readers."""
-        scale = lcm(*(v.den for v in self.valuations))
-        return tuple(_rescaled(v.kernel, v.den, scale)
-                     for v in self.valuations), scale
 
     def require_monotone(self) -> None:
         """`check_monotone` on every agent in order. A pass is remembered; a
@@ -358,7 +353,7 @@ def check_monotone(v: Valuation, agent: int) -> None:
     """Raise ValidationError unless v is monotone: every value of an
     additive agent is nonnegative, and an explicit table has v(S) <=
     v(S + {g}) for every S and g outside S (scanned by mask, then good)."""
-    ints, den = v.ints
+    ints, den = v.kernel, v.den
     label = f"agent {agent + 1}"
     if v.kind == ADDITIVE:
         for g, x in enumerate(ints):
@@ -390,7 +385,7 @@ def _validate_valuation(v: Valuation, agent: int) -> None:
         check_monotone(v, agent)
         return
 
-    ints, den = v.ints
+    ints, den = v.kernel, v.den
     if ints[0] != 0:
         raise ValidationError(
             "normalized", f"{label}: not normalized, v({{}}) = "
@@ -443,12 +438,11 @@ def validate_instance(inst: Instance) -> None:
         _validate_valuation(v, i)
     if inst.scaled:
         for i, v in enumerate(inst.valuations):
-            ints, den = v.ints
-            total = sum(ints) if v.kind == ADDITIVE else ints[-1]
-            if total != den:
+            total = sum(v.kernel) if v.kind == ADDITIVE else v.kernel[-1]
+            if total != v.den:
                 raise ValidationError(
                     "scaled", f"scaled-flag mismatch: agent {i + 1} has "
-                    f"v([m]) = {Fraction(total, den)} != 1", agent=i + 1)
+                    f"v([m]) = {Fraction(total, v.den)} != 1", agent=i + 1)
 
 
 def _parse_subset_key(key: str, m: int) -> int:

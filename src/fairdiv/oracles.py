@@ -4,8 +4,8 @@ exact fairness-constrained optimal welfare on small instances.
 The MMS oracle enumerates k-partitions depth-first over bitmasks with
 first-good symmetry breaking, best-min bound pruning, and memoization on
 (remaining goods, bundles left). It reads the agent's integer kernel
-(`Valuation.ints`; MMS only ever compares one agent's values), so the inner
-loop is pure integer arithmetic. Maximum welfare on explicit or mixed
+(`Valuation.kernel`; MMS only ever compares one agent's values), so the
+inner loop is pure integer arithmetic. Maximum welfare on explicit or mixed
 instances and the fair optimum share one exhaustive search: all n^m complete
 allocations depth-first, with an upper-bound prune from per-good maxima
 where it is sound. Bundles are bitmasks, and welfare, the bound and the EF1,
@@ -33,7 +33,7 @@ from typing import Iterable, Optional
 
 from .errors import InfeasibleError, ValidationError
 from .model import (ADDITIVE, Allocation, Instance, Valuation, ZERO,
-                    good_set, goods_mask, mask_goods)
+                    common_ints, good_set, goods_mask, mask_goods)
 
 # Feasibility is judged on the k^|G| partition-state bound; the memoized DP
 # itself touches at most k * 3^|G| states.
@@ -78,6 +78,18 @@ class MmsProfile:
                         f"[(1-eps)*MMS, MMS] = [{lo * exact}, {exact}]",
                         agent=i + 1)
 
+    def exact_mms(self, n: int) -> tuple[Fraction, ...]:
+        """The exact MMS values, checked to cover n agents."""
+        if self.mms is None:
+            raise ValidationError(
+                "mms-profile", "missing profile entry: exact MMS values "
+                "required")
+        if len(self.mms) != n:
+            raise ValidationError(
+                "mms-profile", f"profile has {len(self.mms)} entries, "
+                f"instance has {n} agents")
+        return self.mms
+
     def z(self, agent: int) -> Fraction:
         if self.estimates is not None:
             return self.estimates[agent]
@@ -101,7 +113,7 @@ def _subset_ints(valuation: Valuation, goods: list[int]) -> list[int]:
     """The kernel's value of every subset of `goods`, indexed by local
     bitmask (bit b stands for goods[b]); an unvalidated table may value the
     empty set above 0."""
-    ints = valuation.ints[0]
+    ints = valuation.kernel
     additive = valuation.kind == ADDITIVE
     sums = [0] * (1 << len(goods))
     for local in range(1, len(sums)):
@@ -127,7 +139,7 @@ def mms_k(valuation: Valuation, k: int, goods: Optional[Iterable[int]] = None,
     The agent's full maximin share is mms_k(v, n, all goods).
     """
     glist = _goods(valuation, k, goods)
-    ints, den = valuation.ints
+    ints, den = valuation.kernel, valuation.den
     additive = valuation.kind == ADDITIVE
     # Constant-time outcomes first; only genuine enumeration hits the cap.
     total = (sum(ints[g] for g in glist) if additive
@@ -193,7 +205,7 @@ def mms_lower_bound(valuation: Valuation, k: int,
     lower bound, so this never needs the exhaustive oracle. Goods go largest
     first, each to the least-valued bundle, lowest index on ties."""
     glist = _goods(valuation, k, goods)
-    ints, den = valuation.ints
+    ints, den = valuation.kernel, valuation.den
     additive = valuation.kind == ADDITIVE
     masks = [0] * k
     totals = [0 if additive else ints[0]] * k
@@ -229,13 +241,18 @@ def max_welfare(inst: Instance,
     assignment order is kept.
     """
     if inst.additive:
-        rows, scale = inst.common
+        dens = [v.den for v in inst.valuations]
         bundles = [set() for _ in range(inst.n)]
-        opt = 0
-        for g, vals in enumerate(zip(*rows)):
-            top = max(vals)
-            bundles[vals.index(top)].add(g)
-            opt += top
+        own = [0] * inst.n      # each agent's welfare over her own den
+        for g, col in enumerate(zip(*(v.kernel for v in inst.valuations))):
+            best, top, top_den = 0, col[0], dens[0]
+            for i in range(1, inst.n):
+                if col[i] * top_den > top * dens[i]:
+                    best, top, top_den = i, col[i], dens[i]
+            bundles[best].add(g)
+            own[best] += top
+        scale = math.lcm(*dens)
+        opt = sum(x * (scale // d) for x, d in zip(own, dens))
         return Allocation.of(bundles), Fraction(opt, scale)
 
     if inst.n ** inst.m > cap:
@@ -300,7 +317,7 @@ def _prop1_leaf(n, weights, tables, totals, full, masks, owner, own) -> bool:
 def _split_kernels(inst: Instance):
     """Every kernel over one common denominator: per-good weights (additive
     agents) or bitmask tables (explicit), None in the other list."""
-    rows, scale = inst.common
+    rows, scale = common_ints(inst.valuations)
     additive = [v.kind == ADDITIVE for v in inst.valuations]
     weights = [row if add else None for row, add in zip(rows, additive)]
     tables = [None if add else row for row, add in zip(rows, additive)]
@@ -339,7 +356,7 @@ def _search(inst: Instance, weights, tables, scale: int, passes=None,
     masks = [0] * n
     owner = [0] * m
     own = [t[0] if t is not None else 0 for t in tables]
-    agent_twin = _twins((v.kind, v.ints, r) for v, r in
+    agent_twin = _twins((v.kind, v.kernel, v.den, r) for v, r in
                         zip(inst.valuations, required or [None] * n))
     good_twin = _twins(zip(*weights)) if inst.additive else [-1] * m
 
@@ -412,16 +429,11 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
             f"unknown property {prop!r}; expected one of {PROPERTIES}")
     if prop == "alpha-mms":
         alpha = Fraction(alpha if alpha is not None else Fraction(1, 2))
+        if alpha < 0:
+            raise ValidationError("alpha", f"alpha {alpha} is negative")
         prof = profile if profile is not None else mms_profile(inst,
                                                                cap=mms_cap)
-        if prof.mms is None:
-            raise ValidationError(
-                "mms-profile", "missing profile entry: exact MMS values "
-                "required")
-        if len(prof.mms) != n:
-            raise ValidationError(
-                "mms-profile", f"profile has {len(prof.mms)} entries, "
-                f"instance has {n} agents")
+        mms = prof.exact_mms(n)
 
     weights, tables, scale = _split_kernels(inst)
     required = None
@@ -437,7 +449,7 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
         passes = partial(_prop1_leaf, n, weights, tables, totals, full)
     else:
         # own_i >= alpha * MMS_i * L; own_i is an integer, so the ceiling.
-        required = [math.ceil(alpha * x * scale) for x in prof.mms]
+        required = [math.ceil(alpha * x * scale) for x in mms]
 
         def passes(masks, owner, own):
             return all(map(ge, own, required))

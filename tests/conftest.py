@@ -261,10 +261,10 @@ def naive_kernel(view) -> tuple[tuple[int, ...], int]:
 
 def naive_common_ints(valuations):
     """Every agent's integer kernel rescaled to the lcm of their
-    denominators, as lists: the reference for `Instance.common`."""
-    scale = lcm(*(v.ints[1] for v in valuations))
-    return [[x * (scale // den) for x in ints]
-            for ints, den in (v.ints for v in valuations)], scale
+    denominators, as lists: the reference for `model.common_ints`."""
+    scale = lcm(*(v.den for v in valuations))
+    return [[x * (scale // v.den) for x in v.kernel]
+            for v in valuations], scale
 
 
 def naive_matching(weights):

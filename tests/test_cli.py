@@ -131,6 +131,22 @@ class TestCli:
             '{\n  "opt": "2",\n  "price": "infinite",\n'
             '  "price_dec": "inf",\n  "property": "mms"\n}\n')
 
+    @pytest.mark.parametrize("command", ["check", "pof"])
+    def test_negative_alpha_rejected(self, tmp_path, capsys, command):
+        # Every MMS requirement would be negative, so any allocation, even
+        # the empty one, would pass.
+        inst = tmp_path / "i.json"
+        alloc = tmp_path / "a.json"
+        run_cli(capsys, "gen", "--family", "ef1-unscaled", "--n", "2",
+                "-o", str(inst))
+        alloc.write_text(json.dumps({"bundles": [[], []]}))
+        files = {"check": ["--allocation", str(alloc)]}
+        code = main([command, "--property", "mms", "--alpha", "-1",
+                     "--instance", str(inst), *files.get(command, [])])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines() == ["error: alpha -1 is negative"]
+
     def test_half_mms_epsilon_outside_half_rejected(self, tmp_path, capsys):
         path = tmp_path / "i.json"
         run_cli(capsys, "gen", "--family", "random", "--distribution",

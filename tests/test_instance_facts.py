@@ -1,10 +1,9 @@
-"""Per-instance integer facts: `Instance.common` (every kernel over one
-common denominator) and `Instance.require_monotone()`, each computed once
-per instance and read by the solvers, the oracles and the report row."""
+"""Integer facts about an instance: `common_ints` (every kernel over one
+common denominator, built anew by each caller that adds values across
+agents) and `Instance.require_monotone()`, whose pass is remembered."""
 
 import pickle
 from collections import Counter
-from functools import cached_property
 
 import pytest
 
@@ -18,6 +17,7 @@ from fairdiv import (Allocation, Instance, ValidationError, Valuation,
                      generate_random, run_ef1_abs, run_extend_ef1,
                      run_solve_ef1, run_solve_half_mms)
 from fairdiv.experiment import ExperimentConfig, _solver_row
+from fairdiv.model import common_ints
 
 from conftest import (diagonal, naive_common_ints, tie_corpus,
                       twin_corpus)
@@ -35,12 +35,10 @@ def kinds(inst):
 def test_common_matches_reference():
     seen = Counter()
     for inst in corpus():
-        rows, scale = inst.common
+        rows, scale = common_ints(inst.valuations)
         want_rows, want_scale = naive_common_ints(inst.valuations)
         assert scale == want_scale
-        assert type(rows) is tuple and all(type(r) is tuple for r in rows)
         assert [list(row) for row in rows] == want_rows
-        assert inst.common is inst.common           # built once
         seen[kinds(inst)] += 1
         seen["rescaled"] += any(v.den != scale for v in inst.valuations)
     assert min(seen[k] for k in ("additive", "explicit", "mixed")) >= 30
@@ -51,7 +49,6 @@ def test_cached_facts_leave_equality_hash_and_pickle_alone():
     for inst in corpus()[:80]:
         fresh = Instance(inst.n, inst.m, inst.valuations, inst.scaled)
         before = hash(inst)
-        inst.common
         try:
             inst.require_monotone()
         except ValidationError:
@@ -60,7 +57,6 @@ def test_cached_facts_leave_equality_hash_and_pickle_alone():
         for original in (inst, fresh):
             copy = pickle.loads(pickle.dumps(original))
             assert copy == inst and hash(copy) == before
-            assert copy.common == inst.common
 
 
 @pytest.mark.parametrize("valuations", [
@@ -88,17 +84,15 @@ def test_non_monotone_instance_raises_the_same_error_every_call(valuations):
 @pytest.fixture()
 def counts(monkeypatch):
     """Counts common-scale builds and per-agent monotonicity checks, however
-    a module reaches `check_monotone`."""
+    a module reaches `common_ints` or `check_monotone`."""
     seen = Counter()
-    build = Instance.__dict__["common"].func
 
-    def counted_build(inst):
+    def counted_build(valuations):
         seen["common"] += 1
-        return build(inst)
+        return common_ints(valuations)
 
-    common = cached_property(counted_build)
-    common.__set_name__(Instance, "common")
-    monkeypatch.setattr(Instance, "common", common)
+    for module in (fairdiv.model, fairdiv.ef1, fairdiv.oracles):
+        monkeypatch.setattr(module, "common_ints", counted_build)
     check = fairdiv.model.check_monotone
 
     def counted_check(v, agent):
@@ -124,13 +118,14 @@ def test_one_build_and_one_scan_per_ef1_solve(counts):
         assert counts == {}
 
 
-def test_one_build_per_half_mms_solve(counts):
-    # Half-MMS needs no monotonicity scan: its agents are additive.
+def test_no_build_per_half_mms_solve(counts):
+    # Half-MMS adds no values across agents, and needs no monotonicity scan:
+    # its agents are additive.
     for inst, branch in ((generate_random(5, 20, "dirichlet-scaled", seed=3),
                           "abs"), (diagonal(26), "high")):
         counts.clear()
         assert run_solve_half_mms(inst).branch == branch
-        assert counts == {"common": 1}
+        assert counts == {}
 
 
 def test_one_mms_profile_per_half_mms_row(monkeypatch):

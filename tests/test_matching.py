@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from fairdiv import FamilySpec, generate_adversarial, max_weight_left_perfect_matching
+from fairdiv.model import common_ints
 from conftest import naive_matching
 
 
@@ -32,7 +33,7 @@ class TestKnownMatrices:
 
     def test_high_agent_matrix(self):
         inst = generate_adversarial(FamilySpec("ef1-unscaled", 3))
-        w, scale = inst.common
+        w, scale = common_ints(inst.valuations)
         pairs = max_weight_left_perfect_matching(w)
         assert Fraction(weight_of(w, pairs), scale) == 3 + Fraction(2, 3)
 

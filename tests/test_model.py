@@ -2,9 +2,11 @@
 
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from fairdiv import (ADVERSARIAL_FAMILIES, Allocation, Event, FamilySpec,
                      generate_random_subadditive, load_allocation,
                      load_instance, rescale_instance, run_solve_half_mms,
                      save_allocation, save_instance, validate_instance)
+import fairdiv.model
 from fairdiv.experiment import load_config
 from fairdiv.model import parse_rational
 
@@ -400,7 +403,7 @@ def test_loader_matches_fraction_reference(tmp_path):
         got = load_instance(path)
         assert got == want and hash(got) == hash(want)
         for g, w, view in zip(got.valuations, want.valuations, views):
-            assert g.ints == w.ints == naive_kernel(view)
+            assert (g.kernel, g.den) == (w.kernel, w.den) == naive_kernel(view)
             assert gcd(g.den, *g.kernel) == 1
             if isinstance(view, tuple):
                 assert g.values == w.values == view and g.table is None
@@ -553,3 +556,17 @@ def test_event_json_is_one_based():
     assert Event("swap", 0, (0, 2), "P").to_json() == {
         "phase": "swap", "agent": 1, "bundle": [1, 3], "label": "P"}
     assert Event("zero-mms", 2, (), "P").to_json()["bundle"] == []
+
+
+def test_documented_instance_examples_load(tmp_path):
+    # Every instance JSON block in the README, and the one in the
+    # `fairdiv.model` docstring, is a file the loader accepts.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    blocks.append(fairdiv.model.__doc__.split("Instance files are JSON::")[1]
+                  .split("\n\n")[1])
+    examples = [json.loads(b) for b in blocks if '"valuations"' in b]
+    assert len(examples) == 2
+    for data in examples:
+        inst = load_instance(write(tmp_path, "example.json", data))
+        assert inst.n == data["n"] and inst.scaled == data["scaled"]

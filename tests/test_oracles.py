@@ -94,11 +94,11 @@ class TestMmsK:
         nonzero_empty = too_few = 0
         for inst in tie_corpus(120, seed=41, kinds=("explicit",)):
             for v in inst.valuations:
-                nonzero_empty += v.ints[0][0] > 0
+                nonzero_empty += v.kernel[0] > 0
                 for k in (2, 3):
                     goods = [g for g in range(inst.m) if rng.random() < 0.8]
                     assert mms_k(v, k, goods) == naive_mms(v, k, goods)
-                    too_few += v.ints[0][0] > 0 and len(goods) < k
+                    too_few += v.kernel[0] > 0 and len(goods) < k
         assert nonzero_empty >= 20 and too_few >= 10
 
     def test_fewer_goods_than_bundles_keeps_empty_value(self):
@@ -134,7 +134,7 @@ class TestMmsK:
         calls = nonzero_empty = 0
         for inst in instances:
             for v in inst.valuations:
-                nonzero_empty += v.kind == "explicit" and v.ints[0][0] > 0
+                nonzero_empty += v.kind == "explicit" and v.kernel[0] > 0
                 subsets = [None, [], [g for g in range(inst.m)
                                       if rng.random() < 0.6]]
                 for k in range(1, inst.n + 2):
@@ -244,6 +244,20 @@ class TestMaxWelfare:
         _, want = naive_max_welfare(inst)
         # Best split is 2 goods + 1 good: min(2,2)/2 + min(1,2)/2 = 3/2.
         assert got == want == Fraction(3, 2)
+
+    def test_additive_matches_fraction_reference(self):
+        # The whole result, tie-break included: each good goes to the
+        # lowest-indexed agent of maximal value, compared in Fractions.
+        dens_differ = 0
+        for inst in tie_corpus(400, seed=20261019, kinds=("additive",)):
+            bundles = [set() for _ in range(inst.n)]
+            for g in range(inst.m):
+                vals = [v.values[g] for v in inst.valuations]
+                bundles[vals.index(max(vals))].add(g)
+            want = Allocation.of(bundles)
+            assert max_welfare(inst) == (want, social_welfare(inst, want))
+            dens_differ += len({v.den for v in inst.valuations}) > 1
+        assert dens_differ >= 30
 
 
     @pytest.mark.parametrize("corpus", [
@@ -361,7 +375,7 @@ class TestTwins:
         for inst in twin_corpus(60, seed=11, kinds=(kind,)):
             if inst.n ** inst.m > 3 ** 6:
                 continue
-            rows = [v.ints for v in inst.valuations]
+            rows = [(v.kernel, v.den) for v in inst.valuations]
             twin_agents += len(set(rows)) < inst.n
             if inst.additive:
                 twin_goods += len(set(zip(*(r for r, _ in rows)))) < inst.m
