@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import FairdivError
 from .experiment import load_config, run_experiment
-from .fairness import is_alpha_mms, is_ef1, is_prop1
+from .fairness import is_alpha_mms, is_ef1, is_prop1, nonnegative_alpha
 from .generators import (ADVERSARIAL_FAMILIES, RANDOM_DISTRIBUTIONS,
                          FamilySpec, generate_adversarial, generate_random,
                          generate_random_subadditive)
@@ -80,7 +80,8 @@ def _cmd_check(args) -> int:
     elif args.property == "prop1":
         verdict = is_prop1(inst, alloc)
     elif args.property == "mms":
-        alpha = parse_rational(args.alpha)
+        # Checked before the profile, whose oracle is exponential.
+        alpha = nonnegative_alpha(parse_rational(args.alpha))
         profile = mms_profile(inst)
         verdict = is_alpha_mms(inst, alloc, alpha, profile)
     else:

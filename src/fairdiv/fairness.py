@@ -165,13 +165,20 @@ def is_prop1(inst: Instance, alloc: Allocation,
     return FairnessVerdict(holds=True, prop="prop1", certificate=certificate)
 
 
+def nonnegative_alpha(alpha) -> Fraction:
+    """`alpha` as a Fraction, rejected when negative: every alpha-MMS
+    requirement would then be negative, and any allocation would pass."""
+    alpha = Fraction(alpha)
+    if alpha < 0:
+        raise ValidationError("alpha", f"alpha {alpha} is negative")
+    return alpha
+
+
 def is_alpha_mms(inst: Instance, alloc: Allocation, alpha: Fraction,
                  profile) -> FairnessVerdict:
     """alpha-approximate maximin share fairness against an exact MMS profile."""
     validate_allocation(alloc, inst)
-    alpha = Fraction(alpha)
-    if alpha < 0:
-        raise ValidationError("alpha", f"alpha {alpha} is negative")
+    alpha = nonnegative_alpha(alpha)
     mms = profile.exact_mms(inst.n)
     certificate: dict = {}
     for i in range(inst.n):

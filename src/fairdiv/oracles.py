@@ -20,6 +20,13 @@ breaks either rule becomes lexicographically smaller when the two agents'
 labels, or the two goods' owners, are swapped, and the swapped leaf has the
 same welfare and the same EF1, Prop1 or alpha-MMS verdict. So the first
 optimum, which the search returns, obeys both rules and is never skipped.
+
+The search starts from a round-robin leaf put through the same leaf check.
+If it passes with welfare F, the best welfare starts at F - 1: welfare is an
+integer over the common denominator, so the prune cuts from the first node
+and no leaf worth less than F is checked. The first optimum passes, is worth
+at least F and obeys the twin rules, so it is still found; a leaf that ties
+F earlier wins, since only a strictly higher welfare replaces the best.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from operator import ge
 from typing import Iterable, Optional
 
 from .errors import InfeasibleError, ValidationError
+from .fairness import nonnegative_alpha
 from .model import (ADDITIVE, Allocation, Instance, Valuation, ZERO,
                     common_ints, good_set, goods_mask, mask_goods)
 
@@ -224,8 +232,11 @@ def mms_profile(inst: Instance, epsilon: Fraction = ZERO,
     epsilon = Fraction(epsilon)
     if not (0 <= epsilon < 1):
         raise ValidationError("mms-profile", f"epsilon {epsilon} outside [0, 1)")
-    exact = tuple(mms_k(inst.valuations[i], inst.n, cap=cap)
-                  for i in range(inst.n))
+    shares: dict[Valuation, Fraction] = {}     # twin agents share one
+    for v in inst.valuations:
+        if v not in shares:
+            shares[v] = mms_k(v, inst.n, cap=cap)
+    exact = tuple(map(shares.__getitem__, inst.valuations))
     estimates = tuple((1 - epsilon) * x for x in exact)
     return MmsProfile(mms=exact, estimates=estimates, epsilon=epsilon)
 
@@ -334,6 +345,25 @@ def _twins(keys) -> list[int]:
     return out
 
 
+def _round_robin(m: int, weights, tables, own):
+    """The round-robin leaf as the leaf checks take it, (masks, owner, own):
+    agents pick in turn, each the remaining good of largest gain to it,
+    lowest index on ties. `own` holds the empty bundles' values."""
+    masks, owner, own = [0] * len(own), [0] * m, list(own)
+    left = list(range(m))
+    for turn in range(m):
+        agent = turn % len(own)
+        old, w, t = masks[agent], weights[agent], tables[agent]
+        gains = [t[old | 1 << g] - t[old] if t is not None else w[g]
+                 for g in left]
+        pick = gains.index(max(gains))
+        g = left.pop(pick)
+        masks[agent] = old | 1 << g
+        owner[g] = agent
+        own[agent] += gains[pick]
+    return masks, owner, own
+
+
 def _search(inst: Instance, weights, tables, scale: int, passes=None,
             required=None) -> Optional[tuple[Allocation, Fraction]]:
     """First max-welfare complete allocation in lexicographic assignment
@@ -351,6 +381,10 @@ def _search(inst: Instance, weights, tables, scale: int, passes=None,
     twin good (equal value for every agent). Swapping the twins turns such a
     leaf into a lexicographically smaller one with the same welfare and
     verdict, so the first optimum obeys both rules and is still found.
+
+    If the round-robin leaf passes with welfare F, the best starts at F - 1,
+    not None: welfare is an integer, so the first optimum, worth at least F,
+    is still found, and the prune works from the first node.
     """
     n, m = inst.n, inst.m
     masks = [0] * n
@@ -372,6 +406,9 @@ def _search(inst: Instance, weights, tables, scale: int, passes=None,
     best_welfare: Optional[int] = None
     best_masks: tuple[int, ...] = ()
     last = m - 1
+    seed = _round_robin(m, weights, tables, own)
+    if passes is None or passes(*seed):
+        best_welfare = sum(seed[2]) - 1   # F - 1 admits every leaf worth F
 
     def search(pos: int, sofar: int):
         nonlocal best_welfare, best_masks
@@ -403,9 +440,9 @@ def _search(inst: Instance, weights, tables, scale: int, passes=None,
 
     if m:
         search(0, sum(own))
-    elif passes is None or passes(masks, owner, own):
-        # With no goods the empty allocation is the only leaf.
-        best_welfare, best_masks = sum(own), tuple(masks)
+    elif best_welfare is not None:
+        # With no goods the seed, the empty allocation, is the only leaf.
+        best_welfare, best_masks = best_welfare + 1, tuple(masks)
     if best_welfare is None:
         return None
     bundles = [mask_goods(mask) for mask in best_masks]
@@ -421,19 +458,15 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
     kept. Returns None when no allocation satisfies it (possible only for
     alpha-mms)."""
     n, m = inst.n, inst.m
-    if m > 0 and n ** m > cap:
-        raise InfeasibleError(
-            f"oracle infeasible: {n}^{m} allocations exceed cap {cap}")
     if prop not in PROPERTIES:
         raise ValueError(
             f"unknown property {prop!r}; expected one of {PROPERTIES}")
     if prop == "alpha-mms":
-        alpha = Fraction(alpha if alpha is not None else Fraction(1, 2))
-        if alpha < 0:
-            raise ValidationError("alpha", f"alpha {alpha} is negative")
-        prof = profile if profile is not None else mms_profile(inst,
-                                                               cap=mms_cap)
-        mms = prof.exact_mms(n)
+        alpha = nonnegative_alpha(alpha if alpha is not None
+                                  else Fraction(1, 2))
+    if m > 0 and n ** m > cap:
+        raise InfeasibleError(
+            f"oracle infeasible: {n}^{m} allocations exceed cap {cap}")
 
     weights, tables, scale = _split_kernels(inst)
     required = None
@@ -448,8 +481,10 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
                   for w, t in zip(weights, tables)]
         passes = partial(_prop1_leaf, n, weights, tables, totals, full)
     else:
+        prof = profile if profile is not None else mms_profile(inst,
+                                                               cap=mms_cap)
         # own_i >= alpha * MMS_i * L; own_i is an integer, so the ceiling.
-        required = [math.ceil(alpha * x * scale) for x in mms]
+        required = [math.ceil(alpha * x * scale) for x in prof.exact_mms(n)]
 
         def passes(masks, owner, own):
             return all(map(ge, own, required))

@@ -134,18 +134,22 @@ class TestCli:
     @pytest.mark.parametrize("command", ["check", "pof"])
     def test_negative_alpha_rejected(self, tmp_path, capsys, command):
         # Every MMS requirement would be negative, so any allocation, even
-        # the empty one, would pass.
-        inst = tmp_path / "i.json"
-        alloc = tmp_path / "a.json"
-        run_cli(capsys, "gen", "--family", "ef1-unscaled", "--n", "2",
-                "-o", str(inst))
-        alloc.write_text(json.dumps({"bundles": [[], []]}))
-        files = {"check": ["--allocation", str(alloc)]}
-        code = main([command, "--property", "mms", "--alpha", "-1",
-                     "--instance", str(inst), *files.get(command, [])])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err.splitlines() == ["error: alpha -1 is negative"]
+        # the empty one, would pass. Alpha is rejected before any oracle
+        # runs, also on an instance past the MMS and enumeration caps.
+        for n, gen in [(2, ["--family", "ef1-unscaled"]),
+                       (8, ["--family", "random", "--distribution",
+                            "dirichlet-scaled", "--m", "32"])]:
+            inst = tmp_path / f"i{n}.json"
+            alloc = tmp_path / f"a{n}.json"
+            run_cli(capsys, "gen", *gen, "--n", str(n), "-o", str(inst))
+            alloc.write_text(json.dumps({"bundles": [[]] * n}))
+            files = {"check": ["--allocation", str(alloc)]}
+            code = main([command, "--property", "mms", "--alpha", "-1",
+                         "--instance", str(inst), *files.get(command, [])])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.splitlines() == [
+                "error: alpha -1 is negative"]
 
     def test_half_mms_epsilon_outside_half_rejected(self, tmp_path, capsys):
         path = tmp_path / "i.json"

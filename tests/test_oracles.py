@@ -6,12 +6,14 @@ from itertools import product
 
 import pytest
 
+from fairdiv import oracles
 from fairdiv import (Allocation, FamilySpec, InfeasibleError, Instance,
                      MmsProfile, ValidationError, Valuation, constrained_opt,
                      generate_adversarial, generate_random,
                      injected_profile, is_ef1, max_welfare, mms_k,
                      mms_lower_bound, mms_profile, price_of_fairness,
                      social_welfare, validate_instance)
+from fairdiv.experiment import _build_instance
 
 from conftest import (additive_instance, naive_constrained_opt,
                       naive_is_alpha_mms, naive_is_ef1, naive_is_prop1,
@@ -163,6 +165,16 @@ class TestMmsProfile:
         inst = generate_adversarial(FamilySpec("mms-unscaled", 4, epsilon=eps))
         profile = mms_profile(inst)
         assert profile.mms == (Fraction(1), eps, eps, eps)
+
+    def test_twin_agents_share_one_oracle_run(self, monkeypatch):
+        # mms-scaled-sqrt(9): 3 block owners and 6 low agents, 4 distinct.
+        inst = generate_adversarial(FamilySpec("mms-scaled-sqrt", 9))
+        want = tuple(mms_k(v, inst.n) for v in inst.valuations)
+        calls = []
+        monkeypatch.setattr(oracles, "mms_k",
+                            lambda v, k, cap: calls.append(v) or mms_k(v, k))
+        assert mms_profile(inst).mms == want
+        assert len(calls) == len(set(inst.valuations)) == 4
 
     def test_low_agent_scaled_share(self):
         inst = generate_adversarial(FamilySpec("mms-scaled-sqrt", 4))
@@ -411,6 +423,40 @@ class TestTwins:
         assert got == naive_constrained_opt(
             inst, lambda a: naive_is_alpha_mms(inst, a, 1, shares))
         assert got == (Allocation.of([{1}, {0}]), 3)
+
+
+class TestRoundRobinSeed:
+    """The search starts from a round-robin leaf that passes its own check;
+    its welfare F sets the bound at F - 1."""
+
+    def test_prunes_leaf_checks_on_the_sweep(self, monkeypatch):
+        # Without the seed, the README sweep's random instances at seed 42
+        # take 2,672 EF1 leaf checks.
+        calls = 0
+        check = oracles._ef1_leaf
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return check(*args)
+
+        monkeypatch.setattr(oracles, "_ef1_leaf", counted)
+        for index in range(3):
+            job = {"family": "random", "distribution": "dirichlet-scaled",
+                   "n": 4, "m": 8, "index": index}
+            constrained_opt(_build_instance(job, 42)[1], "ef1")
+        assert 0 < calls <= 500
+
+    @pytest.mark.parametrize("prop", ["ef1", "prop1", "alpha-mms"])
+    def test_earlier_tie_beats_the_seed(self, prop):
+        # Round robin gives ({0, 2}, {1}); the lexicographically first
+        # allocation of the same welfare and verdict is ({0, 1}, {2}).
+        inst = additive_instance([[1, 1, 1], [1, 1, 1]])
+        weights, tables, _ = oracles._split_kernels(inst)
+        seed = oracles._round_robin(3, weights, tables, [0, 0])
+        assert seed[0] == [0b101, 0b010]
+        assert constrained_opt(inst, prop) == (Allocation.of([{0, 1}, {2}]),
+                                               3)
 
 
 class TestPriceOfFairness:
