@@ -16,11 +16,15 @@ Subcommands::
 JSON verdict either way. `solve --trace` adds the high-welfare run's steps
 as ``"trace": [{"phase", "agent", "bundle", "label"}, ...]`` (1-based agent
 and goods; see `fairdiv.model.Event`).
+
+`main` may be called repeatedly in one process; every call reuses one
+parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -150,6 +154,12 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+# Built once per process: tests, benchmarks and embedding callers call
+# `main` many times, and building the parsers costs more than a small solve.
+# An argparse parser is reusable (`parse_args` builds a new Namespace each
+# call and leaves the parser unchanged), and no `_cmd_*` handler bound by
+# `set_defaults` below is ever rebound.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairdiv",

@@ -156,9 +156,11 @@ def _assert_state(vals, z, wstar_val, bundles, perm, temp, n):
         assert 2 * bval >= z[i]
 
 
-def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
+def run_mms_high(inst: Instance, profile: MmsProfile, *,
+                 wstar: Optional[Allocation] = None) -> MmsHighRun:
     """(1/2 - eps)-MMS allocation on a scaled additive instance satisfying
-    3*sqrt(n)*SW + 4*sqrt(n) >= OPT."""
+    3*sqrt(n)*SW + 4*sqrt(n) >= OPT. `wstar` is the max-welfare allocation
+    `max_welfare(inst)` returns; it is computed when not given."""
     _require_additive(inst, "run_mms_high")
     if not inst.scaled:
         raise ValidationError("scaled",
@@ -177,7 +179,8 @@ def run_mms_high(inst: Instance, profile: MmsProfile) -> MmsHighRun:
     vals = [row for row, _ in pairs]
     z = [zi for _, zi in pairs]
 
-    wstar, _ = max_welfare(inst)
+    if wstar is None:
+        wstar, _ = max_welfare(inst)
     line = LineOrder.from_reference(wstar.bundles, m)
     owner = [0] * m
     for i, bundle in enumerate(wstar.bundles):
@@ -313,14 +316,14 @@ def run_solve_half_mms(inst: Instance, epsilon: Fraction = ZERO,
     if not 0 <= epsilon < Fraction(1, 2):
         raise ValidationError("epsilon", f"epsilon {epsilon} outside "
                               "[0, 1/2)")
-    _, opt = max_welfare(inst)
+    wstar, opt = max_welfare(inst)
     # The high branch pays off only when OPT exceeds 5*sqrt(n); below that
     # the absolute algorithm's welfare floor of 1/3 already achieves the
     # 15*sqrt(n) approximation on scaled instances.
     if inst.scaled and not sqrt_ge(Fraction(5), opt, inst.n):
         if profile is None:
             profile = mms_profile(inst, epsilon=epsilon, cap=mms_cap)
-        high = run_mms_high(inst, profile)
+        high = run_mms_high(inst, profile, wstar=wstar)
         return SolveHalfMmsRun(allocation=high.allocation, branch="high",
                                welfare=social_welfare(inst, high.allocation),
                                opt=opt, high_run=high)

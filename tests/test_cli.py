@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
+import fairdiv.cli
 import fairdiv.experiment as exp
 from fairdiv import (generate_random, load_instance, run_solve_ef1,
-                     run_solve_half_mms)
-from fairdiv.cli import main
+                     run_solve_half_mms, save_instance)
+from fairdiv.cli import build_parser, main
 from fairdiv.errors import ParseError
 from fairdiv.experiment import (BOUND_COLUMNS, ExperimentConfig,
                                 _build_instance, _instance_jobs, _solver_row,
@@ -249,6 +250,60 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "exceeds the cap of 20" in lines[0]
+
+
+class TestRepeatedMain:
+    """`main` reuses one parser; no call may see another call's options."""
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_trace_does_not_carry_over(self, tmp_path, capsys):
+        path = tmp_path / "i.json"
+        save_instance(diagonal(36), path)
+        solve = ["solve", "--alg", "half-mms", "--instance", str(path)]
+        code, traced = run_cli(capsys, *solve, "--trace")
+        assert code == 0 and traced["trace"]
+        code, plain = run_cli(capsys, *solve)
+        assert code == 0 and "trace" not in plain
+        del traced["trace"]
+        assert plain == traced
+
+    def test_bad_argument_then_valid_check(self, tmp_path, capsys):
+        inst = tmp_path / "i.json"
+        alloc = tmp_path / "a.json"
+        run_cli(capsys, "gen", "--family", "ef1-unscaled", "--n", "3",
+                "-o", str(inst))
+        alloc.write_text(json.dumps({"bundles": [[1], [2], [3]]}))
+        check = ["check", "--property", "ef1", "--instance", str(inst),
+                 "--allocation", str(alloc)]
+        assert main(check) == 0
+        alone = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--alg", "bogus", "--instance", str(inst)])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(check) == 0
+        assert capsys.readouterr().out == alone
+
+    def test_default_epsilon_comes_back(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "i.json"
+        save_instance(generate_random(4, 8, "dirichlet-scaled", seed=1), path)
+        seen = []
+
+        def spy(inst, epsilon):
+            seen.append(epsilon)
+            return run_solve_half_mms(inst, epsilon=epsilon)
+
+        monkeypatch.setattr(fairdiv.cli, "run_solve_half_mms", spy)
+        solve = ["solve", "--alg", "half-mms", "--instance", str(path)]
+        assert run_cli(capsys, *solve, "--epsilon", "1/10")[0] == 0
+        assert run_cli(capsys, *solve)[0] == 0
+        assert seen == [Fraction(1, 10), Fraction(0)]
+        mms = ["mms", "--instance", str(path)]
+        assert run_cli(capsys, *mms, "--epsilon", "1/10")[1]["epsilon"] \
+            == "1/10"
+        assert run_cli(capsys, *mms)[1]["epsilon"] == "0"
 
 
 class TestExperiment:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import fairdiv.mms
 from fairdiv import (Allocation, Event, FamilySpec, MmsProfile,
                      ValidationError, generate_adversarial, generate_random,
                      injected_profile, is_alpha_mms, is_prop1, max_welfare,
@@ -292,6 +293,24 @@ class TestSolve:
         assert run.branch == "high"
         assert run.welfare == 36
         assert sqrt_ge(15 * run.welfare, run.opt, n)
+
+    def test_high_branch_computes_max_welfare_once(self, monkeypatch):
+        # The solver hands its max-welfare allocation to run_mms_high as W*;
+        # called without it, run_mms_high computes W* itself.
+        calls = []
+
+        def counted(inst):
+            calls.append(inst)
+            return max_welfare(inst)
+
+        monkeypatch.setattr(fairdiv.mms, "max_welfare", counted)
+        inst = diagonal(36)
+        run = run_solve_half_mms(inst)
+        assert run.branch == "high" and len(calls) == 1
+        alone = run_mms_high(inst, mms_profile(inst))
+        assert len(calls) == 2
+        assert alone.allocation == run.allocation
+        assert alone.trace == run.high_run.trace
 
     @pytest.mark.parametrize("epsilon", [Fraction(-1, 10), Fraction(1, 2),
                                          Fraction(3, 4), Fraction(1),
