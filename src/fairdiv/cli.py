@@ -30,7 +30,6 @@ import sys
 from fractions import Fraction
 
 from .errors import FairdivError
-from .experiment import load_config, run_experiment
 from .fairness import is_alpha_mms, is_ef1, is_prop1, nonnegative_alpha
 from .generators import (ADVERSARIAL_FAMILIES, RANDOM_DISTRIBUTIONS,
                          FamilySpec, generate_adversarial, generate_random,
@@ -148,6 +147,9 @@ def _cmd_rescale(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    # Imported here, so a one-shot `solve` or `check` does not load the
+    # sweep and its process pool.
+    from .experiment import load_config, run_experiment
     config = load_config(args.config)
     report = run_experiment(config, outdir=args.output)
     _emit({"rows": len(report.rows), "outdir": args.output})

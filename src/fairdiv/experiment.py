@@ -37,7 +37,6 @@ import csv
 import io
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -400,6 +399,8 @@ def run_experiment(config_data, outdir=None) -> ExperimentReport:
 
     tasks = [(job, config) for job in _instance_jobs(config)]
     if config.jobs > 1 and len(tasks) > 1:
+        # Imported only here: it loads `multiprocessing`.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             rows = [row for batch in pool.map(_instance_rows, tasks)
                     for row in batch]

@@ -25,11 +25,25 @@ Instance files are JSON::
                     {"kind": "explicit", "subadditive": true,
                      "table": {"1": "2/3", "2": "1/2", "1,2": "1"}}]}
 
-Rationals are "p/q" strings or plain integers matching
-``-?[0-9]+(/[0-9]+)?``: no decimals, exponents, "+" signs, underscores or
-spaces. Explicit-table keys are sorted comma-joined 1-based good indices,
-and the empty-set key "" may be omitted (defaults to 0). Allocation files are
-``{"bundles": [[1, 3], [2], []]}``.
+An agent with a "den" field is written as its integer kernel instead: every
+value is a JSON integer k worth k/den, den a positive JSON integer, so the
+same agents may read::
+
+    {"kind": "additive", "den": 2, "values": [1, 1]}
+    {"kind": "explicit", "subadditive": true, "den": 6,
+     "table": {"1": 4, "2": 3, "1,2": 6}}
+
+The kernel form loads with no per-value parse: the loader reduces by
+gcd(den, *values) once. Rationals are "p/q" strings or plain integers
+matching ``-?[0-9]+(/[0-9]+)?``: no decimals, exponents, "+" signs,
+underscores or spaces. Under "den" every value must be a JSON integer
+(bools, floats and strings are refused). Explicit-table keys are
+comma-joined 1-based good indices in ASCII digits; two keys naming the same
+subset are refused, and the empty-set key "" may be omitted (defaults to 0).
+`save_instance` writes the kernel form, except for an agent whose kernel
+holds an integer too long for Python's default limit on int/str conversion
+(4,300 digits), which keeps the rational form. Allocation files are
+``{"bundles": [[1, 3], [2], []]}``; a bundle lists each good once.
 """
 
 from __future__ import annotations
@@ -446,13 +460,16 @@ def validate_instance(inst: Instance) -> None:
 
 
 def _parse_subset_key(key: str, m: int) -> int:
-    """The bitmask of a subset key."""
+    """The bitmask of a subset key: comma-joined goods in ASCII digits."""
     if key == "":
         return 0
+    parts = key.split(",")
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ParseError(f"bad subset key {key!r}")
     try:
-        goods = [int(part) for part in key.split(",")]
-    except ValueError:
-        raise ParseError(f"bad subset key {key!r}") from None
+        goods = [int(part) for part in parts]
+    except ValueError:      # more digits than int() converts
+        raise ParseError(f"bad subset key {key[:20]!r}...") from None
     if any(not 1 <= g <= m for g in goods):
         raise ParseError(f"subset key {key!r} outside goods 1..{m}")
     if len(set(goods)) != len(goods):
@@ -465,28 +482,56 @@ def _subset_key(subset: frozenset[int]) -> str:
 
 
 def _valuation_from_json(obj, m: int, agent: int) -> Valuation:
+    label = f"agent {agent + 1}"
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError(f"agent {agent + 1}: valuation must be an object "
-                         "with a 'kind'")
+        raise ParseError(f"{label}: valuation must be an object with a "
+                         "'kind'")
     kind = obj["kind"]
+    den = obj.get("den")
+    # `type(x) is int` refuses bools, which Python counts as ints.
+    if "den" in obj and not (type(den) is int and den > 0):
+        raise ParseError(f"{label}: den must be a positive JSON integer, "
+                         f"got {den!r}")
     if kind == ADDITIVE:
         vals = obj.get("values")
         if not isinstance(vals, list) or len(vals) != m:
             raise ParseError(
-                f"agent {agent + 1}: additive valuation needs exactly {m} values")
-        return _additive([_parse_ratio(v) for v in vals])
+                f"{label}: additive valuation needs exactly {m} values")
+        if den is None:
+            return _additive([_parse_ratio(v) for v in vals])
+        if not all(type(x) is int for x in vals):
+            raise ParseError(f"{label}: with den, values must be JSON "
+                             "integers")
+        common = gcd(den, *vals)
+        if common > 1:
+            den //= common
+            vals = [x // common for x in vals]
+        return Valuation(ADDITIVE, m, tuple(vals), den)
     if kind == EXPLICIT:
+        # Before any key becomes a bitmask of up to m bits.
+        check_explicit_goods_cap(m)
         table_json = obj.get("table")
         if not isinstance(table_json, dict):
-            raise ParseError(f"agent {agent + 1}: explicit valuation needs a table")
+            raise ParseError(f"{label}: explicit valuation needs a table")
         subadditive = obj.get("subadditive", False)
         if not isinstance(subadditive, bool):
-            raise ParseError(f"agent {agent + 1}: subadditive must be true or "
+            raise ParseError(f"{label}: subadditive must be true or "
                              f"false, got {subadditive!r}")
-        entries = {_parse_subset_key(k, m): _parse_ratio(v)
-                   for k, v in table_json.items()}
+        if den is not None and not all(type(x) is int
+                                       for x in table_json.values()):
+            raise ParseError(f"{label}: with den, table values must be JSON "
+                             "integers")
+        keys: dict[int, str] = {}
+        entries = {}
+        for key, x in table_json.items():
+            mask = _parse_subset_key(key, m)
+            if mask in keys:
+                raise ParseError(f"{label}: subset keys {keys[mask]!r} and "
+                                 f"{key!r} name the same subset")
+            keys[mask] = key
+            entries[mask] = _parse_ratio(x) if den is None else (x, den)
         return _explicit(m, entries, subadditive)
-    raise ParseError(f"agent {agent + 1}: unknown valuation kind {kind!r}")
+    raise ParseError(f"{label}: unknown valuation kind {kind!r}")
 
 
 def instance_from_json(data) -> Instance:
@@ -514,18 +559,33 @@ def instance_from_json(data) -> Instance:
     return inst
 
 
+# Python refuses to convert an int of more than 4,300 decimal digits to or
+# from a string by default; an integer of at most this many bits has fewer.
+_JSON_INT_BITS = 14_000
+
+
+def _valuation_to_json(v: Valuation) -> dict:
+    """The agent's kernel form, or its rational form if the kernel holds an
+    integer too long for a JSON reader with Python's default limit."""
+    out = {"kind": v.kind}
+    if v.kind == EXPLICIT:
+        out["subadditive"] = v.subadditive
+    if max([v.den, *map(abs, v.kernel)]).bit_length() <= _JSON_INT_BITS:
+        out["den"] = v.den
+        values = v.kernel
+    else:
+        values = [format_rational(Fraction(x, v.den)) for x in v.kernel]
+    if v.kind == ADDITIVE:
+        out["values"] = list(values)
+    else:
+        out["table"] = {_subset_key(mask_goods(mask)): x
+                        for mask, x in enumerate(values) if mask}
+    return out
+
+
 def instance_to_json(inst: Instance) -> dict:
-    vals = []
-    for v in inst.valuations:
-        if v.kind == ADDITIVE:
-            vals.append({"kind": ADDITIVE,
-                         "values": [format_rational(x) for x in v.values]})
-        else:
-            table = {_subset_key(s): format_rational(x)
-                     for s, x in v.table.items() if s}
-            vals.append({"kind": EXPLICIT, "subadditive": v.subadditive,
-                         "table": table})
-    return {"n": inst.n, "m": inst.m, "scaled": inst.scaled, "valuations": vals}
+    return {"n": inst.n, "m": inst.m, "scaled": inst.scaled,
+            "valuations": [_valuation_to_json(v) for v in inst.valuations]}
 
 
 def read_json(path):
@@ -571,7 +631,10 @@ def allocation_from_json(data) -> Allocation:
             if not is_json_int(g) or g < 1:
                 raise ParseError(f"bad good index {g!r} (goods are 1-based)")
             goods.append(g - 1)
-        bundles.append(frozenset(goods))
+        bundle = frozenset(goods)
+        if len(bundle) != len(goods):
+            raise ParseError(f"bundle {b!r} lists a good more than once")
+        bundles.append(bundle)
     return Allocation(tuple(bundles))
 
 

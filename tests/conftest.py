@@ -222,22 +222,28 @@ def naive_validate_valuation(v: Valuation, agent: int) -> None:
 def naive_load_instance(path):
     """The instance file's `Fraction` reading, not validated: `(instance,
     views)`, each rational through `Fraction(text)` (for the valid strings
-    the tests write, the same numbers as the strict grammar). `views` holds
-    the parsed Fractions, read from the file text alone: a tuple per
-    additive agent, and per explicit agent a dict in the file's key order,
-    the empty set defaulting to 0. The instance builds each valuation from
-    them through `Valuation.additive` or `Valuation.explicit`."""
+    the tests write, the same numbers as the strict grammar), and each value
+    of an agent with a "den" as `Fraction(k) / den`. `views` holds the
+    parsed Fractions, read from the file text alone: a tuple per additive
+    agent, and per explicit agent a dict in the file's key order, the empty
+    set defaulting to 0. The instance builds each valuation from them
+    through `Valuation.additive` or `Valuation.explicit`."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     valuations, views = [], []
     for obj in data["valuations"]:
+        den = obj.get("den", 1)
+
+        def value(x):
+            return Fraction(str(x)) / den
+
         if obj["kind"] == "additive":
-            values = tuple(Fraction(str(x)) for x in obj["values"])
+            values = tuple(value(x) for x in obj["values"])
             valuations.append(Valuation.additive(values))
             views.append(values)
         else:
             table = {frozenset(int(g) - 1 for g in key.split(",") if g):
-                     Fraction(str(x)) for key, x in obj["table"].items()}
+                     value(x) for key, x in obj["table"].items()}
             table.setdefault(frozenset(), Fraction(0))
             valuations.append(Valuation.explicit(
                 data["m"], table, obj.get("subadditive", False)))

@@ -3,6 +3,9 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -304,6 +307,20 @@ class TestRepeatedMain:
         assert run_cli(capsys, *mms, "--epsilon", "1/10")[1]["epsilon"] \
             == "1/10"
         assert run_cli(capsys, *mms)[1]["epsilon"] == "0"
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # A one-shot `solve` or `check` never runs the sweep's process pool, so
+    # importing the CLI must not load `multiprocessing`.
+    src = str(Path(fairdiv.cli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, fairdiv.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('multiprocessing', 'concurrent', 'fairdiv.experiment'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 class TestExperiment:

@@ -5,7 +5,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -336,8 +336,9 @@ def rational_text(rng, x, forms):
 def file_json(rng, inst, forms):
     """`inst` as an instance file with varied rational texts, explicit keys
     in shuffled order and the empty-set key often left out when it is 0;
-    some agents get two negative values, and the scaled flag is sometimes
-    claimed wrongly."""
+    some agents are written as a kernel over a multiple of their lcm
+    denominator, some get two negative values, and the scaled flag is
+    sometimes claimed wrongly."""
     vals = []
     for v in inst.valuations:
         if v.kind == "additive":
@@ -350,13 +351,20 @@ def file_json(rng, inst, forms):
         if items and rng.random() < 0.15:
             for j in rng.sample(range(len(items)), min(2, len(items))):
                 items[j] = items[j][0], -Fraction(rng.randint(1, 3), 2)
+        obj = {"kind": v.kind}
+        if rng.random() < 0.3:
+            forms["kernel"] += 1
+            den = obj["den"] = rng.randint(1, 3) * lcm(
+                *(x.denominator for _, x in items))
+            texts = [int(x * den) for _, x in items]
+        else:
+            texts = [rational_text(rng, x, forms) for _, x in items]
         if v.kind == "additive":
-            vals.append({"kind": "additive", "values": [
-                rational_text(rng, x, forms) for _, x in items]})
-            continue
-        vals.append({"kind": "explicit", "subadditive": v.subadditive,
-                     "table": {key: rational_text(rng, x, forms)
-                               for key, x in items}})
+            obj["values"] = texts
+        else:
+            obj["subadditive"] = v.subadditive
+            obj["table"] = {key: text for (key, _), text in zip(items, texts)}
+        vals.append(obj)
     return {"n": inst.n, "m": inst.m, "valuations": vals,
             "scaled": inst.scaled or rng.random() < 0.2}
 
@@ -419,7 +427,7 @@ def test_loader_matches_fraction_reference(tmp_path):
     assert outcomes["reordered"] >= 50
     for axiom in ("normalized", "nonnegative", "scaled"):
         assert outcomes[axiom] >= 20, axiom
-    assert min(forms.values()) >= 50 and len(forms) == 6
+    assert min(forms.values()) >= 50 and len(forms) == 7
 
 
 def test_solving_a_loaded_file_builds_no_fraction_view(tmp_path):
@@ -566,7 +574,228 @@ def test_documented_instance_examples_load(tmp_path):
     blocks.append(fairdiv.model.__doc__.split("Instance files are JSON::")[1]
                   .split("\n\n")[1])
     examples = [json.loads(b) for b in blocks if '"valuations"' in b]
-    assert len(examples) == 2
-    for data in examples:
-        inst = load_instance(write(tmp_path, "example.json", data))
+    assert len(examples) == 3
+    loaded = [load_instance(write(tmp_path, "example.json", data))
+              for data in examples]
+    for inst, data in zip(loaded, examples):
         assert inst.n == data["n"] and inst.scaled == data["scaled"]
+    # The README's "p/q" example and its kernel form are one instance.
+    assert loaded[0] == loaded[1]
+
+
+def rational_json(inst):
+    """`inst` in the rational form, every value a "p/q" string."""
+    vals = []
+    for v in inst.valuations:
+        if v.kind == "additive":
+            vals.append({"kind": "additive",
+                         "values": [str(x) for x in v.values]})
+        else:
+            vals.append({"kind": "explicit", "subadditive": v.subadditive,
+                         "table": {",".join(str(g + 1) for g in sorted(s)):
+                                   str(x) for s, x in v.table.items() if s}})
+    return {"n": inst.n, "m": inst.m, "scaled": inst.scaled,
+            "valuations": vals}
+
+
+def load_outcome(path):
+    """What loading `path` gives: each agent's kind, kernel, den and
+    subadditive flag and the scaled flag, or the ValidationError's facts."""
+    try:
+        inst = load_instance(path)
+    except ValidationError as exc:
+        return exc.axiom, exc.agent, exc.witness, str(exc)
+    return inst.scaled, [(v.kind, v.kernel, v.den, v.subadditive)
+                         for v in inst.valuations]
+
+
+def test_kernel_form_round_trip_matches_rational_form(tmp_path):
+    corpus = (tie_corpus(120, 31) + twin_corpus(60, 32)
+              + random_additive_corpus(40, 6, 10, 33)
+              + random_subadditive_corpus(20, 3, 5, 34))
+    for idx, inst in enumerate(corpus):
+        saved = tmp_path / f"k{idx}.json"
+        save_instance(inst, saved)
+        assert all("den" in obj for obj in
+                   json.loads(saved.read_text())["valuations"])
+        want = load_outcome(write(tmp_path, f"r{idx}.json",
+                                  rational_json(inst)))
+        assert load_outcome(saved) == want
+
+
+def coprime_denominators(count, digits):
+    """`count` pairwise coprime integers of `digits` digits."""
+    out, product = [], 1
+    q = 10 ** (digits - 1) + 1
+    while len(out) < count:
+        if gcd(q, product) == 1:
+            out.append(q)
+            product *= q
+        q += 2
+    return out
+
+
+def test_wide_kernel_keeps_the_rational_form(tmp_path):
+    # 64 coprime 91-digit denominators give a kernel of about 5,760 digits,
+    # past Python's default int/str limit of 4,300; that agent keeps "p/q".
+    wide = Valuation.additive([Fraction(1, q)
+                               for q in coprime_denominators(64, 91)])
+    narrow = Valuation.additive([Fraction(1, 2)] * 64)
+    assert wide.den.bit_length() > fairdiv.model._JSON_INT_BITS
+    inst = Instance(2, 64, (wide, narrow))
+    path = tmp_path / "wide.json"
+    save_instance(inst, path)
+    agents = json.loads(path.read_text())["valuations"]
+    assert "den" not in agents[0] and agents[1]["den"] == 2
+    assert load_instance(path) == inst
+
+
+def with_agent(data, **fields):
+    """`data` with its one agent's fields replaced."""
+    return dict(data, valuations=[dict(data["valuations"][0], **fields)])
+
+
+KERNEL_AGENT = {"n": 1, "m": 2, "scaled": True, "valuations": [
+    {"kind": "additive", "den": 4, "values": [1, 3]}]}
+KERNEL_TABLE = {"n": 1, "m": 2, "scaled": True, "valuations": [
+    {"kind": "explicit", "den": 4, "table": {"1": 1, "2": 3, "1,2": 4}}]}
+
+
+@pytest.mark.parametrize("data, doubled", [
+    (KERNEL_AGENT, {"den": 8, "values": [2, 6]}),
+    (KERNEL_TABLE, {"den": 8, "table": {"1": 2, "2": 6, "1,2": 8}}),
+], ids=["additive", "explicit"])
+def test_kernel_form_loads_reduced(tmp_path, data, doubled):
+    want = load_instance(write(tmp_path, "i.json", data)).valuations[0]
+    assert (want.den, want.value({1})) == (4, Fraction(3, 4))
+    got = load_instance(write(tmp_path, "j.json",
+                              with_agent(data, **doubled))).valuations[0]
+    assert got == want
+
+
+@pytest.mark.parametrize("data", [
+    with_agent(KERNEL_AGENT, den=0), with_agent(KERNEL_AGENT, den=-4),
+    with_agent(KERNEL_AGENT, den=True), with_agent(KERNEL_AGENT, den=4.0),
+    with_agent(KERNEL_AGENT, den="4"), with_agent(KERNEL_AGENT, den=None),
+    with_agent(KERNEL_AGENT, values=[1.0, 3]),
+    with_agent(KERNEL_AGENT, values=[True, 3]),
+    with_agent(KERNEL_AGENT, values=[1, "3"]),
+    with_agent(KERNEL_AGENT, values=["1/4", 3]),
+    with_agent(KERNEL_TABLE, den=0), with_agent(KERNEL_TABLE, den=True),
+    with_agent(KERNEL_TABLE, table={"1": 1, "2": 3, "1,2": 4.0}),
+    with_agent(KERNEL_TABLE, table={"1": 1, "2": True, "1,2": 4}),
+    with_agent(KERNEL_TABLE, table={"1": "1", "2": 3, "1,2": 4}),
+], ids=["den-0", "den-negative", "den-true", "den-float", "den-string",
+        "den-null", "value-float", "value-bool", "value-string",
+        "value-ratio", "table-den-0", "table-den-true", "table-float",
+        "table-bool", "table-string"])
+def test_kernel_form_is_strict(tmp_path, data):
+    with pytest.raises(ParseError):
+        load_instance(write(tmp_path, "i.json", data))
+
+
+@pytest.mark.parametrize("key", ["+1", " 1", "1 ", "١", "1,+2",
+                                 "1,٢", "1_0"])
+def test_subset_keys_are_ascii_digits(tmp_path, key):
+    data = {"n": 1, "m": 2, "scaled": False, "valuations": [
+        {"kind": "explicit", "table": {"1": "1", "2": "1", "1,2": "2",
+                                       key: "1"}}]}
+    with pytest.raises(ParseError, match="bad subset key"):
+        load_instance(write(tmp_path, "i.json", data))
+
+
+@pytest.mark.parametrize("den", [{}, {"den": 2}])
+def test_subset_named_twice_is_refused(tmp_path, den):
+    table = {"1": 2, "2": 2, "1,2": 4, "2,1": 3}
+    data = {"n": 1, "m": 2, "scaled": False, "valuations": [
+        dict(den, kind="explicit", table=table)]}
+    with pytest.raises(ParseError, match="'1,2' and '2,1'"):
+        load_instance(write(tmp_path, "i.json", data))
+
+
+def test_bundle_listing_a_good_twice_is_refused(tmp_path):
+    with pytest.raises(ParseError, match="more than once"):
+        load_allocation(write(tmp_path, "a.json", {"bundles": [[1, 1], [2]]}))
+
+
+# Any JSON document, built as `json.loads` would return it.
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=4)),
+    max_leaves=12)
+
+FUZZ_SEEDS = [generate_random(2, 3, "dirichlet-scaled", seed=5),
+              generate_random_subadditive(2, 2, seed=6)]
+VALID_FILES = ([rational_json(inst) for inst in FUZZ_SEEDS]
+               + [fairdiv.model.instance_to_json(inst)
+                  for inst in FUZZ_SEEDS])
+
+
+def field_paths(doc, path=()):
+    """The path to every value inside `doc`, `doc` itself first."""
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from field_paths(value, path + (key,))
+
+
+def mutated(doc, path, value, delete):
+    """A copy of `doc` with the field at `path` set to `value`, or deleted
+    when `delete` and it sits in an object."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete and isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def loads_or_refuses(load, doc):
+    try:
+        load(doc)
+    except (ParseError, ValidationError):
+        pass
+
+
+class TestLoaderFuzz:
+    """Whatever the document, a loader returns or raises ParseError or
+    ValidationError, never another exception."""
+
+    @given(JSON_DOCS)
+    @settings(max_examples=300, deadline=None)
+    def test_any_document(self, doc):
+        loads_or_refuses(fairdiv.model.instance_from_json, doc)
+        loads_or_refuses(fairdiv.model.allocation_from_json, doc)
+
+    @given(st.sampled_from(VALID_FILES), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_one_field_mutation_of_an_instance(self, doc, data):
+        path = data.draw(st.sampled_from(list(field_paths(doc))))
+        loads_or_refuses(fairdiv.model.instance_from_json, mutated(
+            doc, path, data.draw(JSON_DOCS), data.draw(st.booleans())))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_field_mutation_of_an_allocation(self, data):
+        doc = {"bundles": [[1, 3], [2], []]}
+        path = data.draw(st.sampled_from(list(field_paths(doc))))
+        loads_or_refuses(fairdiv.model.allocation_from_json, mutated(
+            doc, path, data.draw(JSON_DOCS), data.draw(st.booleans())))
+
+
+def test_explicit_cap_comes_before_the_keys(tmp_path):
+    # The cap is checked before any key is read, so no key of a table over
+    # too many goods becomes a bitmask of that many bits.
+    data = {"n": 1, "m": 21, "scaled": False, "valuations": [
+        {"kind": "explicit", "table": {"x": "1"}}]}
+    with pytest.raises(ValidationError, match="cap of 20"):
+        load_instance(write(tmp_path, "i.json", data))
