@@ -4,9 +4,11 @@ Each predicate returns a FairnessVerdict carrying either a machine-checkable
 certificate (evidence the property holds) or a counterexample witness that
 reproduces the violated inequality when replayed through value queries.
 
-`is_ef1` decides on each agent's integer kernel (`Valuation.kernel`), so no
-`Fraction` is built on success; certificates and witnesses, the public
-output, stay in exact rationals.
+Each rule is decided once, in one agent's integers on any positive scale:
+`ef1_failure` (EF1) and `prop1_good` (Prop1) serve `is_ef1` and `is_prop1`
+on each kernel and `constrained_opt`'s leaf checks on rows over one common
+denominator. Certificates and witnesses, the public output, are exact
+rationals; a witness is built only on failure.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable, Optional
 
 from .errors import ValidationError
 from .model import (Allocation, Instance, ADDITIVE, ZERO, format_rational,
-                    goods_mask, validate_allocation)
+                    good_set, goods_mask, is_json_int, validate_allocation)
 
 
 @dataclass(frozen=True)
@@ -61,23 +63,70 @@ def social_welfare(inst: Instance, alloc: Allocation) -> Fraction:
     return sum((inst.value(i, alloc.bundles[i]) for i in range(inst.n)), ZERO)
 
 
-def _certifying_good(ints: tuple[int, ...], additive: bool, own: int,
-                     bundle: frozenset[int]) -> Optional[int]:
-    """The good whose removal shrinks the agent's view of a nonempty
-    `bundle` the most (lowest good on ties) when the residual is at most
-    `own`, else None; all in the agent's integers."""
-    if additive:
-        top = max(ints[x] for x in bundle)
-        if own < sum(ints[x] for x in bundle) - top:
-            return None
-        return min(x for x in bundle if ints[x] == top)
-    mask = goods_mask(bundle)
-    best_g, best_res = None, None
-    for g in sorted(bundle):
-        res = ints[mask ^ (1 << g)]
-        if best_res is None or res < best_res:
-            best_g, best_res = g, res
-    return best_g if own >= best_res else None
+def _bits(mask: int):
+    """The single-bit masks set in `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def split_rows(inst: Instance, rows) -> tuple[list, list]:
+    """`(rows, tables)`: each agent's integers as additive values or as an
+    explicit bitmask table, None in the other list."""
+    additive = [v.kind == ADDITIVE for v in inst.valuations]
+    return ([row if add else None for row, add in zip(rows, additive)],
+            [None if add else row for row, add in zip(rows, additive)])
+
+
+def ef1_failure(rows, tables, floors, masks, owner, agents,
+                certificate: Optional[dict] = None) -> Optional[tuple]:
+    """The first pair (i, j), i in `agents` order and j ascending, that
+    breaks EF1, or None. Bundles are `masks`, `owner[g]` is good g's agent
+    (n if unallocated), and `floors[i]` is below agent i's additive values.
+    `certificate`, if given, gets each passing pair's good that leaves the
+    smallest residual, lowest on ties."""
+    n = len(masks)
+    for i in agents:
+        w, t = rows[i], tables[i]
+        if t is None:
+            # v_i(B_j - {g}) is smallest for g the top good of B_j.
+            sums, tops = [0] * (n + 1), [floors[i]] * (n + 1)
+            top_goods = [0] * (n + 1)
+            for g, (j, x) in enumerate(zip(owner, w)):
+                sums[j] += x
+                if x > tops[j]:
+                    tops[j], top_goods[j] = x, g
+            for j in range(n):
+                if j != i and masks[j]:
+                    if sums[j] - tops[j] > sums[i]:
+                        return i, j
+                    if certificate is not None:
+                        certificate[(i + 1, j + 1)] = top_goods[j] + 1
+        else:
+            own = t[masks[i]]
+            for j in range(n):
+                bj = masks[j]
+                if j != i and bj:
+                    low = min(_bits(bj), key=lambda b: t[bj ^ b])
+                    if t[bj ^ low] > own:
+                        return i, j
+                    if certificate is not None:
+                        certificate[(i + 1, j + 1)] = low.bit_length()
+    return None
+
+
+def prop1_good(row, table, mask, own, total, goods, k) -> Optional[int]:
+    """One agent's Prop1 rule in her integers, for bundle `mask` worth `own`
+    and scope value `total` shared by k agents: -1 if k * own >= total,
+    else the first g in `goods` with k * v(B + {g}) >= total, else None."""
+    if k * own >= total:
+        return -1
+    if table is None:   # an owned good adds nothing to `own`
+        need = total - k * own
+        return next((g for g in goods
+                     if k * row[g] >= need and not mask >> g & 1), None)
+    return next((g for g in goods if k * table[mask | 1 << g] >= total), None)
 
 
 def is_ef1(inst: Instance, alloc: Allocation) -> FairnessVerdict:
@@ -87,36 +136,30 @@ def is_ef1(inst: Instance, alloc: Allocation) -> FairnessVerdict:
     is a good g in B_j with v_i(own) >= v_i(B_j - {g}). The certificate
     records one such g per pair (the one leaving the smallest residual,
     lowest good on ties); a failure witness lists the residual value of
-    every single-good removal so it can be replayed. The decision runs on
-    each agent's integer kernel; only a failure builds `Fraction`s.
+    every single-good removal so it can be replayed. `ef1_failure` decides
+    on each agent's integer kernel; only a failure builds `Fraction`s.
     """
     validate_allocation(alloc, inst)
+    rows, tables = split_rows(inst, [v.kernel for v in inst.valuations])
+    floors = [min(w, default=0) - 1 if w is not None else None for w in rows]
+    masks = [goods_mask(b) for b in alloc.bundles]
+    owner = [inst.n] * inst.m
+    for j, bundle in enumerate(alloc.bundles):
+        for g in bundle:
+            owner[g] = j
     certificate: dict = {}
-    for i in range(inst.n):
-        v = inst.valuations[i]
-        ints = v.kernel
-        additive = v.kind == ADDITIVE
-        own_goods = alloc.bundles[i]
-        own = (sum(ints[x] for x in own_goods) if additive
-               else ints[goods_mask(own_goods)])
-        for j in range(inst.n):
-            if j == i or not alloc.bundles[j]:
-                continue
-            g = _certifying_good(ints, additive, own, alloc.bundles[j])
-            if g is not None:
-                certificate[(i + 1, j + 1)] = g + 1
-                continue
-            own_value = inst.value(i, own_goods)
-            comparisons = [
-                {"removed": h + 1,
-                 "residual": inst.value(i, alloc.bundles[j] - {h}),
-                 "own": own_value}
-                for h in sorted(alloc.bundles[j])]
-            return FairnessVerdict(
-                holds=False, prop="ef1",
-                witness={"i": i + 1, "j": j + 1,
-                         "own": own_value, "comparisons": comparisons})
-    return FairnessVerdict(holds=True, prop="ef1", certificate=certificate)
+    pair = ef1_failure(rows, tables, floors, masks, owner, range(inst.n),
+                       certificate)
+    if pair is None:
+        return FairnessVerdict(holds=True, prop="ef1", certificate=certificate)
+    i, j = pair
+    own = inst.value(i, alloc.bundles[i])
+    comparisons = [{"removed": h + 1,
+                    "residual": inst.value(i, alloc.bundles[j] - {h}),
+                    "own": own} for h in sorted(alloc.bundles[j])]
+    return FairnessVerdict(holds=False, prop="ef1",
+                           witness={"i": i + 1, "j": j + 1, "own": own,
+                                    "comparisons": comparisons})
 
 
 def is_prop1(inst: Instance, alloc: Allocation,
@@ -126,42 +169,43 @@ def is_prop1(inst: Instance, alloc: Allocation,
 
     With scope <A, G> the threshold is v_i(G)/|A| and the hypothetical good
     ranges over all of G, allocated or not. Default scope is all agents and
-    all goods. An agent whose own bundle already meets the threshold passes
-    outright (by monotonicity any good would do), which also settles the
-    vacuous empty-G case.
+    all goods; A must hold distinct agents. An agent whose own bundle
+    already meets the threshold passes outright (by monotonicity any good
+    would do), which also settles the vacuous empty-G case.
     """
     validate_allocation(alloc, inst)
-    scope_agents = sorted(agents) if agents is not None else list(range(inst.n))
-    scope_goods = sorted(goods) if goods is not None else list(range(inst.m))
-    if not scope_agents:
-        raise ValueError("prop1 scope needs at least one agent")
+    scope_agents = list(range(inst.n)) if agents is None else list(agents)
+    scope_goods = sorted(good_set(range(inst.m) if goods is None else goods,
+                                  inst.m))
+    if not scope_agents or len(set(scope_agents)) < len(scope_agents) or \
+            not all(is_json_int(i) and 0 <= i < inst.n for i in scope_agents):
+        raise ValueError(f"prop1 scope agents {scope_agents} must be one or "
+                         f"more distinct agents within 0..{inst.n - 1}")
     k = len(scope_agents)
+    rows, tables = split_rows(inst, [v.kernel for v in inst.valuations])
     certificate: dict = {}
-    for i in scope_agents:
-        threshold = inst.value(i, scope_goods) / k
-        own = inst.value(i, alloc.bundles[i])
-        if own >= threshold:
-            certificate[i + 1] = {"good": scope_goods[0] + 1 if scope_goods else None,
-                                  "value": own, "threshold": threshold}
-            continue
-        found = None
-        for g in scope_goods:
-            boosted = inst.value(i, alloc.bundles[i] | {g})
-            if boosted >= threshold:
-                found = (g, boosted)
-                break
-        if found is None:
-            comparisons = [
-                {"added": g + 1,
-                 "value": inst.value(i, alloc.bundles[i] | {g}),
-                 "threshold": threshold}
-                for g in scope_goods]
+    for i in sorted(scope_agents):
+        w, t, den = rows[i], tables[i], inst.valuations[i].den
+        bundle = alloc.bundles[i]
+        mask = goods_mask(bundle)
+        own, total = ((t[mask], t[goods_mask(scope_goods)]) if t is not None
+                      else (sum(w[g] for g in bundle),
+                            sum(w[g] for g in scope_goods)))
+        threshold = Fraction(total, den * k)
+        g = prop1_good(w, t, mask, own, total, scope_goods, k)
+        if g is None:
+            comparisons = [{"added": h + 1,
+                            "value": inst.value(i, bundle | {h}),
+                            "threshold": threshold} for h in scope_goods]
             return FairnessVerdict(
                 holds=False, prop="prop1",
-                witness={"agent": i + 1, "own": own, "threshold": threshold,
-                         "comparisons": comparisons})
-        certificate[i + 1] = {"good": found[0] + 1, "value": found[1],
-                              "threshold": threshold}
+                witness={"agent": i + 1, "own": Fraction(own, den),
+                         "threshold": threshold, "comparisons": comparisons})
+        value = Fraction(own, den) if g < 0 else inst.value(i, bundle | {g})
+        if g < 0:   # the own bundle meets the threshold: any good will do
+            g = scope_goods[0] if scope_goods else None
+        certificate[i + 1] = {"good": None if g is None else g + 1,
+                              "value": value, "threshold": threshold}
     return FairnessVerdict(holds=True, prop="prop1", certificate=certificate)
 
 

@@ -588,15 +588,29 @@ def instance_to_json(inst: Instance) -> dict:
             "valuations": [_valuation_to_json(v) for v in inst.valuations]}
 
 
+def _members(pairs: list) -> dict:
+    """A JSON object's members; a name given twice is a ParseError, since
+    `json` would otherwise keep the last and drop the first unseen."""
+    out = {}
+    for name, value in pairs:
+        if name in out:
+            raise ParseError(f"member name {name!r} repeated in one object")
+        out[name] = value
+    return out
+
+
 def read_json(path):
-    """A UTF-8 JSON file's document; ParseError if unreadable or not JSON."""
+    """A UTF-8 JSON file's document; ParseError if unreadable, not JSON, or
+    an object repeats a member name."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_members)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:   # bad JSON or UTF-8, or an over-long integer
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    except ParseError as exc:   # a repeated member name
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def write_json(data, path) -> None:

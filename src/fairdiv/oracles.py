@@ -8,8 +8,9 @@ first-good symmetry breaking, best-min bound pruning, and memoization on
 inner loop is pure integer arithmetic. Maximum welfare on explicit or mixed
 instances and the fair optimum share one exhaustive search: all n^m complete
 allocations depth-first, with an upper-bound prune from per-good maxima
-where it is sound. Bundles are bitmasks, and welfare, the bound and the EF1,
-Prop1 and alpha-MMS leaf checks are integers over one common denominator.
+where it is sound. Bundles are bitmasks, and welfare, the bound and the leaf
+checks are integers over one common denominator. The EF1 and Prop1 leaf
+checks call the deciders `is_ef1` and `is_prop1` use (`fairness`).
 
 The search skips leaves that only relabel twins. Twin agents have equal
 kernel rows (and, for alpha-MMS, equal requirements); an agent may take its
@@ -34,12 +35,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from itertools import repeat
 from operator import ge
 from typing import Iterable, Optional
 
 from .errors import InfeasibleError, ValidationError
-from .fairness import nonnegative_alpha
+from .fairness import (ef1_failure, nonnegative_alpha, prop1_good,
+                       split_rows)
 from .model import (ADDITIVE, Allocation, Instance, Valuation, ZERO,
                     common_ints, good_set, goods_mask, mask_goods)
 
@@ -275,64 +277,11 @@ def max_welfare(inst: Instance,
 PROPERTIES = ("ef1", "prop1", "alpha-mms")
 
 
-def _bits(mask: int):
-    """The single-bit masks set in `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
-def _ef1_leaf(n, weights, floors, tables, masks, owner, own) -> bool:
-    """EF1 by definition: for every i and nonempty B_j some g in B_j has
-    v_i(B_i) >= v_i(B_j - {g}). Agents with the least own value, the
-    likeliest to envy, are checked first so failing leaves exit early."""
-    for i in sorted(range(n), key=own.__getitem__):
-        oi, w, t = own[i], weights[i], tables[i]
-        if t is None:
-            # Additive: v_i(B_j - {g}) is smallest for g the top good of B_j.
-            sums = [0] * n
-            tops = [floors[i]] * n
-            for j, x in zip(owner, w):
-                sums[j] += x
-                if x > tops[j]:
-                    tops[j] = x
-            for j in range(n):
-                if j != i and masks[j] and sums[j] - tops[j] > oi:
-                    return False
-        else:
-            for j in range(n):
-                bj = masks[j]
-                if j != i and bj and all(t[bj ^ low] > oi
-                                         for low in _bits(bj)):
-                    return False
-    return True
-
-
-def _prop1_leaf(n, weights, tables, totals, full, masks, owner, own) -> bool:
-    """Prop1 by definition: n * max(v_i(B_i), max_g v_i(B_i + {g})) >=
-    v_i(G), g ranging over all of G (the own value settles empty G)."""
-    for i in range(n):
-        oi, w, t = own[i], weights[i], tables[i]
-        if t is None:
-            # Adding an owned good leaves the value at v_i(B_i).
-            best = oi + max([0] + [x for j, x in zip(owner, w) if j != i])
-        else:
-            mask = masks[i]
-            best = max([oi] + [t[mask | low] for low in _bits(full)])
-        if n * best < totals[i]:
-            return False
-    return True
-
-
 def _split_kernels(inst: Instance):
     """Every kernel over one common denominator: per-good weights (additive
     agents) or bitmask tables (explicit), None in the other list."""
     rows, scale = common_ints(inst.valuations)
-    additive = [v.kind == ADDITIVE for v in inst.valuations]
-    weights = [row if add else None for row, add in zip(rows, additive)]
-    tables = [None if add else row for row, add in zip(rows, additive)]
-    return weights, tables, scale
+    return (*split_rows(inst, rows), scale)
 
 
 def _twins(keys) -> list[int]:
@@ -474,12 +423,19 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
         # Below every additive value: the start of a bundle's running max.
         floors = [min(w, default=0) - 1 if w is not None else None
                   for w in weights]
-        passes = partial(_ef1_leaf, n, weights, floors, tables)
+
+        def passes(masks, owner, own):
+            # Agents with the least own value, the likeliest to envy, first.
+            return ef1_failure(weights, tables, floors, masks, owner,
+                               sorted(range(n), key=own.__getitem__)) is None
     elif prop == "prop1":
         full = (1 << m) - 1
         totals = [t[full] if t is not None else sum(w)
                   for w, t in zip(weights, tables)]
-        passes = partial(_prop1_leaf, n, weights, tables, totals, full)
+
+        def passes(masks, owner, own):
+            return None not in map(prop1_good, weights, tables, masks, own,
+                                   totals, repeat(range(m)), repeat(n))
     else:
         prof = profile if profile is not None else mms_profile(inst,
                                                                cap=mms_cap)

@@ -391,6 +391,21 @@ def twin_corpus(count, seed, kinds=("additive", "explicit", "mixed")):
     return out
 
 
+def negative_corpus(count, seed):
+    """Seeded small unvalidated additive instances (n 1..5, m 0..7) whose
+    values p/q, p in -4..2 and q in 1..3, are often negative and often
+    tied."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, m = rng.randint(1, 5), rng.randint(0, 7)
+        valuations = tuple(Valuation.additive(
+            [Fraction(rng.randint(-4, 2), rng.randint(1, 3))
+             for _ in range(m)]) for _ in range(n))
+        out.append(Instance(n=n, m=m, valuations=valuations))
+    return out
+
+
 def random_allocation(rng, n, m, partial=True):
     """Each good to a random agent, or (when partial) possibly to nobody."""
     owners = [rng.randrange(n + 1 if partial else n) for _ in range(m)]
@@ -424,6 +439,38 @@ def naive_ef1_verdict(inst: Instance, alloc: Allocation) -> FairnessVerdict:
                 witness={"i": i + 1, "j": j + 1, "own": own,
                          "comparisons": comparisons})
     return FairnessVerdict(holds=True, prop="ef1", certificate=certificate)
+
+
+def naive_prop1_verdict(inst: Instance, alloc: Allocation, agents=None,
+                        goods=None) -> FairnessVerdict:
+    """`is_prop1` in `Fraction`s: same certificate (the first scope good
+    that reaches the threshold, or the first scope good at all when the own
+    bundle meets it) and same failure witness."""
+    scope_agents = sorted(agents) if agents is not None else range(inst.n)
+    scope_goods = sorted(set(goods if goods is not None else range(inst.m)))
+    certificate = {}
+    for i in scope_agents:
+        threshold = inst.value(i, scope_goods) / len(scope_agents)
+        own = inst.value(i, alloc.bundles[i])
+        boosted = [(g, inst.value(i, alloc.bundles[i] | {g}))
+                   for g in scope_goods]
+        if own >= threshold:
+            good = scope_goods[0] if scope_goods else None
+            value = own
+        else:
+            reaching = [(g, x) for g, x in boosted if x >= threshold]
+            if not reaching:
+                comparisons = [{"added": g + 1, "value": x,
+                                "threshold": threshold} for g, x in boosted]
+                return FairnessVerdict(
+                    holds=False, prop="prop1",
+                    witness={"agent": i + 1, "own": own,
+                             "threshold": threshold,
+                             "comparisons": comparisons})
+            good, value = reaching[0]
+        certificate[i + 1] = {"good": None if good is None else good + 1,
+                              "value": value, "threshold": threshold}
+    return FairnessVerdict(holds=True, prop="prop1", certificate=certificate)
 
 
 def _naive_find_cycle(adj, n):

@@ -10,8 +10,10 @@ from fairdiv import (Allocation, FamilySpec, MmsProfile, ValidationError,
                      is_ef1, is_prop1, social_welfare)
 
 from conftest import (additive_instance, all_allocations, naive_ef1_verdict,
-                      naive_is_ef1, naive_is_prop1, random_allocation,
-                      tie_corpus)
+                      naive_is_ef1, naive_is_prop1, naive_prop1_verdict,
+                      negative_corpus, random_additive_corpus,
+                      random_allocation, random_subadditive_corpus,
+                      tie_corpus, twin_corpus)
 
 
 class TestSocialWelfare:
@@ -84,10 +86,12 @@ class TestEf1:
                 assert is_ef1(inst, alloc).holds == naive_is_ef1(inst, alloc)
 
     def test_verdicts_match_fraction_reference(self):
-        # Whole verdicts, certificates and failing witnesses included.
+        # Whole verdicts, certificates and failing witnesses included; the
+        # negative values check that a bundle's top good starts below them.
         rng = random.Random(17)
         outcomes = set()
-        for inst in tie_corpus(300, seed=99):
+        for inst in (tie_corpus(300, seed=99) + twin_corpus(100, seed=5)
+                     + negative_corpus(100, seed=7)):
             for partial in (True, False, True, False):
                 alloc = random_allocation(rng, inst.n, inst.m, partial)
                 verdict = is_ef1(inst, alloc)
@@ -138,6 +142,51 @@ class TestProp1:
         inst = additive_instance([["1"], ["1"]])
         alloc = Allocation.of([[], []])
         assert is_prop1(inst, alloc, agents=[0, 1], goods=[]).holds
+
+    @pytest.mark.parametrize("scope", [
+        {"agents": [0, 0]}, {"agents": [-1]}, {"agents": [2]},
+        {"agents": [5]}, {"agents": [True]}, {"agents": []},
+        {"goods": [2]}, {"goods": [-1]}, {"goods": [True]},
+    ], ids=["agent-repeated", "agent-negative", "agent-n", "agent-beyond-n",
+            "agent-bool", "no-agent", "good-m", "good-negative", "good-bool"])
+    def test_scope_outside_the_instance_rejected(self, scope):
+        # A repeated agent would raise k and so lower every threshold.
+        inst = additive_instance([["1", "1"], ["1", "1"]])
+        with pytest.raises(ValueError):
+            is_prop1(inst, Allocation.of([[], [0, 1]]), **scope)
+
+    def test_repeated_scope_goods_count_once(self):
+        inst = additive_instance([["1", "1", "1", "1"]] * 2)
+        alloc = Allocation.of([[], [0, 1, 2, 3]])
+        verdict = is_prop1(inst, alloc, agents=[0], goods=[2, 0, 0, 1])
+        assert not verdict.holds
+        assert [c["added"] for c in verdict.witness["comparisons"]] == \
+            [1, 2, 3]
+        assert verdict == is_prop1(inst, alloc, agents=[0], goods=[0, 1, 2])
+
+    def test_verdicts_match_fraction_reference(self):
+        # Whole verdicts, certificates and failing witnesses included, on
+        # random partial allocations under the default and random scopes.
+        rng = random.Random(23)
+        outcomes, certified = set(), set()
+        instances = (tie_corpus(200, seed=31) + twin_corpus(100, seed=13)
+                     + random_additive_corpus(40, 5, 8, seed=29)
+                     + random_subadditive_corpus(30, 4, 6, seed=37)
+                     + negative_corpus(100, seed=41))
+        for inst in instances:
+            for partial in (True, False, True):
+                alloc = random_allocation(rng, inst.n, inst.m, partial)
+                agents = rng.sample(range(inst.n), rng.randint(1, inst.n))
+                goods = rng.sample(range(inst.m), rng.randint(0, inst.m))
+                for scope in ({}, {"agents": agents, "goods": goods}):
+                    verdict = is_prop1(inst, alloc, **scope)
+                    assert verdict.to_json() == naive_prop1_verdict(
+                        inst, alloc, **scope).to_json()
+                    outcomes.add(verdict.holds)
+                    certified |= {c["good"] for c in
+                                  (verdict.certificate or {}).values()}
+        assert outcomes == {True, False}
+        assert len(certified) > 2
 
 
 class TestAlphaMms:

@@ -229,6 +229,24 @@ def test_loader_rejects_over_long_json_integer(tmp_path):
         load_instance(path)
 
 
+@pytest.mark.parametrize("loader, text", [
+    (load_instance, '{"n": 1, "m": 1, "scaled": false, "valuations": '
+                    '[{"kind": "additive", "values": ["1"], "values": ["2"]}]}'),
+    (load_instance, '{"n": 1, "m": 1, "scaled": false, "valuations": '
+                    '[{"kind": "additive", "den": 1, "den": 2, "values": [1]}]}'),
+    (load_instance, '{"n": 1, "n": 1, "m": 0, "scaled": false, '
+                    '"valuations": [{"kind": "additive", "values": []}]}'),
+    (load_allocation, '{"bundles": [[1]], "bundles": [[]]}'),
+    (load_config, '{"seed": 1, "seed": 2}'),
+], ids=["values", "den", "n", "bundles", "config-seed"])
+def test_loader_rejects_repeated_member_names(tmp_path, loader, text):
+    # `json` would keep the last of the two members without a word.
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="repeated"):
+        loader(path)
+
+
 def test_parse_rational_negative():
     # Negative values parse; validation, not parsing, rejects them.
     assert parse_rational("-2/4") == Fraction(-1, 2)

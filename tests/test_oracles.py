@@ -431,16 +431,16 @@ class TestRoundRobinSeed:
 
     def test_prunes_leaf_checks_on_the_sweep(self, monkeypatch):
         # Without the seed, the README sweep's random instances at seed 42
-        # take 2,672 EF1 leaf checks.
+        # take 2,672 EF1 leaf checks, each one call of the EF1 decider.
         calls = 0
-        check = oracles._ef1_leaf
+        check = oracles.ef1_failure
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return check(*args)
 
-        monkeypatch.setattr(oracles, "_ef1_leaf", counted)
+        monkeypatch.setattr(oracles, "ef1_failure", counted)
         for index in range(3):
             job = {"family": "random", "distribution": "dirichlet-scaled",
                    "n": 4, "m": 8, "index": index}
