@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 
@@ -37,15 +36,14 @@ from .generators import (ADVERSARIAL_FAMILIES, RANDOM_DISTRIBUTIONS,
 from .mms import run_solve_half_mms
 from .ef1 import run_solve_ef1
 from .model import (allocation_to_json, format_decimal, format_rational,
-                    instance_to_json, load_allocation, load_instance,
-                    parse_rational, rescale_instance, save_allocation,
-                    save_instance)
+                    instance_to_json, json_text, load_allocation,
+                    load_instance, parse_rational, rescale_instance,
+                    save_allocation, save_instance)
 from .oracles import mms_profile, price_of_fairness
 
 
 def _emit(data) -> None:
-    json.dump(data, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json_text(data))
 
 
 def _cmd_gen(args) -> int:

@@ -8,7 +8,8 @@ Each rule is decided once, in one agent's integers on any positive scale:
 `ef1_failure` (EF1) and `prop1_good` (Prop1) serve `is_ef1` and `is_prop1`
 on each kernel and `constrained_opt`'s leaf checks on rows over one common
 denominator. Certificates and witnesses, the public output, are exact
-rationals; a witness is built only on failure.
+rationals; a witness is built only on failure. A Prop1 scope takes its
+agents through `model.agent_set` and its goods through `model.good_set`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import ValidationError
-from .model import (Allocation, Instance, ADDITIVE, ZERO, format_rational,
-                    good_set, goods_mask, is_json_int, validate_allocation)
+from .model import (Allocation, Instance, ADDITIVE, ZERO, agent_set,
+                    format_rational, good_set, goods_mask,
+                    validate_allocation)
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,6 @@ class FairnessVerdict:
         def conv(obj):
             if isinstance(obj, Fraction):
                 return format_rational(obj)
-            if isinstance(obj, frozenset):
-                return sorted(g + 1 for g in obj)
             if isinstance(obj, dict):
                 return {str(k): conv(v) for k, v in obj.items()}
             if isinstance(obj, (list, tuple)):
@@ -174,17 +174,14 @@ def is_prop1(inst: Instance, alloc: Allocation,
     would do), which also settles the vacuous empty-G case.
     """
     validate_allocation(alloc, inst)
-    scope_agents = list(range(inst.n)) if agents is None else list(agents)
     scope_goods = sorted(good_set(range(inst.m) if goods is None else goods,
                                   inst.m))
-    if not scope_agents or len(set(scope_agents)) < len(scope_agents) or \
-            not all(is_json_int(i) and 0 <= i < inst.n for i in scope_agents):
-        raise ValueError(f"prop1 scope agents {scope_agents} must be one or "
-                         f"more distinct agents within 0..{inst.n - 1}")
+    scope_agents = agent_set(range(inst.n) if agents is None else agents,
+                             inst.n)
     k = len(scope_agents)
     rows, tables = split_rows(inst, [v.kernel for v in inst.valuations])
     certificate: dict = {}
-    for i in sorted(scope_agents):
+    for i in scope_agents:
         w, t, den = rows[i], tables[i], inst.valuations[i].den
         bundle = alloc.bundles[i]
         mask = goods_mask(bundle)

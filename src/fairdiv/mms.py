@@ -6,9 +6,9 @@ whose `allocation` is the result, next to the steps that produced it.
 
 The absolute algorithm repeatedly hands the highest-valued "large" good
 (one worth at least half the per-capita remainder to its taker) to that
-taker, then splits what is left among the remaining agents with a
-round-robin Prop1 allocation. Its output is 1/2-MMS with welfare at least
-(1/3n) * sum_i v_i(all goods).
+taker, then splits what is left among the remaining agents with the
+round-robin Prop1 allocation of `oracles.round_robin`. Its output is
+1/2-MMS with welfare at least (1/3n) * sum_i v_i(all goods).
 
 The high-welfare algorithm works on scaled instances against a
 welfare-maximizing reference allocation W*. It tracks a permanent set P
@@ -39,9 +39,10 @@ from .ef1 import LineOrder
 from .errors import ValidationError
 from .exact import sqrt_ge
 from .fairness import is_prop1, social_welfare
-from .model import Allocation, Event, Instance, ZERO, ints_with
+from .model import (Allocation, Event, Instance, ZERO, agent_set, good_set,
+                    ints_with, mask_goods)
 from .oracles import (DEFAULT_MMS_STATE_CAP, MmsProfile, max_welfare,
-                      mms_profile)
+                      mms_profile, round_robin)
 
 
 def _require_additive(inst: Instance, who: str) -> None:
@@ -52,24 +53,14 @@ def _require_additive(inst: Instance, who: str) -> None:
 
 def prop1_subroutine(inst: Instance, agents: Iterable[int],
                      goods: Iterable[int]) -> Allocation:
-    """Round-robin allocation of `goods` among `agents`: in ascending agent
-    order, each picks her most-valued remaining good (lowest index on ties)
-    until the goods run out. The result satisfies Prop1 scoped to the
-    sub-instance."""
+    """`round_robin` over `goods` in ascending `agents` order, which is
+    Prop1 scoped to the sub-instance. Raises ValueError unless `agents` are
+    one or more distinct agents of the instance and `goods` are its goods."""
     _require_additive(inst, "prop1_subroutine")
-    order = sorted(agents)
-    remaining = set(goods)
-    bundles: list[set[int]] = [set() for _ in range(inst.n)]
-    while remaining:
-        for i in order:
-            if not remaining:
-                break
-            vals = inst.valuations[i].kernel
-            top = max(vals[g] for g in remaining)
-            pick = min(g for g in remaining if vals[g] == top)
-            bundles[i].add(pick)
-            remaining.remove(pick)
-    return Allocation.of(bundles)
+    order = agent_set(agents, inst.n)
+    masks = round_robin([v.kernel for v in inst.valuations], [None] * inst.n,
+                        order, good_set(goods, inst.m))
+    return Allocation(tuple(map(mask_goods, masks)))
 
 
 @dataclass
@@ -166,8 +157,7 @@ def run_mms_high(inst: Instance, profile: MmsProfile, *,
         raise ValidationError("scaled",
                               "run_mms_high requires a scaled instance")
     n, m = inst.n, inst.m
-    estimates = (profile.estimates if profile.estimates is not None
-                 else profile.mms)
+    estimates = profile.estimates
     if len(estimates) != n:
         raise ValidationError("mms-profile",
                               f"profile covers {len(estimates)} agents, "
@@ -226,39 +216,26 @@ def run_mms_high(inst: Instance, profile: MmsProfile, *,
         bundles[i] = {pick}
         place("single", i, True)
 
-    def assigned_goods() -> set[int]:
-        out: set[int] = set()
-        for b in bundles:
-            out |= b
-        return out
-
     # Hand single goods to uncovered agents while any good alone clears
     # half their estimate; lowest agent first, then lowest line position.
-    while True:
-        taken = assigned_goods()
-        free_agents = [a for a in range(n) if a not in perm and a not in temp]
-        pick = None
-        for a in free_agents:
-            va, za = vals[a], z[a]
-            for h in line.order:
-                if h not in taken and 2 * va[h] >= za:
-                    pick = (a, h)
-                    break
-            if pick:
-                break
-        if pick is None:
-            break
-        a, h = pick
-        bundles[a] = {h}
-        place("singleton-loop", a, sqrt_ge(3 * vals[a][h], wstar_val[a], n))
+    # Placed agents stay placed and free goods only shrink, so one pass over
+    # the agents makes every such pick.
+    taken = set().union(*bundles)
+    for a in sorted(set(range(n)) - perm - temp):
+        va, za = vals[a], z[a]
+        h = next((h for h in line.order if h not in taken and 2 * va[h] >= za),
+                 None)
+        if h is not None:
+            taken.add(h)
+            bundles[a] = {h}
+            place("singleton-loop", a, sqrt_ge(3 * va[h], wstar_val[a], n))
 
-    # Sweep the line order, accumulating still-unassigned goods into K;
-    # acc_val[a] is agent a's value of K.
-    snapshot_remaining = frozenset(range(m)) - assigned_goods()
+    # Sweep the line order, accumulating the goods still unassigned here
+    # into K; acc_val[a] is agent a's value of K.
     acc: set[int] = set()
     acc_val = [0] * n
     for g in line.order:
-        if g not in snapshot_remaining:
+        if g in taken:
             continue
         acc.add(g)
         for a in range(n):
@@ -284,7 +261,7 @@ def run_mms_high(inst: Instance, profile: MmsProfile, *,
             acc_val = [0] * n
             place("accumulate", cand, sqrt_ge(3 * got, wstar_val[cand], n))
 
-    leftover = frozenset(range(m)) - assigned_goods()
+    leftover = frozenset(range(m)).difference(*bundles)
     for g in sorted(leftover):
         bundles[owner[g]].add(g)
     for i in sorted({owner[g] for g in leftover}):

@@ -114,6 +114,17 @@ def good_set(goods: Iterable[int], m: int) -> frozenset[int]:
     return s
 
 
+def agent_set(agents: Iterable[int], n: int) -> list[int]:
+    """`agents` in ascending order; ValueError unless they are one or more
+    distinct agents within 0..n-1."""
+    scope = list(agents)
+    if not (scope and all(is_json_int(i) and 0 <= i < n for i in scope)
+            and len(set(scope)) == len(scope)):
+        raise ValueError(f"agent scope {scope} must be one or more distinct "
+                         f"agents within 0..{n - 1}")
+    return sorted(scope)
+
+
 def goods_mask(goods: Iterable[int]) -> int:
     """Bitmask with bit g set for every good g."""
     mask = 0
@@ -613,11 +624,15 @@ def read_json(path):
         raise ParseError(f"{path}: {exc}") from None
 
 
+def json_text(data) -> str:
+    """`data` as indented JSON with sorted keys and a final newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(data, path) -> None:
-    """Write `data` as indented JSON with sorted keys and a final newline."""
+    """Write `data` as `json_text` renders it."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(data))
 
 
 def load_instance(path) -> Instance:

@@ -22,12 +22,13 @@ labels, or the two goods' owners, are swapped, and the swapped leaf has the
 same welfare and the same EF1, Prop1 or alpha-MMS verdict. So the first
 optimum, which the search returns, obeys both rules and is never skipped.
 
-The search starts from a round-robin leaf put through the same leaf check.
-If it passes with welfare F, the best welfare starts at F - 1: welfare is an
-integer over the common denominator, so the prune cuts from the first node
-and no leaf worth less than F is checked. The first optimum passes, is worth
-at least F and obeys the twin rules, so it is still found; a leaf that ties
-F earlier wins, since only a strictly higher welfare replaces the best.
+The search starts from the `round_robin` leaf (the loop `prop1_subroutine`
+also runs) put through the same leaf check. If it passes with welfare F, the
+best welfare starts at F - 1: welfare is an integer over the common
+denominator, so the prune cuts from the first node and no leaf worth less
+than F is checked. The first optimum passes, is worth at least F and obeys
+the twin rules, so it is still found; a leaf that ties F earlier wins, since
+only a strictly higher welfare replaces the best.
 """
 
 from __future__ import annotations
@@ -55,12 +56,11 @@ DEFAULT_ENUM_CAP = 2 * 10 ** 7
 class MmsProfile:
     """Per-agent maximin shares and the estimates fed to the solvers.
 
-    `mms` holds exact oracle values. `estimates` (Z_i) default to the exact
-    values; a nonzero epsilon degrades them deterministically to
-    (1 - eps) * MMS_i, which simulates an approximation scheme. Profiles
-    built from injected estimates alone (no exact values) are allowed for
-    instances beyond the oracle cap; predicates that need exact values
-    reject them.
+    `mms` holds exact oracle values. `estimates` (Z_i, never negative) are
+    set to the exact values when not given; a nonzero epsilon degrades them
+    to (1 - eps) * MMS_i, which simulates an approximation scheme. Profiles
+    built from injected estimates alone (no exact values) serve instances
+    beyond the oracle cap; predicates that need exact values reject them.
     """
 
     mms: Optional[tuple[Fraction, ...]]
@@ -74,7 +74,9 @@ class MmsProfile:
         if not (0 <= self.epsilon < 1):
             raise ValidationError("mms-profile",
                                   f"epsilon {self.epsilon} outside [0, 1)")
-        if self.mms is not None and self.estimates is not None:
+        if self.estimates is None:
+            object.__setattr__(self, "estimates", self.mms)
+        elif self.mms is not None:
             if len(self.mms) != len(self.estimates):
                 raise ValidationError(
                     "mms-profile", f"profile has {len(self.mms)} mms values "
@@ -87,6 +89,11 @@ class MmsProfile:
                         f"estimate Z_{i + 1} = {z} outside "
                         f"[(1-eps)*MMS, MMS] = [{lo * exact}, {exact}]",
                         agent=i + 1)
+        for i, z in enumerate(self.estimates):
+            if z < 0:
+                raise ValidationError(
+                    "mms-profile", f"estimate Z_{i + 1} = {z} is negative",
+                    agent=i + 1)
 
     def exact_mms(self, n: int) -> tuple[Fraction, ...]:
         """The exact MMS values, checked to cover n agents."""
@@ -101,9 +108,7 @@ class MmsProfile:
         return self.mms
 
     def z(self, agent: int) -> Fraction:
-        if self.estimates is not None:
-            return self.estimates[agent]
-        return self.mms[agent]
+        return self.estimates[agent]
 
 
 def injected_profile(estimates: Iterable[Fraction],
@@ -217,6 +222,8 @@ def mms_lower_bound(valuation: Valuation, k: int,
     glist = _goods(valuation, k, goods)
     ints, den = valuation.kernel, valuation.den
     additive = valuation.kind == ADDITIVE
+    if len(glist) < k:      # an empty bundle, as in `mms_k`
+        return Fraction(0 if additive else ints[0], den)
     masks = [0] * k
     totals = [0 if additive else ints[0]] * k
     single = ints if additive else [ints[1 << g] for g in range(valuation.m)]
@@ -294,23 +301,23 @@ def _twins(keys) -> list[int]:
     return out
 
 
-def _round_robin(m: int, weights, tables, own):
-    """The round-robin leaf as the leaf checks take it, (masks, owner, own):
-    agents pick in turn, each the remaining good of largest gain to it,
-    lowest index on ties. `own` holds the empty bundles' values."""
-    masks, owner, own = [0] * len(own), [0] * m, list(own)
-    left = list(range(m))
-    for turn in range(m):
-        agent = turn % len(own)
-        old, w, t = masks[agent], weights[agent], tables[agent]
-        gains = [t[old | 1 << g] - t[old] if t is not None else w[g]
-                 for g in left]
-        pick = gains.index(max(gains))
-        g = left.pop(pick)
-        masks[agent] = old | 1 << g
-        owner[g] = agent
-        own[agent] += gains[pick]
-    return masks, owner, own
+def round_robin(weights, tables, agents, goods) -> list[int]:
+    """Every agent's bundle bitmask after round robin over `goods`: the
+    sequence `agents` picks in the order given, each agent i the remaining g
+    of largest `weights[i][g]` or `tables[i][B + g]` (the largest marginal
+    gain, as B is fixed), lowest index on ties."""
+    masks = [0] * len(weights)
+    left = sorted(goods)
+    while left:
+        for agent in agents:
+            if not left:
+                break
+            old, w, t = masks[agent], weights[agent], tables[agent]
+            g = max(left, key=w.__getitem__ if t is None
+                    else lambda g: t[old | 1 << g])
+            left.remove(g)
+            masks[agent] = old | 1 << g
+    return masks
 
 
 def _search(inst: Instance, weights, tables, scale: int, passes=None,
@@ -355,9 +362,14 @@ def _search(inst: Instance, weights, tables, scale: int, passes=None,
     best_welfare: Optional[int] = None
     best_masks: tuple[int, ...] = ()
     last = m - 1
-    seed = _round_robin(m, weights, tables, own)
-    if passes is None or passes(*seed):
-        best_welfare = sum(seed[2]) - 1   # F - 1 admits every leaf worth F
+    seed = round_robin(weights, tables, range(n), range(m))
+    seed_owner = [agent for g in range(m)
+                  for agent, mask in enumerate(seed) if mask >> g & 1]
+    seed_own = [t[mask] if t is not None else
+                sum(w[g] for g in range(m) if mask >> g & 1)
+                for w, t, mask in zip(weights, tables, seed)]
+    if passes is None or passes(seed, seed_owner, seed_own):
+        best_welfare = sum(seed_own) - 1   # F - 1 admits every leaf worth F
 
     def search(pos: int, sofar: int):
         nonlocal best_welfare, best_masks

@@ -11,8 +11,10 @@ results, tie-breaks included.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
+import signal
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
@@ -34,6 +36,22 @@ def debug_mode():
     set_debug_checks(True)
     yield
     set_debug_checks(before)
+
+
+@contextlib.contextmanager
+def alarm(seconds):
+    """Raises TimeoutError in the body once `seconds` pass, so that a call
+    that never returns fails its test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    before = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, before)
 
 
 def additive_instance(rows, scaled=False) -> Instance:
@@ -411,6 +429,21 @@ def random_allocation(rng, n, m, partial=True):
     owners = [rng.randrange(n + 1 if partial else n) for _ in range(m)]
     return Allocation.of([[g for g in range(m) if owners[g] == i]
                           for i in range(n)])
+
+
+def naive_round_robin(inst: Instance, agents, goods) -> Allocation:
+    """Round robin in `Fraction`s: `agents` pick in the order given, each
+    the remaining good of largest marginal value v_i(B + g) - v_i(B) to it,
+    lowest index on ties, until the goods run out."""
+    bundles = [set() for _ in range(inst.n)]
+    left = sorted(goods)
+    for turn in range(len(left)):
+        i = agents[turn % len(agents)]
+        gains = [inst.value(i, bundles[i] | {g}) - inst.value(i, bundles[i])
+                 for g in left]
+        g = left.pop(gains.index(max(gains)))
+        bundles[i].add(g)
+    return Allocation.of(bundles)
 
 
 def naive_ef1_verdict(inst: Instance, alloc: Allocation) -> FairnessVerdict:

@@ -112,6 +112,29 @@ class TestCli:
                                 "--allocation", str(alloc))
         assert code == 0 and verdict["holds"]
 
+    def test_prop1_check_property(self, tmp_path, capsys):
+        # The EF1 solve is Prop1 on an additive instance; one bundle of
+        # every good leaves agent 2 short of her share.
+        inst = tmp_path / "i.json"
+        alloc = tmp_path / "a.json"
+        run_cli(capsys, "gen", "--family", "prop1-unscaled", "--n", "3",
+                "-o", str(inst))
+        run_cli(capsys, "solve", "--alg", "ef1", "--instance", str(inst),
+                "-o", str(alloc))
+        code, verdict = run_cli(capsys, "check", "--property", "prop1",
+                                "--instance", str(inst),
+                                "--allocation", str(alloc))
+        assert code == 0 and verdict["holds"]
+        assert sorted(verdict["certificate"]) == ["1", "2", "3"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"bundles": [[1, 2, 3, 4], [], []]}))
+        code, verdict = run_cli(capsys, "check", "--property", "prop1",
+                                "--instance", str(inst),
+                                "--allocation", str(bad))
+        assert code == 1 and not verdict["holds"]
+        assert verdict["property"] == "prop1"
+        assert verdict["witness"]["agent"] == 2
+
     def test_pof_subcommand(self, tmp_path, capsys):
         inst = tmp_path / "i.json"
         run_cli(capsys, "gen", "--family", "ef1-unscaled", "--n", "4",

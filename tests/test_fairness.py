@@ -9,11 +9,11 @@ from fairdiv import (Allocation, FamilySpec, MmsProfile, ValidationError,
                      generate_adversarial, generate_random, is_alpha_mms,
                      is_ef1, is_prop1, social_welfare)
 
-from conftest import (additive_instance, all_allocations, naive_ef1_verdict,
-                      naive_is_ef1, naive_is_prop1, naive_prop1_verdict,
-                      negative_corpus, random_additive_corpus,
-                      random_allocation, random_subadditive_corpus,
-                      tie_corpus, twin_corpus)
+from conftest import (additive_instance, alarm, all_allocations,
+                      naive_ef1_verdict, naive_is_ef1, naive_is_prop1,
+                      naive_prop1_verdict, negative_corpus,
+                      random_additive_corpus, random_allocation,
+                      random_subadditive_corpus, tie_corpus, twin_corpus)
 
 
 class TestSocialWelfare:
@@ -150,9 +150,10 @@ class TestProp1:
     ], ids=["agent-repeated", "agent-negative", "agent-n", "agent-beyond-n",
             "agent-bool", "no-agent", "good-m", "good-negative", "good-bool"])
     def test_scope_outside_the_instance_rejected(self, scope):
-        # A repeated agent would raise k and so lower every threshold.
+        # A repeated agent would raise k and so lower every threshold. The
+        # alarm fails a scope that never finishes.
         inst = additive_instance([["1", "1"], ["1", "1"]])
-        with pytest.raises(ValueError):
+        with alarm(2), pytest.raises(ValueError):
             is_prop1(inst, Allocation.of([[], [0, 1]]), **scope)
 
     def test_repeated_scope_goods_count_once(self):

@@ -16,7 +16,7 @@ from fairdiv import (Allocation, Event, FamilySpec, MmsProfile,
 from fairdiv.exact import sqrt_ge
 from fairdiv.model import ZERO
 
-from conftest import (additive_instance, diagonal, naive_run_mms_abs,
+from conftest import (additive_instance, alarm, diagonal, naive_run_mms_abs,
                       naive_run_mms_high, tie_corpus)
 
 
@@ -54,6 +54,24 @@ class TestProp1Subroutine:
         inst = additive_instance([["1", "1"]])
         alloc = prop1_subroutine(inst, [0], [])
         assert alloc.bundles[0] == frozenset()
+
+    @pytest.mark.parametrize("agents, goods", [
+        ([], [0]), ([0, 0], [0, 1, 2]), ([-1], [0]), ([True], [0]),
+        ([2], [0]), ([5], [0]), ([0], [-1]), ([0], [True]), ([0], [3]),
+    ], ids=["no-agent", "agent-repeated", "agent-negative", "agent-bool",
+            "agent-n", "agent-beyond-n", "good-negative", "good-bool",
+            "good-m"])
+    def test_scope_outside_the_instance_rejected(self, agents, goods):
+        # Under an alarm, so that a scope the loop never finishes fails.
+        inst = additive_instance([["1", "2", "3"], ["3", "2", "1"]])
+        with alarm(2), pytest.raises(ValueError):
+            prop1_subroutine(inst, agents, goods)
+
+    def test_goods_are_a_set(self):
+        inst = additive_instance([["1", "2", "3"], ["3", "2", "1"]])
+        with alarm(2):
+            assert prop1_subroutine(inst, [1, 0], [2, 0, 0]) == \
+                prop1_subroutine(inst, [0, 1], [0, 2])
 
 
 class TestAbs:

@@ -14,11 +14,13 @@ from fairdiv import (Allocation, FamilySpec, InfeasibleError, Instance,
                      mms_lower_bound, mms_profile, price_of_fairness,
                      social_welfare, validate_instance)
 from fairdiv.experiment import _build_instance
+from fairdiv.model import mask_goods
 
-from conftest import (additive_instance, naive_constrained_opt,
+from conftest import (additive_instance, alarm, naive_constrained_opt,
                       naive_is_alpha_mms, naive_is_ef1, naive_is_prop1,
                       naive_max_welfare, naive_mms, naive_mms_lower_bound,
-                      random_subadditive_corpus, tie_corpus, twin_corpus)
+                      naive_round_robin, random_subadditive_corpus,
+                      tie_corpus, twin_corpus)
 
 
 def corpus_instance(family, n, m, rng):
@@ -146,6 +148,19 @@ class TestMmsK:
                         calls += 1
         assert calls > 50000 and nonzero_empty > 100
 
+    @pytest.mark.parametrize("kind", ["additive", "explicit"])
+    def test_lower_bound_beyond_the_goods_returns_at_once(self, kind):
+        # More bundles than goods: some bundle is empty, as in `mms_k`. A
+        # greedy over k bundles would take seconds at this k.
+        v = (Valuation.additive([Fraction(g + 1) for g in range(8)])
+             if kind == "additive" else
+             Valuation.explicit(1, {frozenset(): Fraction(1),
+                                    frozenset({0}): Fraction(2)}))
+        for k in (v.m + 1, 5 * 10 ** 6):
+            with alarm(1):
+                assert mms_lower_bound(v, k) == mms_k(v, k) == \
+                    naive_mms_lower_bound(v, v.m + 1)
+
     def test_lower_bound_brackets(self):
         rng = random.Random(13)
         for _ in range(30):
@@ -208,6 +223,22 @@ class TestMmsProfile:
             MmsProfile(mms=tuple(map(Fraction, mms)),
                        estimates=tuple(map(Fraction, estimates)))
         assert err.value.axiom == "mms-profile"
+
+    @pytest.mark.parametrize("build", [
+        lambda z: injected_profile(z),
+        lambda z: MmsProfile(mms=tuple(z)),
+        lambda z: MmsProfile(mms=tuple(z), estimates=tuple(z)),
+    ], ids=["injected", "mms", "both"])
+    def test_negative_estimate_rejected_naming_the_agent(self, build):
+        with pytest.raises(ValidationError) as err:
+            build([Fraction(1, 10), Fraction(-1, 10), Fraction(1, 10)])
+        assert err.value.axiom == "mms-profile" and err.value.agent == 2
+
+    def test_estimates_default_to_the_exact_values(self):
+        shares = (Fraction(1, 2), Fraction(1, 3))
+        profile = MmsProfile(mms=shares)
+        assert profile.estimates == shares
+        assert [profile.z(i) for i in range(2)] == list(shares)
 
     def test_injected_profile_has_no_exact_values(self):
         profile = injected_profile([Fraction(1, 2)])
@@ -453,10 +484,26 @@ class TestRoundRobinSeed:
         # allocation of the same welfare and verdict is ({0, 1}, {2}).
         inst = additive_instance([[1, 1, 1], [1, 1, 1]])
         weights, tables, _ = oracles._split_kernels(inst)
-        seed = oracles._round_robin(3, weights, tables, [0, 0])
-        assert seed[0] == [0b101, 0b010]
+        seed = oracles.round_robin(weights, tables, range(2), range(3))
+        assert seed == [0b101, 0b010]
         assert constrained_opt(inst, prop) == (Allocation.of([{0, 1}, {2}]),
                                                3)
+
+    def test_matches_marginal_gain_reference(self):
+        # An explicit agent's pick depends on the bundle she already holds;
+        # agents pick in the order given, over random scopes too.
+        rng = random.Random(19)
+        instances = (tie_corpus(300, seed=23, kinds=("explicit", "mixed"))
+                     + twin_corpus(150, seed=29, kinds=("explicit", "mixed"))
+                     + random_subadditive_corpus(100, 4, 6, seed=31))
+        for inst in instances:
+            weights, tables, _ = oracles._split_kernels(inst)
+            agents = rng.sample(range(inst.n), rng.randint(1, inst.n))
+            goods = [g for g in range(inst.m) if rng.random() < 0.7]
+            for scope in ((range(inst.n), range(inst.m)), (agents, goods)):
+                masks = oracles.round_robin(weights, tables, *scope)
+                assert Allocation(tuple(map(mask_goods, masks))) == \
+                    naive_round_robin(inst, *scope)
 
 
 class TestPriceOfFairness:
