@@ -14,10 +14,22 @@ the lowest-indexed agent who envies it. Every intermediate allocation stays
 EF1 with contiguous bundles, values never drop, and the loop ends within
 n * m^2 iterations. On scaled instances the result (after extension) has
 welfare at least SW(reference)/(6*sqrt(n)) - 1/6.
+
+The unassigned components stay in one sorted list that each step updates:
+the chosen prefix is cut from its component, and the receiver's released
+interval goes back in, merged with the components it touches. A component
+found unenvied is remembered by its end positions and skipped from then on:
+own values never fall, and the same positions hold the same goods, so it
+stays unenvied. Any other component costs one pass over the agents, each a
+binary search for her shortest envied prefix (values are monotone) capped
+at the shortest found so far. So one step costs O(n log m) for each
+component scanned, plus O(n) to update the list, where a scan of every
+component and a position-by-position walk of the envied one cost O(n m).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -153,26 +165,26 @@ class _LineValues:
         masks = [0]
         for g in line.order:
             masks.append(masks[-1] | 1 << g)
-        self._masks = masks
-        self._prefix: list[Optional[list[int]]] = []
-        self._tables: list[Optional[tuple[int, ...]]] = []
+        self.masks = masks
+        self.prefix: list[Optional[list[int]]] = []
+        self.tables: list[Optional[tuple[int, ...]]] = []
         for v in inst.valuations:
             if v.kind == ADDITIVE:
                 acc = [0]
                 for g in line.order:
                     acc.append(acc[-1] + v.kernel[g])
-                self._prefix.append(acc)
-                self._tables.append(None)
+                self.prefix.append(acc)
+                self.tables.append(None)
             else:
-                self._prefix.append(None)
-                self._tables.append(v.kernel)
+                self.prefix.append(None)
+                self.tables.append(v.kernel)
 
     def range_value(self, agent: int, a: int, b: int) -> int:
         """Value of positions a..b inclusive."""
-        pref = self._prefix[agent]
+        pref = self.prefix[agent]
         if pref is not None:
             return pref[b + 1] - pref[a]
-        return self._tables[agent][self._masks[b + 1] ^ self._masks[a]]
+        return self.tables[agent][self.masks[b + 1] ^ self.masks[a]]
 
 
 def _components(intervals: list[Optional[tuple[int, int]]],
@@ -211,30 +223,54 @@ def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
 
     trace: list[Event] = []
     guard = 2 * n * m * m + 10
-    value = lv.range_value
+    prefix, tables, masks = lv.prefix, lv.tables, lv.masks
+    comps = _components(intervals, m)
+    unenvied: set[tuple[int, int]] = set()
     while True:
-        comps = _components(intervals, m)
         if debug.checks_enabled():
+            assert comps == _components(intervals, m)
             assert len(comps) <= n + 1
-        envied = None
-        for a, b in comps:
-            if any(own[i] < value(i, a, b) for i in range(n)):
-                envied = (a, b)
+        # The first envied component, with its shortest envied prefix a..c
+        # and the lowest agent k who envies that prefix. Agent i's search
+        # ends at c, the shortest prefix so far (b + 1: none yet), and
+        # returns c when she envies no shorter one.
+        for index, (a, b) in enumerate(comps):
+            if (a, b) in unenvied:
+                continue
+            c = b + 1
+            for i in range(n):
+                pref = prefix[i]
+                if pref is not None:
+                    ci = bisect_right(pref, own[i] + pref[a], a + 1, c + 1) - 1
+                else:
+                    t, base = tables[i], masks[a]
+                    ci = a + bisect_right(range(a + 1, c + 1), own[i],
+                                          key=lambda e: t[masks[e] ^ base])
+                if ci < c:
+                    c, k = ci, i
+            if c <= b:
                 break
-        if envied is None:
+            unenvied.add((a, b))
+        else:
             break
-        a, b = envied
-        chosen = None
-        for c in range(a, b + 1):
-            for k in range(n):
-                if own[k] < value(k, a, c):
-                    chosen = (k, c)
-                    break
-            if chosen:
-                break
-        k, c = chosen
+        released = intervals[k]
         intervals[k] = (a, c)
-        own[k] = value(k, a, c)
+        own[k] = lv.range_value(k, a, c)
+        if c < b:
+            comps[index] = (c + 1, b)
+        else:
+            del comps[index]
+        if released is not None:
+            # Insert her old interval, merged with the components it
+            # touches.
+            p, q = released
+            index = bisect_left(comps, released)
+            if index < len(comps) and comps[index][0] == q + 1:
+                q = comps.pop(index)[1]
+            if index and comps[index - 1][1] == p - 1:
+                index -= 1
+                p = comps.pop(index)[0]
+            comps.insert(index, (p, q))
         trace.append(Event("prefix", k, tuple(sorted(line.order[a:c + 1])),
                            ""))
         if len(trace) > guard:

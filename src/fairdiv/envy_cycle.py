@@ -12,6 +12,12 @@ visiting neighbours in ascending order; rotating a cycle hands every agent
 on it the bundle she strictly prefers, so total value strictly rises and
 the process terminates.
 
+The cycle search runs before the first hand-out, and after that only when
+the last hand-out's receiver lies on a cycle (a bitmask search from her).
+Before a hand-out the graph is acyclic, and the hand-out only adds edges
+into the receiver and drops edges out of her, so any new cycle passes
+through her.
+
 Values are each agent's integers (`Valuation.kernel`) and bundles are
 bitmasks. The envy graph is kept as one adjacency bitmask per agent and
 updated only where something moved: after a rotation the rows of the cycle's
@@ -90,6 +96,22 @@ def _find_cycle(adj: list[int], n: int) -> list[int] | None:
     return None
 
 
+def _on_cycle(adj: list[int], source: int) -> bool:
+    """Whether agent `source` lies on a directed cycle: a bitmask
+    breadth-first search for her among the agents she reaches."""
+    bit = 1 << source
+    reach = frontier = adj[source]
+    while frontier and not reach & bit:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~reach
+        reach |= frontier
+    return bool(reach & bit)
+
+
 def run_extend_ef1(inst: Instance,
                    partial: Allocation) -> tuple[Allocation, LiptonStats]:
     """Complete EF1 extension of `partial`, with its step counts; every
@@ -111,7 +133,7 @@ def run_extend_ef1(inst: Instance,
 
     # values[i][j] = v_i(bundle_j) in agent i's integers; adj[i] has bit j
     # set iff i envies j. Both are kept in sync under rotations/additions.
-    values = [[sum(ints[g] for g in bundle) if add else ints[mask]
+    values = [[sum(map(ints.__getitem__, bundle)) if add else ints[mask]
                for bundle, mask in zip(partial.bundles, masks)]
               for ints, add in zip(kernels, additive)]
     adj = [_envy_row(values[i], i) for i in range(n)]
@@ -122,11 +144,13 @@ def run_extend_ef1(inst: Instance,
         assert is_ef1(inst, Allocation(tuple(map(mask_goods, masks)))).holds
 
     unallocated = sorted(frozenset(range(inst.m)) - partial.allocated())
+    # The partial's graph may hold cycles; after that, only a hand-out whose
+    # receiver now lies on a cycle can have closed one.
+    cyclic = True
     for g in unallocated:
-        while True:
-            cycle = _find_cycle(adj, n)
-            if cycle is None:
-                break
+        if not cyclic and debug.checks_enabled():
+            assert _find_cycle(adj, n) is None
+        while cyclic and (cycle := _find_cycle(adj, n)) is not None:
             k = len(cycle)
             moved = [cycle[(t + 1) % k] for t in range(k)]
             rotated = [masks[j] for j in moved]
@@ -170,6 +194,7 @@ def run_extend_ef1(inst: Instance,
             else:
                 adj[i] &= ~bit
         stats.additions += 1
+        cyclic = _on_cycle(adj, source)
         if debug.checks_enabled():
             check_ef1()
 

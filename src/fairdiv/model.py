@@ -108,10 +108,16 @@ def is_json_int(value) -> bool:
 
 
 def good_set(goods: Iterable[int], m: int) -> frozenset[int]:
-    s = frozenset(goods)
-    if not all(is_json_int(g) and 0 <= g < m for g in s):
-        raise ValueError(f"good set {sorted(s)} not within 0..{m - 1}")
-    return s
+    """`goods` as a set; ValueError, naming the first in input order that is
+    not a good within 0..m-1, unless each is one."""
+    try:
+        items = list(goods)
+    except TypeError:           # no iterable at all
+        raise ValueError(f"goods {goods!r} not within 0..{m - 1}") from None
+    for g in items:             # checked before hashing
+        if not (is_json_int(g) and 0 <= g < m):
+            raise ValueError(f"good {g!r} not within 0..{m - 1}")
+    return frozenset(items)
 
 
 def agent_set(agents: Iterable[int], n: int) -> list[int]:

@@ -44,7 +44,8 @@ from .errors import InfeasibleError, ValidationError
 from .fairness import (ef1_failure, nonnegative_alpha, prop1_good,
                        split_rows)
 from .model import (ADDITIVE, Allocation, Instance, Valuation, ZERO,
-                    common_ints, good_set, goods_mask, mask_goods)
+                    common_ints, good_set, goods_mask, is_json_int,
+                    mask_goods)
 
 # Feasibility is judged on the k^|G| partition-state bound; the memoized DP
 # itself touches at most k * 3^|G| states.
@@ -141,8 +142,8 @@ def _subset_ints(valuation: Valuation, goods: list[int]) -> list[int]:
 
 def _goods(valuation: Valuation, k: int, goods) -> list[int]:
     """`goods` (all if None) sorted, checked as `Valuation.value` does."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    if not (is_json_int(k) and k >= 1):
+        raise ValueError(f"k = {k!r} must be a positive integer")
     return sorted(good_set(range(valuation.m) if goods is None else goods,
                            valuation.m))
 

@@ -359,14 +359,16 @@ def _monotone_table(rng, m, alphabet):
     return Valuation.explicit(m, table)
 
 
-def tie_corpus(count, seed, kinds=("additive", "explicit", "mixed")):
-    """Seeded small instances (n 1..5, m 0..7) cycling through `kinds`:
-    additive, unvalidated explicit, or a mix of the two per agent. Each
-    instance draws every value from one small alphabet."""
+def tie_corpus(count, seed, kinds=("additive", "explicit", "mixed"),
+               n_range=(1, 5), m_range=(0, 7)):
+    """Seeded small instances (n and m drawn from the inclusive ranges)
+    cycling through `kinds`: additive, unvalidated explicit, or a mix of the
+    two per agent. Each instance draws every value from one small
+    alphabet."""
     rng = random.Random(seed)
     out = []
     for idx in range(count):
-        n, m = rng.randint(1, 5), rng.randint(0, 7)
+        n, m = rng.randint(*n_range), rng.randint(*m_range)
         kind = kinds[idx % len(kinds)]
         alphabet = [Fraction(x) for x in rng.choice(TIE_ALPHABETS)]
         valuations = []

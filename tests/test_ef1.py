@@ -188,6 +188,30 @@ class TestHigh:
             iterations += run.iterations
         assert iterations >= 100
 
+    def test_matches_fraction_reference_at_scale(self):
+        # The same comparison on runs long enough that components are cut,
+        # merged and found unenvied many times over (dirichlet-scaled n = 16
+        # and 32 from their optimal references), and on mixed additive and
+        # explicit agents from arbitrary references.
+        rng = random.Random(8)
+        scaled = [generate_random(n, 4 * n, "dirichlet-scaled", seed=seed)
+                  for n, seeds in ((16, range(1, 5)), (32, range(1, 3)))
+                  for seed in seeds]
+        runs = [(inst, reference_allocation(inst)) for inst in scaled]
+        runs += [(inst, random_allocation(rng, inst.n, inst.m, partial=False))
+                 for inst in tie_corpus(40, seed=17, kinds=("mixed",),
+                                        n_range=(2, 5), m_range=(8, 10))]
+        moves = []
+        for inst, ref in runs:
+            run = run_ef1_high(inst, ref)
+            partial, trace = naive_ef1_high_loop(inst, ref)
+            assert (run.partial, run.trace) == (partial, trace)
+            # A step by an agent who already holds an interval releases it
+            # back into the components.
+            moves.append(len(trace) - len({event.agent for event in trace}))
+        assert sum(moves[:len(scaled)]) >= 700
+        assert sum(moves[len(scaled):]) >= 30
+
 
 def ef1_solver_calls(inst, rng):
     ref = random_allocation(rng, inst.n, inst.m, partial=False)

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from fairdiv import (Allocation, ValidationError, is_ef1, run_extend_ef1,
-                     social_welfare)
+from fairdiv import (Allocation, Instance, ValidationError, Valuation,
+                     envy_cycle, is_ef1, run_extend_ef1, social_welfare)
 
 from conftest import (additive_instance, naive_extend_ef1,
                       random_additive_corpus, random_allocation, tie_corpus)
@@ -53,6 +53,45 @@ class TestBasics:
         for i in range(3):
             assert inst.valuations[i].value(result.bundles[i]) >= \
                 inst.valuations[i].value(singles.bundles[i])
+
+    def test_singletons_with_an_explicit_agent(self):
+        # An explicit agent whose empty set is worth 1 still ends EF1 and
+        # no worse off.
+        inst = Instance(n=2, m=3, valuations=(
+            Valuation.additive([Fraction(1), Fraction(2), Fraction(3)]),
+            Valuation.explicit(3, {frozenset(s): Fraction(1 + len(s))
+                                   for s in ((), (0,), (1,), (2,), (0, 1),
+                                             (0, 2), (1, 2), (0, 1, 2))})))
+        singles = Allocation.of([[2], [0]])
+        result, stats = run_extend_ef1(inst, singles)
+        assert result.is_complete(inst.m) and is_ef1(inst, result).holds
+        assert (result, stats.rotations, stats.additions) == \
+            naive_extend_ef1(inst, singles)
+
+    def test_non_monotone_singletons_refused_before_any_work(self,
+                                                             monkeypatch):
+        inst = Instance(n=2, m=2, valuations=(
+            Valuation.additive([Fraction(1), Fraction(1)]),
+            Valuation.explicit(2, {frozenset({0}): Fraction(2),
+                                   frozenset({1}): Fraction(1),
+                                   frozenset({0, 1}): Fraction(1)})))
+
+        def no_work(*args):
+            raise AssertionError("ran before the monotonicity check")
+        for name in ("is_ef1", "_find_cycle"):
+            monkeypatch.setattr(envy_cycle, name, no_work)
+        with pytest.raises(ValidationError) as err:
+            run_extend_ef1(inst, Allocation.of([[0], []]))
+        assert (err.value.axiom, err.value.agent) == ("monotone", 2)
+
+    @pytest.mark.parametrize("bundles, axiom", [
+        ([[0]], "bundle-count"), ([[0], [2]], "good-range"),
+        ([[0], [0]], "disjoint-bundles")])
+    def test_malformed_singletons_refused(self, bundles, axiom):
+        inst = additive_instance([["1", "1"], ["1", "1"]])
+        with pytest.raises(ValidationError) as err:
+            run_extend_ef1(inst, Allocation.of(bundles))
+        assert err.value.axiom == axiom
 
 
 @pytest.mark.usefixtures("debug_mode")

@@ -146,9 +146,10 @@ class TestProp1:
     @pytest.mark.parametrize("scope", [
         {"agents": [0, 0]}, {"agents": [-1]}, {"agents": [2]},
         {"agents": [5]}, {"agents": [True]}, {"agents": []},
-        {"goods": [2]}, {"goods": [-1]}, {"goods": [True]},
+        {"goods": [2]}, {"goods": [-1]}, {"goods": [True]}, {"goods": [[1]]},
     ], ids=["agent-repeated", "agent-negative", "agent-n", "agent-beyond-n",
-            "agent-bool", "no-agent", "good-m", "good-negative", "good-bool"])
+            "agent-bool", "no-agent", "good-m", "good-negative", "good-bool",
+            "good-unhashable"])
     def test_scope_outside_the_instance_rejected(self, scope):
         # A repeated agent would raise k and so lower every threshold. The
         # alarm fails a scope that never finishes.

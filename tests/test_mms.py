@@ -58,9 +58,10 @@ class TestProp1Subroutine:
     @pytest.mark.parametrize("agents, goods", [
         ([], [0]), ([0, 0], [0, 1, 2]), ([-1], [0]), ([True], [0]),
         ([2], [0]), ([5], [0]), ([0], [-1]), ([0], [True]), ([0], [3]),
+        ([0], [[1]]),
     ], ids=["no-agent", "agent-repeated", "agent-negative", "agent-bool",
             "agent-n", "agent-beyond-n", "good-negative", "good-bool",
-            "good-m"])
+            "good-m", "good-unhashable"])
     def test_scope_outside_the_instance_rejected(self, agents, goods):
         # Under an alarm, so that a scope the loop never finishes fails.
         inst = additive_instance([["1", "2", "3"], ["3", "2", "1"]])

@@ -20,7 +20,7 @@ from fairdiv import (ADVERSARIAL_FAMILIES, Allocation, Event, FamilySpec,
                      save_allocation, save_instance, validate_instance)
 import fairdiv.model
 from fairdiv.experiment import load_config
-from fairdiv.model import parse_rational
+from fairdiv.model import good_set, parse_rational
 
 from conftest import (additive_instance, naive_kernel, naive_load_instance,
                       naive_validate_valuation, random_additive_corpus,
@@ -312,6 +312,17 @@ class TestValueQuery:
                                          frozenset({0, 1}): Fraction(3)})):
             with pytest.raises(ValueError, match="not within 0..1"):
                 v.value([True, 0])
+
+    def test_good_set_refuses_what_is_not_a_good(self):
+        # An unhashable good, goods of two types, and no iterable at all.
+        for goods in ([[1]], [1, "a"], [0, None], 3):
+            with pytest.raises(ValueError, match="not within 0..2"):
+                good_set(goods, 3)
+        # The first bad good in input order is named, whatever the hashes.
+        for goods, first in (([0, "b", "a"], "'b'"), ([0, 9, 5], "9"),
+                             ([[1], "a"], r"\[1\]")):
+            with pytest.raises(ValueError, match=f"^good {first} not"):
+                good_set(goods, 3)
 
     def test_high_agent_single_good(self):
         # Agent valuing every good at n sees a single good at n.

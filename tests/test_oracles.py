@@ -123,11 +123,19 @@ class TestMmsK:
              else Valuation.explicit(2, {frozenset({0}): Fraction(1),
                                          frozenset({1}): Fraction(2),
                                          frozenset({0, 1}): Fraction(3)}))
-        # A bool is an int in Python, but not a good.
-        for goods in ([-1, 0], [0, 2], [True, 0], [True]):
+        # A bool is an int in Python, but not a good; nor is a list.
+        for goods in ([-1, 0], [0, 2], [True, 0], [True], [[1]], [0, [1]]):
             for k in (1, 2, 3):
                 with pytest.raises(ValueError, match="not within 0..1"):
                     oracle(v, k, goods)
+
+    @pytest.mark.parametrize("oracle", [mms_k, mms_lower_bound])
+    @pytest.mark.parametrize("k", [True, 1.5, 2.0, 0, -1])
+    def test_k_must_be_a_positive_integer(self, oracle, k):
+        # True would count as k = 1, and 2.0 as a float bundle count.
+        v = Valuation.additive([1, 2, 3])
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            oracle(v, k)
 
     def test_lower_bound_matches_fraction_reference(self):
         # Tie-heavy corpora with unvalidated tables (v of the empty set may
