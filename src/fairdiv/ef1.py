@@ -32,10 +32,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from . import debug
-from .envy_cycle import LiptonStats, run_extend_ef1
+from .envy_cycle import Ef1Partial, LiptonStats, run_extend_ef1
 from .errors import InfeasibleError, ValidationError
 from .fairness import is_ef1, social_welfare
 from .matching import max_weight_left_perfect_matching
@@ -84,13 +85,21 @@ class Ef1AbsRun:
 @dataclass
 class Ef1HighRun:
     allocation: Allocation
-    trace: list[Event]      # ("prefix", agent, her new bundle, "") per step
+    steps: list[tuple[int, int, int]]   # (agent, a, c): she took positions a..c
+    line: LineOrder
     partial: Allocation     # the loop's allocation, before the extension
     lipton: LiptonStats
 
     @property
+    def trace(self) -> list[Event]:
+        """("prefix", agent, her new bundle, "") per step."""
+        order = self.line.order
+        return [Event("prefix", k, tuple(sorted(order[a:c + 1])), "")
+                for k, a, c in self.steps]
+
+    @property
     def iterations(self) -> int:
-        return len(self.trace)
+        return len(self.steps)
 
 
 @dataclass
@@ -116,7 +125,8 @@ def run_ef1_abs(inst: Instance) -> Ef1AbsRun:
     bundles: list[frozenset[int]] = [frozenset() for _ in range(inst.n)]
     for agent, good in matched:
         bundles[agent] = frozenset({good})
-    allocation, stats = run_extend_ef1(inst, Allocation(tuple(bundles)))
+    # Singletons are EF1 for any monotone valuation.
+    allocation, stats = run_extend_ef1(inst, Ef1Partial(tuple(bundles)))
     return Ef1AbsRun(allocation=allocation, lipton=stats)
 
 
@@ -170,10 +180,8 @@ class _LineValues:
         self.tables: list[Optional[tuple[int, ...]]] = []
         for v in inst.valuations:
             if v.kind == ADDITIVE:
-                acc = [0]
-                for g in line.order:
-                    acc.append(acc[-1] + v.kernel[g])
-                self.prefix.append(acc)
+                self.prefix.append(list(accumulate(
+                    map(v.kernel.__getitem__, line.order), initial=0)))
                 self.tables.append(None)
             else:
                 self.prefix.append(None)
@@ -221,7 +229,7 @@ def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
             intervals[i] = (p, p)
             own[i] = lv.range_value(i, p, p)
 
-    trace: list[Event] = []
+    steps: list[tuple[int, int, int]] = []
     guard = 2 * n * m * m + 10
     prefix, tables, masks = lv.prefix, lv.tables, lv.masks
     comps = _components(intervals, m)
@@ -271,9 +279,8 @@ def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
                 index -= 1
                 p = comps.pop(index)[0]
             comps.insert(index, (p, q))
-        trace.append(Event("prefix", k, tuple(sorted(line.order[a:c + 1])),
-                           ""))
-        if len(trace) > guard:
+        steps.append((k, a, c))
+        if len(steps) > guard:
             raise AssertionError("high-welfare loop exceeded its iteration "
                                  "envelope; solver bug")
         if debug.checks_enabled():
@@ -282,9 +289,10 @@ def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
             assert all(line.contiguous(bundle) for bundle in snapshot.bundles)
 
     partial = _intervals_to_allocation(intervals, line, n)
-    allocation, stats = run_extend_ef1(inst, partial)
-    return Ef1HighRun(allocation=allocation, trace=trace, partial=partial,
-                      lipton=stats)
+    # EF1 by the loop invariant that the debug checks assert every step.
+    allocation, stats = run_extend_ef1(inst, Ef1Partial(partial.bundles))
+    return Ef1HighRun(allocation=allocation, steps=steps, line=line,
+                      partial=partial, lipton=stats)
 
 
 def _intervals_to_allocation(intervals, line: LineOrder, n: int) -> Allocation:

@@ -19,20 +19,40 @@ into the receiver and drops edges out of her, so any new cycle passes
 through her.
 
 Values are each agent's integers (`Valuation.kernel`) and bundles are
-bitmasks. The envy graph is kept as one adjacency bitmask per agent and
-updated only where something moved: after a rotation the rows of the cycle's
-agents and the cycle's columns of every other row, after a hand-out the
-receiver's row and its column in every other row.
+bitmasks. Each bundle keeps its column: its value to every agent. On
+additive agents a bundle's column is the sum of its goods' columns, built
+once per run, so a hand-out adds one column to another; explicit agents
+read their table at the bundle's mask. The envy graph is kept twice, as
+out-masks (`adj[i]`: whom agent i envies) and in-masks (`inc[j]`: who
+envies bundle j), and updated only where something moved: a hand-out goes
+to the first agent with an empty in-mask, compares the new column with the
+agents' own values, and rechecks only the receiver's out-edges; a rotation
+moves columns and in-masks with their bundles and recomputes the rows of
+the cycle's agents.
+
+`run_ef1_abs` and `run_ef1_high` hand in their partial allocations as
+`Ef1Partial`s, which are EF1 by construction, so the EF1 precondition is
+decided only for other partial allocations (and for every one under
+`FAIRDIV_DEBUG`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, ge, gt, itemgetter
 
 from . import debug
 from .errors import ValidationError
 from .fairness import is_ef1
 from .model import ADDITIVE, Allocation, Instance, goods_mask, mask_goods
+
+
+class Ef1Partial(Allocation):
+    """A partial allocation that its producer proved EF1, so
+    `run_extend_ef1` does not decide EF1 again (except under
+    `FAIRDIV_DEBUG`). Equality with a plain `Allocation` of the same bundles
+    does not hold: dataclass equality compares classes."""
 
 
 @dataclass
@@ -46,17 +66,6 @@ class LiptonStats:
     @property
     def steps(self) -> int:
         return self.rotations + self.additions
-
-
-def _envy_row(row: list[int], i: int) -> int:
-    """Bitmask of the agents whose bundle agent i strictly prefers to her
-    own, given her values `row` of every bundle."""
-    own = row[i]
-    bits = 0
-    for j, x in enumerate(row):
-        if x > own:
-            bits |= 1 << j
-    return bits
 
 
 def _find_cycle(adj: list[int], n: int) -> list[int] | None:
@@ -112,36 +121,86 @@ def _on_cycle(adj: list[int], source: int) -> bool:
     return bool(reach & bit)
 
 
+def _bits(mask: int):
+    """The indices of the bits set in `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def run_extend_ef1(inst: Instance,
                    partial: Allocation) -> tuple[Allocation, LiptonStats]:
     """Complete EF1 extension of `partial`, with its step counts; every
     agent ends at least as well off as in the partial input.
 
     Raises ValidationError when a valuation is not monotone or the partial
-    allocation is not EF1."""
+    allocation is not EF1; an `Ef1Partial` is taken as EF1."""
     inst.require_monotone()
-    verdict = is_ef1(inst, partial)
-    if not verdict.holds:
-        raise ValidationError("ef1-precondition",
-                              f"partial allocation is not EF1: {verdict.to_json()['witness']}",
-                              witness=verdict.witness)
+    if debug.checks_enabled() or not isinstance(partial, Ef1Partial):
+        verdict = is_ef1(inst, partial)
+        if not verdict.holds:
+            raise ValidationError(
+                "ef1-precondition",
+                f"partial allocation is not EF1: "
+                f"{verdict.to_json()['witness']}", witness=verdict.witness)
 
     n = inst.n
     kernels = [v.kernel for v in inst.valuations]
-    additive = [v.kind == ADDITIVE for v in inst.valuations]
+    explicit = [i for i, v in enumerate(inst.valuations)
+                if v.kind != ADDITIVE]
     masks = [goods_mask(b) for b in partial.bundles]
+    pow2 = [1 << i for i in range(n)]
 
-    # values[i][j] = v_i(bundle_j) in agent i's integers; adj[i] has bit j
-    # set iff i envies j. Both are kept in sync under rotations/additions.
-    values = [[sum(map(ints.__getitem__, bundle)) if add else ints[mask]
-               for bundle, mask in zip(partial.bundles, masks)]
-              for ints, add in zip(kernels, additive)]
-    adj = [_envy_row(values[i], i) for i in range(n)]
-    start_values = [values[i][i] for i in range(n)]
+    # kcol[g]: good g's column, 0 for explicit agents; col[j]: bundle j's
+    # column, col[j][i] = v_i(bundle j) in agent i's integers.
+    zeros = (0,) * n
+    kcol = list(zip(*(v.kernel if v.kind == ADDITIVE else (0,) * inst.m
+                      for v in inst.valuations)))
+
+    def column(bundle, mask):
+        c = [*map(sum, zip(zeros, *map(kcol.__getitem__, bundle)))]
+        for i in explicit:
+            c[i] = kernels[i][mask]
+        return c
+
+    def envy_row(i):
+        """Bitmask of the bundles agent i values above her own."""
+        return sum(compress(pow2, map(gt, map(itemgetter(i), col),
+                                      repeat(own[i]))))
+
+    col = [column(b, mask) for b, mask in zip(partial.bundles, masks)]
+    own = [col[i][i] for i in range(n)]
+    inc = [sum(compress(pow2, map(gt, c, own))) for c in col]
+    adj = [envy_row(i) for i in range(n)]
+    start_values = own[:]
     stats = LiptonStats()
 
     def check_ef1():
         assert is_ef1(inst, Allocation(tuple(map(mask_goods, masks)))).holds
+
+    def rotate(cycle):
+        # Agent cycle[t] takes the bundle of cycle[t + 1]; the bundle's
+        # mask, column and in-mask move with it.
+        moved = cycle[1:] + cycle[:1]
+        for values in (masks, col, inc):
+            shifted = [values[j] for j in moved]
+            for agent, x in zip(cycle, shifted):
+                values[agent] = x
+        rest = ~sum(pow2[a] for a in cycle)
+        # Any other agent envies the cycle's positions as the moved
+        # in-masks say. The cycle's agents now value their own bundles
+        # more: recompute their rows, and their bits in every in-mask.
+        inc[:] = [x & rest for x in inc]
+        adj[:] = [x & rest for x in adj]
+        for a in cycle:
+            for x in _bits(inc[a]):
+                adj[x] |= pow2[a]
+        for a in cycle:
+            own[a] = col[a][a]
+            adj[a] = row = envy_row(a)
+            for j in _bits(row):
+                inc[j] |= pow2[a]
 
     unallocated = sorted(frozenset(range(inst.m)) - partial.allocated())
     # The partial's graph may hold cycles; after that, only a hand-out whose
@@ -151,55 +210,34 @@ def run_extend_ef1(inst: Instance,
         if not cyclic and debug.checks_enabled():
             assert _find_cycle(adj, n) is None
         while cyclic and (cycle := _find_cycle(adj, n)) is not None:
-            k = len(cycle)
-            moved = [cycle[(t + 1) % k] for t in range(k)]
-            rotated = [masks[j] for j in moved]
-            for agent, mask in zip(cycle, rotated):
-                masks[agent] = mask
-            cycle_bits = goods_mask(cycle)
-            for i in range(n):
-                row = values[i]
-                shifted = [row[j] for j in moved]
-                for agent, x in zip(cycle, shifted):
-                    row[agent] = x
-                if cycle_bits >> i & 1:
-                    adj[i] = _envy_row(row, i)
-                else:
-                    own = row[i]
-                    bits = adj[i] & ~cycle_bits
-                    for agent in cycle:
-                        if row[agent] > own:
-                            bits |= 1 << agent
-                    adj[i] = bits
+            rotate(cycle)
             stats.rotations += 1
             if debug.checks_enabled():
                 check_ef1()
-        incoming = 0
-        for bits in adj:
-            incoming |= bits
-        free = ~incoming & (incoming + 1)
-        source = free.bit_length() - 1
+        # The lowest-indexed unenvied agent; she gains, so only edges into
+        # her appear and only edges out of her can drop.
+        source = inc.index(0)
+        bit = pow2[source]
         masks[source] |= 1 << g
-        bit = 1 << source
-        for i in range(n):
-            row = values[i]
-            if additive[i]:
-                row[source] += kernels[i][g]
-            else:
-                row[source] = kernels[i][masks[source]]
-            if i == source:
-                adj[i] = _envy_row(row, i)
-            elif row[source] > row[i]:
-                adj[i] |= bit
-            else:
-                adj[i] &= ~bit
+        c = list(map(add, col[source], kcol[g]))
+        for i in explicit:
+            c[i] = kernels[i][masks[source]]
+        col[source] = c
+        own[source] = mine = c[source]
+        envied_by = inc[source] = sum(compress(pow2, map(gt, c, own)))
+        for i in _bits(envied_by):
+            adj[i] |= bit
+        for j in _bits(adj[source]):
+            if col[j][source] <= mine:
+                adj[source] ^= pow2[j]
+                inc[j] ^= bit
         stats.additions += 1
-        cyclic = _on_cycle(adj, source)
+        cyclic = bool(envied_by) and _on_cycle(adj, source)
         if debug.checks_enabled():
             check_ef1()
 
     result = Allocation(tuple(map(mask_goods, masks)))
     if debug.checks_enabled():
-        for i in range(n):
-            assert values[i][i] >= start_values[i]
+        assert all(map(ge, own, start_values))
+        assert col == [column(mask_goods(mask), mask) for mask in masks]
     return result, stats

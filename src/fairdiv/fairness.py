@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional
 
 from .errors import ValidationError
-from .model import (Allocation, Instance, ADDITIVE, ZERO, agent_set,
+from .model import (Allocation, Instance, ADDITIVE, agent_set,
                     format_rational, good_set, goods_mask,
                     validate_allocation)
 
@@ -58,9 +59,17 @@ class FairnessVerdict:
 
 
 def social_welfare(inst: Instance, alloc: Allocation) -> Fraction:
-    """Sum of each agent's value for her own bundle."""
+    """Sum of each agent's value for her own bundle: her kernel integers,
+    over the lcm of the agents' denominators, as one Fraction."""
     validate_allocation(alloc, inst)
-    return sum((inst.value(i, alloc.bundles[i]) for i in range(inst.n)), ZERO)
+    scale = lcm(*(v.den for v in inst.valuations))
+    total = 0
+    for i, bundle in enumerate(alloc.bundles):
+        v = inst.valuations[i]
+        own = (sum(map(v.kernel.__getitem__, bundle)) if v.kind == ADDITIVE
+               else v.kernel[goods_mask(bundle)])
+        total += own * (scale // v.den)
+    return Fraction(total, scale)
 
 
 def _bits(mask: int):

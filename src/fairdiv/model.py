@@ -387,6 +387,8 @@ def check_monotone(v: Valuation, agent: int) -> None:
     ints, den = v.kernel, v.den
     label = f"agent {agent + 1}"
     if v.kind == ADDITIVE:
+        if min(ints, default=0) >= 0:
+            return
         for g, x in enumerate(ints):
             if x < 0:
                 raise ValidationError(
@@ -516,7 +518,7 @@ def _valuation_from_json(obj, m: int, agent: int) -> Valuation:
                 f"{label}: additive valuation needs exactly {m} values")
         if den is None:
             return _additive([_parse_ratio(v) for v in vals])
-        if not all(type(x) is int for x in vals):
+        if not {int}.issuperset(map(type, vals)):
             raise ParseError(f"{label}: with den, values must be JSON "
                              "integers")
         common = gcd(den, *vals)
@@ -534,8 +536,8 @@ def _valuation_from_json(obj, m: int, agent: int) -> Valuation:
         if not isinstance(subadditive, bool):
             raise ParseError(f"{label}: subadditive must be true or "
                              f"false, got {subadditive!r}")
-        if den is not None and not all(type(x) is int
-                                       for x in table_json.values()):
+        if den is not None and not {int}.issuperset(
+                map(type, table_json.values())):
             raise ParseError(f"{label}: with den, table values must be JSON "
                              "integers")
         keys: dict[int, str] = {}

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapreplace
 from itertools import repeat
 from operator import ge
 from typing import Iterable, Optional
@@ -226,13 +227,16 @@ def mms_lower_bound(valuation: Valuation, k: int,
     if len(glist) < k:      # an empty bundle, as in `mms_k`
         return Fraction(0 if additive else ints[0], den)
     masks = [0] * k
-    totals = [0 if additive else ints[0]] * k
+    # (total, b) for every bundle b: the heap's top is the least-valued
+    # bundle, lowest index on ties.
+    heap = [(0 if additive else ints[0], b) for b in range(k)]
     single = ints if additive else [ints[1 << g] for g in range(valuation.m)]
     for g in sorted(glist, key=lambda g: (-single[g], g)):
-        j = min(range(k), key=lambda b: (totals[b], b))
+        total, j = heap[0]
         masks[j] |= 1 << g
-        totals[j] = (totals[j] + ints[g]) if additive else ints[masks[j]]
-    return Fraction(min(totals), den)
+        heapreplace(heap, ((total + ints[g]) if additive else ints[masks[j]],
+                           j))
+    return Fraction(heap[0][0], den)
 
 
 def mms_profile(inst: Instance, epsilon: Fraction = ZERO,

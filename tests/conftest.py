@@ -311,6 +311,85 @@ def naive_matching(weights):
             best_weight)
 
 
+def _hungarian(cost):
+    """Column of each row in a minimum-cost matching covering every row:
+    the textbook O(rows^2 * columns) Hungarian method, rows <= columns."""
+    nr, nc = len(cost), len(cost[0])
+    inf = sum(map(sum, cost)) + 1
+    u, v, match = [0] * (nr + 1), [0] * (nc + 1), [0] * (nc + 1)
+    for i in range(1, nr + 1):
+        match[0], j0 = i, 0
+        minv, used, way = [inf] * (nc + 1), [False] * (nc + 1), [0] * (nc + 1)
+        while True:
+            used[j0] = True
+            i0, delta, j1 = match[j0], inf, -1
+            for j in range(1, nc + 1):
+                if not used[j]:
+                    cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(nc + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    col = [0] * nr
+    for j in range(1, nc + 1):
+        if match[j]:
+            col[match[j] - 1] = j - 1
+    return col
+
+
+def perturbed_matching(weights):
+    """Lex-first maximum-weight left-perfect matching by one Hungarian
+    solve on perturbed weights ``K*w(i, g) - g*B**(n-1-i)``, ``B = width +
+    1``, ``K = B**n``: the subtracted terms spell a matching's good sequence
+    as a base-B number below K, and two integer totals differ by at least K
+    after scaling, so the perturbed optimum is unique and lex-first. Dummy
+    goods pad m < n as in `naive_matching`."""
+    n, m = len(weights), len(weights[0])
+    width = max(m, n)
+    base = width + 1
+    scale = base ** n
+    top = max(max(row, default=0) for row in weights)
+    cost = [[scale * (top - w) + g * base ** (n - 1 - i)
+             for g, w in enumerate([*row, *[0] * (width - m)])]
+            for i, row in enumerate(weights)]
+    return [(i, g) for i, g in enumerate(_hungarian(cost)) if g < m]
+
+
+def tie_matrices(count, seed):
+    """Seeded integer matrices, n 1..7 and m 1..9, each drawn from one value
+    alphabet between {0, 1, 2} and 0..10^6; about 40% copy whole rows
+    or columns, so that equal rows or equal columns are common."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, m = rng.randint(1, 7), rng.randint(1, 9)
+        top = rng.choice((2, 3, 5, 10, 100, 10 ** 6))
+        w = [[rng.randint(0, top) for _ in range(m)] for _ in range(n)]
+        if rng.random() < 0.4:
+            if rng.random() < 0.5:
+                w = [list(w[rng.randrange(n)]) if rng.random() < 0.5
+                     else row for row in w]
+            else:
+                source = [rng.randrange(m) if rng.random() < 0.5 else g
+                          for g in range(m)]
+                w = [[row[g] for g in source] for row in w]
+        out.append(w)
+    return out
+
+
 def random_additive_corpus(count, n_max, m_max, seed, scaled_mix=True):
     """Deterministic list of random additive instances, mixing unscaled
     uniform draws with scaled dirichlet draws when scaled_mix is set."""

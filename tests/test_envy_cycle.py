@@ -6,9 +6,13 @@ from fractions import Fraction
 import pytest
 
 from fairdiv import (Allocation, Instance, ValidationError, Valuation,
-                     envy_cycle, is_ef1, run_extend_ef1, social_welfare)
+                     checks_enabled, envy_cycle, generate_random, is_ef1,
+                     reference_allocation, run_ef1_high, run_extend_ef1,
+                     set_debug_checks, social_welfare)
+from fairdiv.envy_cycle import Ef1Partial
 
-from conftest import (additive_instance, naive_extend_ef1,
+from conftest import (additive_instance, naive_ef1_high_loop,
+                      naive_ef1_verdict, naive_extend_ef1,
                       random_additive_corpus, random_allocation, tie_corpus)
 
 
@@ -118,17 +122,25 @@ class TestPropertyCorpus:
 
 @pytest.mark.usefixtures("debug_mode")
 def test_matches_full_rebuild_reference():
-    """The incremental bitmask graph against a full `Fraction` rebuild
-    before every step: same allocation, same rotations and additions, and
-    the same precondition witness when the partial input is not EF1."""
+    """The incremental columns and envy graph against a full `Fraction`
+    rebuild before every step: same allocation, same rotations and
+    additions, and the same precondition witness when the partial input is
+    not EF1. All-additive instances take the per-good column path; mixed
+    and explicit ones read tables for their explicit agents."""
     rng = random.Random(31)
-    rotations = failures = 0
-    for inst in tie_corpus(300, seed=2024):
+    rotations = {"additive": 0, "explicit": 0, "mixed": 0}
+    failures = 0
+    instances = tie_corpus(300, seed=2024) + tie_corpus(
+        60, seed=2025, kinds=("mixed",), n_range=(3, 6), m_range=(6, 9))
+    for inst in instances:
+        kinds = {v.kind for v in inst.valuations}
+        kind = "mixed" if len(kinds) > 1 else kinds.pop()
         goods = list(range(inst.m))
         rng.shuffle(goods)
         singles = [[g] for g in goods[:rng.randint(0, min(inst.n, inst.m))]]
         singles += [[]] * (inst.n - len(singles))
         for partial in (Allocation.of(singles),
+                        Ef1Partial(Allocation.of(singles).bundles),
                         random_allocation(rng, inst.n, inst.m)):
             try:
                 expected = naive_extend_ef1(inst, partial)
@@ -140,5 +152,51 @@ def test_matches_full_rebuild_reference():
                 continue
             result, stats = run_extend_ef1(inst, partial)
             assert (result, stats.rotations, stats.additions) == expected
-            rotations += stats.rotations
-    assert rotations >= 50 and failures >= 50
+            rotations[kind] += stats.rotations
+    assert min(rotations.values()) >= 30 and failures >= 50
+
+
+class TestEf1Partial:
+    """A partial allocation a solver proved EF1 skips the EF1 decision,
+    except under debug checks; any other partial is decided as before."""
+
+    inst = additive_instance([["1", "1"], ["1", "1"]])
+    unfair = [[0, 1], []]
+
+    def test_plain_partial_still_decided(self):
+        with pytest.raises(ValidationError) as err:
+            run_extend_ef1(self.inst, Allocation.of(self.unfair))
+        want = naive_ef1_verdict(self.inst, Allocation.of(self.unfair))
+        assert err.value.axiom == "ef1-precondition"
+        assert err.value.witness == want.witness
+
+    def test_debug_checks_decide_a_vouched_partial(self, debug_mode):
+        partial = Ef1Partial(Allocation.of(self.unfair).bundles)
+        with pytest.raises(ValidationError) as err:
+            run_extend_ef1(self.inst, partial)
+        assert err.value.axiom == "ef1-precondition"
+
+    def test_vouched_partial_is_not_decided(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(envy_cycle, "is_ef1",
+                            lambda *args: calls.append(args))
+        before = checks_enabled()
+        set_debug_checks(False)
+        try:
+            result, _ = run_extend_ef1(
+                self.inst, Ef1Partial(Allocation.of([[0], []]).bundles))
+        finally:
+            set_debug_checks(before)
+        assert calls == [] and result == Allocation.of([[0], [1]])
+
+    def test_high_run_partial_is_a_plain_allocation(self):
+        # The loop hands its partial to the extension as an `Ef1Partial`;
+        # the run record keeps a plain `Allocation`, equal to the
+        # `Fraction` reference loop's.
+        for seed in range(4):
+            inst = generate_random(6, 18, "dirichlet-scaled", seed=seed)
+            ref = reference_allocation(inst)
+            run = run_ef1_high(inst, ref)
+            partial, _ = naive_ef1_high_loop(inst, ref)
+            assert type(run.partial) is Allocation
+            assert run.partial == partial

@@ -5,13 +5,15 @@ matrices are scaled by 60, a multiple of every denominator drawn, so their
 ties survive."""
 
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
 
-from fairdiv import FamilySpec, generate_adversarial, max_weight_left_perfect_matching
+from fairdiv import (FamilySpec, generate_adversarial, generate_random,
+                     max_weight_left_perfect_matching, matching)
 from fairdiv.model import common_ints
-from conftest import naive_matching
+from conftest import naive_matching, perturbed_matching, tie_matrices
 
 
 def weight_of(weights, pairs):
@@ -94,3 +96,57 @@ def test_pigeonhole_lower_bound():
         bound = Fraction(sum(sum(sorted(w[i], reverse=True)[:n])
                              for i in range(n)), n)
         assert got >= bound
+
+
+@pytest.mark.usefixtures("debug_mode")
+class TestAgainstPerturbation:
+    """The tie-break from the optimal potentials against one solve on
+    weights perturbed by B^n, with the potentials' certificate checked on
+    every call."""
+
+    def test_tie_heavy_corpus(self):
+        moved = 0
+        for w in tie_matrices(3000, seed=44):
+            assert max_weight_left_perfect_matching(w) == \
+                perturbed_matching(w)
+            col, u, v = matching._max_assignment(
+                [[*row, *[0] * (len(w) - len(row))] for row in w])
+            moved += col != matching._lex_first(
+                [[*row, *[0] * (len(w) - len(row))] for row in w], u, v,
+                col[:])
+        # The solve's own matching is often not the lex-first one.
+        assert moved >= 300
+
+    def test_benchmark_solve_instances(self):
+        # The 13 dirichlet-scaled instances (ten n=16, two n=24, one n=32;
+        # m=4n) of the solve benchmark at seed 42, seeded as it seeds them.
+        for n, count in ((16, 10), (24, 2), (32, 1)):
+            for k in range(count):
+                seed = zlib.crc32(f"42|solve-additive|{n}|{k}".encode())
+                inst = generate_random(n, 4 * n, "dirichlet-scaled",
+                                       seed=seed)
+                w, _ = common_ints(inst.valuations)
+                assert max_weight_left_perfect_matching(w) == \
+                    perturbed_matching(w)
+
+
+def test_potentials_certify_the_optimum_at_scale(debug_mode):
+    # n = 64 is beyond the brute-force tests; the debug certificate (dual
+    # feasibility, tight matched edges, every column with v > 0 matched)
+    # proves the matching optimal, and breaking a potential fails it.
+    inst = generate_random(64, 256, "dirichlet-scaled", seed=3)
+    w, _ = common_ints(inst.valuations)
+    pairs = max_weight_left_perfect_matching(w)
+    assert sorted(i for i, _ in pairs) == list(range(64))
+    col, u, v = matching._max_assignment(w)
+    col = matching._lex_first(w, u, v, col)
+    assert [(i, g) for i, g in enumerate(col)] == pairs
+    matching._check_potentials(w, u, v, col)
+    for broken in ([u[0] - 1, *u[1:]], [*u[:-1], u[-1] + 1]):
+        with pytest.raises(AssertionError):
+            matching._check_potentials(w, broken, v, col)
+    # Potentials u = (1), v = (1, 0) make both of [[2, 1]]'s edges tight;
+    # only the weight-2 edge covers the column with v > 0.
+    matching._check_potentials([[2, 1]], [1], [1, 0], [0])
+    with pytest.raises(AssertionError):
+        matching._check_potentials([[2, 1]], [1], [1, 0], [1])

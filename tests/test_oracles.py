@@ -156,6 +156,25 @@ class TestMmsK:
                         calls += 1
         assert calls > 50000 and nonzero_empty > 100
 
+    def test_lower_bound_matches_fraction_reference_at_large_k(self):
+        # The least bundle comes off a heap; the reference scans every
+        # bundle. Small alphabets tie many bundles at once.
+        rng = random.Random(64)
+        for k in (2, 7, 16, 33, 64):
+            for alphabet in ((0, 1), (1, 2, 3), range(1000)):
+                m = 2 * k + rng.randint(0, k)
+                v = Valuation.additive([rng.choice(alphabet)
+                                        for _ in range(m)])
+                goods = [g for g in range(m) if rng.random() < 0.8]
+                for subset in (None, goods):
+                    assert mms_lower_bound(v, k, subset) == \
+                        naive_mms_lower_bound(v, k, subset)
+        for inst in tie_corpus(6, seed=64, kinds=("explicit",),
+                               n_range=(1, 1), m_range=(10, 10)):
+            v = inst.valuations[0]
+            for k in (2, 5, 9):
+                assert mms_lower_bound(v, k) == naive_mms_lower_bound(v, k)
+
     @pytest.mark.parametrize("kind", ["additive", "explicit"])
     def test_lower_bound_beyond_the_goods_returns_at_once(self, kind):
         # More bundles than goods: some bundle is empty, as in `mms_k`. A
