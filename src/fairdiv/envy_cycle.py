@@ -12,11 +12,21 @@ visiting neighbours in ascending order; rotating a cycle hands every agent
 on it the bundle she strictly prefers, so total value strictly rises and
 the process terminates.
 
-The cycle search runs before the first hand-out, and after that only when
-the last hand-out's receiver lies on a cycle (a bitmask search from her).
-Before a hand-out the graph is acyclic, and the hand-out only adds edges
-into the receiver and drops edges out of her, so any new cycle passes
-through her.
+The cycle search runs on the partial's graph until it finds no cycle.
+After that the search runs only when it will find one, which a bitmask
+search from a few agents decides (`_on_cycle`), so no search comes back
+empty:
+- Before a hand-out the graph is acyclic, and the hand-out only adds edges
+  into the receiver and drops edges out of her, so every cycle afterwards
+  passes through her.
+- Rotating a cycle C changes only edges at C's agents, so a cycle
+  afterwards that avoids them was there before the rotation.
+
+So the extension keeps a set of agents, `through`, such that every cycle
+passes through one of them: the receiver after each hand-out, joined by the
+agents of each rotated cycle. It searches again only when one of them lies
+on a cycle; otherwise the graph is acyclic. Under `FAIRDIV_DEBUG` a full
+search confirms each skip.
 
 Values are each agent's integers (`Valuation.kernel`) and bundles are
 bitmasks. Each bundle keeps its column: its value to every agent. On
@@ -203,8 +213,9 @@ def run_extend_ef1(inst: Instance,
                 inc[j] |= pow2[a]
 
     unallocated = sorted(frozenset(range(inst.m)) - partial.allocated())
-    # The partial's graph may hold cycles; after that, only a hand-out whose
-    # receiver now lies on a cycle can have closed one.
+    # The partial's graph may hold cycles anywhere (`through` is None); after
+    # a hand-out every cycle passes through an agent in `through`.
+    through = None
     cyclic = True
     for g in unallocated:
         if not cyclic and debug.checks_enabled():
@@ -214,6 +225,9 @@ def run_extend_ef1(inst: Instance,
             stats.rotations += 1
             if debug.checks_enabled():
                 check_ef1()
+            if through is not None:
+                through.update(cycle)
+                cyclic = any(_on_cycle(adj, a) for a in through)
         # The lowest-indexed unenvied agent; she gains, so only edges into
         # her appear and only edges out of her can drop.
         source = inc.index(0)
@@ -232,6 +246,7 @@ def run_extend_ef1(inst: Instance,
                 adj[source] ^= pow2[j]
                 inc[j] ^= bit
         stats.additions += 1
+        through = {source}
         cyclic = bool(envied_by) and _on_cycle(adj, source)
         if debug.checks_enabled():
             check_ef1()

@@ -24,6 +24,10 @@ supermodular(n,eps) n identical explicit valuations, v(S) = eps*|S| for
 Random families: `uniform-rational` draws values k/1000 in [0, 1];
 `dirichlet-scaled` draws positive integer weights and renormalizes each
 agent to total value exactly 1. Both are byte-reproducible under a seed.
+
+Every family computes its values as integers over one denominator per
+agent and hands them to `Valuation.from_ints`, which reduces them; no
+`Fraction` is built on the way.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
-from .model import (Instance, Valuation, check_explicit_goods_cap,
-                    validate_instance)
+from .model import (ADDITIVE, EXPLICIT, Instance, Valuation,
+                    check_explicit_goods_cap, is_json_int, validate_instance)
 
 ADVERSARIAL_FAMILIES = ("ef1-unscaled", "mms-unscaled", "mms-scaled-sqrt",
                         "prop1-unscaled", "prop1-scaled", "supermodular")
@@ -48,12 +52,19 @@ def check_family_args(family: str, n: int, m: Optional[int] = None,
                       distribution: Optional[str] = None) -> None:
     """The generators' argument rules, checked before any work: ValueError
     for arguments that name no instance, the explicit-goods-cap
-    ValidationError for explicit tables over the cap."""
+    ValidationError for explicit tables over the cap. Sizes are integers
+    (bools are not) and epsilon is a Fraction."""
+    if not is_json_int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if epsilon is not None and not isinstance(epsilon, Fraction):
+        raise ValueError(f"epsilon must be a Fraction, got {epsilon!r}")
     if epsilon is not None and not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if family in RANDOM_FAMILIES and (m is None or m < 1):
+    if family in RANDOM_FAMILIES and not is_json_int(m):
+        raise ValueError(f"m must be an integer, got {m!r}")
+    if family in RANDOM_FAMILIES and m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if family == "random" and distribution not in RANDOM_DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}; "
@@ -81,9 +92,16 @@ class FamilySpec:
         check_family_args(self.family, self.n, epsilon=self.epsilon)
 
 
-def _uniform_rows(rows: list[list[Fraction]], scaled: bool) -> Instance:
-    vals = tuple(Valuation.additive(row) for row in rows)
-    inst = Instance(n=len(rows), m=len(rows[0]), valuations=vals, scaled=scaled)
+def _additive(ints: list[int], den: int) -> Valuation:
+    """The additive valuation worth `ints[g] / den` at good g."""
+    return Valuation.from_ints(ADDITIVE, len(ints), ints, den)
+
+
+def _validated(valuations: list[Valuation], scaled: bool) -> Instance:
+    """The validated instance of these agents. Agents with the same values
+    may share one `Valuation`."""
+    inst = Instance(n=len(valuations), m=valuations[0].m,
+                    valuations=tuple(valuations), scaled=scaled)
     validate_instance(inst)
     return inst
 
@@ -93,50 +111,46 @@ def generate_adversarial(spec: FamilySpec) -> Instance:
     n = spec.n
     family = spec.family
     if family == "ef1-unscaled":
-        rows = [[Fraction(n)] * n] + [[Fraction(1, n)] * n] * (n - 1)
-        return _uniform_rows(rows, scaled=False)
+        return _validated([_additive([n] * n, 1)]
+                          + [_additive([1] * n, n)] * (n - 1), scaled=False)
 
     if family == "mms-unscaled":
-        rows = [[Fraction(1)] * n] + [[spec.epsilon] * n] * (n - 1)
-        return _uniform_rows(rows, scaled=False)
+        p, q = spec.epsilon.numerator, spec.epsilon.denominator
+        return _validated([_additive([1] * n, 1)]
+                          + [_additive([p] * n, q)] * (n - 1), scaled=False)
 
     if family in ("mms-scaled-sqrt", "prop1-scaled"):
-        # Block agents own floor(sqrt(n)) goods each; the rest value all
-        # m goods alike.
+        # Block agents own floor(sqrt(n)) goods each at 1/s; the rest value
+        # all m goods alike at 1/m.
         s = isqrt(n)
         m = n if family == "mms-scaled-sqrt" else n + 1
-        rows = []
-        for i in range(n):
-            if i < s:
-                row = [Fraction(0)] * m
-                for g in range(i * s, (i + 1) * s):
-                    row[g] = Fraction(1, s)
-            else:
-                row = [Fraction(1, m)] * m
-            rows.append(row)
-        return _uniform_rows(rows, scaled=True)
+        blocks = []
+        for i in range(s):
+            ints = [0] * m
+            ints[i * s:(i + 1) * s] = [1] * s
+            blocks.append(_additive(ints, s))
+        return _validated(blocks + [_additive([1] * m, m)] * (n - s),
+                          scaled=True)
 
     if family == "prop1-unscaled":
         m = n + 1
-        rows = [[Fraction(n + 1)] * m] + [[Fraction(1, n + 1)] * m] * (n - 1)
-        return _uniform_rows(rows, scaled=False)
+        return _validated([_additive([n + 1] * m, 1)]
+                          + [_additive([1] * m, n + 1)] * (n - 1),
+                          scaled=False)
 
     if family == "supermodular":
+        # Over q(m-1) for eps = p/q: a set S is worth p(m-1)|S| when
+        # |S| <= 1 and p(m-1) + (|S|-1)(q-p) above. Set sizes by bitmask
+        # double up one good at a time.
         m = n
-        eps = spec.epsilon
-        slope = (1 - eps) / (m - 1)
-        table = {}
-        for mask in range(1 << m):
-            subset = frozenset(g for g in range(m) if mask >> g & 1)
-            size = len(subset)
-            if size <= 1:
-                table[subset] = eps * size
-            else:
-                table[subset] = eps + (size - 1) * slope
-        valuation = Valuation.explicit(m, table, subadditive=False)
-        inst = Instance(n=n, m=m, valuations=(valuation,) * n, scaled=True)
-        validate_instance(inst)
-        return inst
+        p, q = spec.epsilon.numerator, spec.epsilon.denominator
+        sizes = [0]
+        for _ in range(m):
+            sizes += [k + 1 for k in sizes]
+        table = [p * (m - 1) * k if k <= 1 else p * (m - 1) + (k - 1) * (q - p)
+                 for k in sizes]
+        valuation = Valuation.from_ints(EXPLICIT, m, table, q * (m - 1))
+        return _validated([valuation] * n, scaled=True)
 
     raise ValueError(f"unknown family {family!r}; "
                      f"expected one of {ADVERSARIAL_FAMILIES}")
@@ -149,15 +163,14 @@ def generate_random(n: int, m: int, distribution: str = "uniform-rational",
     check_family_args("random", n, m, distribution=distribution)
     rng = random.Random(seed)
     if distribution == "uniform-rational":
-        rows = [[Fraction(rng.randint(0, 1000), 1000) for _ in range(m)]
-                for _ in range(n)]
-        return _uniform_rows(rows, scaled=False)
-    rows = []                           # dirichlet-scaled
+        draws = [[rng.randint(0, 1000) for _ in range(m)] for _ in range(n)]
+        return _validated([_additive(row, 1000) for row in draws],
+                          scaled=False)
+    valuations = []                     # dirichlet-scaled
     for _ in range(n):
         weights = [rng.randint(1, 1000) for _ in range(m)]
-        total = sum(weights)
-        rows.append([Fraction(w, total) for w in weights])
-    return _uniform_rows(rows, scaled=True)
+        valuations.append(_additive(weights, sum(weights)))
+    return _validated(valuations, scaled=True)
 
 
 def generate_random_subadditive(n: int, m: int, seed: int = 0) -> Instance:
@@ -168,16 +181,16 @@ def generate_random_subadditive(n: int, m: int, seed: int = 0) -> Instance:
     rng = random.Random(seed)
     valuations = []
     for _ in range(n):
-        base = [Fraction(rng.randint(0, 1000), 1000) for _ in range(m)]
-        top = max(base)
-        total = sum(base, Fraction(0))
-        budget = top + Fraction(rng.randint(0, 1000), 1000) * (total - top)
-        table = {}
-        for mask in range(1 << m):
-            subset = frozenset(g for g in range(m) if mask >> g & 1)
-            raw = sum((base[g] for g in subset), Fraction(0))
-            table[subset] = min(raw, budget)
-        valuations.append(Valuation.explicit(m, table, subadditive=True))
-    inst = Instance(n=n, m=m, valuations=tuple(valuations), scaled=False)
-    validate_instance(inst)
-    return inst
+        # Over 10^6: goods are worth draws over 1000, and the budget
+        # top + r/1000 * (total - top) for one more draw r.
+        base = [rng.randint(0, 1000) for _ in range(m)]
+        top, total = max(base), sum(base)
+        budget = 1000 * top + rng.randint(0, 1000) * (total - top)
+        sums = [0]                      # by bitmask, one good at a time
+        for x in base:
+            x *= 1000
+            sums += [t + x for t in sums]
+        table = [min(t, budget) for t in sums]
+        valuations.append(Valuation.from_ints(EXPLICIT, m, table, 10 ** 6,
+                                              subadditive=True))
+    return _validated(valuations, scaled=False)

@@ -12,11 +12,15 @@ bitmask-indexed subset for explicit agents. The solvers, the oracles and
 validation compute on it. `Fraction`s appear only at the edges: the loader
 parses each rational straight into integers, and `Valuation.values`,
 `Valuation.table` (in ascending bitmask order) and `Valuation.value` are
-views built from the kernel alone. Scaling by `den > 0` keeps the order of
-every comparison within one agent; comparisons across agents cross-multiply
-by the denominators. Only sums across agents rescale every kernel to a
-common lcm (`common_ints`); `ints_with` puts one agent's kernel and a
-rational over one.
+views built from the kernel alone. Integers enter through one constructor,
+`Valuation.from_ints`, which divides them and their denominator by their
+gcd: the `Fraction` constructors and the loader call it, and so do
+`rescale_instance` and `fairdiv.generators`, which hand it the integers
+they compute or draw with no `Fraction` in between. Scaling by `den > 0`
+keeps the order of every comparison within one agent; comparisons across
+agents cross-multiply by the denominators. Only sums across agents rescale
+every kernel to a common lcm (`common_ints`); `ints_with` puts one agent's
+kernel and a rational over one.
 
 Instance files are JSON::
 
@@ -165,14 +169,9 @@ def check_explicit_goods_cap(m: int) -> None:
 
 def _kernel(ratios: Collection[tuple[int, int]]) -> tuple[list[int], int]:
     """Integers over one denominator for (p, q) pairs with q > 0: `den` is
-    the lcm of the reduced denominators, so gcd(den, *ints) == 1."""
+    the lcm of the q's, not yet reduced."""
     den = lcm(*(q for _, q in ratios))
-    ints = [p * (den // q) for p, q in ratios]
-    common = gcd(den, *ints)
-    if common > 1:
-        den //= common
-        ints = [x // common for x in ints]
-    return ints, den
+    return [p * (den // q) for p, q in ratios], den
 
 
 def _as_ratio(x) -> tuple[int, int]:
@@ -199,6 +198,20 @@ class Valuation:
     kernel: tuple[int, ...]
     den: int
     subadditive: bool = False
+
+    @staticmethod
+    def from_ints(kind: str, m: int, ints: Sequence[int], den: int,
+                  subadditive: bool = False) -> "Valuation":
+        """The valuation worth `ints[k] / den`, den > 0, at good k (additive)
+        or at the subset with bitmask k (explicit): the one constructor that
+        takes integers. It divides by gcd(den, *ints). No other common
+        denominator of the same values has that gcd 1, so the kernel is the
+        least one, the same for every way of writing the values."""
+        common = gcd(den, *ints)
+        if common > 1:
+            den //= common
+            ints = [x // common for x in ints]
+        return Valuation(kind, m, tuple(ints), den, subadditive)
 
     @staticmethod
     def additive(values: Sequence[Fraction]) -> "Valuation":
@@ -236,7 +249,7 @@ class Valuation:
 def _additive(ratios: Collection[tuple[int, int]]) -> Valuation:
     """An additive valuation from each good's (p, q)."""
     ints, den = _kernel(ratios)
-    return Valuation(ADDITIVE, len(ints), tuple(ints), den)
+    return Valuation.from_ints(ADDITIVE, len(ints), ints, den)
 
 
 def _explicit(m: int, entries: dict[int, tuple[int, int]],
@@ -256,7 +269,7 @@ def _explicit(m: int, entries: dict[int, tuple[int, int]],
     kernel = [0] * (1 << m)
     for mask, x in zip(entries, ints):
         kernel[mask] = x
-    return Valuation(EXPLICIT, m, tuple(kernel), den, subadditive)
+    return Valuation.from_ints(EXPLICIT, m, kernel, den, subadditive)
 
 
 def _rescaled(ints: Sequence[int], den: int, scale: int) -> tuple[int, ...]:
@@ -521,11 +534,7 @@ def _valuation_from_json(obj, m: int, agent: int) -> Valuation:
         if not {int}.issuperset(map(type, vals)):
             raise ParseError(f"{label}: with den, values must be JSON "
                              "integers")
-        common = gcd(den, *vals)
-        if common > 1:
-            den //= common
-            vals = [x // common for x in vals]
-        return Valuation(ADDITIVE, m, tuple(vals), den)
+        return Valuation.from_ints(ADDITIVE, m, vals, den)
     if kind == EXPLICIT:
         # Before any key becomes a bitmask of up to m bits.
         check_explicit_goods_cap(m)
@@ -690,9 +699,12 @@ def save_allocation(alloc: Allocation, path) -> None:
 def rescale_instance(inst: Instance) -> Instance:
     """Divide each agent's additive values by her full-set value so the
     result is scaled. Rescaling is always explicit, never silent: the loader
-    only verifies the scaled flag, it does not normalize."""
+    only verifies the scaled flag, it does not normalize. The input is
+    validated first, so a negative value raises the loader's error with its
+    witness rather than a sign-flipped "scaled" agent."""
     if not inst.additive:
         raise ValidationError("rescale", "only additive instances can be rescaled")
+    validate_instance(inst)
     new_vals = []
     for i, v in enumerate(inst.valuations):
         total = sum(v.kernel)
@@ -700,6 +712,5 @@ def rescale_instance(inst: Instance) -> Instance:
             raise ValidationError(
                 "rescale", f"agent {i + 1} values every good at 0; cannot scale",
                 agent=i + 1)
-        new_vals.append(Valuation.additive([Fraction(x, total)
-                                            for x in v.kernel]))
+        new_vals.append(Valuation.from_ints(ADDITIVE, v.m, v.kernel, total))
     return Instance(n=inst.n, m=inst.m, valuations=tuple(new_vals), scaled=True)

@@ -1,5 +1,6 @@
 """Shared test helpers: independent brute-force oracles, `Fraction`
-reference implementations of the integer solvers, and instance builders.
+reference implementations of the integer solvers and generators, and
+instance builders.
 
 The naive oracles here deliberately avoid every code path they are used to
 check (no pruning, no memoization, no fast paths); they enumerate directly
@@ -17,7 +18,7 @@ import random
 import signal
 from fractions import Fraction
 from itertools import permutations, product
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 
@@ -416,6 +417,94 @@ def random_subadditive_corpus(count, n_max, m_max, seed):
         out.append(generate_random_subadditive(n, m,
                                                seed=rng.randint(0, 10 ** 9)))
     return out
+
+
+def _reference_instance(rows, scaled) -> Instance:
+    vals = tuple(Valuation.additive(row) for row in rows)
+    return Instance(n=len(rows), m=len(rows[0]), valuations=vals,
+                    scaled=scaled)
+
+
+def reference_generate_adversarial(spec) -> Instance:
+    """The adversarial families built in `Fraction`s, value by value, as
+    their definitions read: the reference for `generate_adversarial`."""
+    n, family = spec.n, spec.family
+    if family == "ef1-unscaled":
+        rows = [[Fraction(n)] * n] + [[Fraction(1, n)] * n] * (n - 1)
+        return _reference_instance(rows, scaled=False)
+    if family == "mms-unscaled":
+        rows = [[Fraction(1)] * n] + [[spec.epsilon] * n] * (n - 1)
+        return _reference_instance(rows, scaled=False)
+    if family in ("mms-scaled-sqrt", "prop1-scaled"):
+        s = isqrt(n)
+        m = n if family == "mms-scaled-sqrt" else n + 1
+        rows = []
+        for i in range(n):
+            if i < s:
+                row = [Fraction(0)] * m
+                for g in range(i * s, (i + 1) * s):
+                    row[g] = Fraction(1, s)
+            else:
+                row = [Fraction(1, m)] * m
+            rows.append(row)
+        return _reference_instance(rows, scaled=True)
+    if family == "prop1-unscaled":
+        m = n + 1
+        rows = [[Fraction(n + 1)] * m] + [[Fraction(1, n + 1)] * m] * (n - 1)
+        return _reference_instance(rows, scaled=False)
+    assert family == "supermodular"
+    m, eps = n, spec.epsilon
+    slope = (1 - eps) / (m - 1)
+    table = {}
+    for mask in range(1 << m):
+        subset = frozenset(g for g in range(m) if mask >> g & 1)
+        size = len(subset)
+        table[subset] = eps * size if size <= 1 else eps + (size - 1) * slope
+    valuation = Valuation.explicit(m, table, subadditive=False)
+    return Instance(n=n, m=m, valuations=(valuation,) * n, scaled=True)
+
+
+def reference_generate_random(n, m, distribution, seed) -> Instance:
+    """`generate_random`'s draws, in the same order, as `Fraction`s."""
+    rng = random.Random(seed)
+    if distribution == "uniform-rational":
+        rows = [[Fraction(rng.randint(0, 1000), 1000) for _ in range(m)]
+                for _ in range(n)]
+        return _reference_instance(rows, scaled=False)
+    rows = []
+    for _ in range(n):
+        weights = [rng.randint(1, 1000) for _ in range(m)]
+        total = sum(weights)
+        rows.append([Fraction(w, total) for w in weights])
+    return _reference_instance(rows, scaled=True)
+
+
+def reference_generate_random_subadditive(n, m, seed) -> Instance:
+    """`generate_random_subadditive`'s draws, in the same order, as
+    `Fraction`s: each subset's sum clipped at the budget."""
+    rng = random.Random(seed)
+    valuations = []
+    for _ in range(n):
+        base = [Fraction(rng.randint(0, 1000), 1000) for _ in range(m)]
+        top = max(base)
+        total = sum(base, Fraction(0))
+        budget = top + Fraction(rng.randint(0, 1000), 1000) * (total - top)
+        table = {}
+        for mask in range(1 << m):
+            subset = frozenset(g for g in range(m) if mask >> g & 1)
+            raw = sum((base[g] for g in subset), Fraction(0))
+            table[subset] = min(raw, budget)
+        valuations.append(Valuation.explicit(m, table, subadditive=True))
+    return Instance(n=n, m=m, valuations=tuple(valuations), scaled=False)
+
+
+def reference_rescale_instance(inst: Instance) -> Instance:
+    """Each agent's values divided by her total, in `Fraction`s."""
+    vals = []
+    for v in inst.valuations:
+        total = sum(v.values)
+        vals.append(Valuation.additive([x / total for x in v.values]))
+    return Instance(n=inst.n, m=inst.m, valuations=tuple(vals), scaled=True)
 
 
 # Small value alphabets, so that ties and envy cycles are common.

@@ -156,6 +156,52 @@ def test_matches_full_rebuild_reference():
     assert min(rotations.values()) >= 30 and failures >= 50
 
 
+def test_cycle_after_a_rotation_avoids_the_receiver():
+    """A hand-out to agent 1 closes the cycle (1 2). Once it is rotated,
+    agents 2 and 3 envy each other: a cycle that avoids agent 1, which the
+    extension finds through the rotated cycle's agents."""
+    inst = additive_instance([[0, 2, 0, 0, 0, 1, 2], [0, 0, 2, 1, 1, 0, 2],
+                              [3, 3, 3, 3, 1, 1, 3]])
+    empty = Allocation.of([[], [], []])
+    result, stats = run_extend_ef1(inst, empty)
+    assert (result, stats.rotations, stats.additions) == \
+        naive_extend_ef1(inst, empty)
+    assert stats.rotations == 2
+
+
+def test_no_cycle_search_comes_back_empty(monkeypatch):
+    """Past the partial's graph, the extension searches for a cycle only
+    when one is there: at most one `_find_cycle` call per rotation, plus the
+    partial's last search, which finds none. Debug checks are off, since
+    they add a full search per skip."""
+    calls = []
+    find_cycle = envy_cycle._find_cycle
+
+    def counted(adj, n):
+        calls.append(n)
+        return find_cycle(adj, n)
+
+    monkeypatch.setattr(envy_cycle, "_find_cycle", counted)
+    rng = random.Random(45)
+    rotations = 0
+    before = checks_enabled()
+    set_debug_checks(False)
+    try:
+        for inst in tie_corpus(200, seed=4545):
+            goods = list(range(inst.m))
+            rng.shuffle(goods)
+            singles = [[g] for g in goods[:rng.randint(0, min(inst.n,
+                                                               inst.m))]]
+            singles += [[]] * (inst.n - len(singles))
+            calls.clear()
+            _, stats = run_extend_ef1(inst, Allocation.of(singles))
+            assert len(calls) <= stats.rotations + 1
+            rotations += stats.rotations
+    finally:
+        set_debug_checks(before)
+    assert rotations >= 30
+
+
 class TestEf1Partial:
     """A partial allocation a solver proved EF1 skips the EF1 decision,
     except under debug checks; any other partial is decided as before."""
