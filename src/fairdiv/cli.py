@@ -30,8 +30,9 @@ from fractions import Fraction
 
 from .errors import FairdivError
 from .fairness import is_alpha_mms, is_ef1, is_prop1, nonnegative_alpha
-from .generators import (ADVERSARIAL_FAMILIES, RANDOM_DISTRIBUTIONS,
-                         FamilySpec, generate_adversarial, generate_random,
+from .generators import (ADVERSARIAL_FAMILIES, FAMILY_ARGS,
+                         RANDOM_DISTRIBUTIONS, FamilySpec, check_family_args,
+                         generate_adversarial, generate_random,
                          generate_random_subadditive)
 from .mms import run_solve_half_mms
 from .ef1 import run_solve_ef1
@@ -47,23 +48,22 @@ def _emit(data) -> None:
 
 
 def _cmd_gen(args) -> int:
+    if args.family not in FAMILY_ARGS:
+        raise FairdivError(f"unknown family {args.family!r}; expected one "
+                           f"of {tuple(FAMILY_ARGS)}")
+    eps = parse_rational(args.epsilon) if args.epsilon else None
+    # Only `random` draws by a distribution, so only it has a default.
+    distribution = args.distribution or ("uniform-rational"
+                                         if args.family == "random" else None)
+    check_family_args(args.family, args.n, args.m, eps, distribution)
     if args.family in ADVERSARIAL_FAMILIES:
-        eps = parse_rational(args.epsilon) if args.epsilon else None
         inst = generate_adversarial(FamilySpec(family=args.family, n=args.n,
                                                epsilon=eps))
     elif args.family == "random":
-        if args.m is None:
-            raise FairdivError("--m is required for random families")
-        inst = generate_random(args.n, args.m, distribution=args.distribution,
+        inst = generate_random(args.n, args.m, distribution=distribution,
                                seed=args.seed)
-    elif args.family == "random-subadditive":
-        if args.m is None:
-            raise FairdivError("--m is required for random families")
-        inst = generate_random_subadditive(args.n, args.m, seed=args.seed)
     else:
-        raise FairdivError(
-            f"unknown family {args.family!r}; expected one of "
-            f"{ADVERSARIAL_FAMILIES + ('random', 'random-subadditive')}")
+        inst = generate_random_subadditive(args.n, args.m, seed=args.seed)
     if args.output:
         save_instance(inst, args.output)
         _emit({"family": args.family, "n": inst.n, "m": inst.m,
@@ -174,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="random seed for the random families (the "
                         "adversarial families are deterministic)")
-    p.add_argument("--distribution", default="uniform-rational",
-                   choices=RANDOM_DISTRIBUTIONS)
+    p.add_argument("--distribution", choices=RANDOM_DISTRIBUTIONS,
+                   help="for the random family (default uniform-rational)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gen)
 

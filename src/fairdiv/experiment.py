@@ -18,6 +18,9 @@ A config file names families, size grids, solvers and caps::
         "n": [4], "m": [8], "count": 2}]}
 
 `solvers` is a list of solver names and `epsilon` a rational in [0, 1/2).
+Any other top-level key is a `ParseError`, as is a family key outside
+`generators.FAMILY_ARGS` and a family entry that names no instance (no
+`n`, a random family with no `m`, or an empty list).
 
 Outputs are `results.csv` (fully deterministic: exact rationals plus 6
 significant-digit decimal renderings, no timings) and `results.json`
@@ -37,20 +40,21 @@ import csv
 import io
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from .errors import FairdivError, InfeasibleError, ParseError, ValidationError
 from .exact import sqrt_ge
 from .fairness import is_alpha_mms, is_ef1
-from .generators import (ADVERSARIAL_FAMILIES, RANDOM_FAMILIES, FamilySpec,
+from .generators import (ADVERSARIAL_FAMILIES, FAMILY_ARGS, FamilySpec,
                          check_family_args, generate_adversarial,
                          generate_random, generate_random_subadditive)
-from .model import (Instance, ZERO, format_decimal, format_rational,
-                    is_json_int, parse_rational, read_json, write_json)
+from .model import (Instance, ZERO, allocation_to_json, format_decimal,
+                    format_rational, is_json_int, parse_rational, read_json,
+                    write_json)
 from .mms import run_solve_half_mms
 from .ef1 import run_solve_ef1
 from .oracles import (DEFAULT_ENUM_CAP, DEFAULT_MMS_STATE_CAP,
@@ -131,6 +135,11 @@ class ExperimentConfig:
     def from_json(data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ParseError("experiment config must be a JSON object")
+        keys = tuple(f.name for f in fields(ExperimentConfig))
+        for key in data:
+            if key not in keys:
+                raise ParseError(f"unknown config key {key!r}; expected "
+                                 f"some of {keys}")
         solvers = data.get("solvers", list(SOLVERS))
         if not isinstance(solvers, list):
             raise ParseError(f"'solvers' must be a list of solver names, "
@@ -173,13 +182,14 @@ def _json_int(obj: dict, key: str, default: int, least=None) -> int:
     return value
 
 
-def _json_ints(obj: dict, key: str, default) -> list[int]:
-    """obj[key] as a list of JSON integers; a single integer is a list of
-    one."""
-    value = obj.get(key, default)
+def _json_ints(obj: dict, key: str) -> list[int]:
+    """obj[key] as a nonempty list of JSON integers; a single integer is a
+    list of one."""
+    value = obj.get(key)
     values = value if isinstance(value, list) else [value]
-    if not all(is_json_int(v) for v in values):
-        raise ParseError(f"'{key}' must hold JSON integers, got {value!r}")
+    if not values or not all(is_json_int(v) for v in values):
+        raise ParseError(f"'{key}' must hold one or more JSON integers, "
+                         f"got {value!r}")
     return values
 
 
@@ -213,24 +223,28 @@ def _instance_jobs(config: ExperimentConfig) -> list[dict]:
         if not isinstance(fam, dict):
             raise ParseError(f"a family entry must be an object, got {fam!r}")
         family = fam.get("family")
-        ns = _json_ints(fam, "n", [])
+        if not isinstance(family, str) or family not in FAMILY_ARGS:
+            raise ParseError(f"unknown family {family!r} in config")
+        for key in fam:
+            if key not in ("family", "n") + FAMILY_ARGS[family]:
+                raise ParseError(f"{family} takes no {key}")
+        ns = _json_ints(fam, "n")
         eps = fam.get("epsilon")
         eps = parse_rational(str(eps)) if eps is not None else None
         if family in ADVERSARIAL_FAMILIES:
             for n in ns:
                 jobs.append({"family": family, "n": n, "epsilon": eps})
-        elif family in RANDOM_FAMILIES:
-            ms = _json_ints(fam, "m", [])
+        else:
+            ms = _json_ints(fam, "m")
             count = _json_int(fam, "count", 1, 1)
-            distribution = fam.get("distribution", "uniform-rational")
+            distribution = fam.get("distribution", "uniform-rational"
+                                   if family == "random" else None)
             for n in ns:
                 for m in ms:
                     for idx in range(count):
                         jobs.append({"family": family, "n": n,
                                      "m": m, "index": idx,
                                      "distribution": distribution})
-        else:
-            raise ParseError(f"unknown family {family!r} in config")
     for job in jobs:
         try:
             check_family_args(job["family"], job["n"], job.get("m"),
@@ -261,21 +275,33 @@ def _build_instance(job: dict, seed: int) -> tuple[str, Instance]:
     return ident, inst
 
 
+# Each optional cell as it reads until the row computes it: a cell beyond
+# the caps, or of a solver that does not apply, is "skipped", never omitted.
+_SKIPPED_CELLS = {**dict.fromkeys(("opt", "welfare", "constrained_welfare",
+                                  "price_ratio", "solver_ratio"), "skipped"),
+                 **dict.fromkeys(("opt_dec", "welfare_dec", "price_ratio_dec",
+                                  "solver_ratio_dec"), ""),
+                 **dict.fromkeys(BOUND_COLUMNS, "n/a")}
+
+
+def _put(row: dict, column: str, value: Optional[Fraction]) -> None:
+    """Write `value` to `column` exactly and to its `_dec` twin in decimal;
+    None is an infinite price, "inf" in both."""
+    row[column] = "inf" if value is None else format_rational(value)
+    row[column + "_dec"] = "inf" if value is None else format_decimal(value)
+
+
 def _solver_row(ident: str, inst: Instance, solver: str,
-                config: ExperimentConfig) -> dict:
+                config: ExperimentConfig, opt: Optional[Fraction],
+                total: Fraction) -> dict:
+    """One solver's row on one instance, given the instance's OPT (None
+    beyond the enumeration cap) and the sum of its agents' full-set
+    values."""
     start = time.perf_counter_ns()
     row: dict = {"instance_id": ident, "solver": solver, "family": None,
-                 "n": inst.n, "m": inst.m, "margins": {}}
-    for col in BOUND_COLUMNS:
-        row[col] = "n/a"
-    total = sum((inst.total_value(i) for i in range(inst.n)), ZERO)
-
-    try:
-        _, opt = max_welfare(inst, cap=config.enum_cap)
-    except InfeasibleError:
-        opt = None
-    row["opt"] = format_rational(opt) if opt is not None else "skipped"
-    row["opt_dec"] = format_decimal(opt) if opt is not None else ""
+                 "n": inst.n, "m": inst.m, "margins": {}, **_SKIPPED_CELLS}
+    if opt is not None:
+        _put(row, "opt", opt)
 
     # One half-MMS profile for the solver, half_mms_holds and constrained_opt;
     # None beyond the MMS cap, where each of them that needs it raises.
@@ -287,7 +313,6 @@ def _solver_row(ident: str, inst: Instance, solver: str,
         except InfeasibleError:
             pass
 
-    trace_blob: dict = {}
     try:
         run = (run_solve_ef1(inst, cap=config.enum_cap) if solver == "ef1"
                else run_solve_half_mms(inst, epsilon=config.epsilon,
@@ -296,20 +321,15 @@ def _solver_row(ident: str, inst: Instance, solver: str,
     except (InfeasibleError, ValidationError) as exc:
         # Solver not applicable (wrong valuation class) or beyond its caps:
         # an explicit skip row, never a silent omission.
-        trace_blob["skip_reason"] = str(exc)
-        for col in ("welfare", "constrained_welfare", "price_ratio",
-                    "solver_ratio"):
-            row[col] = "skipped"
-        for col in ("welfare_dec", "price_ratio_dec", "solver_ratio_dec"):
-            row[col] = ""
         row["allocation"] = None
         row["runtime_ms"] = (time.perf_counter_ns() - start) // 1_000_000
-        row["_trace"] = trace_blob
+        row["_trace"] = {"skip_reason": str(exc)}
         return row
 
     alloc, welfare, high = run.allocation, run.welfare, run.high_run
     half = Fraction(1, 2) - config.epsilon
-    trace_blob["branch"] = run.branch
+    _put(row, "welfare", welfare)
+    trace_blob: dict = {"branch": run.branch}
     if high is not None:
         trace_blob["high_trace"] = [e.to_json() for e in high.trace]
     if solver == "ef1":
@@ -345,36 +365,20 @@ def _solver_row(ident: str, inst: Instance, solver: str,
         row[bound.column] = "pass"
     prop = "ef1" if solver == "ef1" else "alpha-mms"
 
-    row["welfare"] = format_rational(welfare)
-    row["welfare_dec"] = format_decimal(welfare)
-
     try:
         constrained = constrained_opt(inst, prop, alpha=half,
                                       profile=profile, cap=config.enum_cap,
                                       mms_cap=config.mms_state_cap)
     except InfeasibleError:
         constrained = None
-    row["constrained_welfare"] = row["price_ratio"] = "skipped"
-    row["price_ratio_dec"] = ""
     if constrained is not None:
-        cw = constrained[1]
-        row["constrained_welfare"] = format_rational(cw)
+        row["constrained_welfare"] = format_rational(constrained[1])
         if opt is not None:
-            ratio = price_ratio(opt, cw)
-            row["price_ratio"] = ("inf" if ratio is None
-                                  else format_rational(ratio))
-            row["price_ratio_dec"] = ("inf" if ratio is None
-                                      else format_decimal(ratio))
-
+            _put(row, "price_ratio", price_ratio(opt, constrained[1]))
     if opt is not None and welfare > 0:
-        solver_ratio = opt / welfare
-        row["solver_ratio"] = format_rational(solver_ratio)
-        row["solver_ratio_dec"] = format_decimal(solver_ratio)
-    else:
-        row["solver_ratio"] = "skipped"
-        row["solver_ratio_dec"] = ""
+        _put(row, "solver_ratio", opt / welfare)
 
-    row["allocation"] = [[g + 1 for g in sorted(b)] for b in alloc.bundles]
+    row["allocation"] = allocation_to_json(alloc)["bundles"]
     row["runtime_ms"] = (time.perf_counter_ns() - start) // 1_000_000
     row["_trace"] = trace_blob
     return row
@@ -382,11 +386,18 @@ def _solver_row(ident: str, inst: Instance, solver: str,
 
 def _instance_rows(args) -> list[dict]:
     """Every solver's row for one instance job, in config order. The
-    instance is built here, so a sweep holds one instance per worker."""
+    instance is built here, so a sweep holds one instance per worker, and
+    so are the facts its rows share: OPT, None beyond the enumeration cap,
+    and the sum of the agents' full-set values."""
     job, config = args
     ident, inst = _build_instance(job, config.seed)
-    return [_solver_row(ident, inst, s, config) | {"family": job["family"]}
-            for s in config.solvers]
+    try:
+        _, opt = max_welfare(inst, cap=config.enum_cap)
+    except InfeasibleError:
+        opt = None
+    total = sum((inst.total_value(i) for i in range(inst.n)), ZERO)
+    return [_solver_row(ident, inst, s, config, opt, total)
+            | {"family": job["family"]} for s in config.solvers]
 
 
 def run_experiment(config_data, outdir=None) -> ExperimentReport:

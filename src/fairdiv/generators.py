@@ -45,6 +45,13 @@ ADVERSARIAL_FAMILIES = ("ef1-unscaled", "mms-unscaled", "mms-scaled-sqrt",
                         "prop1-unscaled", "prop1-scaled", "supermodular")
 RANDOM_FAMILIES = ("random", "random-subadditive")
 RANDOM_DISTRIBUTIONS = ("uniform-rational", "dirichlet-scaled")
+# What a request for a family's instances may name beside n: an adversarial
+# family is one instance per n (and epsilon); a random family draws m goods
+# (by a distribution, for `random`) any `count` of times. Anything else is
+# refused, by `check_family_args` and by an experiment config alike.
+FAMILY_ARGS = {**dict.fromkeys(ADVERSARIAL_FAMILIES, ("epsilon",)),
+               "random": ("m", "distribution", "count"),
+               "random-subadditive": ("m", "count")}
 
 
 def check_family_args(family: str, n: int, m: Optional[int] = None,
@@ -53,7 +60,13 @@ def check_family_args(family: str, n: int, m: Optional[int] = None,
     """The generators' argument rules, checked before any work: ValueError
     for arguments that name no instance, the explicit-goods-cap
     ValidationError for explicit tables over the cap. Sizes are integers
-    (bools are not) and epsilon is a Fraction."""
+    (bools are not) and epsilon is a Fraction; an argument outside the
+    family's `FAMILY_ARGS` is refused."""
+    takes = FAMILY_ARGS.get(family, ())
+    for name, value in (("m", m), ("epsilon", epsilon),
+                        ("distribution", distribution)):
+        if value is not None and name not in takes:
+            raise ValueError(f"{family} takes no {name}")
     if not is_json_int(n):
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:

@@ -280,10 +280,16 @@ def max_welfare(inst: Instance,
         opt = sum(x * (scale // d) for x, d in zip(own, dens))
         return Allocation.of(bundles), Fraction(opt, scale)
 
-    if inst.n ** inst.m > cap:
-        raise InfeasibleError(
-            f"oracle infeasible: {inst.n}^{inst.m} allocations exceed cap {cap}")
+    _check_enum_cap(inst.n, inst.m, cap)
     return _search(inst, *_split_kernels(inst))
+
+
+def _check_enum_cap(n: int, m: int, cap: int) -> None:
+    """The exhaustive scans refuse more than `cap` of the n^m complete
+    allocations; with no goods there is nothing to enumerate."""
+    if m > 0 and n ** m > cap:
+        raise InfeasibleError(
+            f"oracle infeasible: {n}^{m} allocations exceed cap {cap}")
 
 
 PROPERTIES = ("ef1", "prop1", "alpha-mms")
@@ -430,9 +436,7 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
     if prop == "alpha-mms":
         alpha = nonnegative_alpha(alpha if alpha is not None
                                   else Fraction(1, 2))
-    if m > 0 and n ** m > cap:
-        raise InfeasibleError(
-            f"oracle infeasible: {n}^{m} allocations exceed cap {cap}")
+    _check_enum_cap(n, m, cap)
 
     weights, tables, scale = _split_kernels(inst)
     required = None

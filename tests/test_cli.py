@@ -14,8 +14,8 @@ import pytest
 
 import fairdiv.cli
 import fairdiv.experiment as exp
-from fairdiv import (generate_random, load_instance, run_solve_ef1,
-                     run_solve_half_mms, save_instance)
+from fairdiv import (generate_random, load_instance, max_welfare,
+                     run_solve_ef1, run_solve_half_mms, save_instance)
 from fairdiv.cli import build_parser, main
 from fairdiv.errors import ParseError
 from fairdiv.experiment import (BOUND_COLUMNS, ExperimentConfig,
@@ -240,16 +240,32 @@ class TestCli:
                             "--reference", str(ref))
         assert code == 0 and "welfare" in out
 
-    @pytest.mark.parametrize("argv", [
-        ["gen", "--family", "supermodular", "--n", "3", "--epsilon", "0.01"],
-        ["solve", "--alg", "half-mms", "--epsilon", "1e-1"],
-        ["mms", "--epsilon", "+1/10"],
-        ["check", "--property", "mms", "--alpha", "0.5"],
-        ["pof", "--property", "mms", "--alpha", " 1/2"],
+    # Each refused option: exit 2, nothing on stdout, one error line.
+    @pytest.mark.parametrize("argv, error", [
+        (["gen", "--family", "supermodular", "--n", "3", "--epsilon",
+          "0.01"], "not a rational: "),
+        (["solve", "--alg", "half-mms", "--epsilon", "1e-1"],
+         "not a rational: "),
+        (["mms", "--epsilon", "+1/10"], "not a rational: "),
+        (["check", "--property", "mms", "--alpha", "0.5"], "not a rational: "),
+        (["pof", "--property", "mms", "--alpha", " 1/2"], "not a rational: "),
+        (["gen", "--family", "ef1-unscaled", "--n", "2", "--m", "9"],
+         "ef1-unscaled takes no m"),
+        (["gen", "--family", "mms-scaled-sqrt", "--n", "4", "--distribution",
+          "dirichlet-scaled"], "mms-scaled-sqrt takes no distribution"),
+        (["gen", "--family", "random", "--n", "2", "--m", "3", "--epsilon",
+          "1/10"], "random takes no epsilon"),
+        (["gen", "--family", "random-subadditive", "--n", "2", "--m", "3",
+          "--epsilon", "1/10"], "random-subadditive takes no epsilon"),
+        (["gen", "--family", "random-subadditive", "--n", "2", "--m", "3",
+          "--distribution", "uniform-rational"],
+         "random-subadditive takes no distribution"),
     ], ids=["gen-epsilon", "solve-epsilon", "mms-epsilon", "check-alpha",
-            "pof-alpha"])
+            "pof-alpha", "gen-adversarial-m", "gen-adversarial-distribution",
+            "gen-random-epsilon", "gen-subadditive-epsilon",
+            "gen-subadditive-distribution"])
     def test_non_strict_rational_option_rejected(self, tmp_path, capsys,
-                                                 argv):
+                                                 argv, error):
         inst = tmp_path / "i.json"
         alloc = tmp_path / "a.json"
         run_cli(capsys, "gen", "--family", "ef1-unscaled", "--n", "2",
@@ -261,7 +277,8 @@ class TestCli:
         code = main(argv + files.get(argv[0], ["--instance", str(inst)]))
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith("error: not a rational: ")
+        assert captured.err.startswith("error: " + error)
+        assert captured.err.count("\n") == 1
 
     def test_error_reported_cleanly(self, tmp_path, capsys):
         code = main(["gen", "--family", "prop1-scaled", "--n", "5",
@@ -422,7 +439,9 @@ class TestExperiment:
                 {"kind": "explicit", "subadditive": True, "table": {
                     "1": "1/2", "2": "1/2", "3": "1/2", "1,2": "3/4",
                     "1,3": "3/4", "2,3": "3/4", "1,2,3": "1"}}]})
-        row = _solver_row("mixed", inst, "ef1", ExperimentConfig.from_json({}))
+        row = _solver_row("mixed", inst, "ef1", ExperimentConfig.from_json({}),
+                          max_welfare(inst)[1],
+                          sum(map(inst.total_value, range(inst.n))))
         assert row["welfare_vs_total_2n"] == "pass"
         assert row["welfare_vs_opt_16sqrt"] == "pass"
 
@@ -548,7 +567,9 @@ class TestExperiment:
             4, 8, "dirichlet-scaled", seed=1)) if solver == "ef1"
             else ("diagonal", diagonal(26)))
         with pytest.raises(exp.BoundViolation) as err:
-            _solver_row(ident, inst, solver, ExperimentConfig.from_json({}))
+            _solver_row(ident, inst, solver, ExperimentConfig.from_json({}),
+                        max_welfare(inst)[1],
+                        sum(map(inst.total_value, range(inst.n))))
         assert str(err.value) == (f"theorem inequality {column} failed on "
                                   f"{ident} (solver {solver})")
         assert err.value.row["instance_id"] == ident
@@ -599,6 +620,21 @@ class TestExperiment:
                        "count": 0}]},
         {"families": [{"family": "random", "n": [2], "m": [3],
                        "count": -2}]},
+        {"solver": ["ef1"]}, {"Seed": 1},
+        {"families": [{"family": "ef1-unscaled", "n": [2], "m": [9]}]},
+        {"families": [{"family": "ef1-unscaled", "n": [2], "count": 2}]},
+        {"families": [{"family": "mms-scaled-sqrt", "n": [4],
+                       "distribution": "uniform-rational"}]},
+        {"families": [{"family": "random", "n": [2], "m": [3],
+                       "epsilon": "1/10"}]},
+        {"families": [{"family": "random-subadditive", "n": [2], "m": [3],
+                       "distribution": "uniform-rational"}]},
+        {"families": [{"family": "random", "n": [2], "m": [3], "cout": 2}]},
+        {"families": [{"family": "ef1-unscaled"}]},
+        {"families": [{"family": "random", "n": [4]}]},
+        {"families": [{"family": "ef1-unscaled", "n": []}]},
+        {"families": [{"family": "random", "n": [4], "m": []}]},
+        {"families": [{"family": ["random"], "n": [4], "m": [3]}]},
     ], ids=["trace-string", "trace-int", "seed-float", "seed-string",
             "seed-bool", "jobs-string", "enum-cap-float", "mms-cap-null",
             "epsilon-decimal", "family-n-float", "family-n-string",
@@ -612,7 +648,11 @@ class TestExperiment:
             "subadditive-m-over-cap", "supermodular-n-over-cap",
             "jobs-zero", "jobs-negative", "enum-cap-negative",
             "mms-cap-negative", "family-count-zero",
-            "family-count-negative"])
+            "family-count-negative", "unknown-key-solver", "unknown-key-case",
+            "adversarial-m", "adversarial-count", "adversarial-distribution",
+            "random-epsilon", "subadditive-distribution", "family-key-typo",
+            "family-no-n", "random-no-m", "family-n-empty", "random-m-empty",
+            "family-name-list"])
     def test_config_rejects_wrong_json_types(self, change):
         with pytest.raises(ParseError):
             ExperimentConfig.from_json(dict(self.CONFIG, **change))

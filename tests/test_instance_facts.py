@@ -140,8 +140,29 @@ def test_one_mms_profile_per_half_mms_row(monkeypatch):
         monkeypatch.setattr(module, "mms_profile", counted)
     inst = diagonal(26)
     row = _solver_row("diagonal", inst, "half-mms",
-                      ExperimentConfig.from_json({}))
+                      ExperimentConfig.from_json({}),
+                      fairdiv.oracles.max_welfare(inst)[1],
+                      sum(map(inst.total_value, range(inst.n))))
     assert row["_trace"]["branch"] == "high"
     assert row["half_mms_holds"] == "pass"
     assert row["constrained_welfare"] == "skipped"      # 26^26 leaves
     assert calls == [inst]
+
+
+def test_one_max_welfare_per_instance(monkeypatch):
+    # Every solver row of an instance shares its OPT. The solvers' own calls
+    # go through `fairdiv.ef1` and `fairdiv.mms`, so they are not counted.
+    calls = []
+    opt = fairdiv.experiment.max_welfare
+
+    def counted(inst, *args, **kwargs):
+        calls.append((inst.n, inst.m))
+        return opt(inst, *args, **kwargs)
+
+    monkeypatch.setattr(fairdiv.experiment, "max_welfare", counted)
+    report = fairdiv.experiment.run_experiment({"families": [
+        {"family": "ef1-unscaled", "n": [2, 3]},
+        {"family": "random-subadditive", "n": [2], "m": [4]}]})
+    assert calls == [(2, 2), (3, 3), (2, 4)]
+    opts = [row["opt"] for row in report.rows]
+    assert opts[:4] == ["4", "4", "9", "9"] and opts[4] == opts[5] != "skipped"

@@ -425,6 +425,18 @@ class TestConstrainedOpt:
         inst = additive_instance([["1"] * 10] * 4)
         with pytest.raises(InfeasibleError):
             constrained_opt(inst, "ef1", cap=1000)
+        # Both oracles share one rule and message; with no goods there is
+        # nothing to enumerate, so even cap 0 allows the empty allocation.
+        empty = Valuation.explicit(0, {frozenset(): Fraction(0)})
+        no_goods = Instance(2, 0, (empty, empty))
+        two_goods = corpus_instance("subadditive", 2, 2, random.Random(0))
+        for oracle in (max_welfare,
+                       lambda inst, cap: constrained_opt(inst, "ef1",
+                                                         cap=cap)):
+            assert oracle(no_goods, cap=0) == (Allocation.of([[], []]), 0)
+            with pytest.raises(InfeasibleError, match=(
+                    r"^oracle infeasible: 2\^2 allocations exceed cap 3$")):
+                oracle(two_goods, cap=3)
 
     def test_unsatisfiable_alpha_mms_returns_none(self):
         # An inflated injected profile makes full MMS unreachable.
