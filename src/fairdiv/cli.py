@@ -56,14 +56,19 @@ def _cmd_gen(args) -> int:
     distribution = args.distribution or ("uniform-rational"
                                          if args.family == "random" else None)
     check_family_args(args.family, args.n, args.m, eps, distribution)
+    # A seed is a `gen` argument only: the experiment config seeds a whole
+    # sweep, so `FAMILY_ARGS` has no per-family seed to check it against.
+    if args.seed is not None and args.family in ADVERSARIAL_FAMILIES:
+        raise FairdivError(f"{args.family} takes no seed")
+    seed = 0 if args.seed is None else args.seed
     if args.family in ADVERSARIAL_FAMILIES:
         inst = generate_adversarial(FamilySpec(family=args.family, n=args.n,
                                                epsilon=eps))
     elif args.family == "random":
         inst = generate_random(args.n, args.m, distribution=distribution,
-                               seed=args.seed)
+                               seed=seed)
     else:
-        inst = generate_random_subadditive(args.n, args.m, seed=args.seed)
+        inst = generate_random_subadditive(args.n, args.m, seed=seed)
     if args.output:
         save_instance(inst, args.output)
         _emit({"family": args.family, "n": inst.n, "m": inst.m,
@@ -171,9 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--epsilon")
-    p.add_argument("--seed", type=int, default=0,
-                   help="random seed for the random families (the "
-                        "adversarial families are deterministic)")
+    p.add_argument("--seed", type=int,
+                   help="random seed for the random families (default 0; "
+                        "the adversarial families are deterministic and "
+                        "refuse it)")
     p.add_argument("--distribution", choices=RANDOM_DISTRIBUTIONS,
                    help="for the random family (default uniform-rational)")
     p.add_argument("-o", "--output")

@@ -51,7 +51,11 @@ class FairnessVerdict:
             return obj
 
         out = {"property": self.prop, "holds": self.holds}
-        if self.certificate is not None:
+        if self.certificate is not None and self.prop == "ef1":
+            # Pairs (i, j) to goods, all ints: keys as `str` writes them.
+            out["certificate"] = {f"({i}, {j})": g for (i, j), g
+                                  in self.certificate.items()}
+        elif self.certificate is not None:
             out["certificate"] = conv(self.certificate)
         if self.witness is not None:
             out["witness"] = conv(self.witness)

@@ -57,6 +57,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
@@ -642,8 +643,45 @@ def read_json(path):
 
 
 def json_text(data) -> str:
-    """`data` as indented JSON with sorted keys and a final newline."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """`data` as indented JSON with sorted keys and a final newline: the
+    bytes of `json.dumps(data, indent=2, sort_keys=True)`, whose `indent`
+    forces the pure-Python encoder, rendered by a direct walk."""
+    return _render(data, "") + "\n"
+
+
+def _render(obj, indent: str) -> str:
+    """`obj` as `json.dumps(indent=2, sort_keys=True)` renders it nested at
+    `indent`. Strings, ints, bools, None, lists, tuples and dicts with str
+    keys are rendered here, strings by the C escaper `json.dumps` uses and a
+    list of ints in one join; anything else (floats, subclasses, other keys,
+    unserializable objects) renders, or fails, through `json.dumps` itself,
+    re-indented: JSON text holds no raw newline inside a string."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        items = (map(int.__repr__, obj) if all(type(x) is int for x in obj)
+                 else [_render(x, inner) for x in obj])
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if kind is dict and all(type(key) is str for key in obj):
+        if not obj:
+            return "{}"
+        return f"{{\n{inner}" + f",\n{inner}".join(
+            f"{_quote(key)}: {_render(value, inner)}"
+            for key, value in sorted(obj.items())) + f"\n{indent}}}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n",
+                                                             "\n" + indent)
 
 
 def write_json(data, path) -> None:

@@ -1,16 +1,24 @@
 """Brute-force ground truth: exact MMS values, exact maximum welfare, and
 exact fairness-constrained optimal welfare on small instances.
 
-The MMS oracle enumerates k-partitions depth-first over bitmasks with
-first-good symmetry breaking, best-min bound pruning, and memoization on
-(remaining goods, bundles left). It reads the agent's integer kernel
-(`Valuation.kernel`; MMS only ever compares one agent's values), so the
-inner loop is pure integer arithmetic. Maximum welfare on explicit or mixed
-instances and the fair optimum share one exhaustive search: all n^m complete
-allocations depth-first, with an upper-bound prune from per-good maxima
-where it is sound. Bundles are bitmasks, and welfare, the bound and the leaf
-checks are integers over one common denominator. The EF1 and Prop1 leaf
-checks call the deciders `is_ef1` and `is_prop1` use (`fairness`).
+The MMS oracle starts from the greedy bracket lo <= MMS <= hi. lo is the
+least bundle of the largest-first greedy partition (LPT for machine
+covering), at least (3k - 1)/(4k - 2) of the MMS on additive agents (Csirik,
+Kellerer and Woeginger 1992); hi = min over j < k of (v(G) - top_j)/(k - j)
+bounds additive agents with no negative value. When lo >= hi the MMS is lo
+and nothing is enumerated. Otherwise it enumerates k-partitions depth-first
+over bitmasks with first-good symmetry breaking and memoization on
+(remaining goods, bundles left), every call searching only above a floor:
+lo at the root, the caller's running best below it. It reads the agent's
+integer kernel (`Valuation.kernel`; MMS only ever compares one agent's
+values), so the inner loop is pure integer arithmetic.
+
+Maximum welfare on explicit or mixed instances and the fair optimum share
+one exhaustive search: all n^m complete allocations depth-first, with an
+upper-bound prune from per-good maxima where it is sound. Bundles are
+bitmasks, and welfare, the bound and the leaf checks are integers over one
+common denominator. The EF1 and Prop1 leaf checks call the deciders
+`is_ef1` and `is_prop1` use (`fairness`).
 
 The search skips leaves that only relabel twins. Twin agents have equal
 kernel rows (and, for alpha-MMS, equal requirements); an agent may take its
@@ -23,12 +31,15 @@ same welfare and the same EF1, Prop1 or alpha-MMS verdict. So the first
 optimum, which the search returns, obeys both rules and is never skipped.
 
 The search starts from the `round_robin` leaf (the loop `prop1_subroutine`
-also runs) put through the same leaf check. If it passes with welfare F, the
-best welfare starts at F - 1: welfare is an integer over the common
-denominator, so the prune cuts from the first node and no leaf worth less
-than F is checked. The first optimum passes, is worth at least F and obeys
-the twin rules, so it is still found; a leaf that ties F earlier wins, since
-only a strictly higher welfare replaces the best.
+also runs) put through the same leaf check. Where the prune is sound, a
+passing seed then climbs: single-good moves, best gain first, each kept
+only if the moved leaf passes the same check. If the climbed leaf has
+welfare F, the best welfare starts at F - 1: welfare is an integer over the
+common denominator, so the prune cuts from the first node and no leaf worth
+less than F is checked. The climbed leaf passes, so the first optimum is
+worth at least F; it obeys the twin rules, so it is still found, and a leaf
+that ties F earlier wins, since only a strictly higher welfare replaces the
+best. The climb only raises F; the leaf itself is never returned.
 """
 
 from __future__ import annotations
@@ -149,11 +160,36 @@ def _goods(valuation: Valuation, k: int, goods) -> list[int]:
                            valuation.m))
 
 
+def _greedy_least(valuation: Valuation, k: int, glist: list[int]) -> int:
+    """The least bundle value, in kernel integers, of the largest-first
+    greedy k-partition of `glist` (at least k goods): goods go largest first,
+    each to the least-valued bundle, lowest index on ties."""
+    ints = valuation.kernel
+    additive = valuation.kind == ADDITIVE
+    masks = [0] * k
+    # (total, b) for every bundle b: the heap's top is the least-valued
+    # bundle, lowest index on ties.
+    heap = [(0 if additive else ints[0], b) for b in range(k)]
+    single = ints if additive else [ints[1 << g] for g in range(valuation.m)]
+    for g in sorted(glist, key=lambda g: (-single[g], g)):
+        total, j = heap[0]
+        masks[j] |= 1 << g
+        heapreplace(heap, ((total + ints[g]) if additive else ints[masks[j]],
+                           j))
+    return heap[0][0]
+
+
 def mms_k(valuation: Valuation, k: int, goods: Optional[Iterable[int]] = None,
           cap: int = DEFAULT_MMS_STATE_CAP) -> Fraction:
     """Exact max over k-partitions of `goods` of the minimum bundle value.
 
-    The agent's full maximin share is mms_k(v, n, all goods).
+    The agent's full maximin share is mms_k(v, n, all goods). Past the cap
+    check, the greedy bracket lo <= MMS <= hi comes first: lo is the least
+    bundle of `mms_lower_bound`'s greedy partition, and on additive agents
+    with no negative value hi = min over j < k of (v(G) - top_j) / (k - j),
+    top_j the j largest values (the k - j bundles holding none of them share
+    at most v(G) - top_j). When lo >= hi the value is lo and no DP runs;
+    otherwise the DP searches only above lo.
     """
     glist = _goods(valuation, k, goods)
     ints, den = valuation.kernel, valuation.den
@@ -174,45 +210,66 @@ def mms_k(valuation: Valuation, k: int, goods: Optional[Iterable[int]] = None,
             f"oracle infeasible: {k}^{len(glist)} partition states exceed "
             f"cap {cap}")
 
-    val = _subset_ints(valuation, glist)
-    memo: dict[tuple[int, int], int] = {}
+    lo = _greedy_least(valuation, k, glist)
+    if additive:
+        values = sorted((ints[g] for g in glist), reverse=True)
+        if values[-1] >= 0:
+            rest = total
+            for j in range(k):
+                if lo * (k - j) >= rest:    # lo >= hi
+                    return Fraction(lo, den)
+                rest -= values[j]
+    # The DP's running bests start at 0 or above, and a root floor no higher
+    # than its value changes nothing. lo is the least bundle of a partition
+    # the DP visits, unless the greedy left a bundle empty: worth 0 on an
+    # additive agent, v({}) on a table, so v({}) > 0 keeps the floor at 0.
+    root_floor = max(lo, 0) if additive or ints[0] <= 0 else 0
 
-    def best(mask: int, parts: int) -> int:
+    val = _subset_ints(valuation, glist)
+    # (value, exact): an inexact value is a floor the best stayed at or
+    # below, and answers only a floor at least as high.
+    memo: dict[tuple[int, int], tuple[int, bool]] = {}
+
+    def best(mask: int, parts: int, floor: int) -> int:
+        # The best min over `parts`-partitions of `mask` when it is above
+        # `floor`; otherwise a value at most `floor`.
         if parts == 1:
             return val[mask]
         if mask.bit_count() < parts:
             return 0
         key = (mask, parts)
         cached = memo.get(key)
-        if cached is not None:
-            return cached
-        low = mask & -mask
-        rest = mask ^ low
-        top = 0
+        if cached is not None and (cached[1] or cached[0] <= floor):
+            return cached[0]
+        top = floor
         whole = val[mask]
-        sub = rest
-        while True:
-            s = sub | low
-            vs = val[s]
-            if vs > top:
-                other_mask = mask ^ s
-                # For additive values the complement averages to at most
-                # val/(parts-1) per bundle, so a too-small complement can
-                # never raise the running best.
-                if not additive or val[other_mask] > (parts - 1) * top:
-                    other = best(other_mask, parts - 1)
-                    cand = vs if vs < other else other
-                    if cand > top:
-                        top = cand
-                        if additive and parts * top >= whole:
-                            break
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        memo[key] = top
+        # For additive values some bundle is worth at most whole/parts.
+        if not additive or parts * top < whole:
+            low = mask & -mask
+            rest = mask ^ low
+            sub = rest
+            while True:
+                s = sub | low
+                vs = val[s]
+                if vs > top:
+                    other_mask = mask ^ s
+                    # For additive values the complement averages to at most
+                    # val/(parts-1) per bundle, so a too-small complement can
+                    # never raise the running best.
+                    if not additive or val[other_mask] > (parts - 1) * top:
+                        other = best(other_mask, parts - 1, top)
+                        cand = vs if vs < other else other
+                        if cand > top:
+                            top = cand
+                            if additive and parts * top >= whole:
+                                break
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
+        memo[key] = (top, top > floor)
         return top
 
-    return Fraction(best((1 << len(glist)) - 1, k), den)
+    return Fraction(best((1 << len(glist)) - 1, k, root_floor), den)
 
 
 def mms_lower_bound(valuation: Valuation, k: int,
@@ -220,23 +277,14 @@ def mms_lower_bound(valuation: Valuation, k: int,
     """Certified lower bound on mms_k: the minimum bundle value of a greedy
     largest-first partition. Any concrete partition's minimum is a valid
     lower bound, so this never needs the exhaustive oracle. Goods go largest
-    first, each to the least-valued bundle, lowest index on ties."""
+    first, each to the least-valued bundle, lowest index on ties. The greedy
+    is LPT for machine covering, so on additive agents the bound is at least
+    (3k - 1)/(4k - 2) of mms_k (Csirik, Kellerer and Woeginger 1992)."""
     glist = _goods(valuation, k, goods)
-    ints, den = valuation.kernel, valuation.den
-    additive = valuation.kind == ADDITIVE
     if len(glist) < k:      # an empty bundle, as in `mms_k`
-        return Fraction(0 if additive else ints[0], den)
-    masks = [0] * k
-    # (total, b) for every bundle b: the heap's top is the least-valued
-    # bundle, lowest index on ties.
-    heap = [(0 if additive else ints[0], b) for b in range(k)]
-    single = ints if additive else [ints[1 << g] for g in range(valuation.m)]
-    for g in sorted(glist, key=lambda g: (-single[g], g)):
-        total, j = heap[0]
-        masks[j] |= 1 << g
-        heapreplace(heap, ((total + ints[g]) if additive else ints[masks[j]],
-                           j))
-    return Fraction(heap[0][0], den)
+        return Fraction(0 if valuation.kind == ADDITIVE
+                        else valuation.kernel[0], valuation.den)
+    return Fraction(_greedy_least(valuation, k, glist), valuation.den)
 
 
 def mms_profile(inst: Instance, epsilon: Fraction = ZERO,
@@ -331,6 +379,47 @@ def round_robin(weights, tables, agents, goods) -> list[int]:
     return masks
 
 
+def _climb(weights, tables, masks, owner, own, passes) -> None:
+    """Raise a passing leaf's welfare by single-good moves, in place. Each
+    step applies the move of largest gain (lowest good, then agent, on ties)
+    whose leaf still passes `passes` (None accepts every leaf), and the
+    climb stops when no move of positive gain passes. Moving good g from
+    o to a gains w_a(g) - w_o(g) on additive agents, and the two table
+    differences t_a(B_a + g) - t_a(B_a) + t_o(B_o - g) - t_o(B_o) on
+    explicit ones."""
+    n = len(masks)
+
+    def move(g, giver, taker, lost, gained):
+        masks[giver] ^= 1 << g
+        masks[taker] |= 1 << g
+        owner[g] = taker
+        own[giver] -= lost
+        own[taker] += gained
+
+    while True:
+        moves = []
+        for g, o in enumerate(owner):
+            bit, t = 1 << g, tables[o]
+            loss = t[masks[o]] - t[masks[o] ^ bit] if t is not None else \
+                weights[o][g]
+            for a in range(n):
+                if a != o:
+                    t = tables[a]
+                    gain = (t[masks[a] | bit] - t[masks[a]] if t is not None
+                            else weights[a][g]) - loss
+                    if gain > 0:
+                        moves.append((-gain, g, a, loss))
+        moves.sort()
+        for neg_gain, g, a, loss in moves:
+            o = owner[g]
+            move(g, o, a, loss, loss - neg_gain)
+            if passes is None or passes(masks, owner, own):
+                break
+            move(g, a, o, loss - neg_gain, loss)
+        else:
+            return
+
+
 def _search(inst: Instance, weights, tables, scale: int, passes=None,
             required=None) -> Optional[tuple[Allocation, Fraction]]:
     """First max-welfare complete allocation in lexicographic assignment
@@ -349,9 +438,11 @@ def _search(inst: Instance, weights, tables, scale: int, passes=None,
     leaf into a lexicographically smaller one with the same welfare and
     verdict, so the first optimum obeys both rules and is still found.
 
-    If the round-robin leaf passes with welfare F, the best starts at F - 1,
-    not None: welfare is an integer, so the first optimum, worth at least F,
-    is still found, and the prune works from the first node.
+    If the round-robin leaf passes, on instances where the prune is sound it
+    is climbed (`_climb`) by passing single-good moves to welfare F, and the
+    best starts at F - 1, not None: welfare is an integer and the climbed
+    leaf passes, so the first optimum, worth at least F, is still found, and
+    the prune works from the first node.
     """
     n, m = inst.n, inst.m
     masks = [0] * n
@@ -380,6 +471,8 @@ def _search(inst: Instance, weights, tables, scale: int, passes=None,
                 sum(w[g] for g in range(m) if mask >> g & 1)
                 for w, t, mask in zip(weights, tables, seed)]
     if passes is None or passes(seed, seed_owner, seed_own):
+        if prunable:
+            _climb(weights, tables, seed, seed_owner, seed_own, passes)
         best_welfare = sum(seed_own) - 1   # F - 1 admits every leaf worth F
 
     def search(pos: int, sofar: int):

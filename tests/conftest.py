@@ -160,6 +160,60 @@ def naive_mms(valuation: Valuation, k: int, goods=None) -> Fraction:
     return best if best is not None else Fraction(0)
 
 
+def reference_mms_k(valuation: Valuation, k: int, goods=None) -> Fraction:
+    """`mms_k` as it was before its greedy bracket and floors: the memoized
+    max-min DP over subset bitmasks with first-good symmetry breaking, every
+    call's running best starting at 0, and the same constant-time outcomes.
+    It has no cap."""
+    glist = sorted(goods) if goods is not None else list(range(valuation.m))
+    ints, den = valuation.kernel, valuation.den
+    additive = valuation.kind == "additive"
+    total = (sum(ints[g] for g in glist) if additive
+             else ints[sum(1 << g for g in glist)])
+    if k == 1:
+        return Fraction(total, den)
+    if len(glist) < k:
+        return Fraction(0 if additive else ints[0], den)
+    if total == 0 or (additive and sum(ints[g] > 0 for g in glist) < k):
+        return Fraction(0)
+    val = [0] * (1 << len(glist))     # sums, or table masks, then values
+    for local in range(1, len(val)):
+        low = local & -local
+        g = glist[low.bit_length() - 1]
+        val[local] = val[local ^ low] + (ints[g] if additive else 1 << g)
+    if not additive:
+        val = [ints[mask] for mask in val]
+    memo = {}
+
+    def best(mask, parts):
+        if parts == 1:
+            return val[mask]
+        if bin(mask).count("1") < parts:
+            return 0
+        if (mask, parts) in memo:
+            return memo[mask, parts]
+        low = mask & -mask
+        rest = mask ^ low
+        top, whole, sub = 0, val[mask], rest
+        while True:
+            s = sub | low
+            if val[s] > top:
+                other_mask = mask ^ s
+                if not additive or val[other_mask] > (parts - 1) * top:
+                    cand = min(val[s], best(other_mask, parts - 1))
+                    if cand > top:
+                        top = cand
+                        if additive and parts * top >= whole:
+                            break
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        memo[mask, parts] = top
+        return top
+
+    return Fraction(best((1 << len(glist)) - 1, k), den)
+
+
 def naive_mms_lower_bound(valuation: Valuation, k: int,
                           goods=None) -> Fraction:
     """`mms_lower_bound` in `Fraction`s: the greedy largest-first
@@ -642,6 +696,25 @@ def naive_ef1_verdict(inst: Instance, alloc: Allocation) -> FairnessVerdict:
                 witness={"i": i + 1, "j": j + 1, "own": own,
                          "comparisons": comparisons})
     return FairnessVerdict(holds=True, prop="ef1", certificate=certificate)
+
+
+def reference_verdict_json(verdict: FairnessVerdict) -> dict:
+    """`FairnessVerdict.to_json` as one generic walk: rationals as "p/q"
+    strings, every key through `str`, tuples as lists."""
+    def conv(obj):
+        if isinstance(obj, Fraction):
+            return str(obj)
+        if isinstance(obj, dict):
+            return {str(k): conv(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [conv(v) for v in obj]
+        return obj
+
+    out = {"property": verdict.prop, "holds": verdict.holds}
+    for name in ("certificate", "witness"):
+        if getattr(verdict, name) is not None:
+            out[name] = conv(getattr(verdict, name))
+    return out
 
 
 def naive_prop1_verdict(inst: Instance, alloc: Allocation, agents=None,

@@ -260,10 +260,15 @@ class TestCli:
         (["gen", "--family", "random-subadditive", "--n", "2", "--m", "3",
           "--distribution", "uniform-rational"],
          "random-subadditive takes no distribution"),
+        (["gen", "--family", "ef1-unscaled", "--n", "2", "--seed", "5"],
+         "ef1-unscaled takes no seed"),
+        (["gen", "--family", "supermodular", "--n", "3", "--epsilon",
+          "1/100", "--seed", "0"], "supermodular takes no seed"),
     ], ids=["gen-epsilon", "solve-epsilon", "mms-epsilon", "check-alpha",
             "pof-alpha", "gen-adversarial-m", "gen-adversarial-distribution",
             "gen-random-epsilon", "gen-subadditive-epsilon",
-            "gen-subadditive-distribution"])
+            "gen-subadditive-distribution", "gen-adversarial-seed",
+            "gen-adversarial-seed-zero"])
     def test_non_strict_rational_option_rejected(self, tmp_path, capsys,
                                                  argv, error):
         inst = tmp_path / "i.json"
@@ -279,6 +284,51 @@ class TestCli:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: " + error)
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("family", [
+        ["random", "--distribution", "dirichlet-scaled"],
+        ["random-subadditive"]])
+    def test_random_gen_seed_defaults_to_zero(self, capsys, family):
+        gen = ["gen", "--family", *family, "--n", "3", "--m", "5"]
+        assert main(gen) == 0
+        unseeded = capsys.readouterr().out
+        assert main(gen + ["--seed", "0"]) == 0
+        assert capsys.readouterr().out == unseeded
+        assert main(gen + ["--seed", "1"]) == 0
+        assert capsys.readouterr().out != unseeded
+
+    def test_outputs_are_json_dumps_text(self, tmp_path, capsys):
+        # Every command's stdout and file, as `json.dumps(indent=2,
+        # sort_keys=True)` writes it.
+        inst, alloc, sub = (tmp_path / name for name in
+                            ("i.json", "a.json", "s.json"))
+        commands = [
+            ["gen", "--family", "random", "--distribution",
+             "dirichlet-scaled", "--n", "4", "--m", "8", "--seed", "1",
+             "-o", str(inst)],
+            ["gen", "--family", "random-subadditive", "--n", "3", "--m", "5",
+             "-o", str(sub)],
+            ["gen", "--family", "mms-scaled-sqrt", "--n", "9"],
+            ["solve", "--alg", "ef1", "--instance", str(inst), "--trace"],
+            ["solve", "--alg", "half-mms", "--instance", str(inst),
+             "-o", str(alloc)],
+            ["check", "--property", "ef1", "--instance", str(inst),
+             "--allocation", str(alloc)],
+            ["check", "--property", "prop1", "--instance", str(inst),
+             "--allocation", str(alloc)],
+            ["check", "--property", "mms", "--instance", str(inst),
+             "--allocation", str(alloc)],
+            ["mms", "--instance", str(inst), "--epsilon", "1/10"],
+            ["pof", "--instance", str(sub), "--property", "ef1"],
+        ]
+        for argv in commands:
+            assert main(argv) in (0, 1)
+            texts = [capsys.readouterr().out]
+            texts += [path.read_text() for path in (inst, alloc, sub)
+                      if path.exists()]
+            for text in texts:
+                assert text == json.dumps(json.loads(text), indent=2,
+                                          sort_keys=True) + "\n"
 
     def test_error_reported_cleanly(self, tmp_path, capsys):
         code = main(["gen", "--family", "prop1-scaled", "--n", "5",
@@ -583,6 +633,10 @@ class TestExperiment:
         csv_bytes = (tmp_path / "results.csv").read_bytes()
         assert hashlib.sha256(csv_bytes).hexdigest() == \
             recorded["csv_sha256"]
+        # The report's JSON, rendered directly, is `json.dumps`' text.
+        text = (tmp_path / "results.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("change", [
         {"trace": "false"}, {"trace": 0}, {"seed": 4.7}, {"seed": "7"},

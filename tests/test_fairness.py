@@ -1,5 +1,6 @@
 """Fairness predicates against their definitions and known instances."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,11 +10,15 @@ from fairdiv import (Allocation, FamilySpec, MmsProfile, ValidationError,
                      generate_adversarial, generate_random, is_alpha_mms,
                      is_ef1, is_prop1, social_welfare)
 
+from fairdiv.model import json_text
+from fairdiv.oracles import mms_profile
+
 from conftest import (additive_instance, alarm, all_allocations,
                       naive_ef1_verdict, naive_is_ef1, naive_is_prop1,
                       naive_prop1_verdict, negative_corpus,
                       random_additive_corpus, random_allocation,
-                      random_subadditive_corpus, tie_corpus, twin_corpus)
+                      random_subadditive_corpus, reference_verdict_json,
+                      tie_corpus, twin_corpus)
 
 
 class TestSocialWelfare:
@@ -99,6 +104,30 @@ class TestEf1:
                     naive_ef1_verdict(inst, alloc).to_json()
                 outcomes.add(verdict.holds)
         assert outcomes == {True, False}
+
+
+    def test_verdict_json_matches_generic_walk(self):
+        # EF1 certificates render their pair keys directly; every verdict's
+        # text is that of the generic walk through `json.dumps`.
+        rng = random.Random(23)
+        seen = set()
+        for inst in (tie_corpus(100, seed=31) + twin_corpus(40, seed=37)
+                     + [generate_random(16, 64, "dirichlet-scaled", seed=3)]):
+            profile = mms_profile(inst) if inst.m <= 8 else None
+            for partial in (True, False):
+                alloc = random_allocation(rng, inst.n, inst.m, partial)
+                verdicts = [is_ef1(inst, alloc)]
+                if not partial:
+                    verdicts.append(is_prop1(inst, alloc))
+                    if profile is not None:
+                        verdicts.append(is_alpha_mms(inst, alloc,
+                                                     Fraction(1, 2), profile))
+                for verdict in verdicts:
+                    assert json_text(verdict.to_json()) == json.dumps(
+                        reference_verdict_json(verdict), indent=2,
+                        sort_keys=True) + "\n"
+                    seen.add((verdict.prop, verdict.holds))
+        assert {("ef1", True), ("ef1", False)} <= seen
 
 
 class TestProp1:

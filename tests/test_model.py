@@ -821,6 +821,63 @@ class TestLoaderFuzz:
             doc, path, data.draw(JSON_DOCS), data.draw(st.booleans())))
 
 
+# Every kind of node `json_text` renders itself, and some it hands to
+# `json.dumps`: floats (NaN and infinities too), tuples, non-str keys.
+RENDER_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=2 ** 64) | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(st.integers(), max_size=5)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=24)
+
+
+def dumped(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonText:
+    """`json_text` gives exactly the bytes of `json.dumps(indent=2,
+    sort_keys=True)` plus a newline, and fails where it fails."""
+
+    @given(RENDER_TREES)
+    @settings(max_examples=500, deadline=None)
+    def test_any_tree(self, data):
+        assert fairdiv.model.json_text(data) == dumped(data)
+
+    @pytest.mark.parametrize("data", [
+        "\u00e9\u2028\x00\"\\\n\t\x7f", "\U0001f600", "", [], {}, (),
+        [[], {}, ()], {"": [], "a": {}}, [True, False, None, 0, -1],
+        [1, True], [1, 2.5], 10 ** 400, [10 ** 400, -10 ** 400],
+        {"b": 1, "a": {"c": [1, 2]}, "\u00e9": "x"}, float("nan"),
+        [float("inf"), -float("inf")], {1: "a", 2.5: "b", True: "c"},
+        {"a": {None: 1}}])
+    def test_edge_values(self, data):
+        assert fairdiv.model.json_text(data) == dumped(data)
+
+    @pytest.mark.parametrize("data, error", [
+        ({"a": object()}, TypeError), ([1, {1, 2}], TypeError),
+        ({"a": 1, 2: "b"}, TypeError), ([10 ** 5000], ValueError)])
+    def test_fails_as_json_dumps_does(self, data, error):
+        with pytest.raises(error) as expected:
+            dumped(data)
+        with pytest.raises(error) as got:
+            fairdiv.model.json_text(data)
+        assert str(got.value) == str(expected.value)
+
+    def test_instance_files(self, tmp_path):
+        for inst in (generate_random(16, 64, "dirichlet-scaled", seed=3),
+                     generate_random_subadditive(3, 6, seed=4),
+                     generate_adversarial(FamilySpec("supermodular", 4,
+                                                     Fraction(1, 100)))):
+            path = tmp_path / "i.json"
+            save_instance(inst, path)
+            assert path.read_text() == dumped(
+                fairdiv.model.instance_to_json(inst))
+
+
 def test_explicit_cap_comes_before_the_keys(tmp_path):
     # The cap is checked before any key is read, so no key of a table over
     # too many goods becomes a bitmask of that many bits.

@@ -19,7 +19,8 @@ from fairdiv.model import mask_goods
 from conftest import (additive_instance, alarm, naive_constrained_opt,
                       naive_is_alpha_mms, naive_is_ef1, naive_is_prop1,
                       naive_max_welfare, naive_mms, naive_mms_lower_bound,
-                      naive_round_robin, random_subadditive_corpus,
+                      naive_round_robin, negative_corpus,
+                      random_subadditive_corpus, reference_mms_k,
                       tie_corpus, twin_corpus)
 
 
@@ -82,6 +83,54 @@ class TestMmsK:
                                     for _ in range(m)])
             goods = [g for g in range(m) if rng.random() < 0.7]
             assert mms_k(v, k, goods) == naive_mms(v, k, goods)
+
+    def test_matches_reference_dp(self, monkeypatch):
+        # Tie-heavy additive, explicit and mixed corpora (unvalidated tables,
+        # negative values) and dirichlet-scaled agents with enough goods for
+        # the DP to run: every k up to n + 1, on all goods and on random
+        # subsets. Both the closed bracket and the floored DP must answer.
+        counts = {"greedy": 0, "dp": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(oracles, "_greedy_least",
+                            counted("greedy", oracles._greedy_least))
+        monkeypatch.setattr(oracles, "_subset_ints",
+                            counted("dp", oracles._subset_ints))
+        rng = random.Random(47)
+        instances = (tie_corpus(600, seed=47) + twin_corpus(200, seed=53)
+                     + negative_corpus(200, seed=59)
+                     + [generate_random(rng.randint(2, 4), rng.randint(6, 11),
+                                        "dirichlet-scaled", seed)
+                        for seed in range(30)])
+        for inst in instances:
+            for v in inst.valuations:
+                subsets = [None, [g for g in range(inst.m)
+                                  if rng.random() < 0.7]]
+                for k in range(1, inst.n + 2):
+                    for goods in subsets:
+                        assert mms_k(v, k, goods) == \
+                            reference_mms_k(v, k, goods)
+        closed = counts["greedy"] - counts["dp"]
+        assert counts["dp"] >= 500 and closed >= 500
+
+    def test_bracket_closes_without_dp_on_the_block_family(self,
+                                                          monkeypatch):
+        # Every mms-scaled-sqrt agent's greedy bracket is closed: lo = hi.
+        expected = {n: [reference_mms_k(v, n) for v in generate_adversarial(
+            FamilySpec("mms-scaled-sqrt", n)).valuations] for n in (4, 9)}
+
+        def refused(*args):
+            raise AssertionError("the DP ran")
+
+        monkeypatch.setattr(oracles, "_subset_ints", refused)
+        for n, shares in expected.items():
+            inst = generate_adversarial(FamilySpec("mms-scaled-sqrt", n))
+            assert list(mms_profile(inst).mms) == shares
 
     def test_explicit_kind(self):
         table = {frozenset(): Fraction(0)}
@@ -501,7 +550,9 @@ class TestRoundRobinSeed:
 
     def test_prunes_leaf_checks_on_the_sweep(self, monkeypatch):
         # Without the seed, the README sweep's random instances at seed 42
-        # take 2,672 EF1 leaf checks, each one call of the EF1 decider.
+        # take 2,672 EF1 leaf checks, each one call of the EF1 decider; with
+        # the round-robin seed alone, 452; with the seed climbed, 133, the
+        # climb's own checks included.
         calls = 0
         check = oracles.ef1_failure
 
@@ -515,7 +566,7 @@ class TestRoundRobinSeed:
             job = {"family": "random", "distribution": "dirichlet-scaled",
                    "n": 4, "m": 8, "index": index}
             constrained_opt(_build_instance(job, 42)[1], "ef1")
-        assert 0 < calls <= 500
+        assert 0 < calls <= 150
 
     @pytest.mark.parametrize("prop", ["ef1", "prop1", "alpha-mms"])
     def test_earlier_tie_beats_the_seed(self, prop):
@@ -543,6 +594,48 @@ class TestRoundRobinSeed:
                 masks = oracles.round_robin(weights, tables, *scope)
                 assert Allocation(tuple(map(mask_goods, masks))) == \
                     naive_round_robin(inst, *scope)
+
+
+    def test_climb_ends_at_a_passing_local_optimum(self):
+        # From the round-robin leaf, under an independent EF1 predicate: the
+        # climbed leaf passes, its bookkeeping matches its bundles, welfare
+        # never falls, and no single-good move of higher welfare passes.
+        climbed = 0
+        for inst in (tie_corpus(200, seed=61, n_range=(2, 4))
+                     + random_subadditive_corpus(60, 3, 5, seed=67)):
+            weights, tables, _ = oracles._split_kernels(inst)
+
+            def passes(masks, owner=None, own=None):
+                alloc = Allocation(tuple(map(mask_goods, masks)))
+                return naive_is_ef1(inst, alloc)
+
+            def values(masks):
+                return [t[mask] if t is not None else
+                        sum(w[g] for g in mask_goods(mask))
+                        for w, t, mask in zip(weights, tables, masks)]
+
+            masks = oracles.round_robin(weights, tables, range(inst.n),
+                                        range(inst.m))
+            if not passes(masks):
+                continue
+            owner = [next(i for i, mask in enumerate(masks) if mask >> g & 1)
+                     for g in range(inst.m)]
+            own = values(masks)
+            start = sum(own)
+            oracles._climb(weights, tables, masks, owner, own, passes)
+            assert passes(masks) and own == values(masks)
+            assert sum(own) >= start
+            assert owner == [next(i for i, mask in enumerate(masks)
+                                  if mask >> g & 1) for g in range(inst.m)]
+            climbed += sum(own) > start
+            for g, o in enumerate(owner):
+                for a in range(inst.n):
+                    moved = list(masks)
+                    moved[o] ^= 1 << g
+                    moved[a] |= 1 << g
+                    assert a == o or sum(values(moved)) <= sum(own) or \
+                        not passes(moved)
+        assert climbed >= 20
 
 
 class TestPriceOfFairness:
