@@ -13,9 +13,12 @@ Subcommands::
     fairdiv experiment --config exp.json -o report/
 
 `check` exits 0 when the property holds and 1 when it fails, printing the
-JSON verdict either way. `solve --trace` adds the high-welfare run's steps
-as ``"trace": [{"phase", "agent", "bundle", "label"}, ...]`` (1-based agent
-and goods; see `fairdiv.model.Event`).
+JSON verdict either way. An error exits 2, and so does an option the
+chosen algorithm or property does not take (`--alpha` belongs to the mms
+property, `--reference` to ef1 and `--epsilon` to half-mms). `solve
+--trace` adds the high-welfare run's steps as ``"trace": [{"phase",
+"agent", "bundle", "label"}, ...]`` (1-based agent and goods; see
+`fairdiv.model.Event`).
 
 `main` may be called repeatedly in one process; every call reuses one
 parser.
@@ -78,34 +81,49 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _refuse(name: str, option: str, value) -> None:
+    """Refuse an option the chosen algorithm or property does not take."""
+    if value is not None:
+        raise FairdivError(f"{name} takes no {option}")
+
+
+def _alpha(args):
+    """`--alpha` as a nonnegative Fraction, 1/2 if not given, for the mms
+    property; None for the others, which refuse it."""
+    if args.property != "mms":
+        _refuse(f"property {args.property}", "--alpha", args.alpha)
+        return None
+    if args.alpha is None:
+        return Fraction(1, 2)
+    return nonnegative_alpha(parse_rational(args.alpha))
+
+
 def _cmd_check(args) -> int:
+    # Checked before the profile, whose oracle is exponential.
+    alpha = _alpha(args)
     inst = load_instance(args.instance)
     alloc = load_allocation(args.allocation)
     if args.property == "ef1":
         verdict = is_ef1(inst, alloc)
     elif args.property == "prop1":
         verdict = is_prop1(inst, alloc)
-    elif args.property == "mms":
-        # Checked before the profile, whose oracle is exponential.
-        alpha = nonnegative_alpha(parse_rational(args.alpha))
-        profile = mms_profile(inst)
-        verdict = is_alpha_mms(inst, alloc, alpha, profile)
     else:
-        raise FairdivError(f"unknown property {args.property!r}")
+        verdict = is_alpha_mms(inst, alloc, alpha, mms_profile(inst))
     _emit(verdict.to_json())
     return 0 if verdict.holds else 1
 
 
 def _cmd_solve(args) -> int:
+    ignored = {"ef1": ("--epsilon", args.epsilon),
+               "half-mms": ("--reference", args.reference)}[args.alg]
+    _refuse(f"algorithm {args.alg}", *ignored)
     inst = load_instance(args.instance)
     if args.alg == "ef1":
         reference = load_allocation(args.reference) if args.reference else None
         run = run_solve_ef1(inst, reference=reference)
-    elif args.alg == "half-mms":
+    else:
         eps = parse_rational(args.epsilon) if args.epsilon else Fraction(0)
         run = run_solve_half_mms(inst, epsilon=eps)
-    else:
-        raise FairdivError(f"unknown algorithm {args.alg!r}")
     summary = {"algorithm": args.alg, "branch": run.branch,
                "welfare": format_rational(run.welfare)}
     if args.alg == "half-mms":
@@ -132,8 +150,8 @@ def _cmd_mms(args) -> int:
 
 
 def _cmd_pof(args) -> int:
+    alpha = _alpha(args)
     inst = load_instance(args.instance)
-    alpha = parse_rational(args.alpha) if args.alpha else Fraction(1, 2)
     prop = "alpha-mms" if args.property == "mms" else args.property
     opt, price = price_of_fairness(inst, prop, alpha=alpha)
     _emit({"property": args.property, "opt": format_rational(opt),
@@ -188,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="check a fairness property")
     p.add_argument("--property", required=True,
                    choices=["ef1", "prop1", "mms"])
-    p.add_argument("--alpha", default="1/2")
+    p.add_argument("--alpha", help="for the mms property (default 1/2)")
     p.add_argument("--instance", required=True)
     p.add_argument("--allocation", required=True)
     p.set_defaults(func=_cmd_check)
@@ -196,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run a fair-allocation solver")
     p.add_argument("--alg", required=True, choices=["ef1", "half-mms"])
     p.add_argument("--instance", required=True)
-    p.add_argument("--reference")
-    p.add_argument("--epsilon")
+    p.add_argument("--reference", help="for the ef1 algorithm")
+    p.add_argument("--epsilon", help="for the half-mms algorithm")
     p.add_argument("--trace", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_solve)
@@ -211,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--property", required=True,
                    choices=["ef1", "prop1", "mms"])
-    p.add_argument("--alpha")
+    p.add_argument("--alpha", help="for the mms property (default 1/2)")
     p.set_defaults(func=_cmd_pof)
 
     p = sub.add_parser("rescale", help="rescale an additive instance")

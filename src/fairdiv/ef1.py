@@ -25,6 +25,11 @@ binary search for her shortest envied prefix (values are monotone) capped
 at the shortest found so far. So one step costs O(n log m) for each
 component scanned, plus O(n) to update the list, where a scan of every
 component and a position-by-position walk of the envied one cost O(n m).
+
+The matching's weights are each agent's `Valuation.singles` times one
+factor, which puts them over the lcm of the agents' denominators. The
+high-welfare loop is the inner loop here, and its range reads index the
+kernels inline.
 """
 
 from __future__ import annotations
@@ -33,15 +38,16 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
+from operator import or_
 from typing import Optional
 
 from . import debug
 from .envy_cycle import Ef1Partial, LiptonStats, run_extend_ef1
 from .errors import InfeasibleError, ValidationError
-from .fairness import is_ef1, social_welfare
+from .fairness import is_ef1, social_welfare, split_rows
 from .matching import max_weight_left_perfect_matching
-from .model import (ADDITIVE, Allocation, Event, Instance, common_ints,
-                    validate_allocation)
+from .model import Allocation, Event, Instance, validate_allocation
 from .oracles import DEFAULT_ENUM_CAP, max_welfare
 
 
@@ -117,10 +123,11 @@ def run_ef1_abs(inst: Instance) -> Ef1AbsRun:
     # without naming the agent.
     inst.require_monotone()
     # The matching adds across agents: singleton values over one scale.
-    rows, _ = common_ints(inst.valuations)
-    weights = [row if v.kind == ADDITIVE
-               else [row[1 << g] for g in range(inst.m)]
-               for row, v in zip(rows, inst.valuations)]
+    scale = lcm(*(v.den for v in inst.valuations))
+    weights = []
+    for v in inst.valuations:
+        factor = scale // v.den
+        weights.append([x * factor for x in v.singles])
     matched = max_weight_left_perfect_matching(weights)
     bundles: list[frozenset[int]] = [frozenset() for _ in range(inst.n)]
     for agent, good in matched:
@@ -162,39 +169,6 @@ def reference_allocation(inst: Instance,
     return alloc
 
 
-class _LineValues:
-    """Per-agent value of contiguous position ranges under a line order, in
-    the agent's integers (`Valuation.kernel`).
-
-    Additive agents get integer prefix sums; explicit agents read their
-    bitmask-indexed table at the range's mask, a difference of two prefix
-    masks. Either way each range query is O(1).
-    """
-
-    def __init__(self, inst: Instance, line: LineOrder):
-        masks = [0]
-        for g in line.order:
-            masks.append(masks[-1] | 1 << g)
-        self.masks = masks
-        self.prefix: list[Optional[list[int]]] = []
-        self.tables: list[Optional[tuple[int, ...]]] = []
-        for v in inst.valuations:
-            if v.kind == ADDITIVE:
-                self.prefix.append(list(accumulate(
-                    map(v.kernel.__getitem__, line.order), initial=0)))
-                self.tables.append(None)
-            else:
-                self.prefix.append(None)
-                self.tables.append(v.kernel)
-
-    def range_value(self, agent: int, a: int, b: int) -> int:
-        """Value of positions a..b inclusive."""
-        pref = self.prefix[agent]
-        if pref is not None:
-            return pref[b + 1] - pref[a]
-        return self.tables[agent][self.masks[b + 1] ^ self.masks[a]]
-
-
 def _components(intervals: list[Optional[tuple[int, int]]],
                 m: int) -> list[tuple[int, int]]:
     """Maximal runs of positions not covered by any assigned interval."""
@@ -218,20 +192,32 @@ def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
     inst.require_monotone()
     n, m = inst.n, inst.m
     line = LineOrder.from_reference(ref.bundles, m)
-    lv = _LineValues(inst, line)
+    # Each agent's value of the positions a..b, in her integers: a
+    # difference of prefix sums (additive), or her table at the difference
+    # of two prefix masks (explicit).
+    masks = list(accumulate((1 << g for g in line.order), or_, initial=0))
+    rows, tables = split_rows(inst, [v.kernel for v in inst.valuations])
+    prefix = [None if w is None else
+              list(accumulate(map(w.__getitem__, line.order), initial=0))
+              for w in rows]
+
+    def range_value(i: int, a: int, b: int) -> int:
+        pref = prefix[i]
+        if pref is not None:
+            return pref[b + 1] - pref[a]
+        return tables[i][masks[b + 1] ^ masks[a]]
 
     intervals: list[Optional[tuple[int, int]]] = [None] * n
     own = [0] * n               # agent i's own value in her integers
     for i, bundle in enumerate(ref.bundles):
         if bundle:      # her best reference good, the lowest on ties
             p = max((line.position[g] for g in sorted(bundle)),
-                    key=lambda p: lv.range_value(i, p, p))
+                    key=lambda p: range_value(i, p, p))
             intervals[i] = (p, p)
-            own[i] = lv.range_value(i, p, p)
+            own[i] = range_value(i, p, p)
 
     steps: list[tuple[int, int, int]] = []
     guard = 2 * n * m * m + 10
-    prefix, tables, masks = lv.prefix, lv.tables, lv.masks
     comps = _components(intervals, m)
     unenvied: set[tuple[int, int]] = set()
     while True:
@@ -263,7 +249,7 @@ def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
             break
         released = intervals[k]
         intervals[k] = (a, c)
-        own[k] = lv.range_value(k, a, c)
+        own[k] = range_value(k, a, c)
         if c < b:
             comps[index] = (c + 1, b)
         else:

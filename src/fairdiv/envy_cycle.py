@@ -38,7 +38,8 @@ envies bundle j), and updated only where something moved: a hand-out goes
 to the first agent with an empty in-mask, compares the new column with the
 agents' own values, and rechecks only the receiver's out-edges; a rotation
 moves columns and in-masks with their bundles and recomputes the rows of
-the cycle's agents.
+the cycle's agents. The columns are the extension's inner loop and read the
+kernels inline; the graph's masks are walked with `model.bits`.
 
 `run_ef1_abs` and `run_ef1_high` hand in their partial allocations as
 `Ef1Partial`s, which are EF1 by construction, so the EF1 precondition is
@@ -55,7 +56,8 @@ from operator import add, ge, gt, itemgetter
 from . import debug
 from .errors import ValidationError
 from .fairness import is_ef1
-from .model import ADDITIVE, Allocation, Instance, goods_mask, mask_goods
+from .model import (ADDITIVE, Allocation, Instance, bits, goods_mask,
+                    mask_goods)
 
 
 class Ef1Partial(Allocation):
@@ -131,14 +133,6 @@ def _on_cycle(adj: list[int], source: int) -> bool:
     return bool(reach & bit)
 
 
-def _bits(mask: int):
-    """The indices of the bits set in `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def run_extend_ef1(inst: Instance,
                    partial: Allocation) -> tuple[Allocation, LiptonStats]:
     """Complete EF1 extension of `partial`, with its step counts; every
@@ -204,12 +198,12 @@ def run_extend_ef1(inst: Instance,
         inc[:] = [x & rest for x in inc]
         adj[:] = [x & rest for x in adj]
         for a in cycle:
-            for x in _bits(inc[a]):
+            for x in bits(inc[a]):
                 adj[x] |= pow2[a]
         for a in cycle:
             own[a] = col[a][a]
             adj[a] = row = envy_row(a)
-            for j in _bits(row):
+            for j in bits(row):
                 inc[j] |= pow2[a]
 
     unallocated = sorted(frozenset(range(inst.m)) - partial.allocated())
@@ -239,9 +233,9 @@ def run_extend_ef1(inst: Instance,
         col[source] = c
         own[source] = mine = c[source]
         envied_by = inc[source] = sum(compress(pow2, map(gt, c, own)))
-        for i in _bits(envied_by):
+        for i in bits(envied_by):
             adj[i] |= bit
-        for j in _bits(adj[source]):
+        for j in bits(adj[source]):
             if col[j][source] <= mine:
                 adj[source] ^= pow2[j]
                 inc[j] ^= bit

@@ -7,7 +7,9 @@ reproduces the violated inequality when replayed through value queries.
 Each rule is decided once, in one agent's integers on any positive scale:
 `ef1_failure` (EF1) and `prop1_good` (Prop1) serve `is_ef1` and `is_prop1`
 on each kernel and `constrained_opt`'s leaf checks on rows over one common
-denominator. Certificates and witnesses, the public output, are exact
+denominator. The two are the leaf checks' inner loops, so they read those
+rows and tables inline; everything else here reads a kernel through
+`Valuation.ints_of`. Certificates and witnesses, the public output, are exact
 rationals; a witness is built only on failure. A Prop1 scope takes its
 agents through `model.agent_set` and its goods through `model.good_set`.
 """
@@ -20,7 +22,7 @@ from math import lcm
 from typing import Iterable, Optional
 
 from .errors import ValidationError
-from .model import (Allocation, Instance, ADDITIVE, agent_set,
+from .model import (Allocation, Instance, ADDITIVE, agent_set, bits,
                     format_rational, good_set, goods_mask,
                     validate_allocation)
 
@@ -68,20 +70,9 @@ def social_welfare(inst: Instance, alloc: Allocation) -> Fraction:
     validate_allocation(alloc, inst)
     scale = lcm(*(v.den for v in inst.valuations))
     total = 0
-    for i, bundle in enumerate(alloc.bundles):
-        v = inst.valuations[i]
-        own = (sum(map(v.kernel.__getitem__, bundle)) if v.kind == ADDITIVE
-               else v.kernel[goods_mask(bundle)])
-        total += own * (scale // v.den)
+    for v, bundle in zip(inst.valuations, alloc.bundles):
+        total += v.ints_of(bundle) * (scale // v.den)
     return Fraction(total, scale)
-
-
-def _bits(mask: int):
-    """The single-bit masks set in `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 def split_rows(inst: Instance, rows) -> tuple[list, list]:
@@ -121,11 +112,11 @@ def ef1_failure(rows, tables, floors, masks, owner, agents,
             for j in range(n):
                 bj = masks[j]
                 if j != i and bj:
-                    low = min(_bits(bj), key=lambda b: t[bj ^ b])
-                    if t[bj ^ low] > own:
+                    low = min(bits(bj), key=lambda g: t[bj ^ 1 << g])
+                    if t[bj ^ 1 << low] > own:
                         return i, j
                     if certificate is not None:
-                        certificate[(i + 1, j + 1)] = low.bit_length()
+                        certificate[(i + 1, j + 1)] = low + 1
     return None
 
 
@@ -195,14 +186,11 @@ def is_prop1(inst: Instance, alloc: Allocation,
     rows, tables = split_rows(inst, [v.kernel for v in inst.valuations])
     certificate: dict = {}
     for i in scope_agents:
-        w, t, den = rows[i], tables[i], inst.valuations[i].den
-        bundle = alloc.bundles[i]
-        mask = goods_mask(bundle)
-        own, total = ((t[mask], t[goods_mask(scope_goods)]) if t is not None
-                      else (sum(w[g] for g in bundle),
-                            sum(w[g] for g in scope_goods)))
+        v, bundle = inst.valuations[i], alloc.bundles[i]
+        own, total, den = v.ints_of(bundle), v.ints_of(scope_goods), v.den
         threshold = Fraction(total, den * k)
-        g = prop1_good(w, t, mask, own, total, scope_goods, k)
+        g = prop1_good(rows[i], tables[i], goods_mask(bundle), own, total,
+                       scope_goods, k)
         if g is None:
             comparisons = [{"added": h + 1,
                             "value": inst.value(i, bundle | {h}),

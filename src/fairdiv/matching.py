@@ -1,7 +1,7 @@
 """Maximum-weight bipartite matching that matches every agent.
 
 The weights are nonnegative integers (callers bring rationals onto one
-scale with `fairdiv.model.common_ints`). One rectangular shortest augmenting
+common scale first). One rectangular shortest augmenting
 path solve (Hungarian potentials) runs in pure integer arithmetic on the
 plain weights, and its optimal potentials then decide the tie-break: among all
 maximum-weight left-perfect matchings the lexicographically smallest good

@@ -12,15 +12,19 @@ bitmask-indexed subset for explicit agents. The solvers, the oracles and
 validation compute on it. `Fraction`s appear only at the edges: the loader
 parses each rational straight into integers, and `Valuation.values`,
 `Valuation.table` (in ascending bitmask order) and `Valuation.value` are
-views built from the kernel alone. Integers enter through one constructor,
+views built from the kernel alone. Outside the inner loops, which name
+their own reads, a kernel is read through `Valuation.ints_of` (the integer
+of a set of goods), `Valuation.singles` (each good's integer on its own)
+and `bits` (the goods of a bitmask). Integers enter through one constructor,
 `Valuation.from_ints`, which divides them and their denominator by their
 gcd: the `Fraction` constructors and the loader call it, and so do
 `rescale_instance` and `fairdiv.generators`, which hand it the integers
 they compute or draw with no `Fraction` in between. Scaling by `den > 0`
 keeps the order of every comparison within one agent; comparisons across
 agents cross-multiply by the denominators. Only sums across agents rescale
-every kernel to a common lcm (`common_ints`); `ints_with` puts one agent's
-kernel and a rational over one.
+to a common lcm: the exhaustive search every kernel (`common_ints`), the
+EF1 matching each agent's `singles`; `ints_with` puts one agent's kernel
+and a rational over one.
 
 Instance files are JSON::
 
@@ -59,7 +63,8 @@ from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import (Collection, Iterable, Iterator, Mapping, NamedTuple,
+                    Sequence)
 
 from .errors import ParseError, ValidationError
 
@@ -144,14 +149,17 @@ def goods_mask(goods: Iterable[int]) -> int:
     return mask
 
 
-def mask_goods(mask: int) -> frozenset[int]:
-    """The goods whose bits are set in `mask`."""
-    goods = []
+def bits(mask: int) -> Iterator[int]:
+    """The indices of the bits set in `mask`, lowest first."""
     while mask:
         low = mask & -mask
-        goods.append(low.bit_length() - 1)
+        yield low.bit_length() - 1
         mask ^= low
-    return frozenset(goods)
+
+
+def mask_goods(mask: int) -> frozenset[int]:
+    """The goods whose bits are set in `mask`."""
+    return frozenset(bits(mask))
 
 
 def _ext(goods: Iterable[int]) -> tuple[int, ...]:
@@ -240,11 +248,25 @@ class Valuation:
         return {mask_goods(mask): Fraction(x, self.den)
                 for mask, x in enumerate(self.kernel)}
 
-    def value(self, goods: Iterable[int]) -> Fraction:
-        s = good_set(goods, self.m)
+    @property
+    def singles(self) -> Sequence[int]:
+        """Each good's integer on its own: the kernel itself (additive), or
+        the table at each one-good mask (explicit)."""
         if self.kind == ADDITIVE:
-            return Fraction(sum(self.kernel[g] for g in s), self.den)
-        return Fraction(self.kernel[goods_mask(s)], self.den)
+            return self.kernel
+        return [self.kernel[1 << g] for g in range(self.m)]
+
+    def ints_of(self, goods: Collection[int]) -> int:
+        """The kernel integer of a set of goods, unchecked: the sum of its
+        goods' integers (additive) or the table at its bitmask (explicit)."""
+        if self.kind == ADDITIVE:
+            if len(goods) == self.m:    # m distinct goods are all of them
+                return sum(self.kernel)
+            return sum(map(self.kernel.__getitem__, goods))
+        return self.kernel[goods_mask(goods)]
+
+    def value(self, goods: Iterable[int]) -> Fraction:
+        return Fraction(self.ints_of(good_set(goods, self.m)), self.den)
 
 
 def _additive(ratios: Collection[tuple[int, int]]) -> Valuation:
@@ -485,7 +507,7 @@ def validate_instance(inst: Instance) -> None:
         _validate_valuation(v, i)
     if inst.scaled:
         for i, v in enumerate(inst.valuations):
-            total = sum(v.kernel) if v.kind == ADDITIVE else v.kernel[-1]
+            total = v.ints_of(range(v.m))
             if total != v.den:
                 raise ValidationError(
                     "scaled", f"scaled-flag mismatch: agent {i + 1} has "

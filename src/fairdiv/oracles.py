@@ -10,8 +10,13 @@ and nothing is enumerated. Otherwise it enumerates k-partitions depth-first
 over bitmasks with first-good symmetry breaking and memoization on
 (remaining goods, bundles left), every call searching only above a floor:
 lo at the root, the caller's running best below it. It reads the agent's
-integer kernel (`Valuation.kernel`; MMS only ever compares one agent's
-values), so the inner loop is pure integer arithmetic.
+integer kernel (MMS only ever compares one agent's values), so the inner
+loop is pure integer arithmetic.
+
+Kernel reads outside the inner loops go through `Valuation.ints_of` and
+`Valuation.singles`. The inner loops read kernels and common-scale rows
+inline: the MMS DP with `_subset_ints`, `_greedy_least`'s hand-outs,
+`round_robin`, `_climb`, `_search` and `max_welfare`'s additive pass.
 
 Maximum welfare on explicit or mixed instances and the fair optimum share
 one exhaustive search: all n^m complete allocations depth-first, with an
@@ -56,8 +61,7 @@ from .errors import InfeasibleError, ValidationError
 from .fairness import (ef1_failure, nonnegative_alpha, prop1_good,
                        split_rows)
 from .model import (ADDITIVE, Allocation, Instance, Valuation, ZERO,
-                    common_ints, good_set, goods_mask, is_json_int,
-                    mask_goods)
+                    common_ints, good_set, is_json_int, mask_goods)
 
 # Feasibility is judged on the k^|G| partition-state bound; the memoized DP
 # itself touches at most k * 3^|G| states.
@@ -169,8 +173,8 @@ def _greedy_least(valuation: Valuation, k: int, glist: list[int]) -> int:
     masks = [0] * k
     # (total, b) for every bundle b: the heap's top is the least-valued
     # bundle, lowest index on ties.
-    heap = [(0 if additive else ints[0], b) for b in range(k)]
-    single = ints if additive else [ints[1 << g] for g in range(valuation.m)]
+    heap = [(valuation.ints_of(()), b) for b in range(k)]
+    single = valuation.singles
     for g in sorted(glist, key=lambda g: (-single[g], g)):
         total, j = heap[0]
         masks[j] |= 1 << g
@@ -195,14 +199,13 @@ def mms_k(valuation: Valuation, k: int, goods: Optional[Iterable[int]] = None,
     ints, den = valuation.kernel, valuation.den
     additive = valuation.kind == ADDITIVE
     # Constant-time outcomes first; only genuine enumeration hits the cap.
-    total = (sum(ints[g] for g in glist) if additive
-             else ints[goods_mask(glist)])
+    total, empty = valuation.ints_of(glist), valuation.ints_of(())
     if k == 1:
         return Fraction(total, den)
     if len(glist) < k:
         # Every k-partition holds an empty bundle, and no bundle of a
         # monotone valuation is worth less.
-        return Fraction(0 if additive else ints[0], den)
+        return Fraction(empty, den)
     if total == 0 or (additive and sum(ints[g] > 0 for g in glist) < k):
         return ZERO
     if k ** max(len(glist), 1) > cap:
@@ -223,7 +226,7 @@ def mms_k(valuation: Valuation, k: int, goods: Optional[Iterable[int]] = None,
     # than its value changes nothing. lo is the least bundle of a partition
     # the DP visits, unless the greedy left a bundle empty: worth 0 on an
     # additive agent, v({}) on a table, so v({}) > 0 keeps the floor at 0.
-    root_floor = max(lo, 0) if additive or ints[0] <= 0 else 0
+    root_floor = max(lo, 0) if empty <= 0 else 0
 
     val = _subset_ints(valuation, glist)
     # (value, exact): an inexact value is a floor the best stayed at or
@@ -282,8 +285,7 @@ def mms_lower_bound(valuation: Valuation, k: int,
     (3k - 1)/(4k - 2) of mms_k (Csirik, Kellerer and Woeginger 1992)."""
     glist = _goods(valuation, k, goods)
     if len(glist) < k:      # an empty bundle, as in `mms_k`
-        return Fraction(0 if valuation.kind == ADDITIVE
-                        else valuation.kernel[0], valuation.den)
+        return Fraction(valuation.ints_of(()), valuation.den)
     return Fraction(_greedy_least(valuation, k, glist), valuation.den)
 
 

@@ -111,6 +111,9 @@ class TestCli:
                                 "--alpha", "1/2", "--instance", str(inst),
                                 "--allocation", str(alloc))
         assert code == 0 and verdict["holds"]
+        # --alpha defaults to 1/2.
+        assert run_cli(capsys, "check", "--property", "mms", "--instance",
+                       str(inst), "--allocation", str(alloc)) == (0, verdict)
 
     def test_prop1_check_property(self, tmp_path, capsys):
         # The EF1 solve is Prop1 on an additive instance; one bundle of
@@ -240,6 +243,31 @@ class TestCli:
                             "--reference", str(ref))
         assert code == 0 and "welfare" in out
 
+    def test_ef1_solve_of_explicit_instance_over_the_cap(self, tmp_path,
+                                                         capsys):
+        # 11^11 allocations exceed the enumeration cap, so the scaled
+        # instance's reference must be supplied; a complete one is trusted.
+        inst = tmp_path / "i.json"
+        ref = tmp_path / "ref.json"
+        alloc = tmp_path / "a.json"
+        run_cli(capsys, "gen", "--family", "supermodular", "--n", "11",
+                "--epsilon", "1/100", "-o", str(inst))
+        code = main(["solve", "--alg", "ef1", "--instance", str(inst)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: explicit instance over the "
+                                "enumeration cap and no supplied reference "
+                                "allocation\n")
+        ref.write_text(json.dumps({"bundles": [[g] for g in range(1, 12)]}))
+        code, out = run_cli(capsys, "solve", "--alg", "ef1", "--instance",
+                            str(inst), "--reference", str(ref), "-o",
+                            str(alloc))
+        assert code == 0 and out["branch"] in ("abs", "high")
+        code, out = run_cli(capsys, "check", "--property", "ef1",
+                            "--instance", str(inst), "--allocation",
+                            str(alloc))
+        assert code == 0 and out["holds"]
+
     # Each refused option: exit 2, nothing on stdout, one error line.
     @pytest.mark.parametrize("argv, error", [
         (["gen", "--family", "supermodular", "--n", "3", "--epsilon",
@@ -264,11 +292,28 @@ class TestCli:
          "ef1-unscaled takes no seed"),
         (["gen", "--family", "supermodular", "--n", "3", "--epsilon",
           "1/100", "--seed", "0"], "supermodular takes no seed"),
+        (["gen", "--family", "nosuch", "--n", "2"],
+         "unknown family 'nosuch'; expected one of ("),
+        (["check", "--property", "prop1", "--alpha", "-5"],
+         "property prop1 takes no --alpha"),
+        (["check", "--property", "ef1", "--alpha", "1/3"],
+         "property ef1 takes no --alpha"),
+        (["pof", "--property", "ef1", "--alpha", "-1"],
+         "property ef1 takes no --alpha"),
+        (["pof", "--property", "prop1", "--alpha", "-1"],
+         "property prop1 takes no --alpha"),
+        (["solve", "--alg", "half-mms", "--reference", "/nonexistent.json"],
+         "algorithm half-mms takes no --reference"),
+        (["solve", "--alg", "ef1", "--epsilon", "1/10"],
+         "algorithm ef1 takes no --epsilon"),
     ], ids=["gen-epsilon", "solve-epsilon", "mms-epsilon", "check-alpha",
             "pof-alpha", "gen-adversarial-m", "gen-adversarial-distribution",
             "gen-random-epsilon", "gen-subadditive-epsilon",
             "gen-subadditive-distribution", "gen-adversarial-seed",
-            "gen-adversarial-seed-zero"])
+            "gen-adversarial-seed-zero", "gen-unknown-family",
+            "check-prop1-alpha", "check-ef1-alpha", "pof-ef1-alpha",
+            "pof-prop1-alpha", "solve-half-mms-reference",
+            "solve-ef1-epsilon"])
     def test_non_strict_rational_option_rejected(self, tmp_path, capsys,
                                                  argv, error):
         inst = tmp_path / "i.json"
@@ -523,13 +568,18 @@ class TestExperiment:
 
     def test_infeasible_cells_marked_skipped(self):
         # Low caps force the constrained-opt column to skip, never vanish.
+        # On the explicit family OPT itself is beyond the cap.
         report = run_experiment({
             "seed": 0, "solvers": ["ef1"], "enum_cap": 10,
-            "families": [{"family": "ef1-unscaled", "n": [4]}],
+            "families": [{"family": "ef1-unscaled", "n": [4]},
+                         {"family": "random-subadditive", "n": [2],
+                          "m": [4], "count": 1}],
         })
-        row = report.rows[0]
-        assert row["constrained_welfare"] == "skipped"
-        assert row["price_ratio"] == "skipped"
+        for row in report.rows:
+            assert row["constrained_welfare"] == "skipped"
+            assert row["price_ratio"] == "skipped"
+        assert report.rows[0]["opt"] == "16"
+        assert report.rows[1]["opt"] == "skipped"
 
     def test_solver_mismatch_marked_skipped(self):
         # half-mms on an explicit (subadditive) instance is out of scope.

@@ -16,9 +16,11 @@ from fairdiv import (Allocation, FamilySpec, InfeasibleError, Instance,
 from fairdiv.exact import sqrt_ge
 from fairdiv.model import ZERO
 
-from conftest import (additive_instance, naive_ef1_high_loop, naive_is_ef1,
-                      naive_validate_valuation, random_additive_corpus,
-                      random_allocation, tie_corpus)
+from conftest import (additive_instance, naive_common_ints,
+                      naive_ef1_high_loop, naive_is_ef1,
+                      naive_validate_valuation, perturbed_matching,
+                      random_additive_corpus, random_allocation, tie_corpus,
+                      twin_corpus)
 
 
 def total_value(inst):
@@ -53,6 +55,33 @@ class TestAbs:
         inst = generate_adversarial(FamilySpec("mms-scaled-sqrt", 9))
         alloc = run_ef1_abs(inst).allocation
         assert social_welfare(inst, alloc) >= Fraction(1, 2)
+
+    def test_matches_common_scale_reference(self):
+        # The matching's weights, each agent's singles times her own
+        # factor, against the lex-first matching of the singletons read off
+        # the common-scale kernels, then the same extension: same
+        # allocation and `LiptonStats`.
+        corpus = ([generate_random(n, 4 * n, "dirichlet-scaled", seed=seed)
+                   for n, seed in ((4, 1), (8, 2), (16, 3))]
+                  + tie_corpus(120, seed=23) + twin_corpus(60, seed=24))
+        mixed_dens = 0
+        for inst in corpus:
+            try:
+                inst.require_monotone()
+            except ValidationError:
+                continue
+            rows, _ = naive_common_ints(inst.valuations)
+            weights = [row if v.table is None
+                       else [row[1 << g] for g in range(inst.m)]
+                       for row, v in zip(rows, inst.valuations)]
+            bundles = [[] for _ in range(inst.n)]
+            for agent, good in perturbed_matching(weights):
+                bundles[agent].append(good)
+            want = run_extend_ef1(inst, Allocation.of(bundles))
+            run = run_ef1_abs(inst)
+            assert (run.allocation, run.lipton) == want
+            mixed_dens += len({v.den for v in inst.valuations}) > 1
+        assert mixed_dens >= 25
 
     def test_welfare_floor_on_random_corpus(self):
         for inst in random_additive_corpus(60, n_max=5, m_max=8, seed=77):

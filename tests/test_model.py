@@ -20,7 +20,7 @@ from fairdiv import (ADVERSARIAL_FAMILIES, Allocation, Event, FamilySpec,
                      save_allocation, save_instance, validate_instance)
 import fairdiv.model
 from fairdiv.experiment import load_config
-from fairdiv.model import good_set, parse_rational
+from fairdiv.model import bits, good_set, parse_rational
 
 from conftest import (additive_instance, naive_kernel, naive_load_instance,
                       naive_validate_valuation, random_additive_corpus,
@@ -411,13 +411,28 @@ def large_denominator_corpus(rng, count):
     return out
 
 
+def check_reads(v: Valuation):
+    """`ints_of` over `den` against the `Fraction` views on every subset,
+    `singles` against `ints_of` of each one-good set (an additive agent's
+    kernel itself), and `bits` against a naive bit scan."""
+    for mask in range(1 << v.m):
+        goods = [g for g in range(v.m) if mask >> g & 1]
+        assert list(bits(mask)) == goods
+        want = (sum((v.values[g] for g in goods), Fraction(0))
+                if v.table is None else v.table[frozenset(goods)])
+        assert Fraction(v.ints_of(goods), v.den) == want
+    assert list(v.singles) == [v.ints_of({g}) for g in range(v.m)]
+    assert v.table is not None or v.singles is v.kernel
+
+
 def test_loader_matches_fraction_reference(tmp_path):
     """The integer loader against `Fraction(text)` and the `Fraction`
     constructors on seeded additive, explicit and mixed files: the same
     instance (equality and hash), views equal to the Fractions parsed from
     the file text (explicit tables in ascending bitmask order, whatever the
-    file's key order), the kernel read off those Fractions in lowest terms;
-    or the same ValidationError."""
+    file's key order), the kernel read off those Fractions in lowest terms,
+    and the kernel reads (`check_reads`) equal to the views; or the same
+    ValidationError."""
     rng = random.Random(20261019)
     corpus = (tie_corpus(240, 4242) + twin_corpus(60, 77)
               + random_additive_corpus(60, 5, 8, 8)
@@ -451,6 +466,7 @@ def test_loader_matches_fraction_reference(tmp_path):
                 assert list(w.table.items()) == by_mask
                 outcomes["reordered"] += list(view.items()) != by_mask
                 assert g.values is None
+            check_reads(g)
         outcomes[g.kind] += 1
     assert outcomes["additive"] >= 100 and outcomes["explicit"] >= 50
     assert outcomes["reordered"] >= 50
@@ -740,6 +756,26 @@ def test_subset_named_twice_is_refused(tmp_path, den):
         dict(den, kind="explicit", table=table)]}
     with pytest.raises(ParseError, match="'1,2' and '2,1'"):
         load_instance(write(tmp_path, "i.json", data))
+
+
+@pytest.mark.parametrize("key, error", [
+    ("3", "'3' outside goods 1..2"), ("0", "'0' outside goods 1..2"),
+    ("1,3", "'1,3' outside goods 1..2"), ("1,1", "'1,1' repeats a good"),
+    ("2,1,2", "'2,1,2' repeats a good")])
+def test_subset_key_outside_the_goods_or_repeating_one_is_refused(
+        tmp_path, key, error):
+    data = {"n": 1, "m": 2, "scaled": False, "valuations": [
+        {"kind": "explicit", "table": {"1": "1", "2": "1", "1,2": "2",
+                                       key: "1"}}]}
+    with pytest.raises(ParseError, match=error):
+        load_instance(write(tmp_path, "i.json", data))
+
+
+def test_instance_with_no_agents_is_refused(tmp_path):
+    data = {"n": 0, "m": 2, "scaled": False, "valuations": []}
+    with pytest.raises(ValidationError, match="need at least 1 agent") as err:
+        load_instance(write(tmp_path, "i.json", data))
+    assert err.value.axiom == "agent-count"
 
 
 def test_bundle_listing_a_good_twice_is_refused(tmp_path):
