@@ -13,7 +13,8 @@ Subcommands::
     fairdiv experiment --config exp.json -o report/
 
 `check` exits 0 when the property holds and 1 when it fails, printing the
-JSON verdict either way. An error exits 2, and so does an option the
+JSON verdict either way. An error, a file that cannot be read or written
+included, exits 2 with one ``error:`` line, and so does an option the
 chosen algorithm or property does not take (`--alpha` belongs to the mms
 property, `--reference` to ef1 and `--epsilon` to half-mms). `solve
 --trace` adds the high-welfare run's steps as ``"trace": [{"phase",
@@ -54,7 +55,7 @@ def _cmd_gen(args) -> int:
     if args.family not in FAMILY_ARGS:
         raise FairdivError(f"unknown family {args.family!r}; expected one "
                            f"of {tuple(FAMILY_ARGS)}")
-    eps = parse_rational(args.epsilon) if args.epsilon else None
+    eps = None if args.epsilon is None else parse_rational(args.epsilon)
     # Only `random` draws by a distribution, so only it has a default.
     distribution = args.distribution or ("uniform-rational"
                                          if args.family == "random" else None)
@@ -98,6 +99,12 @@ def _alpha(args):
     return nonnegative_alpha(parse_rational(args.alpha))
 
 
+def _epsilon(args) -> Fraction:
+    """`--epsilon` as a Fraction, 0 if not given."""
+    return (Fraction(0) if args.epsilon is None
+            else parse_rational(args.epsilon))
+
+
 def _cmd_check(args) -> int:
     # Checked before the profile, whose oracle is exponential.
     alpha = _alpha(args)
@@ -119,11 +126,11 @@ def _cmd_solve(args) -> int:
     _refuse(f"algorithm {args.alg}", *ignored)
     inst = load_instance(args.instance)
     if args.alg == "ef1":
-        reference = load_allocation(args.reference) if args.reference else None
+        reference = (None if args.reference is None
+                     else load_allocation(args.reference))
         run = run_solve_ef1(inst, reference=reference)
     else:
-        eps = parse_rational(args.epsilon) if args.epsilon else Fraction(0)
-        run = run_solve_half_mms(inst, epsilon=eps)
+        run = run_solve_half_mms(inst, epsilon=_epsilon(args))
     summary = {"algorithm": args.alg, "branch": run.branch,
                "welfare": format_rational(run.welfare)}
     if args.alg == "half-mms":
@@ -141,8 +148,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_mms(args) -> int:
     inst = load_instance(args.instance)
-    eps = parse_rational(args.epsilon) if args.epsilon else Fraction(0)
-    profile = mms_profile(inst, epsilon=eps)
+    profile = mms_profile(inst, epsilon=_epsilon(args))
     _emit({"mms": [format_rational(x) for x in profile.mms],
            "estimates": [format_rational(x) for x in profile.estimates],
            "epsilon": format_rational(profile.epsilon)})
@@ -250,7 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FairdivError, ValueError) as exc:
+    except (FairdivError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,8 +26,8 @@ at the shortest found so far. So one step costs O(n log m) for each
 component scanned, plus O(n) to update the list, where a scan of every
 component and a position-by-position walk of the envied one cost O(n m).
 
-The matching's weights are each agent's `Valuation.singles` times one
-factor, which puts them over the lcm of the agents' denominators. The
+The matching's weights are each agent's `Valuation.singles` times her
+`Instance.factors` entry, which puts them over the common `Instance.scale`. The
 high-welfare loop is the inner loop here, and its range reads index the
 kernels inline.
 """
@@ -38,14 +38,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from operator import or_
 from typing import Optional
 
 from . import debug
 from .envy_cycle import Ef1Partial, LiptonStats, run_extend_ef1
 from .errors import InfeasibleError, ValidationError
-from .fairness import is_ef1, social_welfare, split_rows
+from .fairness import is_ef1, social_welfare
 from .matching import max_weight_left_perfect_matching
 from .model import Allocation, Event, Instance, validate_allocation
 from .oracles import DEFAULT_ENUM_CAP, max_welfare
@@ -123,11 +122,8 @@ def run_ef1_abs(inst: Instance) -> Ef1AbsRun:
     # without naming the agent.
     inst.require_monotone()
     # The matching adds across agents: singleton values over one scale.
-    scale = lcm(*(v.den for v in inst.valuations))
-    weights = []
-    for v in inst.valuations:
-        factor = scale // v.den
-        weights.append([x * factor for x in v.singles])
+    weights = [[x * factor for x in v.singles]
+               for v, factor in zip(inst.valuations, inst.factors)]
     matched = max_weight_left_perfect_matching(weights)
     bundles: list[frozenset[int]] = [frozenset() for _ in range(inst.n)]
     for agent, good in matched:
@@ -196,7 +192,7 @@ def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
     # difference of prefix sums (additive), or her table at the difference
     # of two prefix masks (explicit).
     masks = list(accumulate((1 << g for g in line.order), or_, initial=0))
-    rows, tables = split_rows(inst, [v.kernel for v in inst.valuations])
+    rows, tables = inst.rows()
     prefix = [None if w is None else
               list(accumulate(map(w.__getitem__, line.order), initial=0))
               for w in rows]

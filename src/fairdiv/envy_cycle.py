@@ -28,7 +28,7 @@ agents of each rotated cycle. It searches again only when one of them lies
 on a cycle; otherwise the graph is acyclic. Under `FAIRDIV_DEBUG` a full
 search confirms each skip.
 
-Values are each agent's integers (`Valuation.kernel`) and bundles are
+Values are each agent's integers (`Instance.rows()`) and bundles are
 bitmasks. Each bundle keeps its column: its value to every agent. On
 additive agents a bundle's column is the sum of its goods' columns, built
 once per run, so a hand-out adds one column to another; explicit agents
@@ -56,8 +56,7 @@ from operator import add, ge, gt, itemgetter
 from . import debug
 from .errors import ValidationError
 from .fairness import is_ef1
-from .model import (ADDITIVE, Allocation, Instance, bits, goods_mask,
-                    mask_goods)
+from .model import Allocation, Instance, bits, mask_goods
 
 
 class Ef1Partial(Allocation):
@@ -150,22 +149,21 @@ def run_extend_ef1(inst: Instance,
                 f"{verdict.to_json()['witness']}", witness=verdict.witness)
 
     n = inst.n
-    kernels = [v.kernel for v in inst.valuations]
-    explicit = [i for i, v in enumerate(inst.valuations)
-                if v.kind != ADDITIVE]
-    masks = [goods_mask(b) for b in partial.bundles]
+    weights, tables = inst.rows()
+    explicit = [i for i, t in enumerate(tables) if t is not None]
+    masks = partial.masks
     pow2 = [1 << i for i in range(n)]
 
     # kcol[g]: good g's column, 0 for explicit agents; col[j]: bundle j's
     # column, col[j][i] = v_i(bundle j) in agent i's integers.
     zeros = (0,) * n
-    kcol = list(zip(*(v.kernel if v.kind == ADDITIVE else (0,) * inst.m
-                      for v in inst.valuations)))
+    kcol = list(zip(*(w if w is not None else (0,) * inst.m
+                      for w in weights)))
 
     def column(bundle, mask):
         c = [*map(sum, zip(zeros, *map(kcol.__getitem__, bundle)))]
         for i in explicit:
-            c[i] = kernels[i][mask]
+            c[i] = tables[i][mask]
         return c
 
     def envy_row(i):
@@ -181,7 +179,7 @@ def run_extend_ef1(inst: Instance,
     stats = LiptonStats()
 
     def check_ef1():
-        assert is_ef1(inst, Allocation(tuple(map(mask_goods, masks)))).holds
+        assert is_ef1(inst, Allocation.from_masks(masks)).holds
 
     def rotate(cycle):
         # Agent cycle[t] takes the bundle of cycle[t + 1]; the bundle's
@@ -229,7 +227,7 @@ def run_extend_ef1(inst: Instance,
         masks[source] |= 1 << g
         c = list(map(add, col[source], kcol[g]))
         for i in explicit:
-            c[i] = kernels[i][masks[source]]
+            c[i] = tables[i][masks[source]]
         col[source] = c
         own[source] = mine = c[source]
         envied_by = inc[source] = sum(compress(pow2, map(gt, c, own)))
@@ -245,7 +243,7 @@ def run_extend_ef1(inst: Instance,
         if debug.checks_enabled():
             check_ef1()
 
-    result = Allocation(tuple(map(mask_goods, masks)))
+    result = Allocation.from_masks(masks)
     if debug.checks_enabled():
         assert all(map(ge, own, start_values))
         assert col == [column(mask_goods(mask), mask) for mask in masks]

@@ -6,10 +6,11 @@ reproduces the violated inequality when replayed through value queries.
 
 Each rule is decided once, in one agent's integers on any positive scale:
 `ef1_failure` (EF1) and `prop1_good` (Prop1) serve `is_ef1` and `is_prop1`
-on each kernel and `constrained_opt`'s leaf checks on rows over one common
-denominator. The two are the leaf checks' inner loops, so they read those
-rows and tables inline; everything else here reads a kernel through
-`Valuation.ints_of`. Certificates and witnesses, the public output, are exact
+on each kernel (`Instance.rows()`) and `constrained_opt`'s leaf checks on
+the rows over the common scale (`Instance.rows(common=True)`). The two are
+the leaf checks' inner loops, so they read those rows and tables inline;
+everything else here reads a kernel through `Valuation.ints_of`, and bundles
+as `Allocation.masks`. Certificates and witnesses, the public output, are exact
 rationals; a witness is built only on failure. A Prop1 scope takes its
 agents through `model.agent_set` and its goods through `model.good_set`.
 """
@@ -18,13 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional
 
 from .errors import ValidationError
-from .model import (Allocation, Instance, ADDITIVE, agent_set, bits,
-                    format_rational, good_set, goods_mask,
-                    validate_allocation)
+from .model import (Allocation, Instance, agent_set, bits, format_rational,
+                    good_set, owners, validate_allocation)
 
 
 @dataclass(frozen=True)
@@ -66,21 +65,11 @@ class FairnessVerdict:
 
 def social_welfare(inst: Instance, alloc: Allocation) -> Fraction:
     """Sum of each agent's value for her own bundle: her kernel integers,
-    over the lcm of the agents' denominators, as one Fraction."""
+    over the instance's common `scale`, as one Fraction."""
     validate_allocation(alloc, inst)
-    scale = lcm(*(v.den for v in inst.valuations))
-    total = 0
-    for v, bundle in zip(inst.valuations, alloc.bundles):
-        total += v.ints_of(bundle) * (scale // v.den)
-    return Fraction(total, scale)
-
-
-def split_rows(inst: Instance, rows) -> tuple[list, list]:
-    """`(rows, tables)`: each agent's integers as additive values or as an
-    explicit bitmask table, None in the other list."""
-    additive = [v.kind == ADDITIVE for v in inst.valuations]
-    return ([row if add else None for row, add in zip(rows, additive)],
-            [None if add else row for row, add in zip(rows, additive)])
+    return Fraction(sum(v.ints_of(bundle) * factor for v, bundle, factor
+                        in zip(inst.valuations, alloc.bundles, inst.factors)),
+                    inst.scale)
 
 
 def ef1_failure(rows, tables, floors, masks, owner, agents,
@@ -144,16 +133,12 @@ def is_ef1(inst: Instance, alloc: Allocation) -> FairnessVerdict:
     on each agent's integer kernel; only a failure builds `Fraction`s.
     """
     validate_allocation(alloc, inst)
-    rows, tables = split_rows(inst, [v.kernel for v in inst.valuations])
+    rows, tables = inst.rows()
     floors = [min(w, default=0) - 1 if w is not None else None for w in rows]
-    masks = [goods_mask(b) for b in alloc.bundles]
-    owner = [inst.n] * inst.m
-    for j, bundle in enumerate(alloc.bundles):
-        for g in bundle:
-            owner[g] = j
+    masks = alloc.masks
     certificate: dict = {}
-    pair = ef1_failure(rows, tables, floors, masks, owner, range(inst.n),
-                       certificate)
+    pair = ef1_failure(rows, tables, floors, masks, owners(masks, inst.m),
+                       range(inst.n), certificate)
     if pair is None:
         return FairnessVerdict(holds=True, prop="ef1", certificate=certificate)
     i, j = pair
@@ -183,14 +168,15 @@ def is_prop1(inst: Instance, alloc: Allocation,
     scope_agents = agent_set(range(inst.n) if agents is None else agents,
                              inst.n)
     k = len(scope_agents)
-    rows, tables = split_rows(inst, [v.kernel for v in inst.valuations])
+    rows, tables = inst.rows()
+    masks = alloc.masks
     certificate: dict = {}
     for i in scope_agents:
         v, bundle = inst.valuations[i], alloc.bundles[i]
         own, total, den = v.ints_of(bundle), v.ints_of(scope_goods), v.den
         threshold = Fraction(total, den * k)
-        g = prop1_good(rows[i], tables[i], goods_mask(bundle), own, total,
-                       scope_goods, k)
+        g = prop1_good(rows[i], tables[i], masks[i], own, total, scope_goods,
+                       k)
         if g is None:
             comparisons = [{"added": h + 1,
                             "value": inst.value(i, bundle | {h}),

@@ -40,7 +40,7 @@ from .errors import ValidationError
 from .exact import sqrt_ge
 from .fairness import is_prop1, social_welfare
 from .model import (Allocation, Event, Instance, ZERO, agent_set, good_set,
-                    ints_with, mask_goods)
+                    ints_with, owners, validate_allocation)
 from .oracles import (DEFAULT_MMS_STATE_CAP, MmsProfile, max_welfare,
                       mms_profile, round_robin)
 
@@ -58,9 +58,8 @@ def prop1_subroutine(inst: Instance, agents: Iterable[int],
     one or more distinct agents of the instance and `goods` are its goods."""
     _require_additive(inst, "prop1_subroutine")
     order = agent_set(agents, inst.n)
-    masks = round_robin([v.kernel for v in inst.valuations], [None] * inst.n,
-                        order, good_set(goods, inst.m))
-    return Allocation(tuple(map(mask_goods, masks)))
+    return Allocation.from_masks(round_robin(*inst.rows(), order,
+                                             good_set(goods, inst.m)))
 
 
 @dataclass
@@ -171,11 +170,10 @@ def run_mms_high(inst: Instance, profile: MmsProfile, *,
 
     if wstar is None:
         wstar, _ = max_welfare(inst)
+    else:
+        validate_allocation(wstar, inst, require_complete=True)
     line = LineOrder.from_reference(wstar.bundles, m)
-    owner = [0] * m
-    for i, bundle in enumerate(wstar.bundles):
-        for g in bundle:
-            owner[g] = i
+    owner = owners(wstar.masks, m)
     wstar_val = [sum(vals[i][g] for g in wstar.bundles[i]) for i in range(n)]
 
     bundles: list[set[int]] = [set() for _ in range(n)]

@@ -21,10 +21,11 @@ gcd: the `Fraction` constructors and the loader call it, and so do
 `rescale_instance` and `fairdiv.generators`, which hand it the integers
 they compute or draw with no `Fraction` in between. Scaling by `den > 0`
 keeps the order of every comparison within one agent; comparisons across
-agents cross-multiply by the denominators. Only sums across agents rescale
-to a common lcm: the exhaustive search every kernel (`common_ints`), the
-EF1 matching each agent's `singles`; `ints_with` puts one agent's kernel
-and a rational over one.
+agents cross-multiply by the denominators. Only sums across agents rescale,
+to `Instance.scale` by each agent's `Instance.factors` entry. `Instance.rows`
+splits the kernels into additive weights and explicit tables, and
+`Allocation.masks`, `Allocation.from_masks` and `owners` read bundles as
+bitmasks; `ints_with` puts one agent's kernel and a rational over one.
 
 Instance files are JSON::
 
@@ -295,25 +296,12 @@ def _explicit(m: int, entries: dict[int, tuple[int, int]],
     return Valuation.from_ints(EXPLICIT, m, kernel, den, subadditive)
 
 
-def _rescaled(ints: Sequence[int], den: int, scale: int) -> tuple[int, ...]:
-    """Integers over `den` re-expressed over `scale`, a multiple of `den`."""
-    factor = scale // den
-    return tuple([x * factor for x in ints])
-
-
 def ints_with(valuation: Valuation, x: Fraction) -> tuple[Sequence[int], int]:
     """The agent's kernel and `x` over the lcm of their denominators."""
     scale = lcm(valuation.den, x.denominator)
-    return (_rescaled(valuation.kernel, valuation.den, scale),
+    factor = scale // valuation.den
+    return (tuple([y * factor for y in valuation.kernel]),
             x.numerator * (scale // x.denominator))
-
-
-def common_ints(valuations: Sequence[Valuation]
-                ) -> tuple[list[tuple[int, ...]], int]:
-    """`(rows, scale)`: every agent's kernel over `scale`, the lcm of their
-    denominators, built anew on each call."""
-    scale = lcm(*(v.den for v in valuations))
-    return [_rescaled(v.kernel, v.den, scale) for v in valuations], scale
 
 
 @dataclass(frozen=True)
@@ -342,6 +330,29 @@ class Instance:
     def total_value(self, agent: int) -> Fraction:
         return self.valuations[agent].value(range(self.m))
 
+    @cached_property
+    def scale(self) -> int:
+        """The lcm of the agents' denominators."""
+        return lcm(*(v.den for v in self.valuations))
+
+    @cached_property
+    def factors(self) -> tuple[int, ...]:
+        """Each agent's multiplier `scale // den` to the common scale."""
+        return tuple([self.scale // v.den for v in self.valuations])
+
+    def rows(self, common: bool = False) -> tuple[list, list]:
+        """`(weights, tables)`: each agent's kernel, over `scale` if
+        `common`, as additive per-good weights or as an explicit bitmask
+        table, None in the other list."""
+        weights, tables = [], []
+        for v, factor in zip(self.valuations, self.factors):
+            row = (tuple([x * factor for x in v.kernel])
+                   if common and factor > 1 else v.kernel)
+            additive = v.kind == ADDITIVE
+            weights.append(row if additive else None)
+            tables.append(None if additive else row)
+        return weights, tables
+
     def require_monotone(self) -> None:
         """`check_monotone` on every agent in order. A pass is remembered; a
         failure is not, so each call raises the same first error."""
@@ -361,6 +372,16 @@ class Allocation:
     def of(bundles: Iterable[Iterable[int]]) -> "Allocation":
         return Allocation(tuple(frozenset(b) for b in bundles))
 
+    @classmethod
+    def from_masks(cls, masks: Iterable[int]) -> "Allocation":
+        """The allocation whose bundles are the goods of `masks`."""
+        return cls(tuple(map(mask_goods, masks)))
+
+    @property
+    def masks(self) -> list[int]:
+        """Each bundle's bitmask, in a new list on every read."""
+        return [goods_mask(b) for b in self.bundles]
+
     def allocated(self) -> frozenset[int]:
         out: frozenset[int] = frozenset()
         for b in self.bundles:
@@ -369,6 +390,16 @@ class Allocation:
 
     def is_complete(self, m: int) -> bool:
         return self.allocated() == frozenset(range(m))
+
+
+def owners(masks: Sequence[int], m: int) -> list[int]:
+    """Each good's agent among disjoint bundle bitmasks, `len(masks)` for a
+    good in none of them."""
+    owner = [len(masks)] * m
+    for j, mask in enumerate(masks):
+        for g in bits(mask):
+            owner[g] = j
+    return owner
 
 
 class Event(NamedTuple):
@@ -444,17 +475,32 @@ def check_monotone(v: Valuation, agent: int) -> None:
 
 
 def _validate_valuation(v: Valuation, agent: int) -> None:
-    """Raise ValidationError naming the failing axiom, agent and witness."""
+    """Raise ValidationError naming the failing axiom, agent and witness.
+    The kernel's shape comes first: a known kind, a positive int `den`, m
+    (additive) or 2^m (explicit) entries, and int entries."""
     label = f"agent {agent + 1}"
-    if v.kind == ADDITIVE:
-        if len(v.kernel) != v.m:
-            raise ValidationError(
-                "value-count", f"{label}: expected {v.m} values, got "
-                f"{len(v.kernel)}", agent=agent + 1)
+    kind, ints, den = v.kind, v.kernel, v.den
+    if kind not in (ADDITIVE, EXPLICIT):
+        raise ValidationError("kind", f"{label}: unknown valuation kind "
+                              f"{kind!r}", agent=agent + 1)
+    if not (type(den) is int and den > 0):
+        raise ValidationError("den", f"{label}: den must be a positive int, "
+                              f"got {den!r}", agent=agent + 1)
+    if kind == EXPLICIT:
+        check_explicit_goods_cap(v.m)
+    size = v.m if kind == ADDITIVE else 1 << v.m
+    if len(ints) != size:
+        raise ValidationError(
+            "value-count", f"{label}: expected {size} values, got "
+            f"{len(ints)}", agent=agent + 1)
+    if not {int}.issuperset(map(type, ints)):
+        bad = next(x for x in ints if type(x) is not int)
+        raise ValidationError("integer", f"{label}: kernel entry {bad!r} is "
+                              "not an int", agent=agent + 1)
+    if kind == ADDITIVE:
         check_monotone(v, agent)
         return
 
-    ints, den = v.kernel, v.den
     if ints[0] != 0:
         raise ValidationError(
             "normalized", f"{label}: not normalized, v({{}}) = "

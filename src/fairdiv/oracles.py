@@ -21,9 +21,9 @@ inline: the MMS DP with `_subset_ints`, `_greedy_least`'s hand-outs,
 Maximum welfare on explicit or mixed instances and the fair optimum share
 one exhaustive search: all n^m complete allocations depth-first, with an
 upper-bound prune from per-good maxima where it is sound. Bundles are
-bitmasks, and welfare, the bound and the leaf checks are integers over one
-common denominator. The EF1 and Prop1 leaf checks call the deciders
-`is_ef1` and `is_prop1` use (`fairness`).
+bitmasks, and welfare, the bound and the leaf checks are integers over the
+common scale (`Instance.rows(common=True)`). The EF1 and Prop1 leaf checks
+call the deciders `is_ef1` and `is_prop1` use (`fairness`).
 
 The search skips leaves that only relabel twins. Twin agents have equal
 kernel rows (and, for alpha-MMS, equal requirements); an agent may take its
@@ -54,14 +54,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapreplace
 from itertools import repeat
-from operator import ge
+from operator import ge, mul
 from typing import Iterable, Optional
 
 from .errors import InfeasibleError, ValidationError
-from .fairness import (ef1_failure, nonnegative_alpha, prop1_good,
-                       split_rows)
+from .fairness import ef1_failure, nonnegative_alpha, prop1_good
 from .model import (ADDITIVE, Allocation, Instance, Valuation, ZERO,
-                    common_ints, good_set, is_json_int, mask_goods)
+                    good_set, is_json_int, mask_goods, owners)
 
 # Feasibility is judged on the k^|G| partition-state bound; the memoized DP
 # itself touches at most k * 3^|G| states.
@@ -326,12 +325,11 @@ def max_welfare(inst: Instance,
                     best, top, top_den = i, col[i], dens[i]
             bundles[best].add(g)
             own[best] += top
-        scale = math.lcm(*dens)
-        opt = sum(x * (scale // d) for x, d in zip(own, dens))
-        return Allocation.of(bundles), Fraction(opt, scale)
+        opt = sum(map(mul, own, inst.factors))
+        return Allocation.of(bundles), Fraction(opt, inst.scale)
 
     _check_enum_cap(inst.n, inst.m, cap)
-    return _search(inst, *_split_kernels(inst))
+    return _search(inst, *inst.rows(common=True))
 
 
 def _check_enum_cap(n: int, m: int, cap: int) -> None:
@@ -343,13 +341,6 @@ def _check_enum_cap(n: int, m: int, cap: int) -> None:
 
 
 PROPERTIES = ("ef1", "prop1", "alpha-mms")
-
-
-def _split_kernels(inst: Instance):
-    """Every kernel over one common denominator: per-good weights (additive
-    agents) or bitmask tables (explicit), None in the other list."""
-    rows, scale = common_ints(inst.valuations)
-    return (*split_rows(inst, rows), scale)
 
 
 def _twins(keys) -> list[int]:
@@ -422,11 +413,11 @@ def _climb(weights, tables, masks, owner, own, passes) -> None:
             return
 
 
-def _search(inst: Instance, weights, tables, scale: int, passes=None,
+def _search(inst: Instance, weights, tables, passes=None,
             required=None) -> Optional[tuple[Allocation, Fraction]]:
     """First max-welfare complete allocation in lexicographic assignment
     order whose leaf passes `passes(masks, owner, own)` (bundle bitmasks,
-    each good's agent, each agent's own value over `scale`), or None when
+    each good's agent, each agent's own value over `inst.scale`), or None when
     none does. `passes=None` accepts every leaf; `required` (per-agent
     alpha-MMS requirements, when `passes` depends on them) keeps agents with
     different requirements from being twins.
@@ -467,11 +458,9 @@ def _search(inst: Instance, weights, tables, scale: int, passes=None,
     best_masks: tuple[int, ...] = ()
     last = m - 1
     seed = round_robin(weights, tables, range(n), range(m))
-    seed_owner = [agent for g in range(m)
-                  for agent, mask in enumerate(seed) if mask >> g & 1]
-    seed_own = [t[mask] if t is not None else
-                sum(w[g] for g in range(m) if mask >> g & 1)
-                for w, t, mask in zip(weights, tables, seed)]
+    seed_owner = owners(seed, m)
+    seed_own = [v.ints_of(mask_goods(mask)) * factor for v, mask, factor
+                in zip(inst.valuations, seed, inst.factors)]
     if passes is None or passes(seed, seed_owner, seed_own):
         if prunable:
             _climb(weights, tables, seed, seed_owner, seed_own, passes)
@@ -512,8 +501,8 @@ def _search(inst: Instance, weights, tables, scale: int, passes=None,
         best_welfare, best_masks = best_welfare + 1, tuple(masks)
     if best_welfare is None:
         return None
-    bundles = [mask_goods(mask) for mask in best_masks]
-    return Allocation(tuple(bundles)), Fraction(best_welfare, scale)
+    return Allocation.from_masks(best_masks), Fraction(best_welfare,
+                                                        inst.scale)
 
 
 def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
@@ -533,7 +522,7 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
                                   else Fraction(1, 2))
     _check_enum_cap(n, m, cap)
 
-    weights, tables, scale = _split_kernels(inst)
+    weights, tables = inst.rows(common=True)
     required = None
     if prop == "ef1":
         # Below every additive value: the start of a bundle's running max.
@@ -545,9 +534,8 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
             return ef1_failure(weights, tables, floors, masks, owner,
                                sorted(range(n), key=own.__getitem__)) is None
     elif prop == "prop1":
-        full = (1 << m) - 1
-        totals = [t[full] if t is not None else sum(w)
-                  for w, t in zip(weights, tables)]
+        totals = [v.ints_of(range(m)) * factor
+                  for v, factor in zip(inst.valuations, inst.factors)]
 
         def passes(masks, owner, own):
             return None not in map(prop1_good, weights, tables, masks, own,
@@ -556,12 +544,13 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
         prof = profile if profile is not None else mms_profile(inst,
                                                                cap=mms_cap)
         # own_i >= alpha * MMS_i * L; own_i is an integer, so the ceiling.
-        required = [math.ceil(alpha * x * scale) for x in prof.exact_mms(n)]
+        required = [math.ceil(alpha * x * inst.scale)
+                    for x in prof.exact_mms(n)]
 
         def passes(masks, owner, own):
             return all(map(ge, own, required))
 
-    return _search(inst, weights, tables, scale, passes, required)
+    return _search(inst, weights, tables, passes, required)
 
 
 def price_of_fairness(inst: Instance, prop: str, alpha=None, profile=None,

@@ -340,7 +340,8 @@ def naive_kernel(view) -> tuple[tuple[int, ...], int]:
 
 def naive_common_ints(valuations):
     """Every agent's integer kernel rescaled to the lcm of their
-    denominators, as lists: the reference for `model.common_ints`."""
+    denominators, as lists: the reference for `Instance.scale` and
+    `Instance.rows(common=True)`."""
     scale = lcm(*(v.den for v in valuations))
     return [[x * (scale // v.den) for x in v.kernel]
             for v in valuations], scale

@@ -306,6 +306,11 @@ class TestCli:
          "algorithm half-mms takes no --reference"),
         (["solve", "--alg", "ef1", "--epsilon", "1/10"],
          "algorithm ef1 takes no --epsilon"),
+        (["solve", "--alg", "half-mms", "--epsilon", ""], "not a rational: "),
+        (["mms", "--epsilon", ""], "not a rational: "),
+        (["gen", "--family", "random", "--n", "2", "--m", "2", "--epsilon",
+          ""], "not a rational: "),
+        (["solve", "--alg", "ef1", "--reference", ""], "cannot read : "),
     ], ids=["gen-epsilon", "solve-epsilon", "mms-epsilon", "check-alpha",
             "pof-alpha", "gen-adversarial-m", "gen-adversarial-distribution",
             "gen-random-epsilon", "gen-subadditive-epsilon",
@@ -313,7 +318,8 @@ class TestCli:
             "gen-adversarial-seed-zero", "gen-unknown-family",
             "check-prop1-alpha", "check-ef1-alpha", "pof-ef1-alpha",
             "pof-prop1-alpha", "solve-half-mms-reference",
-            "solve-ef1-epsilon"])
+            "solve-ef1-epsilon", "solve-empty-epsilon", "mms-empty-epsilon",
+            "gen-random-empty-epsilon", "solve-empty-reference"])
     def test_non_strict_rational_option_rejected(self, tmp_path, capsys,
                                                  argv, error):
         inst = tmp_path / "i.json"
@@ -374,6 +380,31 @@ class TestCli:
             for text in texts:
                 assert text == json.dumps(json.loads(text), indent=2,
                                           sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("command", ["gen", "solve", "rescale",
+                                         "experiment"])
+    def test_write_failure_exits_2(self, tmp_path, capsys, command):
+        # A target in a missing directory, or under a regular file.
+        inst, config = tmp_path / "i.json", tmp_path / "c.json"
+        run_cli(capsys, "gen", "--family", "ef1-unscaled", "--n", "2",
+                "-o", str(inst))
+        config.write_text(json.dumps({"families": [
+            {"family": "ef1-unscaled", "n": [2]}]}))
+        missing = str(tmp_path / "missing" / "x.json")
+        argv = {"gen": ["gen", "--family", "ef1-unscaled", "--n", "2",
+                        "-o", missing],
+                "solve": ["solve", "--alg", "ef1", "--instance", str(inst),
+                          "-o", missing],
+                "rescale": ["rescale", "--instance", str(inst),
+                            "-o", missing],
+                "experiment": ["experiment", "--config", str(config),
+                               "-o", str(inst / "report")]}[command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "missing").exists()
 
     def test_error_reported_cleanly(self, tmp_path, capsys):
         code = main(["gen", "--family", "prop1-scaled", "--n", "5",

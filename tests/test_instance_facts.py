@@ -1,8 +1,12 @@
-"""Integer facts about an instance: `common_ints` (every kernel over one
-common denominator, built anew by each caller that adds values across
-agents) and `Instance.require_monotone()`, whose pass is remembered."""
+"""Integer facts about an instance: `Instance.scale` and `factors` (the
+common denominator and each agent's multiplier to it, cached),
+`Instance.rows` (every kernel split into additive weights and explicit
+tables, over the common scale on request, built anew on each call), an
+allocation's bitmasks (`Allocation.masks`, `from_masks`, `owners`) and
+`Instance.require_monotone()`, whose pass is remembered."""
 
 import pickle
+import random
 from collections import Counter
 
 import pytest
@@ -17,10 +21,10 @@ from fairdiv import (Allocation, Instance, ValidationError, Valuation,
                      generate_random, run_ef1_abs, run_extend_ef1,
                      run_solve_ef1, run_solve_half_mms)
 from fairdiv.experiment import ExperimentConfig, _solver_row
-from fairdiv.model import common_ints
+from fairdiv.model import owners
 
-from conftest import (diagonal, naive_common_ints, tie_corpus,
-                      twin_corpus)
+from conftest import (diagonal, naive_common_ints, random_allocation,
+                      tie_corpus, twin_corpus)
 
 
 def corpus():
@@ -32,23 +36,54 @@ def kinds(inst):
     return found.pop() if len(found) == 1 else "mixed"
 
 
-def test_common_matches_reference():
+def test_scale_factors_and_rows_match_reference():
     seen = Counter()
     for inst in corpus():
-        rows, scale = common_ints(inst.valuations)
         want_rows, want_scale = naive_common_ints(inst.valuations)
-        assert scale == want_scale
-        assert [list(row) for row in rows] == want_rows
+        assert inst.scale == want_scale
+        assert inst.factors == tuple(want_scale // v.den
+                                     for v in inst.valuations)
+        additive = [v.kind == "additive" for v in inst.valuations]
+        for common, want in ((False, [list(v.kernel)
+                                      for v in inst.valuations]),
+                             (True, want_rows)):
+            weights, tables = inst.rows(common=common)
+            assert [list(w if add else t) for w, t, add
+                    in zip(weights, tables, additive)] == want
+            assert [w is None for w in weights] == \
+                [t is not None for t in tables] == [not a for a in additive]
         seen[kinds(inst)] += 1
-        seen["rescaled"] += any(v.den != scale for v in inst.valuations)
+        seen["rescaled"] += any(v.den != inst.scale for v in inst.valuations)
     assert min(seen[k] for k in ("additive", "explicit", "mixed")) >= 30
     assert seen["rescaled"] >= 30
+
+
+def test_masks_owners_round_trip():
+    rng = random.Random(37)
+    partial = 0
+    for inst in corpus():
+        for _ in range(3):
+            alloc = random_allocation(rng, inst.n, inst.m)
+            masks = alloc.masks
+            assert masks == [sum(1 << g for g in b) for b in alloc.bundles]
+            assert Allocation.from_masks(masks) == alloc
+            owner = owners(masks, inst.m)
+            assert owner == [next((j for j, b in enumerate(alloc.bundles)
+                                   if g in b), inst.n)
+                             for g in range(inst.m)]
+            assert Allocation.of([[g for g in range(inst.m) if owner[g] == j]
+                                  for j in range(inst.n)]) == alloc
+            partial += not alloc.is_complete(inst.m)
+    assert partial >= 100
 
 
 def test_cached_facts_leave_equality_hash_and_pickle_alone():
     for inst in corpus()[:80]:
         fresh = Instance(inst.n, inst.m, inst.valuations, inst.scaled)
         before = hash(inst)
+        assert inst.scale == fresh.scale
+        assert inst.factors == fresh.factors
+        assert "scale" in inst.__dict__ and "factors" in inst.__dict__
         try:
             inst.require_monotone()
         except ValidationError:
@@ -83,17 +118,18 @@ def test_non_monotone_instance_raises_the_same_error_every_call(valuations):
 
 @pytest.fixture()
 def counts(monkeypatch):
-    """Counts common-scale builds and per-agent monotonicity checks, however
-    a module reaches `common_ints` or `check_monotone`."""
+    """Counts common-scale row builds (`Instance.rows(common=True)`) and
+    per-agent monotonicity checks, however a module reaches
+    `check_monotone`."""
     seen = Counter()
+    rows = Instance.rows
 
-    def counted_build(valuations):
-        seen["common"] += 1
-        return common_ints(valuations)
+    def counted_rows(inst, common=False):
+        if common:
+            seen["common"] += 1
+        return rows(inst, common)
 
-    for module in (fairdiv.model, fairdiv.ef1, fairdiv.oracles):
-        monkeypatch.setattr(module, "common_ints", counted_build,
-                            raising=False)
+    monkeypatch.setattr(Instance, "rows", counted_rows)
     check = fairdiv.model.check_monotone
 
     def counted_check(v, agent):
@@ -120,6 +156,9 @@ def test_no_build_and_one_scan_per_ef1_solve(counts):
         counts.clear()
         run_extend_ef1(inst, Allocation.of([[]] * inst.n))
         assert counts == {}
+    # The exhaustive search does build them, once per call.
+    fairdiv.oracles.constrained_opt(diagonal(3), "ef1")
+    assert counts == {"common": 1}
 
 
 def test_no_build_per_half_mms_solve(counts):

@@ -12,7 +12,6 @@ import pytest
 
 from fairdiv import (FamilySpec, generate_adversarial, generate_random,
                      max_weight_left_perfect_matching, matching)
-from fairdiv.model import common_ints
 from conftest import naive_matching, perturbed_matching, tie_matrices
 
 
@@ -35,9 +34,9 @@ class TestKnownMatrices:
 
     def test_high_agent_matrix(self):
         inst = generate_adversarial(FamilySpec("ef1-unscaled", 3))
-        w, scale = common_ints(inst.valuations)
+        w, _ = inst.rows(common=True)
         pairs = max_weight_left_perfect_matching(w)
-        assert Fraction(weight_of(w, pairs), scale) == 3 + Fraction(2, 3)
+        assert Fraction(weight_of(w, pairs), inst.scale) == 3 + Fraction(2, 3)
 
     def test_fewer_goods_than_agents(self):
         w = [[1], [2], [3]]
@@ -125,7 +124,7 @@ class TestAgainstPerturbation:
                 seed = zlib.crc32(f"42|solve-additive|{n}|{k}".encode())
                 inst = generate_random(n, 4 * n, "dirichlet-scaled",
                                        seed=seed)
-                w, _ = common_ints(inst.valuations)
+                w, _ = inst.rows(common=True)
                 assert max_weight_left_perfect_matching(w) == \
                     perturbed_matching(w)
 
@@ -135,7 +134,7 @@ def test_potentials_certify_the_optimum_at_scale(debug_mode):
     # feasibility, tight matched edges, every column with v > 0 matched)
     # proves the matching optimal, and breaking a potential fails it.
     inst = generate_random(64, 256, "dirichlet-scaled", seed=3)
-    w, _ = common_ints(inst.valuations)
+    w, _ = inst.rows(common=True)
     pairs = max_weight_left_perfect_matching(w)
     assert sorted(i for i, _ in pairs) == list(range(64))
     col, u, v = matching._max_assignment(w)

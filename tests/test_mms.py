@@ -264,6 +264,19 @@ class TestHigh:
             events |= {event for event, *_ in run.trace}
         assert {"swap", "accumulate", "leftover"} <= events
 
+    @pytest.mark.parametrize("wstar, axiom", [
+        ([[]] * 9, "complete"),
+        ([[g] for g in range(8)] + [[8, 9]], "good-range"),
+        ([[g] for g in range(8)], "bundle-count"),
+    ], ids=["empty", "good-out-of-range", "too-few-bundles"])
+    def test_wstar_must_be_a_complete_allocation(self, wstar, axiom):
+        # An all-empty wstar once handed agent 1 every good; the other two
+        # raised a bare IndexError.
+        inst = diagonal(9)
+        with pytest.raises(ValidationError) as err:
+            run_mms_high(inst, mms_profile(inst), wstar=Allocation.of(wstar))
+        assert err.value.axiom == axiom
+
     @pytest.mark.parametrize("profile", [
         injected_profile([Fraction(1, 4)]),
         injected_profile([Fraction(1, 4)] * 3),

@@ -506,6 +506,31 @@ class TestConstructorInputs:
             assert v.value({0}) == want
             assert v == self.build(kind, want)
 
+    @pytest.mark.parametrize("build, axiom", [
+        (lambda: Valuation("additive", 2, (1, 1), -2), "den"),
+        (lambda: Valuation.from_ints("additive", 2, [1, 1], -2), "den"),
+        (lambda: Valuation("additive", 2, (1, 1), 0), "den"),
+        (lambda: Valuation("additive", 2, (1, 1), True), "den"),
+        (lambda: Valuation("additive", 2, (1, 1), 2.0), "den"),
+        (lambda: Valuation("foo", 2, (0, 1, 1, 2), 1), "kind"),
+        (lambda: Valuation("additive", 2, (1,), 1), "value-count"),
+        (lambda: Valuation("explicit", 2, (0, 1), 1), "value-count"),
+        (lambda: Valuation("additive", 2, (1, True), 1), "integer"),
+        (lambda: Valuation("explicit", 2, (0, 1, 1, Fraction(2)), 1),
+         "integer"),
+    ], ids=["negative-den", "from-ints-negative-den", "zero-den", "bool-den",
+            "float-den", "unknown-kind", "additive-length",
+            "explicit-length", "bool-entry", "fraction-entry"])
+    def test_validation_refuses_a_bad_kernel(self, build, axiom):
+        # Built directly, past the constructors' checks; the first or the
+        # second agent.
+        for valuations in ((build(),), (Valuation.additive([1, 1]), build())):
+            agent = len(valuations)
+            with pytest.raises(ValidationError) as info:
+                validate_instance(Instance(agent, 2, valuations))
+            assert (info.value.axiom, info.value.agent) == (axiom, agent)
+            assert str(info.value).startswith(f"agent {agent}: ")
+
 
 class TestRescale:
     def test_rescaled_instance_validates(self):

@@ -573,7 +573,7 @@ class TestRoundRobinSeed:
         # Round robin gives ({0, 2}, {1}); the lexicographically first
         # allocation of the same welfare and verdict is ({0, 1}, {2}).
         inst = additive_instance([[1, 1, 1], [1, 1, 1]])
-        weights, tables, _ = oracles._split_kernels(inst)
+        weights, tables = inst.rows(common=True)
         seed = oracles.round_robin(weights, tables, range(2), range(3))
         assert seed == [0b101, 0b010]
         assert constrained_opt(inst, prop) == (Allocation.of([{0, 1}, {2}]),
@@ -587,7 +587,7 @@ class TestRoundRobinSeed:
                      + twin_corpus(150, seed=29, kinds=("explicit", "mixed"))
                      + random_subadditive_corpus(100, 4, 6, seed=31))
         for inst in instances:
-            weights, tables, _ = oracles._split_kernels(inst)
+            weights, tables = inst.rows(common=True)
             agents = rng.sample(range(inst.n), rng.randint(1, inst.n))
             goods = [g for g in range(inst.m) if rng.random() < 0.7]
             for scope in ((range(inst.n), range(inst.m)), (agents, goods)):
@@ -603,7 +603,7 @@ class TestRoundRobinSeed:
         climbed = 0
         for inst in (tie_corpus(200, seed=61, n_range=(2, 4))
                      + random_subadditive_corpus(60, 3, 5, seed=67)):
-            weights, tables, _ = oracles._split_kernels(inst)
+            weights, tables = inst.rows(common=True)
 
             def passes(masks, owner=None, own=None):
                 alloc = Allocation(tuple(map(mask_goods, masks)))
