@@ -34,10 +34,7 @@ from fractions import Fraction
 
 from .errors import FairdivError
 from .fairness import is_alpha_mms, is_ef1, is_prop1, nonnegative_alpha
-from .generators import (ADVERSARIAL_FAMILIES, FAMILY_ARGS,
-                         RANDOM_DISTRIBUTIONS, FamilySpec, check_family_args,
-                         generate_adversarial, generate_random,
-                         generate_random_subadditive)
+from .generators import RANDOM_DISTRIBUTIONS, generate
 from .mms import run_solve_half_mms
 from .ef1 import run_solve_ef1
 from .model import (allocation_to_json, format_decimal, format_rational,
@@ -52,27 +49,9 @@ def _emit(data) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if args.family not in FAMILY_ARGS:
-        raise FairdivError(f"unknown family {args.family!r}; expected one "
-                           f"of {tuple(FAMILY_ARGS)}")
     eps = None if args.epsilon is None else parse_rational(args.epsilon)
-    # Only `random` draws by a distribution, so only it has a default.
-    distribution = args.distribution or ("uniform-rational"
-                                         if args.family == "random" else None)
-    check_family_args(args.family, args.n, args.m, eps, distribution)
-    # A seed is a `gen` argument only: the experiment config seeds a whole
-    # sweep, so `FAMILY_ARGS` has no per-family seed to check it against.
-    if args.seed is not None and args.family in ADVERSARIAL_FAMILIES:
-        raise FairdivError(f"{args.family} takes no seed")
-    seed = 0 if args.seed is None else args.seed
-    if args.family in ADVERSARIAL_FAMILIES:
-        inst = generate_adversarial(FamilySpec(family=args.family, n=args.n,
-                                               epsilon=eps))
-    elif args.family == "random":
-        inst = generate_random(args.n, args.m, distribution=distribution,
-                               seed=seed)
-    else:
-        inst = generate_random_subadditive(args.n, args.m, seed=seed)
+    inst = generate(args.family, args.n, args.m, eps, args.distribution,
+                    args.seed)
     if args.output:
         save_instance(inst, args.output)
         _emit({"family": args.family, "n": inst.n, "m": inst.m,
@@ -199,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int)
-    p.add_argument("--epsilon")
+    p.add_argument("--epsilon", help="for the mms-unscaled and supermodular "
+                                      "families, which need it")
     p.add_argument("--seed", type=int,
                    help="random seed for the random families (default 0; "
                         "the adversarial families are deterministic and "

@@ -49,9 +49,8 @@ from typing import Callable, NamedTuple, Optional
 from .errors import FairdivError, InfeasibleError, ParseError, ValidationError
 from .exact import sqrt_ge
 from .fairness import is_alpha_mms, is_ef1
-from .generators import (ADVERSARIAL_FAMILIES, FAMILY_ARGS, FamilySpec,
-                         check_family_args, generate_adversarial,
-                         generate_random, generate_random_subadditive)
+from .generators import (ADVERSARIAL_FAMILIES, FAMILY_ARGS,
+                         RANDOM_DISTRIBUTIONS, check_family_args, generate)
 from .model import (Instance, ZERO, allocation_to_json, format_decimal,
                     format_rational, is_json_int, parse_rational, read_json,
                     write_json)
@@ -237,7 +236,7 @@ def _instance_jobs(config: ExperimentConfig) -> list[dict]:
         else:
             ms = _json_ints(fam, "m")
             count = _json_int(fam, "count", 1, 1)
-            distribution = fam.get("distribution", "uniform-rational"
+            distribution = fam.get("distribution", RANDOM_DISTRIBUTIONS[0]
                                    if family == "random" else None)
             for n in ns:
                 for m in ms:
@@ -255,24 +254,15 @@ def _instance_jobs(config: ExperimentConfig) -> list[dict]:
 
 
 def _build_instance(job: dict, seed: int) -> tuple[str, Instance]:
-    family, n = job["family"], job["n"]
-    if family in ADVERSARIAL_FAMILIES:
-        spec = FamilySpec(family=family, n=n, epsilon=job.get("epsilon"))
-        inst = generate_adversarial(spec)
-        ident = f"{family}-n{n}"
-        if job.get("epsilon") is not None:
-            ident += f"-e{job['epsilon']}"
-        return ident.replace("/", "_"), inst
-    m, idx = job["m"], job["index"]
-    derived = _derived_seed(seed, family, n, m, idx)
-    if family == "random":
-        inst = generate_random(n, m, distribution=job["distribution"],
-                               seed=derived)
-        ident = f"random-{job['distribution']}-n{n}-m{m}-i{idx}"
-    else:
-        inst = generate_random_subadditive(n, m, seed=derived)
-        ident = f"random-subadditive-n{n}-m{m}-i{idx}"
-    return ident, inst
+    """A job's row id and instance. A drawn instance (a job with an index)
+    is seeded from the sweep's seed and its place in the grid."""
+    family, n, m = job["family"], job["n"], job.get("m")
+    eps, dist, idx = (job.get(k) for k in ("epsilon", "distribution", "index"))
+    parts = (family, dist, f"n{n}", None if idx is None else f"m{m}-i{idx}",
+             None if eps is None else f"e{eps}")
+    derived = None if idx is None else _derived_seed(seed, family, n, m, idx)
+    return ("-".join(p for p in parts if p).replace("/", "_"),
+            generate(family, n, m, eps, dist, derived))
 
 
 # Each optional cell as it reads until the row computes it: a cell beyond

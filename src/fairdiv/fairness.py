@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import ValidationError
-from .model import (Allocation, Instance, agent_set, bits, format_rational,
-                    good_set, owners, validate_allocation)
+from .model import (Allocation, Instance, agent_set, bits, exact_rational,
+                    format_rational, good_set, owners, validate_allocation)
 
 
 @dataclass(frozen=True)
@@ -194,9 +194,10 @@ def is_prop1(inst: Instance, alloc: Allocation,
 
 
 def nonnegative_alpha(alpha) -> Fraction:
-    """`alpha` as a Fraction, rejected when negative: every alpha-MMS
-    requirement would then be negative, and any allocation would pass."""
-    alpha = Fraction(alpha)
+    """`alpha`, a Fraction or an integer, as a Fraction; refused when
+    negative, since every alpha-MMS requirement would then be negative and
+    any allocation would pass."""
+    alpha = exact_rational(alpha, "alpha")
     if alpha < 0:
         raise ValidationError("alpha", f"alpha {alpha} is negative")
     return alpha

@@ -25,6 +25,10 @@ Random families: `uniform-rational` draws values k/1000 in [0, 1];
 `dirichlet-scaled` draws positive integer weights and renormalizes each
 agent to total value exactly 1. Both are byte-reproducible under a seed.
 
+`generate(family, n, ...)` builds any family by its name, and is what the
+CLI and the experiment sweep call; `generate_adversarial`, `generate_random`
+and `generate_random_subadditive` each build their own families.
+
 Every family computes its values as integers over one denominator per
 agent and hands them to `Valuation.from_ints`, which reduces them; no
 `Fraction` is built on the way.
@@ -46,10 +50,12 @@ ADVERSARIAL_FAMILIES = ("ef1-unscaled", "mms-unscaled", "mms-scaled-sqrt",
 RANDOM_FAMILIES = ("random", "random-subadditive")
 RANDOM_DISTRIBUTIONS = ("uniform-rational", "dirichlet-scaled")
 # What a request for a family's instances may name beside n: an adversarial
-# family is one instance per n (and epsilon); a random family draws m goods
-# (by a distribution, for `random`) any `count` of times. Anything else is
-# refused, by `check_family_args` and by an experiment config alike.
-FAMILY_ARGS = {**dict.fromkeys(ADVERSARIAL_FAMILIES, ("epsilon",)),
+# family is one instance per n (and epsilon, for the two that need it); a
+# random family draws m goods (by a distribution, for `random`) any `count`
+# of times. Anything else is refused, by `check_family_args` and by an
+# experiment config alike.
+FAMILY_ARGS = {**dict.fromkeys(ADVERSARIAL_FAMILIES, ()),
+               "mms-unscaled": ("epsilon",), "supermodular": ("epsilon",),
                "random": ("m", "distribution", "count"),
                "random-subadditive": ("m", "count")}
 
@@ -60,9 +66,12 @@ def check_family_args(family: str, n: int, m: Optional[int] = None,
     """The generators' argument rules, checked before any work: ValueError
     for arguments that name no instance, the explicit-goods-cap
     ValidationError for explicit tables over the cap. Sizes are integers
-    (bools are not) and epsilon is a Fraction; an argument outside the
-    family's `FAMILY_ARGS` is refused."""
-    takes = FAMILY_ARGS.get(family, ())
+    (bools are not) and epsilon is a Fraction; an unknown family, or an
+    argument outside the family's `FAMILY_ARGS`, is refused."""
+    if family not in FAMILY_ARGS:
+        raise ValueError(f"unknown family {family!r}; expected one of "
+                         f"{tuple(FAMILY_ARGS)}")
+    takes = FAMILY_ARGS[family]
     for name, value in (("m", m), ("epsilon", epsilon),
                         ("distribution", distribution)):
         if value is not None and name not in takes:
@@ -82,7 +91,7 @@ def check_family_args(family: str, n: int, m: Optional[int] = None,
     if family == "random" and distribution not in RANDOM_DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}; "
                          f"expected one of {RANDOM_DISTRIBUTIONS}")
-    if family in ("mms-unscaled", "supermodular") and epsilon is None:
+    if "epsilon" in takes and epsilon is None:
         raise ValueError(f"{family} needs an epsilon in (0, 1)")
     if family == "prop1-scaled" and isqrt(n) ** 2 != n:
         raise ValueError(f"prop1-scaled requires a square agent count, "
@@ -119,16 +128,14 @@ def _validated(valuations: list[Valuation], scaled: bool) -> Instance:
     return inst
 
 
-def generate_adversarial(spec: FamilySpec) -> Instance:
-    """Build one member of an adversarial family, validated."""
-    n = spec.n
-    family = spec.family
+# The builders: each takes arguments `check_family_args` has passed.
+def _adversarial(family: str, n: int, epsilon=None) -> Instance:
     if family == "ef1-unscaled":
         return _validated([_additive([n] * n, 1)]
                           + [_additive([1] * n, n)] * (n - 1), scaled=False)
 
     if family == "mms-unscaled":
-        p, q = spec.epsilon.numerator, spec.epsilon.denominator
+        p, q = epsilon.numerator, epsilon.denominator
         return _validated([_additive([1] * n, 1)]
                           + [_additive([p] * n, q)] * (n - 1), scaled=False)
 
@@ -151,29 +158,21 @@ def generate_adversarial(spec: FamilySpec) -> Instance:
                           + [_additive([1] * m, n + 1)] * (n - 1),
                           scaled=False)
 
-    if family == "supermodular":
-        # Over q(m-1) for eps = p/q: a set S is worth p(m-1)|S| when
-        # |S| <= 1 and p(m-1) + (|S|-1)(q-p) above. Set sizes by bitmask
-        # double up one good at a time.
-        m = n
-        p, q = spec.epsilon.numerator, spec.epsilon.denominator
-        sizes = [0]
-        for _ in range(m):
-            sizes += [k + 1 for k in sizes]
-        table = [p * (m - 1) * k if k <= 1 else p * (m - 1) + (k - 1) * (q - p)
-                 for k in sizes]
-        valuation = Valuation.from_ints(EXPLICIT, m, table, q * (m - 1))
-        return _validated([valuation] * n, scaled=True)
-
-    raise ValueError(f"unknown family {family!r}; "
-                     f"expected one of {ADVERSARIAL_FAMILIES}")
+    # supermodular, over q(m-1) for eps = p/q: a set S is worth p(m-1)|S|
+    # when |S| <= 1 and p(m-1) + (|S|-1)(q-p) above. Set sizes by bitmask
+    # double up one good at a time.
+    m = n
+    p, q = epsilon.numerator, epsilon.denominator
+    sizes = [0]
+    for _ in range(m):
+        sizes += [k + 1 for k in sizes]
+    table = [p * (m - 1) * k if k <= 1 else p * (m - 1) + (k - 1) * (q - p)
+             for k in sizes]
+    valuation = Valuation.from_ints(EXPLICIT, m, table, q * (m - 1))
+    return _validated([valuation] * n, scaled=True)
 
 
-def generate_random(n: int, m: int, distribution: str = "uniform-rational",
-                    seed: int = 0) -> Instance:
-    """Seeded random additive instance; identical seeds give identical
-    instances byte-for-byte."""
-    check_family_args("random", n, m, distribution=distribution)
+def _random(n: int, m: int, distribution: str, seed: int) -> Instance:
     rng = random.Random(seed)
     if distribution == "uniform-rational":
         draws = [[rng.randint(0, 1000) for _ in range(m)] for _ in range(n)]
@@ -186,11 +185,7 @@ def generate_random(n: int, m: int, distribution: str = "uniform-rational",
     return _validated(valuations, scaled=True)
 
 
-def generate_random_subadditive(n: int, m: int, seed: int = 0) -> Instance:
-    """Seeded random budget-additive explicit instance (subadditive): each
-    agent's bundle value is the sum of per-good draws clipped at a random
-    budget, which preserves normalization and monotonicity."""
-    check_family_args("random-subadditive", n, m)
+def _random_subadditive(n: int, m: int, seed: int) -> Instance:
     rng = random.Random(seed)
     valuations = []
     for _ in range(n):
@@ -207,3 +202,43 @@ def generate_random_subadditive(n: int, m: int, seed: int = 0) -> Instance:
         valuations.append(Valuation.from_ints(EXPLICIT, m, table, 10 ** 6,
                                               subadditive=True))
     return _validated(valuations, scaled=False)
+
+
+def generate(family: str, n: int, m: Optional[int] = None,
+             epsilon: Optional[Fraction] = None,
+             distribution: Optional[str] = None,
+             seed: Optional[int] = None) -> Instance:
+    """The validated instance a request names, its arguments checked once
+    before any work. `random` draws by `RANDOM_DISTRIBUTIONS[0]` and a random
+    family by seed 0 unless told otherwise; an adversarial one takes none."""
+    if family == "random" and distribution is None:
+        distribution = RANDOM_DISTRIBUTIONS[0]
+    check_family_args(family, n, m, epsilon, distribution)
+    if family in ADVERSARIAL_FAMILIES:
+        if seed is not None:
+            raise ValueError(f"{family} takes no seed")
+        return _adversarial(family, n, epsilon)
+    if family == "random":
+        return _random(n, m, distribution, seed or 0)
+    return _random_subadditive(n, m, seed or 0)
+
+
+def generate_adversarial(spec: FamilySpec) -> Instance:
+    """Build one member of an adversarial family, validated."""
+    return _adversarial(spec.family, spec.n, spec.epsilon)
+
+
+def generate_random(n: int, m: int, distribution=RANDOM_DISTRIBUTIONS[0],
+                    seed: int = 0) -> Instance:
+    """Seeded random additive instance; identical seeds give identical
+    instances byte-for-byte."""
+    check_family_args("random", n, m, distribution=distribution)
+    return _random(n, m, distribution, seed)
+
+
+def generate_random_subadditive(n: int, m: int, seed: int = 0) -> Instance:
+    """Seeded random budget-additive explicit instance (subadditive): each
+    agent's bundle value is the sum of per-good draws clipped at a random
+    budget, which preserves normalization and monotonicity."""
+    check_family_args("random-subadditive", n, m)
+    return _random_subadditive(n, m, seed)

@@ -39,8 +39,9 @@ from .ef1 import LineOrder
 from .errors import ValidationError
 from .exact import sqrt_ge
 from .fairness import is_prop1, social_welfare
-from .model import (Allocation, Event, Instance, ZERO, agent_set, good_set,
-                    ints_with, owners, validate_allocation)
+from .model import (Allocation, Event, Instance, ZERO, agent_set,
+                    exact_rational, good_set, ints_with, owners,
+                    validate_allocation)
 from .oracles import (DEFAULT_MMS_STATE_CAP, MmsProfile, max_welfare,
                       mms_profile, round_robin)
 
@@ -288,6 +289,7 @@ def run_solve_half_mms(inst: Instance, epsilon: Fraction = ZERO,
     instances, >= (1/3n) * sum_i v_i([m]) otherwise. Raises ValidationError
     unless 0 <= eps < 1/2, below which the guarantee is not vacuous."""
     _require_additive(inst, "run_solve_half_mms")
+    epsilon = exact_rational(epsilon, "epsilon")
     if not 0 <= epsilon < Fraction(1, 2):
         raise ValidationError("epsilon", f"epsilon {epsilon} outside "
                               "[0, 1/2)")

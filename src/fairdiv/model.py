@@ -118,6 +118,16 @@ def is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def exact_rational(value, name: str) -> Fraction:
+    """`value`, a Fraction or an integer, as a Fraction. Anything else, a
+    float or a bool included, is no exact rational a caller means: a
+    ValidationError naming the argument."""
+    if isinstance(value, Fraction) or is_json_int(value):
+        return Fraction(value)
+    raise ValidationError(name, f"{name} must be a Fraction or an integer, "
+                                f"got {value!r}")
+
+
 def good_set(goods: Iterable[int], m: int) -> frozenset[int]:
     """`goods` as a set; ValueError, naming the first in input order that is
     not a good within 0..m-1, unless each is one."""

@@ -60,7 +60,7 @@ from typing import Iterable, Optional
 from .errors import InfeasibleError, ValidationError
 from .fairness import ef1_failure, nonnegative_alpha, prop1_good
 from .model import (ADDITIVE, Allocation, Instance, Valuation, ZERO,
-                    good_set, is_json_int, mask_goods, owners)
+                    exact_rational, good_set, is_json_int, mask_goods, owners)
 
 # Feasibility is judged on the k^|G| partition-state bound; the memoized DP
 # itself touches at most k * 3^|G| states.
@@ -84,6 +84,14 @@ class MmsProfile:
     epsilon: Fraction = ZERO
 
     def __post_init__(self):
+        # Every value an exact rational, stored as a Fraction.
+        for name in ("mms", "estimates"):
+            values = getattr(self, name)
+            if values is not None:
+                object.__setattr__(self, name, tuple(
+                    exact_rational(x, name) for x in values))
+        object.__setattr__(self, "epsilon",
+                           exact_rational(self.epsilon, "epsilon"))
         if self.mms is None and self.estimates is None:
             raise ValidationError("mms-profile", "profile needs mms values "
                                   "or injected estimates")
@@ -135,9 +143,7 @@ def injected_profile(estimates: Iterable[Fraction],
     agent's maximin share (e.g. the minimum bundle of any concrete
     partition); nothing here can verify that without the exact oracle.
     """
-    return MmsProfile(mms=None,
-                      estimates=tuple(Fraction(z) for z in estimates),
-                      epsilon=Fraction(epsilon))
+    return MmsProfile(mms=None, estimates=tuple(estimates), epsilon=epsilon)
 
 
 def _subset_ints(valuation: Valuation, goods: list[int]) -> list[int]:
@@ -292,7 +298,7 @@ def mms_profile(inst: Instance, epsilon: Fraction = ZERO,
                 cap: int = DEFAULT_MMS_STATE_CAP) -> MmsProfile:
     """Exact MMS_i for every agent, with estimates Z_i = MMS_i (epsilon 0)
     or the deterministic degradation Z_i = (1 - eps) * MMS_i."""
-    epsilon = Fraction(epsilon)
+    epsilon = exact_rational(epsilon, "epsilon")
     if not (0 <= epsilon < 1):
         raise ValidationError("mms-profile", f"epsilon {epsilon} outside [0, 1)")
     shares: dict[Valuation, Fraction] = {}     # twin agents share one

@@ -21,7 +21,7 @@ from fairdiv.errors import ParseError
 from fairdiv.experiment import (BOUND_COLUMNS, ExperimentConfig,
                                 _build_instance, _instance_jobs, _solver_row,
                                 run_experiment)
-from fairdiv.model import instance_from_json
+from fairdiv.model import instance_from_json, instance_to_json
 
 from conftest import diagonal
 
@@ -45,6 +45,10 @@ README_CONFIG = {
          "n": [4], "m": [8], "count": 3},
     ],
 }
+
+# The adversarial families that read no epsilon, and so refuse one.
+EPSILON_FREE = ("ef1-unscaled", "mms-scaled-sqrt", "prop1-unscaled",
+                "prop1-scaled")
 
 
 def run_cli(capsys, *argv):
@@ -311,6 +315,8 @@ class TestCli:
         (["gen", "--family", "random", "--n", "2", "--m", "2", "--epsilon",
           ""], "not a rational: "),
         (["solve", "--alg", "ef1", "--reference", ""], "cannot read : "),
+        *[(["gen", "--family", family, "--n", "4", "--epsilon", "1/3"],
+           f"{family} takes no epsilon") for family in EPSILON_FREE],
     ], ids=["gen-epsilon", "solve-epsilon", "mms-epsilon", "check-alpha",
             "pof-alpha", "gen-adversarial-m", "gen-adversarial-distribution",
             "gen-random-epsilon", "gen-subadditive-epsilon",
@@ -319,7 +325,8 @@ class TestCli:
             "check-prop1-alpha", "check-ef1-alpha", "pof-ef1-alpha",
             "pof-prop1-alpha", "solve-half-mms-reference",
             "solve-ef1-epsilon", "solve-empty-epsilon", "mms-empty-epsilon",
-            "gen-random-empty-epsilon", "solve-empty-reference"])
+            "gen-random-empty-epsilon", "solve-empty-reference",
+            *[f"gen-{family}-epsilon" for family in EPSILON_FREE]])
     def test_non_strict_rational_option_rejected(self, tmp_path, capsys,
                                                  argv, error):
         inst = tmp_path / "i.json"
@@ -770,6 +777,8 @@ class TestExperiment:
         {"families": [{"family": "ef1-unscaled", "n": []}]},
         {"families": [{"family": "random", "n": [4], "m": []}]},
         {"families": [{"family": ["random"], "n": [4], "m": [3]}]},
+        *[{"families": [{"family": family, "n": [4], "epsilon": "1/3"}]}
+          for family in EPSILON_FREE],
     ], ids=["trace-string", "trace-int", "seed-float", "seed-string",
             "seed-bool", "jobs-string", "enum-cap-float", "mms-cap-null",
             "epsilon-decimal", "family-n-float", "family-n-string",
@@ -787,10 +796,50 @@ class TestExperiment:
             "adversarial-m", "adversarial-count", "adversarial-distribution",
             "random-epsilon", "subadditive-distribution", "family-key-typo",
             "family-no-n", "random-no-m", "family-n-empty", "random-m-empty",
-            "family-name-list"])
+            "family-name-list",
+            *[f"{family}-epsilon" for family in EPSILON_FREE]])
     def test_config_rejects_wrong_json_types(self, change):
         with pytest.raises(ParseError):
             ExperimentConfig.from_json(dict(self.CONFIG, **change))
+
+    def test_row_ids_and_instances_pinned(self):
+        # One config holding every family: adversarial with and without
+        # epsilon, `random` by its default distribution and by a named one,
+        # and `random-subadditive`. Each row id, and a sha256 prefix of its
+        # instance's JSON, as the per-family dispatch wrote them.
+        config = ExperimentConfig.from_json({"seed": 7, "families": [
+            {"family": "ef1-unscaled", "n": [2, 3]},
+            {"family": "mms-unscaled", "n": [3], "epsilon": "1/3"},
+            {"family": "mms-scaled-sqrt", "n": [4]},
+            {"family": "prop1-unscaled", "n": [2]},
+            {"family": "prop1-scaled", "n": [4]},
+            {"family": "supermodular", "n": [3], "epsilon": "1/100"},
+            {"family": "random", "n": [2], "m": [3, 4], "count": 2},
+            {"family": "random", "distribution": "dirichlet-scaled",
+             "n": [3], "m": [5]},
+            {"family": "random-subadditive", "n": [2], "m": [3],
+             "count": 2}]})
+        rows = []
+        for job in _instance_jobs(config):
+            ident, inst = _build_instance(job, config.seed)
+            text = json.dumps(instance_to_json(inst), sort_keys=True)
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            rows.append((ident, digest[:12]))
+        assert rows == [
+            ("ef1-unscaled-n2", "5b8748909492"),
+            ("ef1-unscaled-n3", "c46d71905032"),
+            ("mms-unscaled-n3-e1_3", "741ba9907949"),
+            ("mms-scaled-sqrt-n4", "6e2adf8424de"),
+            ("prop1-unscaled-n2", "6cf0df6f8bb0"),
+            ("prop1-scaled-n4", "d5d8ec8461dd"),
+            ("supermodular-n3-e1_100", "4fb8bd88511d"),
+            ("random-uniform-rational-n2-m3-i0", "4fdaa20d218b"),
+            ("random-uniform-rational-n2-m3-i1", "7aef8f7b7542"),
+            ("random-uniform-rational-n2-m4-i0", "22e75e231e68"),
+            ("random-uniform-rational-n2-m4-i1", "acc4e6356dce"),
+            ("random-dirichlet-scaled-n3-m5-i0", "3cc47e76bc4b"),
+            ("random-subadditive-n2-m3-i0", "ac2f25c452eb"),
+            ("random-subadditive-n2-m3-i1", "393f55ecc031")]
 
     def test_cli_experiment_rejects_coerced_config(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"

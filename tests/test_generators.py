@@ -14,6 +14,7 @@ from fairdiv import (FamilySpec, Instance, ValidationError, Valuation,
                      generate_random_subadditive, max_welfare,
                      rescale_instance, save_instance, validate_instance)
 from fairdiv.cli import main
+from fairdiv.generators import FAMILY_ARGS, generate
 from fairdiv.model import instance_to_json
 
 from conftest import (naive_kernel, reference_generate_adversarial,
@@ -121,6 +122,80 @@ class TestAdversarialFamilies:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             generate_adversarial(FamilySpec("nope", 3))
+
+
+# Per family, `generate` arguments and the direct generator call that must
+# build the same instance: the defaults (`random`'s distribution, a seed of
+# 0) and every named argument.
+DISPATCH_CASES = {
+    **{family: [({"n": n, "epsilon": eps},
+                 lambda spec=FamilySpec(family, n, eps):
+                 generate_adversarial(spec))]
+       for family, n, eps in (("ef1-unscaled", 4, None),
+                              ("mms-unscaled", 4, Fraction(3, 7)),
+                              ("mms-scaled-sqrt", 9, None),
+                              ("prop1-unscaled", 4, None),
+                              ("prop1-scaled", 9, None),
+                              ("supermodular", 4, Fraction(1, 100)))},
+    "random": [
+        ({"n": 4, "m": 7},
+         lambda: generate_random(4, 7, "uniform-rational", seed=0)),
+        ({"n": 4, "m": 7, "distribution": "uniform-rational", "seed": 3},
+         lambda: generate_random(4, 7, "uniform-rational", seed=3)),
+        ({"n": 4, "m": 8, "distribution": "dirichlet-scaled", "seed": 1},
+         lambda: generate_random(4, 8, "dirichlet-scaled", seed=1))],
+    "random-subadditive": [
+        ({"n": 3, "m": 5}, lambda: generate_random_subadditive(3, 5, seed=0)),
+        ({"n": 3, "m": 5, "seed": 11},
+         lambda: generate_random_subadditive(3, 5, seed=11))],
+}
+
+
+class TestGenerate:
+    """`generate` is the one dispatch from a family's name to its instance:
+    every family `FAMILY_ARGS` lists builds what its own generator builds,
+    and a request outside the family's arguments is refused before any
+    work."""
+
+    @pytest.mark.parametrize("family", FAMILY_ARGS)
+    def test_matches_the_direct_generator(self, family):
+        for kwargs, direct in DISPATCH_CASES[family]:
+            assert instance_to_json(generate(family, **kwargs)) == \
+                instance_to_json(direct()), kwargs
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="^unknown family 'nosuch'; "
+                                             "expected one of \\("):
+            generate("nosuch", 3)
+
+    @pytest.mark.parametrize("family, kwargs, error", [
+        ("ef1-unscaled", {"seed": 0}, "ef1-unscaled takes no seed"),
+        ("supermodular", {"epsilon": Fraction(1, 2), "seed": 1},
+         "supermodular takes no seed"),
+        ("ef1-unscaled", {"epsilon": Fraction(1, 3)},
+         "ef1-unscaled takes no epsilon"),
+        ("prop1-scaled", {"epsilon": Fraction(1, 3)},
+         "prop1-scaled takes no epsilon"),
+        ("mms-unscaled", {"m": 4, "epsilon": Fraction(1, 3)},
+         "mms-unscaled takes no m"),
+        ("random", {"m": 3, "epsilon": Fraction(1, 3)},
+         "random takes no epsilon"),
+        ("random-subadditive", {"m": 3, "distribution": "uniform-rational"},
+         "random-subadditive takes no distribution"),
+        ("random", {"m": 3, "distribution": "weird"},
+         "unknown distribution 'weird'"),
+    ])
+    def test_refuses_what_the_family_does_not_take(self, family, kwargs,
+                                                   error):
+        with pytest.raises(ValueError, match=f"^{error}"):
+            generate(family, 2, **kwargs)
+
+    def test_checks_before_building(self, monkeypatch):
+        import fairdiv.generators as gen
+        monkeypatch.setattr(gen, "Valuation", None)        # no tables
+        with pytest.raises(ValidationError) as err:
+            generate("supermodular", 21, epsilon=Fraction(1, 100))
+        assert err.value.axiom == "explicit-goods-cap"
 
 
 class TestExplicitGoodsCap:

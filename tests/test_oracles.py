@@ -10,9 +10,10 @@ from fairdiv import oracles
 from fairdiv import (Allocation, FamilySpec, InfeasibleError, Instance,
                      MmsProfile, ValidationError, Valuation, constrained_opt,
                      generate_adversarial, generate_random,
-                     injected_profile, is_ef1, max_welfare, mms_k,
-                     mms_lower_bound, mms_profile, price_of_fairness,
-                     social_welfare, validate_instance)
+                     injected_profile, is_alpha_mms, is_ef1, max_welfare,
+                     mms_k, mms_lower_bound, mms_profile, price_of_fairness,
+                     run_solve_half_mms, social_welfare, validate_instance)
+from fairdiv.fairness import nonnegative_alpha
 from fairdiv.experiment import _build_instance
 from fairdiv.model import mask_goods
 
@@ -320,6 +321,59 @@ class TestMmsProfile:
         profile = injected_profile([Fraction(1, 2)])
         assert profile.mms is None
         assert profile.z(0) == Fraction(1, 2)
+
+
+# An instance every entry below accepts with an exact alpha or epsilon.
+TWO_AGENTS = additive_instance([[1, 2, 3], [3, 2, 1]])
+
+
+class TestExactRationalArguments:
+    """alpha, epsilon and an MMS profile's values are exact rationals at
+    every public entry: a float or a bool is a ValidationError naming the
+    argument, never a value converted or read as 1."""
+
+    ENTRIES = {
+        "nonnegative_alpha": ("alpha", lambda x: nonnegative_alpha(x)),
+        "is_alpha_mms": ("alpha", lambda x: is_alpha_mms(
+            TWO_AGENTS, Allocation.of([[0], [1, 2]]), x,
+            MmsProfile(mms=(Fraction(1), Fraction(1))))),
+        "constrained_opt": ("alpha", lambda x: constrained_opt(
+            TWO_AGENTS, "alpha-mms", alpha=x)),
+        "price_of_fairness": ("alpha", lambda x: price_of_fairness(
+            TWO_AGENTS, "alpha-mms", alpha=x)),
+        "mms_profile": ("epsilon", lambda x: mms_profile(
+            TWO_AGENTS, epsilon=x)),
+        "MmsProfile-mms": ("mms", lambda x: MmsProfile(mms=(x,) * 2)),
+        "MmsProfile-estimates": ("estimates", lambda x: MmsProfile(
+            mms=None, estimates=(x,) * 2)),
+        "MmsProfile-epsilon": ("epsilon", lambda x: MmsProfile(
+            mms=(Fraction(1),) * 2, epsilon=x)),
+        "injected_profile": ("estimates",
+                             lambda x: injected_profile([x] * 2)),
+        "injected_profile-epsilon": ("epsilon", lambda x: injected_profile(
+            [Fraction(1)] * 2, epsilon=x)),
+        "run_solve_half_mms": ("epsilon", lambda x: run_solve_half_mms(
+            TWO_AGENTS, epsilon=x)),
+    }
+
+    @pytest.mark.parametrize("value", [0.1, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_float_and_bool_refused(self, entry, value):
+        name, call = self.ENTRIES[entry]
+        with pytest.raises(ValidationError,
+                           match=f"^{name} must be a Fraction or an integer, "
+                                 f"got {value!r}$") as err:
+            call(value)
+        assert err.value.axiom == name
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_integers_accepted(self, entry):
+        self.ENTRIES[entry][1](0)
+
+    def test_profile_values_stored_as_fractions(self):
+        profile = injected_profile([1, Fraction(1, 2)], epsilon=0)
+        assert [type(z) for z in profile.estimates] == [Fraction] * 2
+        assert type(profile.epsilon) is Fraction
 
 
 class TestMaxWelfare:
