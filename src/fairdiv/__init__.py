@@ -15,9 +15,7 @@ from .errors import (FairdivError, InfeasibleError, ParseError,
                      ValidationError)
 from .fairness import (FairnessVerdict, is_alpha_mms, is_ef1, is_prop1,
                        social_welfare)
-from .generators import (ADVERSARIAL_FAMILIES, FamilySpec,
-                         generate_adversarial, generate_random,
-                         generate_random_subadditive)
+from .generators import ADVERSARIAL_FAMILIES, generate
 from .matching import max_weight_left_perfect_matching
 from .mms import (MmsAbsRun, MmsHighRun, SolveHalfMmsRun, prop1_subroutine,
                   run_mms_abs, run_mms_high, run_solve_half_mms)
@@ -32,18 +30,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ADVERSARIAL_FAMILIES", "Allocation", "Ef1AbsRun", "Ef1HighRun", "Event",
-    "FairdivError", "FairnessVerdict", "FamilySpec", "InfeasibleError",
-    "Instance", "LineOrder", "LiptonStats", "MmsAbsRun", "MmsHighRun",
-    "MmsProfile", "ParseError", "SolveEf1Run", "SolveHalfMmsRun",
-    "ValidationError", "Valuation", "checks_enabled", "constrained_opt",
-    "generate_adversarial", "generate_random",
-    "generate_random_subadditive", "injected_profile", "is_alpha_mms",
-    "is_ef1", "is_prop1", "load_allocation", "load_instance",
-    "max_weight_left_perfect_matching", "max_welfare", "mms_k",
-    "mms_lower_bound", "mms_profile", "price_of_fairness",
-    "prop1_subroutine", "reference_allocation", "rescale_instance",
-    "run_ef1_abs", "run_ef1_high", "run_extend_ef1", "run_mms_abs",
-    "run_mms_high", "run_solve_ef1", "run_solve_half_mms", "save_allocation",
-    "save_instance", "set_debug_checks", "social_welfare",
+    "FairdivError", "FairnessVerdict", "InfeasibleError", "Instance",
+    "LineOrder", "LiptonStats", "MmsAbsRun", "MmsHighRun", "MmsProfile",
+    "ParseError", "SolveEf1Run", "SolveHalfMmsRun", "ValidationError",
+    "Valuation", "checks_enabled", "constrained_opt", "generate",
+    "injected_profile", "is_alpha_mms", "is_ef1", "is_prop1",
+    "load_allocation", "load_instance", "max_weight_left_perfect_matching",
+    "max_welfare", "mms_k", "mms_lower_bound", "mms_profile",
+    "price_of_fairness", "prop1_subroutine", "reference_allocation",
+    "rescale_instance", "run_ef1_abs", "run_ef1_high", "run_extend_ef1",
+    "run_mms_abs", "run_mms_high", "run_solve_ef1", "run_solve_half_mms",
+    "save_allocation", "save_instance", "set_debug_checks", "social_welfare",
     "validate_allocation", "validate_instance",
 ]

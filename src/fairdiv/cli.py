@@ -181,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", help="for the mms-unscaled and supermodular "
                                       "families, which need it")
     p.add_argument("--seed", type=int,
-                   help="random seed for the random families (default 0; "
+                   help="random seed for the random families, an integer "
+                        ">= 0 (default 0; "
                         "the adversarial families are deterministic and "
                         "refuse it)")
     p.add_argument("--distribution", choices=RANDOM_DISTRIBUTIONS,

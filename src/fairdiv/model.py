@@ -472,7 +472,6 @@ def check_monotone(v: Valuation, agent: int) -> None:
                     "nonnegative",
                     f"{label}: v({g + 1}) = {Fraction(x, den)} < 0",
                     agent=agent + 1, witness=(g + 1,))
-        return
     for mask, x in enumerate(ints):
         for g in range(v.m):
             bigger = mask | 1 << g

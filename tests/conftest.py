@@ -23,8 +23,7 @@ from math import isqrt, lcm
 import pytest
 
 from fairdiv import (Allocation, Event, FairnessVerdict, Instance, LineOrder,
-                     ValidationError, Valuation, checks_enabled,
-                     generate_random, generate_random_subadditive,
+                     ValidationError, Valuation, checks_enabled, generate,
                      max_welfare, set_debug_checks)
 from fairdiv.exact import sqrt_ge
 
@@ -455,11 +454,13 @@ def random_additive_corpus(count, n_max, m_max, seed, scaled_mix=True):
         n = rng.randint(1, n_max)
         m = rng.randint(max(1, n // 2), m_max)
         if scaled_mix and idx % 2 == 1:
-            out.append(generate_random(n, m, "dirichlet-scaled",
-                                       seed=rng.randint(0, 10 ** 9)))
+            out.append(generate("random", n, m,
+                                distribution="dirichlet-scaled",
+                                seed=rng.randint(0, 10 ** 9)))
         else:
-            out.append(generate_random(n, m, "uniform-rational",
-                                       seed=rng.randint(0, 10 ** 9)))
+            out.append(generate("random", n, m,
+                                distribution="uniform-rational",
+                                seed=rng.randint(0, 10 ** 9)))
     return out
 
 
@@ -469,8 +470,8 @@ def random_subadditive_corpus(count, n_max, m_max, seed):
     for _ in range(count):
         n = rng.randint(1, n_max)
         m = rng.randint(1, m_max)
-        out.append(generate_random_subadditive(n, m,
-                                               seed=rng.randint(0, 10 ** 9)))
+        out.append(generate("random-subadditive", n, m,
+                            seed=rng.randint(0, 10 ** 9)))
     return out
 
 
@@ -480,15 +481,15 @@ def _reference_instance(rows, scaled) -> Instance:
                     scaled=scaled)
 
 
-def reference_generate_adversarial(spec) -> Instance:
+def reference_adversarial(family, n, epsilon=None) -> Instance:
     """The adversarial families built in `Fraction`s, value by value, as
-    their definitions read: the reference for `generate_adversarial`."""
-    n, family = spec.n, spec.family
+    their definitions read: the reference for `generate(family, n,
+    epsilon=epsilon)`."""
     if family == "ef1-unscaled":
         rows = [[Fraction(n)] * n] + [[Fraction(1, n)] * n] * (n - 1)
         return _reference_instance(rows, scaled=False)
     if family == "mms-unscaled":
-        rows = [[Fraction(1)] * n] + [[spec.epsilon] * n] * (n - 1)
+        rows = [[Fraction(1)] * n] + [[epsilon] * n] * (n - 1)
         return _reference_instance(rows, scaled=False)
     if family in ("mms-scaled-sqrt", "prop1-scaled"):
         s = isqrt(n)
@@ -508,7 +509,7 @@ def reference_generate_adversarial(spec) -> Instance:
         rows = [[Fraction(n + 1)] * m] + [[Fraction(1, n + 1)] * m] * (n - 1)
         return _reference_instance(rows, scaled=False)
     assert family == "supermodular"
-    m, eps = n, spec.epsilon
+    m, eps = n, epsilon
     slope = (1 - eps) / (m - 1)
     table = {}
     for mask in range(1 << m):
@@ -519,8 +520,8 @@ def reference_generate_adversarial(spec) -> Instance:
     return Instance(n=n, m=m, valuations=(valuation,) * n, scaled=True)
 
 
-def reference_generate_random(n, m, distribution, seed) -> Instance:
-    """`generate_random`'s draws, in the same order, as `Fraction`s."""
+def reference_random(n, m, distribution, seed) -> Instance:
+    """The `random` family's draws, in the same order, as `Fraction`s."""
     rng = random.Random(seed)
     if distribution == "uniform-rational":
         rows = [[Fraction(rng.randint(0, 1000), 1000) for _ in range(m)]
@@ -534,8 +535,8 @@ def reference_generate_random(n, m, distribution, seed) -> Instance:
     return _reference_instance(rows, scaled=True)
 
 
-def reference_generate_random_subadditive(n, m, seed) -> Instance:
-    """`generate_random_subadditive`'s draws, in the same order, as
+def reference_random_subadditive(n, m, seed) -> Instance:
+    """The `random-subadditive` family's draws, in the same order, as
     `Fraction`s: each subset's sum clipped at the budget."""
     rng = random.Random(seed)
     valuations = []

@@ -12,13 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from fairdiv import (Allocation, FamilySpec, constrained_opt,
-                     generate_adversarial, generate_random, injected_profile,
-                     is_alpha_mms, is_ef1, max_welfare, mms_k,
-                     mms_lower_bound, mms_profile, price_of_fairness,
-                     reference_allocation, run_ef1_abs, run_ef1_high,
-                     run_mms_abs, run_mms_high, run_solve_ef1,
-                     run_solve_half_mms, social_welfare)
+from fairdiv import (Allocation, constrained_opt, generate, injected_profile,
+                     is_alpha_mms, is_ef1, max_welfare, mms_k, mms_lower_bound,
+                     mms_profile, price_of_fairness, reference_allocation,
+                     run_ef1_abs, run_ef1_high, run_mms_abs, run_mms_high,
+                     run_solve_ef1, run_solve_half_mms, social_welfare)
 from fairdiv.exact import sqrt_ge
 from fairdiv.model import ZERO
 
@@ -86,8 +84,9 @@ def scaled_grid():
     grid = []
     for n in (4, 9, 16):
         for seed in range(5):
-            grid.append(generate_random(n, 2 * n, "dirichlet-scaled",
-                                        seed=1000 * n + seed))
+            grid.append(generate("random", n, 2 * n,
+                                 distribution="dirichlet-scaled",
+                                 seed=1000 * n + seed))
     return grid
 
 
@@ -186,7 +185,7 @@ def test_criterion_5_scaled_half_mms_bound(scaled_grid):
 def test_criterion_6_ef1_lower_bound_reproduction():
     with criterion(6, "unscaled EF1 gap instance: price 64/19"):
         started = time.perf_counter()
-        inst = generate_adversarial(FamilySpec("ef1-unscaled", 4))
+        inst = generate("ef1-unscaled", 4)
         _, opt = max_welfare(inst)
         assert opt == 16
         _, cw = constrained_opt(inst, "ef1")
@@ -200,7 +199,7 @@ def test_criterion_6_ef1_lower_bound_reproduction():
 def test_criterion_7_half_mms_lower_bound_reproduction():
     with criterion(7, "scaled 1/2-MMS gap instance and ratio growth"):
         started = time.perf_counter()
-        inst = generate_adversarial(FamilySpec("mms-scaled-sqrt", 4))
+        inst = generate("mms-scaled-sqrt", 4)
         profile = mms_profile(inst)       # recomputed, not assumed
         low_agents = [i for i in range(4) if profile.mms[i] > 0]
         best_fair = None
@@ -220,7 +219,7 @@ def test_criterion_7_half_mms_lower_bound_reproduction():
         _, opt4 = max_welfare(inst)
         ratios = [opt4 / best_fair]
         for n in (9, 16):
-            big = generate_adversarial(FamilySpec("mms-scaled-sqrt", n))
+            big = generate("mms-scaled-sqrt", n)
             _, opt = max_welfare(big)
             run = run_solve_half_mms(big, epsilon=ZERO)
             ratios.append(opt / run.welfare)
@@ -231,7 +230,7 @@ def test_criterion_8_supermodular_reproduction():
     with criterion(8, "supermodular family: EF1 price 1/(n*eps)"):
         started = time.perf_counter()
         eps = Fraction(1, 100)
-        inst = generate_adversarial(FamilySpec("supermodular", 3, epsilon=eps))
+        inst = generate("supermodular", 3, epsilon=eps)
         _, opt = max_welfare(inst)
         assert opt == 1
         _, cw = constrained_opt(inst, "ef1")
@@ -245,10 +244,10 @@ def test_criterion_8_supermodular_reproduction():
 def test_criterion_9_prop1_reproduction():
     with criterion(9, "Prop1 gap instances: welfare caps by search"):
         started = time.perf_counter()
-        unscaled = generate_adversarial(FamilySpec("prop1-unscaled", 3))
+        unscaled = generate("prop1-unscaled", 3)
         _, cw = constrained_opt(unscaled, "prop1")
         assert cw < 2 * 3 + 3
-        scaled = generate_adversarial(FamilySpec("prop1-scaled", 4))
+        scaled = generate("prop1-scaled", 4)
         _, cw_scaled = constrained_opt(scaled, "prop1")
         # (sqrt(n)+1)/sqrt(n) + (n - sqrt(n))/(n+1) with n = 4.
         assert cw_scaled <= Fraction(3, 2) + Fraction(2, 5)
@@ -264,8 +263,8 @@ def test_criterion_10_lemma_level_invariants():
         while trials < 200:
             n = rng.randint(2, 4)
             m = rng.randint(n, 7)
-            inst = generate_random(n, m, "uniform-rational",
-                                   seed=rng.randint(0, 10 ** 9))
+            inst = generate("random", n, m, distribution="uniform-rational",
+                            seed=rng.randint(0, 10 ** 9))
             ell = rng.randrange(n)
             v = inst.valuations[ell]
             # Removing one good and one bundle never lowers the share.
@@ -316,7 +315,7 @@ def test_criterion_11_termination_envelopes(ef1_corpus):
 def test_criterion_12_exact_fair_optimum_at_n9():
     with criterion(12, "scaled 1/2-MMS gap instance at n = 9: exact search"):
         started = time.perf_counter()
-        inst = generate_adversarial(FamilySpec("mms-scaled-sqrt", 9))
+        inst = generate("mms-scaled-sqrt", 9)
         # 9^9 allocations: beyond the default cap, but the twin rules skip
         # nearly all of them.
         _, half_mms = constrained_opt(inst, "alpha-mms", cap=10 ** 9)

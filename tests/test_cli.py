@@ -14,8 +14,8 @@ import pytest
 
 import fairdiv.cli
 import fairdiv.experiment as exp
-from fairdiv import (generate_random, load_instance, max_welfare,
-                     run_solve_ef1, run_solve_half_mms, save_instance)
+from fairdiv import (generate, load_instance, max_welfare, run_solve_ef1,
+                     run_solve_half_mms, save_instance)
 from fairdiv.cli import build_parser, main
 from fairdiv.errors import ParseError
 from fairdiv.experiment import (BOUND_COLUMNS, ExperimentConfig,
@@ -214,7 +214,8 @@ class TestCli:
                 "dirichlet-scaled", "--n", "4", "--m", "8", "--seed", "0",
                 "-o", str(path))
         inst = load_instance(path)
-        assert inst == generate_random(4, 8, "dirichlet-scaled", seed=0)
+        assert inst == generate("random", 4, 8,
+                                distribution="dirichlet-scaled", seed=0)
         code, out = run_cli(capsys, "solve", "--alg", "ef1", "--trace",
                             "--instance", str(path))
         assert code == 0
@@ -296,6 +297,12 @@ class TestCli:
          "ef1-unscaled takes no seed"),
         (["gen", "--family", "supermodular", "--n", "3", "--epsilon",
           "1/100", "--seed", "0"], "supermodular takes no seed"),
+        (["gen", "--family", "ef1-unscaled", "--n", "2", "--seed", "-1"],
+         "ef1-unscaled takes no seed"),
+        (["gen", "--family", "random", "--n", "2", "--m", "3", "--seed",
+          "-1"], "need seed >= 0, got -1"),
+        (["gen", "--family", "random-subadditive", "--n", "2", "--m", "3",
+          "--seed", "-5"], "need seed >= 0, got -5"),
         (["gen", "--family", "nosuch", "--n", "2"],
          "unknown family 'nosuch'; expected one of ("),
         (["check", "--property", "prop1", "--alpha", "-5"],
@@ -321,7 +328,9 @@ class TestCli:
             "pof-alpha", "gen-adversarial-m", "gen-adversarial-distribution",
             "gen-random-epsilon", "gen-subadditive-epsilon",
             "gen-subadditive-distribution", "gen-adversarial-seed",
-            "gen-adversarial-seed-zero", "gen-unknown-family",
+            "gen-adversarial-seed-zero", "gen-adversarial-negative-seed",
+            "gen-random-negative-seed", "gen-subadditive-negative-seed",
+            "gen-unknown-family",
             "check-prop1-alpha", "check-ef1-alpha", "pof-ef1-alpha",
             "pof-prop1-alpha", "solve-half-mms-reference",
             "solve-ef1-epsilon", "solve-empty-epsilon", "mms-empty-epsilon",
@@ -464,7 +473,8 @@ class TestRepeatedMain:
 
     def test_default_epsilon_comes_back(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "i.json"
-        save_instance(generate_random(4, 8, "dirichlet-scaled", seed=1), path)
+        save_instance(generate("random", 4, 8,
+                               distribution="dirichlet-scaled", seed=1), path)
         seen = []
 
         def spy(inst, epsilon):
@@ -701,8 +711,9 @@ class TestExperiment:
                        if b.column == column else b for b in exp.BOUNDS)
         monkeypatch.setattr(exp, "BOUNDS", bounds)
         solver = next(b.solver for b in bounds if b.column == column)
-        ident, inst = (("dirichlet", generate_random(
-            4, 8, "dirichlet-scaled", seed=1)) if solver == "ef1"
+        ident, inst = (("dirichlet", generate("random", 4, 8,
+                                              distribution="dirichlet-scaled",
+                                              seed=1)) if solver == "ef1"
             else ("diagonal", diagonal(26)))
         with pytest.raises(exp.BoundViolation) as err:
             _solver_row(ident, inst, solver, ExperimentConfig.from_json({}),
@@ -801,6 +812,15 @@ class TestExperiment:
     def test_config_rejects_wrong_json_types(self, change):
         with pytest.raises(ParseError):
             ExperimentConfig.from_json(dict(self.CONFIG, **change))
+
+    @pytest.mark.parametrize("data, error", [
+        ([], "experiment config must be a JSON object"),
+        ({"solvers": ["ef1", "ef2"]}, "unknown solver 'ef2'; expected "),
+        ({"families": {"family": "random"}}, "'families' must be a list")],
+        ids=["not-an-object", "unknown-solver", "families-not-a-list"])
+    def test_config_refusal_names_the_fault(self, data, error):
+        with pytest.raises(ParseError, match=f"^{error}"):
+            ExperimentConfig.from_json(data)
 
     def test_row_ids_and_instances_pinned(self):
         # One config holding every family: adversarial with and without

@@ -6,13 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from fairdiv import (Allocation, FamilySpec, InfeasibleError, Instance,
-                     LineOrder, ValidationError, Valuation, checks_enabled,
-                     generate_adversarial, generate_random,
-                     generate_random_subadditive, is_ef1, max_welfare,
-                     reference_allocation, run_ef1_abs, run_ef1_high,
-                     run_extend_ef1, run_solve_ef1, set_debug_checks,
-                     social_welfare)
+from fairdiv import (Allocation, InfeasibleError, Instance, LineOrder,
+                     ValidationError, Valuation, checks_enabled, generate,
+                     is_ef1, max_welfare, reference_allocation, run_ef1_abs,
+                     run_ef1_high, run_extend_ef1, run_solve_ef1,
+                     set_debug_checks, social_welfare)
 from fairdiv.exact import sqrt_ge
 from fairdiv.model import ZERO
 
@@ -39,6 +37,18 @@ class TestLineOrder:
         line = LineOrder.from_reference((frozenset({0, 1, 2, 3}),), 4)
         assert not line.contiguous({0, 2})
 
+    def test_overlapping_bundles_refused(self):
+        with pytest.raises(ValidationError,
+                           match="^good 2 in two bundles$") as err:
+            LineOrder.from_reference((frozenset({0, 1}), frozenset({1})), 3)
+        assert err.value.axiom == "disjoint-bundles"
+
+
+@pytest.mark.parametrize("a, b", [(-1, 1), (1, Fraction(-1, 2))])
+def test_sqrt_ge_refuses_a_negative_operand(a, b):
+    with pytest.raises(ValueError, match="require nonnegative operands"):
+        sqrt_ge(a, b, 4)
+
 
 class TestAbs:
     def test_single_agent_gets_everything(self):
@@ -52,7 +62,7 @@ class TestAbs:
         assert social_welfare(inst, alloc) == 2
 
     def test_scaled_floor_half(self):
-        inst = generate_adversarial(FamilySpec("mms-scaled-sqrt", 9))
+        inst = generate("mms-scaled-sqrt", 9)
         alloc = run_ef1_abs(inst).allocation
         assert social_welfare(inst, alloc) >= Fraction(1, 2)
 
@@ -61,7 +71,8 @@ class TestAbs:
         # factor, against the lex-first matching of the singletons read off
         # the common-scale kernels, then the same extension: same
         # allocation and `LiptonStats`.
-        corpus = ([generate_random(n, 4 * n, "dirichlet-scaled", seed=seed)
+        corpus = ([generate("random", n, 4 * n,
+                            distribution="dirichlet-scaled", seed=seed)
                    for n, seed in ((4, 1), (8, 2), (16, 3))]
                   + tie_corpus(120, seed=23) + twin_corpus(60, seed=24))
         mixed_dens = 0
@@ -92,9 +103,8 @@ class TestAbs:
     def test_subadditive_corpus(self):
         rng = random.Random(555)
         for _ in range(15):
-            inst = generate_random_subadditive(rng.randint(1, 3),
-                                               rng.randint(1, 5),
-                                               seed=rng.randint(0, 10 ** 9))
+            inst = generate("random-subadditive", rng.randint(1, 3),
+                            rng.randint(1, 5), seed=rng.randint(0, 10 ** 9))
             alloc = run_ef1_abs(inst).allocation
             assert is_ef1(inst, alloc).holds
             assert 2 * inst.n * social_welfare(inst, alloc) >= total_value(inst)
@@ -102,14 +112,13 @@ class TestAbs:
 
 class TestReferenceAllocation:
     def test_additive_is_exact_optimum(self):
-        inst = generate_adversarial(FamilySpec("ef1-unscaled", 3))
+        inst = generate("ef1-unscaled", 3)
         ref = reference_allocation(inst)
         _, opt = max_welfare(inst)
         assert social_welfare(inst, ref) == opt
 
     def test_explicit_small_is_exhaustive_optimum(self):
-        inst = generate_adversarial(FamilySpec("supermodular", 3,
-                                               epsilon=Fraction(1, 100)))
+        inst = generate("supermodular", 3, epsilon=Fraction(1, 100))
         ref = reference_allocation(inst)
         _, opt = max_welfare(inst)
         assert social_welfare(inst, ref) == opt
@@ -141,7 +150,8 @@ class TestHigh:
 
     def test_loop_postcondition_no_envied_components(self):
         for seed in range(8):
-            inst = generate_random(4, 8, "dirichlet-scaled", seed=seed)
+            inst = generate("random", 4, 8, distribution="dirichlet-scaled",
+                            seed=seed)
             ref = reference_allocation(inst)
             run = run_ef1_high(inst, ref)
             # After the loop no agent prefers any unassigned component.
@@ -175,7 +185,8 @@ class TestHigh:
     def test_partial_welfare_inequality_scaled(self):
         # sqrt(n) * (1 + 6 * SW(partial)) >= SW(reference) on scaled inputs.
         for seed in range(10):
-            inst = generate_random(5, 9, "dirichlet-scaled", seed=seed + 50)
+            inst = generate("random", 5, 9, distribution="dirichlet-scaled",
+                            seed=seed + 50)
             ref = reference_allocation(inst)
             run = run_ef1_high(inst, ref)
             ref_welfare = social_welfare(inst, ref)
@@ -187,7 +198,8 @@ class TestHigh:
         # (Seed 4242 alone records no step; seeds 0..7 record 31.)
         steps = 0
         for seed in (4242, *range(8)):
-            inst = generate_random(4, 8, "dirichlet-scaled", seed=seed)
+            inst = generate("random", 4, 8, distribution="dirichlet-scaled",
+                            seed=seed)
             ref = reference_allocation(inst)
             run = run_ef1_high(inst, ref)
             lv_prev = {}
@@ -223,7 +235,8 @@ class TestHigh:
         # and 32 from their optimal references), and on mixed additive and
         # explicit agents from arbitrary references.
         rng = random.Random(8)
-        scaled = [generate_random(n, 4 * n, "dirichlet-scaled", seed=seed)
+        scaled = [generate("random", n, 4 * n,
+                           distribution="dirichlet-scaled", seed=seed)
                   for n, seeds in ((16, range(1, 5)), (32, range(1, 3)))
                   for seed in seeds]
         runs = [(inst, reference_allocation(inst)) for inst in scaled]
@@ -307,7 +320,7 @@ class TestSolve:
         assert social_welfare(inst, alloc) == opt
 
     def test_unscaled_routes_to_abs(self):
-        inst = generate_adversarial(FamilySpec("ef1-unscaled", 3))
+        inst = generate("ef1-unscaled", 3)
         run = run_solve_ef1(inst)
         assert run.branch == "abs"
         assert run.high_run is None
@@ -315,7 +328,8 @@ class TestSolve:
 
     def test_scaled_sixteen_sqrt_bound(self):
         for seed in range(12):
-            inst = generate_random(4, 8, "dirichlet-scaled", seed=seed + 400)
+            inst = generate("random", 4, 8, distribution="dirichlet-scaled",
+                            seed=seed + 400)
             run = run_solve_ef1(inst)
             _, opt = max_welfare(inst)
             assert is_ef1(inst, run.allocation).holds
@@ -324,7 +338,8 @@ class TestSolve:
     def test_output_never_beats_constrained_opt(self):
         from fairdiv import constrained_opt
         for seed in range(6):
-            inst = generate_random(3, 5, "dirichlet-scaled", seed=seed + 900)
+            inst = generate("random", 3, 5, distribution="dirichlet-scaled",
+                            seed=seed + 900)
             run = run_solve_ef1(inst)
             _, cw = constrained_opt(inst, "ef1")
             assert run.welfare <= cw

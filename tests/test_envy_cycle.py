@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fairdiv import (Allocation, Instance, ValidationError, Valuation,
-                     checks_enabled, envy_cycle, generate_random, is_ef1,
+                     checks_enabled, envy_cycle, generate, is_ef1,
                      reference_allocation, run_ef1_high, run_extend_ef1,
                      set_debug_checks, social_welfare)
 from fairdiv.envy_cycle import Ef1Partial
@@ -48,8 +48,7 @@ class TestBasics:
 
     def test_monotone_valuations_supported(self):
         # Budget-additive explicit valuations (non-additive, monotone).
-        from fairdiv import generate_random_subadditive
-        inst = generate_random_subadditive(3, 5, seed=99)
+        inst = generate("random-subadditive", 3, 5, seed=99)
         singles = Allocation.of([[0], [1], [2]])
         result, _ = run_extend_ef1(inst, singles)
         assert result.is_complete(inst.m)
@@ -240,7 +239,8 @@ class TestEf1Partial:
         # the run record keeps a plain `Allocation`, equal to the
         # `Fraction` reference loop's.
         for seed in range(4):
-            inst = generate_random(6, 18, "dirichlet-scaled", seed=seed)
+            inst = generate("random", 6, 18, distribution="dirichlet-scaled",
+                            seed=seed)
             ref = reference_allocation(inst)
             run = run_ef1_high(inst, ref)
             partial, _ = naive_ef1_high_loop(inst, ref)

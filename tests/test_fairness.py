@@ -6,9 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from fairdiv import (Allocation, FamilySpec, MmsProfile, ValidationError,
-                     generate_adversarial, generate_random, is_alpha_mms,
-                     is_ef1, is_prop1, social_welfare)
+from fairdiv import (Allocation, MmsProfile, ValidationError, generate,
+                     is_alpha_mms, is_ef1, is_prop1, social_welfare)
 
 from fairdiv.model import json_text
 from fairdiv.oracles import mms_profile
@@ -28,14 +27,14 @@ class TestSocialWelfare:
         assert social_welfare(inst, alloc) == 1
 
     def test_all_goods_to_high_agent(self):
-        inst = generate_adversarial(FamilySpec("ef1-unscaled", 3))
+        inst = generate("ef1-unscaled", 3)
         alloc = Allocation.of([[0, 1, 2], [], []])
         assert social_welfare(inst, alloc) == 9
 
     def test_scaled_block_optimum(self):
         # Square-root block family, n = 4: blocks to their owners plus the
         # extra good to a uniform agent is worth sqrt(n) + 1/(n+1).
-        inst = generate_adversarial(FamilySpec("prop1-scaled", 4))
+        inst = generate("prop1-scaled", 4)
         alloc = Allocation.of([[0, 1], [2, 3], [4], []])
         assert social_welfare(inst, alloc) == 2 + Fraction(1, 5)
 
@@ -47,19 +46,19 @@ class TestSocialWelfare:
 
 class TestEf1:
     def test_singletons_hold(self):
-        inst = generate_adversarial(FamilySpec("ef1-unscaled", 3))
+        inst = generate("ef1-unscaled", 3)
         verdict = is_ef1(inst, Allocation.of([[0], [1], [2]]))
         assert verdict.holds
         assert len(verdict.certificate) == 6
 
     def test_everything_to_one_agent_fails(self):
-        inst = generate_adversarial(FamilySpec("ef1-unscaled", 3))
+        inst = generate("ef1-unscaled", 3)
         verdict = is_ef1(inst, Allocation.of([[0, 1, 2], [], []]))
         assert not verdict.holds
         assert verdict.witness["i"] == 2 and verdict.witness["j"] == 1
 
     def test_empty_allocation_holds(self):
-        inst = generate_adversarial(FamilySpec("ef1-unscaled", 3))
+        inst = generate("ef1-unscaled", 3)
         assert is_ef1(inst, Allocation.of([[], [], []])).holds
 
     def test_partial_allocation_supported(self):
@@ -67,7 +66,7 @@ class TestEf1:
         assert is_ef1(inst, Allocation.of([[0], []])).holds
 
     def test_failure_witness_replays(self):
-        inst = generate_adversarial(FamilySpec("ef1-unscaled", 3))
+        inst = generate("ef1-unscaled", 3)
         verdict = is_ef1(inst, Allocation.of([[0, 1, 2], [], []]))
         w = verdict.witness
         i, j = w["i"] - 1, w["j"] - 1
@@ -85,8 +84,8 @@ class TestEf1:
         for _ in range(30):
             n = rng.randint(1, 3)
             m = rng.randint(1, 5)
-            inst = generate_random(n, m, "uniform-rational",
-                                   seed=rng.randint(0, 10 ** 9))
+            inst = generate("random", n, m, distribution="uniform-rational",
+                            seed=rng.randint(0, 10 ** 9))
             for alloc in all_allocations(n, m):
                 assert is_ef1(inst, alloc).holds == naive_is_ef1(inst, alloc)
 
@@ -112,7 +111,8 @@ class TestEf1:
         rng = random.Random(23)
         seen = set()
         for inst in (tie_corpus(100, seed=31) + twin_corpus(40, seed=37)
-                     + [generate_random(16, 64, "dirichlet-scaled", seed=3)]):
+                     + [generate("random", 16, 64,
+                                 distribution="dirichlet-scaled", seed=3)]):
             profile = mms_profile(inst) if inst.m <= 8 else None
             for partial in (True, False):
                 alloc = random_allocation(rng, inst.n, inst.m, partial)
@@ -136,7 +136,7 @@ class TestProp1:
         assert is_prop1(inst, Allocation.of([[0, 1, 2]])).holds
 
     def test_prop1_unscaled_fails_for_agent_two(self):
-        inst = generate_adversarial(FamilySpec("prop1-unscaled", 3))
+        inst = generate("prop1-unscaled", 3)
         verdict = is_prop1(inst, Allocation.of([[0, 1, 2, 3], [], []]))
         assert not verdict.holds
         assert verdict.witness["agent"] == 2
@@ -146,8 +146,8 @@ class TestProp1:
         for _ in range(25):
             n = rng.randint(1, 3)
             m = rng.randint(1, 5)
-            inst = generate_random(n, m, "uniform-rational",
-                                   seed=rng.randint(0, 10 ** 9))
+            inst = generate("random", n, m, distribution="uniform-rational",
+                            seed=rng.randint(0, 10 ** 9))
             for alloc in all_allocations(n, m):
                 if is_ef1(inst, alloc).holds:
                     assert is_prop1(inst, alloc).holds
@@ -222,21 +222,20 @@ class TestProp1:
 
 class TestAlphaMms:
     def test_alpha_zero_always_holds(self):
-        inst = generate_adversarial(FamilySpec("ef1-unscaled", 3))
+        inst = generate("ef1-unscaled", 3)
         profile = MmsProfile(mms=(Fraction(3), Fraction(1, 3), Fraction(1, 3)))
         verdict = is_alpha_mms(inst, Allocation.of([[], [], [0, 1, 2]]),
                                Fraction(0), profile)
         assert verdict.holds
 
     def test_one_good_each_half_mms(self):
-        inst = generate_adversarial(FamilySpec("mms-unscaled", 3,
-                                               epsilon=Fraction(1, 10)))
+        inst = generate("mms-unscaled", 3, epsilon=Fraction(1, 10))
         profile = MmsProfile(mms=(Fraction(1), Fraction(1, 10), Fraction(1, 10)))
         alloc = Allocation.of([[0], [1], [2]])
         assert is_alpha_mms(inst, alloc, Fraction(1, 2), profile).holds
 
     def test_starved_low_agent_fails(self):
-        inst = generate_adversarial(FamilySpec("mms-scaled-sqrt", 4))
+        inst = generate("mms-scaled-sqrt", 4)
         profile = MmsProfile(mms=(Fraction(0), Fraction(0),
                                   Fraction(1, 4), Fraction(1, 4)))
         alloc = Allocation.of([[0, 1], [2, 3], [], []])
@@ -253,8 +252,7 @@ class TestAlphaMms:
                          profile)
 
     def test_success_certificate_replays(self):
-        inst = generate_adversarial(FamilySpec("mms-unscaled", 3,
-                                               epsilon=Fraction(1, 10)))
+        inst = generate("mms-unscaled", 3, epsilon=Fraction(1, 10))
         profile = MmsProfile(mms=(Fraction(1), Fraction(1, 10), Fraction(1, 10)))
         alloc = Allocation.of([[0], [1], [2]])
         verdict = is_alpha_mms(inst, alloc, Fraction(1, 2), profile)

@@ -9,39 +9,42 @@ from math import isqrt
 
 import pytest
 
-from fairdiv import (FamilySpec, Instance, ValidationError, Valuation,
-                     generate_adversarial, generate_random,
-                     generate_random_subadditive, max_welfare,
-                     rescale_instance, save_instance, validate_instance)
+import fairdiv.generators as gen
+from fairdiv import (ADVERSARIAL_FAMILIES, Instance, ValidationError,
+                     Valuation, generate, max_welfare, rescale_instance,
+                     save_instance, validate_instance)
 from fairdiv.cli import main
-from fairdiv.generators import FAMILY_ARGS, generate
+from fairdiv.generators import FAMILY_ARGS, RANDOM_FAMILIES
 from fairdiv.model import instance_to_json
 
-from conftest import (naive_kernel, reference_generate_adversarial,
-                      reference_generate_random,
-                      reference_generate_random_subadditive,
+from conftest import (naive_kernel, reference_adversarial, reference_random,
+                      reference_random_subadditive,
                       reference_rescale_instance)
 
 
-class TestFamilySpec:
+class TestAdversarialArguments:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            FamilySpec("ef1-unscaled", 0)
+            generate("ef1-unscaled", 0)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
-            FamilySpec("supermodular", 3, epsilon=Fraction(3, 2))
+            generate("supermodular", 3, epsilon=Fraction(3, 2))
 
     def test_has_no_seed(self):
         # The adversarial families are deterministic; a seed would be
-        # silently ignored.
-        with pytest.raises(TypeError):
-            FamilySpec("ef1-unscaled", 3, seed=1)
+        # silently ignored, so any seed is refused, 0 included.
+        for family in ADVERSARIAL_FAMILIES:
+            eps = Fraction(1, 3) if "epsilon" in FAMILY_ARGS[family] else None
+            for seed in (0, 1, -1, True, 1.5, "1"):
+                with pytest.raises(ValueError,
+                                   match=f"^{family} takes no seed$"):
+                    generate(family, 4, epsilon=eps, seed=seed)
 
 
 class TestAdversarialFamilies:
     def test_ef1_unscaled_rows(self):
-        inst = generate_adversarial(FamilySpec("ef1-unscaled", 3))
+        inst = generate("ef1-unscaled", 3)
         assert not inst.scaled
         assert inst.valuations[0].values == (Fraction(3),) * 3
         assert inst.valuations[1].values == (Fraction(1, 3),) * 3
@@ -49,12 +52,12 @@ class TestAdversarialFamilies:
 
     def test_ef1_unscaled_opt_is_n_squared(self):
         for n in (2, 3, 4, 5):
-            inst = generate_adversarial(FamilySpec("ef1-unscaled", n))
+            inst = generate("ef1-unscaled", n)
             _, opt = max_welfare(inst)
             assert opt == n * n
 
     def test_mms_scaled_sqrt_shape(self):
-        inst = generate_adversarial(FamilySpec("mms-scaled-sqrt", 4))
+        inst = generate("mms-scaled-sqrt", 4)
         assert inst.scaled
         assert inst.valuations[0].values == (Fraction(1, 2), Fraction(1, 2),
                                              Fraction(0), Fraction(0))
@@ -65,28 +68,28 @@ class TestAdversarialFamilies:
 
     def test_mms_scaled_sqrt_opt_at_least_floor_sqrt(self):
         for n in (4, 9, 16):
-            inst = generate_adversarial(FamilySpec("mms-scaled-sqrt", n))
+            inst = generate("mms-scaled-sqrt", n)
             _, opt = max_welfare(inst)
             assert opt * opt >= n     # opt >= floor(sqrt(n)) via opt^2 >= n
 
     def test_mms_unscaled(self):
         eps = Fraction(1, 7)
-        inst = generate_adversarial(FamilySpec("mms-unscaled", 3, epsilon=eps))
+        inst = generate("mms-unscaled", 3, epsilon=eps)
         assert inst.valuations[0].values == (Fraction(1),) * 3
         assert inst.valuations[1].values == (eps,) * 3
 
     def test_prop1_unscaled(self):
-        inst = generate_adversarial(FamilySpec("prop1-unscaled", 3))
+        inst = generate("prop1-unscaled", 3)
         assert inst.m == 4
         assert inst.valuations[0].values == (Fraction(4),) * 4
         assert inst.valuations[1].values == (Fraction(1, 4),) * 4
 
     def test_prop1_scaled_needs_square_n(self):
         with pytest.raises(ValueError):
-            generate_adversarial(FamilySpec("prop1-scaled", 5))
+            generate("prop1-scaled", 5)
 
     def test_prop1_scaled_shape(self):
-        inst = generate_adversarial(FamilySpec("prop1-scaled", 4))
+        inst = generate("prop1-scaled", 4)
         assert inst.m == 5 and inst.scaled
         assert inst.valuations[0].values == (Fraction(1, 2), Fraction(1, 2),
                                              Fraction(0), Fraction(0),
@@ -95,7 +98,7 @@ class TestAdversarialFamilies:
 
     def test_supermodular_table_and_supermodularity(self):
         eps = Fraction(1, 100)
-        inst = generate_adversarial(FamilySpec("supermodular", 3, epsilon=eps))
+        inst = generate("supermodular", 3, epsilon=eps)
         v = inst.valuations[0]
         assert inst.scaled
         assert v.value(range(3)) == 1
@@ -110,27 +113,26 @@ class TestAdversarialFamilies:
                     v.value(s) + v.value(t)
 
     def test_all_families_validate(self):
-        specs = [FamilySpec("ef1-unscaled", 4),
-                 FamilySpec("mms-unscaled", 4, epsilon=Fraction(1, 5)),
-                 FamilySpec("mms-scaled-sqrt", 9),
-                 FamilySpec("prop1-unscaled", 4),
-                 FamilySpec("prop1-scaled", 9),
-                 FamilySpec("supermodular", 3, epsilon=Fraction(1, 50))]
-        for spec in specs:
-            validate_instance(generate_adversarial(spec))
+        for family, n, eps in (("ef1-unscaled", 4, None),
+                               ("mms-unscaled", 4, Fraction(1, 5)),
+                               ("mms-scaled-sqrt", 9, None),
+                               ("prop1-unscaled", 4, None),
+                               ("prop1-scaled", 9, None),
+                               ("supermodular", 3, Fraction(1, 50))):
+            validate_instance(generate(family, n, epsilon=eps))
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            generate_adversarial(FamilySpec("nope", 3))
+            generate("nope", 3)
 
 
-# Per family, `generate` arguments and the direct generator call that must
-# build the same instance: the defaults (`random`'s distribution, a seed of
-# 0) and every named argument.
+# Per family, `generate` arguments and the builder call that must build the
+# same instance: the defaults (`random`'s distribution, a seed of 0) and
+# every named argument.
 DISPATCH_CASES = {
     **{family: [({"n": n, "epsilon": eps},
-                 lambda spec=FamilySpec(family, n, eps):
-                 generate_adversarial(spec))]
+                 lambda family=family, n=n, eps=eps:
+                 gen._adversarial(family, n, eps))]
        for family, n, eps in (("ef1-unscaled", 4, None),
                               ("mms-unscaled", 4, Fraction(3, 7)),
                               ("mms-scaled-sqrt", 9, None),
@@ -138,22 +140,21 @@ DISPATCH_CASES = {
                               ("prop1-scaled", 9, None),
                               ("supermodular", 4, Fraction(1, 100)))},
     "random": [
-        ({"n": 4, "m": 7},
-         lambda: generate_random(4, 7, "uniform-rational", seed=0)),
+        ({"n": 4, "m": 7}, lambda: gen._random(4, 7, "uniform-rational", 0)),
         ({"n": 4, "m": 7, "distribution": "uniform-rational", "seed": 3},
-         lambda: generate_random(4, 7, "uniform-rational", seed=3)),
+         lambda: gen._random(4, 7, "uniform-rational", 3)),
         ({"n": 4, "m": 8, "distribution": "dirichlet-scaled", "seed": 1},
-         lambda: generate_random(4, 8, "dirichlet-scaled", seed=1))],
+         lambda: gen._random(4, 8, "dirichlet-scaled", 1))],
     "random-subadditive": [
-        ({"n": 3, "m": 5}, lambda: generate_random_subadditive(3, 5, seed=0)),
+        ({"n": 3, "m": 5}, lambda: gen._random_subadditive(3, 5, 0)),
         ({"n": 3, "m": 5, "seed": 11},
-         lambda: generate_random_subadditive(3, 5, seed=11))],
+         lambda: gen._random_subadditive(3, 5, 11))],
 }
 
 
 class TestGenerate:
     """`generate` is the one dispatch from a family's name to its instance:
-    every family `FAMILY_ARGS` lists builds what its own generator builds,
+    every family `FAMILY_ARGS` lists builds what its own builder builds,
     and a request outside the family's arguments is refused before any
     work."""
 
@@ -162,6 +163,28 @@ class TestGenerate:
         for kwargs, direct in DISPATCH_CASES[family]:
             assert instance_to_json(generate(family, **kwargs)) == \
                 instance_to_json(direct()), kwargs
+
+    def test_benchmark_names_build_what_generate_builds(self):
+        # The benchmark still imports these three names; each is one
+        # `generate` call, so it builds the same bytes under the same rules.
+        from fairdiv.generators import (FamilySpec, generate_adversarial,
+                                        generate_random)
+        eps = Fraction(3, 7)
+        pairs = [
+            (generate_adversarial(FamilySpec(family="ef1-unscaled", n=3)),
+             generate("ef1-unscaled", 3)),
+            (generate_adversarial(FamilySpec("mms-unscaled", 4, eps)),
+             generate("mms-unscaled", 4, epsilon=eps)),
+            (generate_random(4, 7), generate("random", 4, 7, seed=0)),
+            (generate_random(4, 8, "dirichlet-scaled", seed=1),
+             generate("random", 4, 8, distribution="dirichlet-scaled",
+                      seed=1))]
+        for kept, built in pairs:
+            assert instance_to_json(kept) == instance_to_json(built)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            generate_random(2, 3, seed=1.5)
+        with pytest.raises(ValueError, match="^need n >= 1"):
+            generate_adversarial(FamilySpec("ef1-unscaled", 0))
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="^unknown family 'nosuch'; "
@@ -198,6 +221,29 @@ class TestGenerate:
         assert err.value.axiom == "explicit-goods-cap"
 
 
+class TestSeedRule:
+    """A random family takes a non-bool integer seed >= 0, and no seed means
+    seed 0: the same request always builds the same instance."""
+
+    @pytest.mark.parametrize("family", RANDOM_FAMILIES)
+    def test_no_seed_is_seed_zero(self, family):
+        first, second, zero = (generate(family, 3, 5, seed=seed)
+                               for seed in (None, None, 0))
+        assert instance_to_json(first) == instance_to_json(second) == \
+            instance_to_json(zero)
+
+    @pytest.mark.parametrize("family", RANDOM_FAMILIES)
+    @pytest.mark.parametrize("seed, error", [
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+        ("1", "seed must be an integer, got '1'"),
+        (-1, "need seed >= 0, got -1")])
+    def test_refuses_a_seed_that_is_not_a_natural_number(self, family, seed,
+                                                         error):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            generate(family, 3, 5, seed=seed)
+
+
 class TestExplicitGoodsCap:
     """Both explicit families refuse m over the cap before drawing a value
     or building a table (2^m subsets)."""
@@ -206,15 +252,14 @@ class TestExplicitGoodsCap:
         import fairdiv.generators as gen
         monkeypatch.setattr(gen, "random", None)           # no draws
         with pytest.raises(ValidationError) as err:
-            generate_random_subadditive(2, 21, seed=0)
+            generate("random-subadditive", 2, 21, seed=0)
         assert err.value.axiom == "explicit-goods-cap"
 
     def test_supermodular(self, monkeypatch):
         import fairdiv.generators as gen
         monkeypatch.setattr(gen, "Valuation", None)        # no tables
         with pytest.raises(ValidationError) as err:
-            generate_adversarial(FamilySpec("supermodular", 21,
-                                            epsilon=Fraction(1, 100)))
+            generate("supermodular", 21, epsilon=Fraction(1, 100))
         assert err.value.axiom == "explicit-goods-cap"
 
 
@@ -222,17 +267,20 @@ class TestRandomFamilies:
     def test_determinism_byte_identical(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        save_instance(generate_random(4, 7, "uniform-rational", seed=42), a)
-        save_instance(generate_random(4, 7, "uniform-rational", seed=42), b)
+        save_instance(generate("random", 4, 7,
+                               distribution="uniform-rational", seed=42), a)
+        save_instance(generate("random", 4, 7,
+                               distribution="uniform-rational", seed=42), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_different_seeds_differ(self):
-        x = generate_random(3, 5, "uniform-rational", seed=1)
-        y = generate_random(3, 5, "uniform-rational", seed=2)
+        x = generate("random", 3, 5, distribution="uniform-rational", seed=1)
+        y = generate("random", 3, 5, distribution="uniform-rational", seed=2)
         assert x != y
 
     def test_uniform_rational_bounds(self):
-        inst = generate_random(3, 5, "uniform-rational", seed=9)
+        inst = generate("random", 3, 5, distribution="uniform-rational",
+                        seed=9)
         assert not inst.scaled
         for v in inst.valuations:
             for x in v.values:
@@ -240,22 +288,23 @@ class TestRandomFamilies:
                 assert x.denominator <= 1000
 
     def test_dirichlet_scaled_validates(self):
-        inst = generate_random(4, 6, "dirichlet-scaled", seed=5)
+        inst = generate("random", 4, 6, distribution="dirichlet-scaled",
+                        seed=5)
         assert inst.scaled
         validate_instance(inst)
 
     def test_unknown_distribution(self):
         with pytest.raises(ValueError):
-            generate_random(2, 2, "weird", seed=0)
+            generate("random", 2, 2, distribution="weird", seed=0)
 
     def test_subadditive_family_validates_and_is_flagged(self):
-        inst = generate_random_subadditive(3, 5, seed=77)
+        inst = generate("random-subadditive", 3, 5, seed=77)
         validate_instance(inst)         # includes exhaustive subadditivity
         assert all(v.subadditive for v in inst.valuations)
 
     def test_subadditive_family_deterministic(self):
-        x = generate_random_subadditive(2, 4, seed=3)
-        y = generate_random_subadditive(2, 4, seed=3)
+        x = generate("random-subadditive", 2, 4, seed=3)
+        y = generate("random-subadditive", 2, 4, seed=3)
         assert instance_to_json(x) == instance_to_json(y)
 
 
@@ -284,16 +333,15 @@ class TestMatchesFractionReference:
             if family == "prop1-scaled" and isqrt(n) ** 2 != n:
                 continue
             for eps in EPSILONS if family == "mms-unscaled" else (None,):
-                spec = FamilySpec(family, n, eps)
-                assert_matches_reference(generate_adversarial(spec),
-                                         reference_generate_adversarial(spec))
+                assert_matches_reference(generate(family, n, epsilon=eps),
+                                         reference_adversarial(family, n, eps))
 
     def test_supermodular(self):
         for n in range(2, 11):
             for eps in EPSILONS:
-                spec = FamilySpec("supermodular", n, eps)
-                assert_matches_reference(generate_adversarial(spec),
-                                         reference_generate_adversarial(spec))
+                assert_matches_reference(
+                    generate("supermodular", n, epsilon=eps),
+                    reference_adversarial("supermodular", n, eps))
 
     def test_random(self):
         rng = random.Random(45)
@@ -302,23 +350,24 @@ class TestMatchesFractionReference:
             dist = ("uniform-rational", "dirichlet-scaled")[k % 2]
             seed = rng.randint(0, 10 ** 9)
             assert_matches_reference(
-                generate_random(n, m, dist, seed=seed),
-                reference_generate_random(n, m, dist, seed))
+                generate("random", n, m, distribution=dist, seed=seed),
+                reference_random(n, m, dist, seed))
 
     def test_random_subadditive(self):
         for m in range(1, 10):
             for n, seed in ((1, m), (2, 100 + m), (3, 200 + m)):
                 assert_matches_reference(
-                    generate_random_subadditive(n, m, seed=seed),
-                    reference_generate_random_subadditive(n, m, seed))
+                    generate("random-subadditive", n, m, seed=seed),
+                    reference_random_subadditive(n, m, seed))
 
     def test_rescale(self):
         rng = random.Random(46)
-        instances = [generate_random(rng.randint(1, 6), rng.randint(1, 12),
-                                     "uniform-rational",
-                                     seed=rng.randint(0, 10 ** 9))
+        instances = [generate("random", rng.randint(1, 6),
+                              rng.randint(1, 12),
+                              distribution="uniform-rational",
+                              seed=rng.randint(0, 10 ** 9))
                      for _ in range(60)]
-        instances += [generate_adversarial(FamilySpec(family, n))
+        instances += [generate(family, n)
                       for family in ("ef1-unscaled", "prop1-unscaled")
                       for n in range(1, 8)]
         checked = 0
@@ -375,21 +424,21 @@ class TestArgumentTypes:
         (2, None, "m")])
     def test_random_sizes(self, n, m, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-            generate_random(n, m, "uniform-rational", seed=0)
+            generate("random", n, m, distribution="uniform-rational", seed=0)
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-            generate_random_subadditive(n, m, seed=0)
+            generate("random-subadditive", n, m, seed=0)
 
     @pytest.mark.parametrize("n", [True, False, 2.5, 2.0, "3"])
     def test_adversarial_size(self, n):
         with pytest.raises(ValueError, match="^n must be an integer"):
-            FamilySpec("ef1-unscaled", n)
+            generate("ef1-unscaled", n)
 
     @pytest.mark.parametrize("eps", ["1/2", 0.5, Decimal("0.5")])
     def test_epsilon_must_be_a_fraction(self, eps):
         for family in ("mms-unscaled", "supermodular"):
             with pytest.raises(ValueError,
                                match="^epsilon must be a Fraction"):
-                FamilySpec(family, 3, eps)
+                generate(family, 3, epsilon=eps)
 
 
 class TestRescaleValidates:

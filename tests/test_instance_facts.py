@@ -18,8 +18,8 @@ import fairdiv.mms
 import fairdiv.model
 import fairdiv.oracles
 from fairdiv import (Allocation, Instance, ValidationError, Valuation,
-                     generate_random, run_ef1_abs, run_extend_ef1,
-                     run_solve_ef1, run_solve_half_mms)
+                     generate, run_ef1_abs, run_extend_ef1, run_solve_ef1,
+                     run_solve_half_mms)
 from fairdiv.experiment import ExperimentConfig, _solver_row
 from fairdiv.model import owners
 
@@ -146,8 +146,10 @@ def test_no_build_and_one_scan_per_ef1_solve(counts):
     # The matching scales each agent's singles by one factor, and the
     # additive reference optimum compares across agents by cross-multiplying,
     # so no kernel is rescaled whole.
-    for inst in (generate_random(5, 20, "dirichlet-scaled", seed=3),
-                 generate_random(4, 9, "uniform-rational", seed=4)):
+    for inst in (generate("random", 5, 20, distribution="dirichlet-scaled",
+                          seed=3),
+                 generate("random", 4, 9, distribution="uniform-rational",
+                          seed=4)):
         counts.clear()
         run = run_solve_ef1(inst)
         # Scaled: abs, the reference optimum, high and two extensions.
@@ -164,7 +166,8 @@ def test_no_build_and_one_scan_per_ef1_solve(counts):
 def test_no_build_per_half_mms_solve(counts):
     # Half-MMS adds no values across agents, and needs no monotonicity scan:
     # its agents are additive.
-    for inst, branch in ((generate_random(5, 20, "dirichlet-scaled", seed=3),
+    for inst, branch in ((generate("random", 5, 20,
+                                   distribution="dirichlet-scaled", seed=3),
                           "abs"), (diagonal(26), "high")):
         counts.clear()
         assert run_solve_half_mms(inst).branch == branch

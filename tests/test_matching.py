@@ -10,8 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairdiv import (FamilySpec, generate_adversarial, generate_random,
-                     max_weight_left_perfect_matching, matching)
+from fairdiv import generate, matching, max_weight_left_perfect_matching
 from conftest import naive_matching, perturbed_matching, tie_matrices
 
 
@@ -33,7 +32,7 @@ class TestKnownMatrices:
                                                            for i in range(n)]
 
     def test_high_agent_matrix(self):
-        inst = generate_adversarial(FamilySpec("ef1-unscaled", 3))
+        inst = generate("ef1-unscaled", 3)
         w, _ = inst.rows(common=True)
         pairs = max_weight_left_perfect_matching(w)
         assert Fraction(weight_of(w, pairs), inst.scale) == 3 + Fraction(2, 3)
@@ -43,6 +42,13 @@ class TestKnownMatrices:
         pairs = max_weight_left_perfect_matching(w)
         # Only one real good; it goes to the agent valuing it most.
         assert pairs == [(2, 0)]
+
+    def test_no_agents(self):
+        assert max_weight_left_perfect_matching([]) == []
+
+    def test_rejects_ragged(self):
+        with pytest.raises(ValueError, match="^weight matrix is ragged$"):
+            max_weight_left_perfect_matching([[1, 2], [3]])
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -122,8 +128,8 @@ class TestAgainstPerturbation:
         for n, count in ((16, 10), (24, 2), (32, 1)):
             for k in range(count):
                 seed = zlib.crc32(f"42|solve-additive|{n}|{k}".encode())
-                inst = generate_random(n, 4 * n, "dirichlet-scaled",
-                                       seed=seed)
+                inst = generate("random", n, 4 * n,
+                                distribution="dirichlet-scaled", seed=seed)
                 w, _ = inst.rows(common=True)
                 assert max_weight_left_perfect_matching(w) == \
                     perturbed_matching(w)
@@ -133,7 +139,8 @@ def test_potentials_certify_the_optimum_at_scale(debug_mode):
     # n = 64 is beyond the brute-force tests; the debug certificate (dual
     # feasibility, tight matched edges, every column with v > 0 matched)
     # proves the matching optimal, and breaking a potential fails it.
-    inst = generate_random(64, 256, "dirichlet-scaled", seed=3)
+    inst = generate("random", 64, 256, distribution="dirichlet-scaled",
+                    seed=3)
     w, _ = inst.rows(common=True)
     pairs = max_weight_left_perfect_matching(w)
     assert sorted(i for i, _ in pairs) == list(range(64))

@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 import fairdiv.mms
-from fairdiv import (Allocation, Event, FamilySpec, MmsProfile,
-                     ValidationError, generate_adversarial, generate_random,
+from fairdiv import (Allocation, Event, MmsProfile, ValidationError, generate,
                      injected_profile, is_alpha_mms, is_prop1, max_welfare,
                      mms_lower_bound, mms_profile, prop1_subroutine,
                      rescale_instance, run_mms_abs, run_mms_high,
@@ -43,8 +42,8 @@ class TestProp1Subroutine:
         for _ in range(500):
             n = rng.randint(1, 4)
             m = rng.randint(1, 8)
-            inst = generate_random(n, m, "uniform-rational",
-                                   seed=rng.randint(0, 10 ** 9))
+            inst = generate("random", n, m, distribution="uniform-rational",
+                            seed=rng.randint(0, 10 ** 9))
             agents = sorted(rng.sample(range(n), rng.randint(1, n)))
             goods = sorted(g for g in range(m) if rng.random() < 0.8)
             alloc = prop1_subroutine(inst, agents, goods)
@@ -77,8 +76,7 @@ class TestProp1Subroutine:
 
 class TestAbs:
     def test_one_good_per_agent_on_identical_goods(self):
-        inst = generate_adversarial(FamilySpec("mms-unscaled", 4,
-                                               epsilon=Fraction(1, 10)))
+        inst = generate("mms-unscaled", 4, epsilon=Fraction(1, 10))
         run = run_mms_abs(inst)
         assert all(len(b) == 1 for b in run.allocation.bundles)
         # Highest-value eligible pair first: agent 1 grabs good 1.
@@ -97,8 +95,8 @@ class TestAbs:
         for _ in range(120):
             n = rng.randint(1, 4)
             m = rng.randint(1, 8)
-            inst = generate_random(n, m, "uniform-rational",
-                                   seed=rng.randint(0, 10 ** 9))
+            inst = generate("random", n, m, distribution="uniform-rational",
+                            seed=rng.randint(0, 10 ** 9))
             alloc = run_mms_abs(inst).allocation
             assert alloc.is_complete(inst.m)
             profile = mms_profile(inst)
@@ -123,8 +121,8 @@ class TestAbs:
         for _ in range(60):
             n = rng.randint(2, 4)
             m = rng.randint(2, 8)
-            inst = generate_random(n, m, "uniform-rational",
-                                   seed=rng.randint(0, 10 ** 9))
+            inst = generate("random", n, m, distribution="uniform-rational",
+                            seed=rng.randint(0, 10 ** 9))
             run = run_mms_abs(inst)
             singles = [e for e in run.trace if e.phase == "singleton"]
             prefix = ZERO
@@ -177,7 +175,8 @@ class TestHigh:
 
     def test_terminal_cover_and_temporary_cap(self, debug_mode):
         for seed in range(20):
-            inst = generate_random(4, 8, "dirichlet-scaled", seed=seed)
+            inst = generate("random", 4, 8, distribution="dirichlet-scaled",
+                            seed=seed)
             profile = mms_profile(inst)
             run = run_mms_high(inst, profile)
             assert run.permanent | run.temporary == frozenset(range(4))
@@ -186,14 +185,16 @@ class TestHigh:
 
     def test_half_mms_with_exact_estimates(self, debug_mode):
         for seed in range(20):
-            inst = generate_random(4, 8, "dirichlet-scaled", seed=seed + 100)
+            inst = generate("random", 4, 8, distribution="dirichlet-scaled",
+                            seed=seed + 100)
             profile = mms_profile(inst)
             alloc = run_mms_high(inst, profile).allocation
             assert is_alpha_mms(inst, alloc, Fraction(1, 2), profile).holds
 
     def test_epsilon_estimates_keep_welfare_inequality(self):
         for seed in range(10):
-            inst = generate_random(4, 8, "dirichlet-scaled", seed=seed + 300)
+            inst = generate("random", 4, 8, distribution="dirichlet-scaled",
+                            seed=seed + 300)
             profile = mms_profile(inst, epsilon=Fraction(1, 5))
             run = run_mms_high(inst, profile)
             _, opt = max_welfare(inst)
@@ -212,7 +213,8 @@ class TestHigh:
     def test_injected_lpt_estimates_at_larger_n(self):
         # Beyond the exact-oracle comfort zone the solver runs on injected
         # lower bounds (minimum bundle of a concrete greedy partition).
-        inst = generate_random(9, 18, "dirichlet-scaled", seed=7)
+        inst = generate("random", 9, 18, distribution="dirichlet-scaled",
+                        seed=7)
         z = [mms_lower_bound(inst.valuations[i], inst.n)
              for i in range(inst.n)]
         run = run_mms_high(inst, injected_profile(z))
@@ -297,21 +299,21 @@ class TestSolve:
         for _ in range(40):
             n = rng.randint(1, 4)
             m = rng.randint(1, 7)
-            inst = generate_random(n, m, "dirichlet-scaled",
-                                   seed=rng.randint(0, 10 ** 9))
+            inst = generate("random", n, m, distribution="dirichlet-scaled",
+                            seed=rng.randint(0, 10 ** 9))
             alloc = run_solve_half_mms(inst).allocation
             profile = mms_profile(inst)
             assert is_alpha_mms(inst, alloc, Fraction(1, 2), profile).holds
 
     def test_scaled_low_opt_uses_abs(self):
-        inst = generate_random(4, 8, "dirichlet-scaled", seed=11)
+        inst = generate("random", 4, 8, distribution="dirichlet-scaled",
+                        seed=11)
         run = run_solve_half_mms(inst)
         assert run.branch == "abs"          # OPT <= n <= 5 sqrt(n) here
         assert 3 * run.welfare >= 1         # scaled floor of one third
 
     def test_unscaled_uses_abs(self):
-        inst = generate_adversarial(FamilySpec("mms-unscaled", 3,
-                                               epsilon=Fraction(1, 9)))
+        inst = generate("mms-unscaled", 3, epsilon=Fraction(1, 9))
         run = run_solve_half_mms(inst)
         assert run.branch == "abs"
         assert 3 * inst.n * run.welfare >= total_value(inst)
@@ -352,7 +354,8 @@ class TestSolve:
                                                             epsilon):
         # (1/2 - eps)-MMS is vacuous from eps = 1/2 on, whichever branch the
         # instance takes.
-        inst = (generate_random(4, 8, "dirichlet-scaled", seed=1)
+        inst = (generate("random", 4, 8, distribution="dirichlet-scaled",
+                         seed=1)
                 if branch == "abs" else diagonal(36))
         assert run_solve_half_mms(inst, Fraction(49, 100)).branch == branch
         with pytest.raises(ValidationError) as err:
@@ -362,7 +365,8 @@ class TestSolve:
     def test_fifteen_sqrt_bound_on_scaled_grid(self):
         for n in (4, 9):
             for seed in range(5):
-                inst = generate_random(n, 2 * n, "dirichlet-scaled",
-                                       seed=seed * 31 + n)
+                inst = generate("random", n, 2 * n,
+                                distribution="dirichlet-scaled",
+                                seed=seed * 31 + n)
                 run = run_solve_half_mms(inst)
                 assert sqrt_ge(15 * run.welfare, run.opt, n)

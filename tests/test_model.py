@@ -12,12 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdiv import (ADVERSARIAL_FAMILIES, Allocation, Event, FamilySpec,
-                     Instance, ParseError, ValidationError, Valuation,
-                     generate_adversarial, generate_random,
-                     generate_random_subadditive, load_allocation,
-                     load_instance, rescale_instance, run_solve_half_mms,
-                     save_allocation, save_instance, validate_instance)
+from fairdiv import (ADVERSARIAL_FAMILIES, Allocation, Event, Instance,
+                     ParseError, ValidationError, Valuation, generate,
+                     load_allocation, load_instance, rescale_instance,
+                     run_solve_half_mms, save_allocation, save_instance,
+                     validate_instance)
 import fairdiv.model
 from fairdiv.experiment import load_config
 from fairdiv.model import bits, good_set, parse_rational
@@ -272,13 +271,14 @@ class TestRoundTrip:
 
     def test_every_generator_family(self, tmp_path):
         eps = Fraction(1, 5)
-        insts = [generate_adversarial(FamilySpec(
-                     family, 4, epsilon=eps if family in (
-                         "mms-unscaled", "supermodular") else None))
+        insts = [generate(family, 4, epsilon=eps if family in (
+                     "mms-unscaled", "supermodular") else None)
                  for family in ADVERSARIAL_FAMILIES]
-        insts += [generate_random(3, 5, "uniform-rational", seed=1),
-                  generate_random(3, 5, "dirichlet-scaled", seed=2),
-                  generate_random_subadditive(2, 4, seed=3)]
+        insts += [generate("random", 3, 5, distribution="uniform-rational",
+                           seed=1),
+                  generate("random", 3, 5, distribution="dirichlet-scaled",
+                           seed=2),
+                  generate("random-subadditive", 2, 4, seed=3)]
         for idx, inst in enumerate(insts):
             path = tmp_path / f"{idx}.json"
             save_instance(inst, path)
@@ -477,7 +477,8 @@ def test_loader_matches_fraction_reference(tmp_path):
 
 def test_solving_a_loaded_file_builds_no_fraction_view(tmp_path):
     path = tmp_path / "i.json"
-    save_instance(generate_random(6, 24, "dirichlet-scaled", seed=4), path)
+    save_instance(generate("random", 6, 24, distribution="dirichlet-scaled",
+                           seed=4), path)
     inst = load_instance(path)
     run_solve_half_mms(inst)
     assert not any("values" in v.__dict__ for v in inst.valuations)
@@ -544,6 +545,12 @@ class TestRescale:
         inst = additive_instance([["0", "0"]])
         with pytest.raises(ValidationError):
             rescale_instance(inst)
+
+    def test_explicit_instance_rejected(self):
+        inst = generate("random-subadditive", 2, 3, seed=1)
+        with pytest.raises(ValidationError) as err:
+            rescale_instance(inst)
+        assert err.value.axiom == "rescale"
 
 
 def test_explicit_goods_cap():
@@ -786,7 +793,9 @@ def test_subset_named_twice_is_refused(tmp_path, den):
 @pytest.mark.parametrize("key, error", [
     ("3", "'3' outside goods 1..2"), ("0", "'0' outside goods 1..2"),
     ("1,3", "'1,3' outside goods 1..2"), ("1,1", "'1,1' repeats a good"),
-    ("2,1,2", "'2,1,2' repeats a good")])
+    ("2,1,2", "'2,1,2' repeats a good"),
+    # More digits than int() converts: refused as a bad key.
+    pytest.param("1" * 5000, "subset key '1{20}", id="too-many-digits")])
 def test_subset_key_outside_the_goods_or_repeating_one_is_refused(
         tmp_path, key, error):
     data = {"n": 1, "m": 2, "scaled": False, "valuations": [
@@ -803,6 +812,20 @@ def test_instance_with_no_agents_is_refused(tmp_path):
     assert err.value.axiom == "agent-count"
 
 
+@pytest.mark.parametrize("inst, axiom, error", [
+    (Instance(1, -1, (Valuation.additive([Fraction(1)]),)), "good-count",
+     "negative good count -1"),
+    (Instance(2, 1, (Valuation.additive([Fraction(1)]),)), "valuation-count",
+     "expected 2 valuations, got 1"),
+    (Instance(1, 2, (Valuation.additive([Fraction(1)]),)), "good-count",
+     "agent 1: valuation over 1 goods, instance has 2"),
+], ids=["negative-m", "valuation-count", "valuation-over-another-m"])
+def test_instance_counts_are_checked(inst, axiom, error):
+    with pytest.raises(ValidationError, match=f"^{error}$") as err:
+        validate_instance(inst)
+    assert err.value.axiom == axiom
+
+
 def test_bundle_listing_a_good_twice_is_refused(tmp_path):
     with pytest.raises(ParseError, match="more than once"):
         load_allocation(write(tmp_path, "a.json", {"bundles": [[1, 1], [2]]}))
@@ -817,8 +840,9 @@ JSON_DOCS = st.recursive(
                                      max_size=4)),
     max_leaves=12)
 
-FUZZ_SEEDS = [generate_random(2, 3, "dirichlet-scaled", seed=5),
-              generate_random_subadditive(2, 2, seed=6)]
+FUZZ_SEEDS = [generate("random", 2, 3, distribution="dirichlet-scaled",
+                       seed=5),
+              generate("random-subadditive", 2, 2, seed=6)]
 VALID_FILES = ([rational_json(inst) for inst in FUZZ_SEEDS]
                + [fairdiv.model.instance_to_json(inst)
                   for inst in FUZZ_SEEDS])
@@ -929,10 +953,10 @@ class TestJsonText:
         assert str(got.value) == str(expected.value)
 
     def test_instance_files(self, tmp_path):
-        for inst in (generate_random(16, 64, "dirichlet-scaled", seed=3),
-                     generate_random_subadditive(3, 6, seed=4),
-                     generate_adversarial(FamilySpec("supermodular", 4,
-                                                     Fraction(1, 100)))):
+        for inst in (generate("random", 16, 64,
+                              distribution="dirichlet-scaled", seed=3),
+                     generate("random-subadditive", 3, 6, seed=4),
+                     generate("supermodular", 4, epsilon=Fraction(1, 100))):
             path = tmp_path / "i.json"
             save_instance(inst, path)
             assert path.read_text() == dumped(

@@ -1,15 +1,15 @@
 """Brute-force oracles against direct definition-level enumeration."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from fairdiv import oracles
-from fairdiv import (Allocation, FamilySpec, InfeasibleError, Instance,
-                     MmsProfile, ValidationError, Valuation, constrained_opt,
-                     generate_adversarial, generate_random,
+from fairdiv import (Allocation, InfeasibleError, Instance, MmsProfile,
+                     ValidationError, Valuation, constrained_opt, generate,
                      injected_profile, is_alpha_mms, is_ef1, max_welfare,
                      mms_k, mms_lower_bound, mms_profile, price_of_fairness,
                      run_solve_half_mms, social_welfare, validate_instance)
@@ -105,8 +105,9 @@ class TestMmsK:
         rng = random.Random(47)
         instances = (tie_corpus(600, seed=47) + twin_corpus(200, seed=53)
                      + negative_corpus(200, seed=59)
-                     + [generate_random(rng.randint(2, 4), rng.randint(6, 11),
-                                        "dirichlet-scaled", seed)
+                     + [generate("random", rng.randint(2, 4),
+                                 rng.randint(6, 11),
+                                 distribution="dirichlet-scaled", seed=seed)
                         for seed in range(30)])
         for inst in instances:
             for v in inst.valuations:
@@ -122,15 +123,15 @@ class TestMmsK:
     def test_bracket_closes_without_dp_on_the_block_family(self,
                                                           monkeypatch):
         # Every mms-scaled-sqrt agent's greedy bracket is closed: lo = hi.
-        expected = {n: [reference_mms_k(v, n) for v in generate_adversarial(
-            FamilySpec("mms-scaled-sqrt", n)).valuations] for n in (4, 9)}
+        expected = {n: [reference_mms_k(v, n) for v in generate(
+            "mms-scaled-sqrt", n).valuations] for n in (4, 9)}
 
         def refused(*args):
             raise AssertionError("the DP ran")
 
         monkeypatch.setattr(oracles, "_subset_ints", refused)
         for n, shares in expected.items():
-            inst = generate_adversarial(FamilySpec("mms-scaled-sqrt", n))
+            inst = generate("mms-scaled-sqrt", n)
             assert list(mms_profile(inst).mms) == shares
 
     def test_explicit_kind(self):
@@ -254,13 +255,13 @@ class TestMmsK:
 class TestMmsProfile:
     def test_high_low_unscaled(self):
         eps = Fraction(1, 10)
-        inst = generate_adversarial(FamilySpec("mms-unscaled", 4, epsilon=eps))
+        inst = generate("mms-unscaled", 4, epsilon=eps)
         profile = mms_profile(inst)
         assert profile.mms == (Fraction(1), eps, eps, eps)
 
     def test_twin_agents_share_one_oracle_run(self, monkeypatch):
         # mms-scaled-sqrt(9): 3 block owners and 6 low agents, 4 distinct.
-        inst = generate_adversarial(FamilySpec("mms-scaled-sqrt", 9))
+        inst = generate("mms-scaled-sqrt", 9)
         want = tuple(mms_k(v, inst.n) for v in inst.valuations)
         calls = []
         monkeypatch.setattr(oracles, "mms_k",
@@ -269,7 +270,7 @@ class TestMmsProfile:
         assert len(calls) == len(set(inst.valuations)) == 4
 
     def test_low_agent_scaled_share(self):
-        inst = generate_adversarial(FamilySpec("mms-scaled-sqrt", 4))
+        inst = generate("mms-scaled-sqrt", 4)
         profile = mms_profile(inst)
         assert profile.mms[2] == Fraction(1, 4)
         assert profile.mms[3] == Fraction(1, 4)
@@ -321,6 +322,33 @@ class TestMmsProfile:
         profile = injected_profile([Fraction(1, 2)])
         assert profile.mms is None
         assert profile.z(0) == Fraction(1, 2)
+        with pytest.raises(ValidationError, match="^missing profile entry"):
+            profile.exact_mms(1)
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"mms": None}, "profile needs mms values or injected estimates"),
+        ({"mms": (Fraction(1),), "epsilon": Fraction(1)},
+         "epsilon 1 outside [0, 1)"),
+        ({"mms": (Fraction(1),), "epsilon": Fraction(-1, 2)},
+         "epsilon -1/2 outside [0, 1)")],
+        ids=["no-values", "epsilon-one", "epsilon-negative"])
+    def test_refuses_a_profile_it_cannot_hold(self, kwargs, error):
+        with pytest.raises(ValidationError, match=f"^{re.escape(error)}$"):
+            MmsProfile(**kwargs)
+
+    def test_exact_mms_must_cover_the_instance(self):
+        profile = MmsProfile(mms=(Fraction(1, 2),))
+        assert profile.exact_mms(1) == (Fraction(1, 2),)
+        with pytest.raises(ValidationError,
+                           match="^profile has 1 entries, instance has 2 "
+                                 "agents$"):
+            profile.exact_mms(2)
+
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(-1, 10)])
+    def test_mms_profile_epsilon_range(self, eps):
+        with pytest.raises(ValidationError,
+                           match=f"^epsilon {eps} outside \\[0, 1\\)$"):
+            mms_profile(additive_instance([[1, 1]]), epsilon=eps)
 
 
 # An instance every entry below accepts with an exact alpha or epsilon.
@@ -378,7 +406,7 @@ class TestExactRationalArguments:
 
 class TestMaxWelfare:
     def test_high_agent_takes_all(self):
-        inst = generate_adversarial(FamilySpec("ef1-unscaled", 3))
+        inst = generate("ef1-unscaled", 3)
         alloc, opt = max_welfare(inst)
         assert opt == 9
         assert alloc.bundles[0] == frozenset({0, 1, 2})
@@ -390,7 +418,7 @@ class TestMaxWelfare:
         assert alloc.bundles[0] == frozenset({0, 1})
 
     def test_block_family_floor_sqrt(self):
-        inst = generate_adversarial(FamilySpec("mms-scaled-sqrt", 4))
+        inst = generate("mms-scaled-sqrt", 4)
         _, opt = max_welfare(inst)
         assert opt >= 2
 
@@ -399,8 +427,8 @@ class TestMaxWelfare:
         for _ in range(25):
             n = rng.randint(1, 3)
             m = rng.randint(1, 6)
-            inst = generate_random(n, m, "uniform-rational",
-                                   seed=rng.randint(0, 10 ** 9))
+            inst = generate("random", n, m, distribution="uniform-rational",
+                            seed=rng.randint(0, 10 ** 9))
             _, got = max_welfare(inst)
             _, want = naive_max_welfare(inst)
             assert got == want
@@ -441,8 +469,8 @@ class TestMaxWelfare:
         # Every explicit agent subadditive: the bound prune is on.
         lambda: random_subadditive_corpus(60, 3, 6, 7),
         # Supermodular tables, where no prune would be sound.
-        lambda: [generate_adversarial(FamilySpec(
-            "supermodular", n, epsilon=Fraction(1, 100))) for n in (2, 3, 4)],
+        lambda: [generate("supermodular", n, epsilon=Fraction(1, 100))
+                 for n in (2, 3, 4)],
     ], ids=["tie-explicit-mixed", "subadditive", "supermodular"])
     def test_explicit_matches_naive_scan(self, corpus):
         # The whole result, tie-break included, against a scan of every
@@ -452,6 +480,11 @@ class TestMaxWelfare:
 
 
 class TestConstrainedOpt:
+    def test_unknown_property(self):
+        with pytest.raises(ValueError, match="^unknown property 'ef2'; "
+                                             "expected one of \\("):
+            constrained_opt(additive_instance([[1, 1]]), "ef2")
+
     def test_single_agent_equals_opt(self):
         inst = additive_instance([["1/2", "1/3"]])
         _, opt = max_welfare(inst)
@@ -459,14 +492,13 @@ class TestConstrainedOpt:
         assert cw == opt
 
     def test_high_agent_family_ef1_value(self):
-        inst = generate_adversarial(FamilySpec("ef1-unscaled", 4))
+        inst = generate("ef1-unscaled", 4)
         got = constrained_opt(inst, "ef1")
         want = naive_constrained_opt(inst, lambda a: is_ef1(inst, a).holds)
         assert got[1] == want[1] == Fraction(19, 4)
 
     def test_supermodular_ef1_welfare(self):
-        inst = generate_adversarial(FamilySpec("supermodular", 3,
-                                               epsilon=Fraction(1, 100)))
+        inst = generate("supermodular", 3, epsilon=Fraction(1, 100))
         _, cw = constrained_opt(inst, "ef1")
         assert cw == Fraction(3, 100)
 
@@ -475,8 +507,8 @@ class TestConstrainedOpt:
         for _ in range(10):
             n = rng.randint(1, 3)
             m = rng.randint(1, 4)
-            inst = generate_random(n, m, "uniform-rational",
-                                   seed=rng.randint(0, 10 ** 9))
+            inst = generate("random", n, m, distribution="uniform-rational",
+                            seed=rng.randint(0, 10 ** 9))
             got = constrained_opt(inst, "ef1")
             want = naive_constrained_opt(inst,
                                          lambda a: is_ef1(inst, a).holds)
@@ -698,14 +730,13 @@ class TestPriceOfFairness:
         assert price_of_fairness(inst, "ef1") == (1, 1)
 
     def test_supermodular_price(self):
-        inst = generate_adversarial(FamilySpec("supermodular", 3,
-                                               epsilon=Fraction(1, 100)))
+        inst = generate("supermodular", 3, epsilon=Fraction(1, 100))
         _, price = price_of_fairness(inst, "ef1")
         assert price == Fraction(100, 3)
         assert price >= Fraction(1, 3 * Fraction(1, 100))
 
     def test_high_agent_family_price(self):
-        inst = generate_adversarial(FamilySpec("ef1-unscaled", 4))
+        inst = generate("ef1-unscaled", 4)
         assert price_of_fairness(inst, "ef1") == (16, Fraction(64, 19))
 
     def test_infinite_when_constraint_forces_zero(self):
@@ -738,8 +769,8 @@ class TestLemmaLevelInvariants:
         while checked < 40:
             n = rng.randint(2, 4)
             m = rng.randint(n, 7)
-            inst = generate_random(n, m, "uniform-rational",
-                                   seed=rng.randint(0, 10 ** 9))
+            inst = generate("random", n, m, distribution="uniform-rational",
+                            seed=rng.randint(0, 10 ** 9))
             ell = rng.randrange(n)
             share = mms_k(inst.valuations[ell], n)
             others = [a for a in range(n) if a != ell]
@@ -769,7 +800,7 @@ class TestLemmaLevelInvariants:
         for _ in range(30):
             n = rng.randint(1, 4)
             m = rng.randint(1, 7)
-            inst = generate_random(n, m, "uniform-rational",
-                                   seed=rng.randint(0, 10 ** 9))
+            inst = generate("random", n, m, distribution="uniform-rational",
+                            seed=rng.randint(0, 10 ** 9))
             for i in range(n):
                 assert mms_k(inst.valuations[i], n) <= inst.total_value(i) / n
