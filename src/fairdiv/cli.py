@@ -16,10 +16,10 @@ Subcommands::
 JSON verdict either way. An error, a file that cannot be read or written
 included, exits 2 with one ``error:`` line, and so does an option the
 chosen algorithm or property does not take (`--alpha` belongs to the mms
-property, `--reference` to ef1 and `--epsilon` to half-mms). `solve
---trace` adds the high-welfare run's steps as ``"trace": [{"phase",
-"agent", "bundle", "label"}, ...]`` (1-based agent and goods; see
-`fairdiv.model.Event`).
+property, `--reference` to ef1 on a scaled instance and `--epsilon` to
+half-mms). `solve --trace` adds the high-welfare run's steps as
+``"trace": [{"phase", "agent", "bundle", "label"}, ...]`` (1-based agent
+and goods; see `fairdiv.model.Event`).
 
 `main` may be called repeatedly in one process; every call reuses one
 parser.
@@ -201,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run a fair-allocation solver")
     p.add_argument("--alg", required=True, choices=["ef1", "half-mms"])
     p.add_argument("--instance", required=True)
-    p.add_argument("--reference", help="for the ef1 algorithm")
+    p.add_argument("--reference",
+                   help="for the ef1 algorithm on a scaled instance")
     p.add_argument("--epsilon", help="for the half-mms algorithm")
     p.add_argument("--trace", action="store_true")
     p.add_argument("-o", "--output")

@@ -197,6 +197,11 @@ def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
               list(accumulate(map(w.__getitem__, line.order), initial=0))
               for w in rows]
 
+    def held() -> Allocation:
+        # Interval a..b holds the goods of masks[b + 1] ^ masks[a].
+        return Allocation.from_masks(
+            masks[iv[1] + 1] ^ masks[iv[0]] if iv else 0 for iv in intervals)
+
     def range_value(i: int, a: int, b: int) -> int:
         pref = prefix[i]
         if pref is not None:
@@ -266,26 +271,15 @@ def run_ef1_high(inst: Instance, ref: Allocation) -> Ef1HighRun:
             raise AssertionError("high-welfare loop exceeded its iteration "
                                  "envelope; solver bug")
         if debug.checks_enabled():
-            snapshot = _intervals_to_allocation(intervals, line, n)
+            snapshot = held()
             assert is_ef1(inst, snapshot).holds
             assert all(line.contiguous(bundle) for bundle in snapshot.bundles)
 
-    partial = _intervals_to_allocation(intervals, line, n)
+    partial = held()
     # EF1 by the loop invariant that the debug checks assert every step.
     allocation, stats = run_extend_ef1(inst, Ef1Partial(partial.bundles))
     return Ef1HighRun(allocation=allocation, steps=steps, line=line,
                       partial=partial, lipton=stats)
-
-
-def _intervals_to_allocation(intervals, line: LineOrder, n: int) -> Allocation:
-    bundles = []
-    for iv in intervals:
-        if iv is None:
-            bundles.append(frozenset())
-        else:
-            a, b = iv
-            bundles.append(frozenset(line.order[p] for p in range(a, b + 1)))
-    return Allocation(tuple(bundles))
 
 
 def run_solve_ef1(inst: Instance,
@@ -293,10 +287,13 @@ def run_solve_ef1(inst: Instance,
                   cap: int = DEFAULT_ENUM_CAP) -> SolveEf1Run:
     """Best-of-two EF1 solver.
 
-    Scaled instances run both algorithms and keep the higher welfare, which
-    is at least OPT/(16*sqrt(n)); unscaled instances run the absolute
-    algorithm alone, giving at least OPT/(2n).
+    Scaled instances run both algorithms, the high-welfare one from
+    `reference_allocation(inst, reference)`, and keep the higher welfare,
+    at least OPT/(16*sqrt(n)); unscaled instances run the absolute algorithm
+    alone, giving at least OPT/(2n), and refuse a reference.
     """
+    if reference is not None and not inst.scaled:
+        raise ValidationError("scaled", "unscaled instances take no reference")
     abs_run = run_ef1_abs(inst)
     abs_welfare = social_welfare(inst, abs_run.allocation)
     if not inst.scaled:

@@ -356,9 +356,9 @@ def _solver_row(ident: str, inst: Instance, solver: str,
     prop = "ef1" if solver == "ef1" else "alpha-mms"
 
     try:
-        constrained = constrained_opt(inst, prop, alpha=half,
-                                      profile=profile, cap=config.enum_cap,
-                                      mms_cap=config.mms_state_cap)
+        constrained = constrained_opt(
+            inst, prop, alpha=half if prop == "alpha-mms" else None,
+            profile=profile, cap=config.enum_cap, mms_cap=config.mms_state_cap)
     except InfeasibleError:
         constrained = None
     if constrained is not None:

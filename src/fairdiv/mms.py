@@ -50,6 +50,7 @@ def _require_additive(inst: Instance, who: str) -> None:
     if not inst.additive:
         raise ValidationError("additive",
                               f"{who} supports additive valuations only")
+    inst.require_monotone()
 
 
 def prop1_subroutine(inst: Instance, agents: Iterable[int],
@@ -282,14 +283,20 @@ class SolveHalfMmsRun:
     high_run: Optional[MmsHighRun] = None
 
 
-def run_solve_half_mms(inst: Instance, epsilon: Fraction = ZERO,
+def run_solve_half_mms(inst: Instance, epsilon: Optional[Fraction] = None,
                        profile: Optional[MmsProfile] = None,
                        mms_cap: int = DEFAULT_MMS_STATE_CAP) -> SolveHalfMmsRun:
     """(1/2 - eps)-MMS solver: welfare >= OPT/(15*sqrt(n)) on scaled
-    instances, >= (1/3n) * sum_i v_i([m]) otherwise. Raises ValidationError
-    unless 0 <= eps < 1/2, below which the guarantee is not vacuous."""
+    instances, >= (1/3n) * sum_i v_i([m]) otherwise. With a profile, eps is
+    the profile's, and `epsilon` may only repeat it (`injected_profile(z,
+    epsilon=e)` labels estimates z at eps = e); without one, eps is
+    `epsilon`, 0 if not given. Raises ValidationError unless 0 <= eps < 1/2,
+    below which the guarantee is not vacuous."""
     _require_additive(inst, "run_solve_half_mms")
-    epsilon = exact_rational(epsilon, "epsilon")
+    own = ZERO if profile is None else profile.epsilon
+    epsilon = own if epsilon is None else exact_rational(epsilon, "epsilon")
+    if profile is not None and epsilon != own:
+        raise ValidationError("epsilon", f"the profile's epsilon is {own}")
     if not 0 <= epsilon < Fraction(1, 2):
         raise ValidationError("epsilon", f"epsilon {epsilon} outside "
                               "[0, 1/2)")

@@ -500,11 +500,11 @@ def _search(inst: Instance, weights, tables, passes=None,
             masks[agent] = old
             own[agent] -= gain
 
-    if m:
+    if m and n > 1:
         search(0, sum(own))
     elif best_welfare is not None:
-        # With no goods the seed, the empty allocation, is the only leaf.
-        best_welfare, best_masks = best_welfare + 1, tuple(masks)
+        # With no goods or one agent the seed is the only leaf.
+        best_welfare, best_masks = best_welfare + 1, tuple(seed)
     if best_welfare is None:
         return None
     return Allocation.from_masks(best_masks), Fraction(best_welfare,
@@ -518,7 +518,8 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
     """Max-welfare complete allocation satisfying the given property, by
     exhaustive scan; the first optimum in lexicographic assignment order is
     kept. Returns None when no allocation satisfies it (possible only for
-    alpha-mms)."""
+    alpha-mms). `alpha` (default 1/2) and `profile` (default the exact
+    `mms_profile`) belong to alpha-mms; other properties refuse them."""
     n, m = inst.n, inst.m
     if prop not in PROPERTIES:
         raise ValueError(
@@ -526,6 +527,9 @@ def constrained_opt(inst: Instance, prop: str, alpha=None, profile=None,
     if prop == "alpha-mms":
         alpha = nonnegative_alpha(alpha if alpha is not None
                                   else Fraction(1, 2))
+    for name, value in (("alpha", alpha), ("profile", profile)):
+        if value is not None and prop != "alpha-mms":
+            raise ValueError(f"{prop} takes no {name}")
     _check_enum_cap(n, m, cap)
 
     weights, tables = inst.rows(common=True)
@@ -566,10 +570,11 @@ def price_of_fairness(inst: Instance, prop: str, alpha=None, profile=None,
     """`(opt, price)`: the maximum welfare OPT, and this instance's
     contribution to the price of fairness, OPT divided by the best welfare
     among property-satisfying allocations. The price is None (infinite)
-    when the fairness constraint forces zero welfare but OPT is positive."""
-    _, opt = max_welfare(inst, cap=cap)
+    when the fairness constraint forces zero welfare but OPT is positive.
+    `alpha` and `profile` are as in `constrained_opt`."""
     constrained = constrained_opt(inst, prop, alpha=alpha, profile=profile,
                                   cap=cap, mms_cap=mms_cap)
+    _, opt = max_welfare(inst, cap=cap)
     return opt, price_ratio(opt, ZERO if constrained is None
                             else constrained[1])
 

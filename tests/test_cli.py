@@ -248,6 +248,38 @@ class TestCli:
                             "--reference", str(ref))
         assert code == 0 and "welfare" in out
 
+    def test_ef1_solve_refuses_a_reference_on_an_unscaled_instance(
+            self, tmp_path, capsys):
+        # The file names good 9 of 6 in 2 bundles for 3 agents; a scaled
+        # instance refuses it too, for what it holds.
+        unscaled, scaled = tmp_path / "u.json", tmp_path / "s.json"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"bundles": [[1], [9]]}))
+        run_cli(capsys, "gen", "--family", "ef1-unscaled", "--n", "3",
+                "-o", str(unscaled))
+        run_cli(capsys, "gen", "--family", "random", "--distribution",
+                "dirichlet-scaled", "--n", "3", "--m", "6", "--seed", "1",
+                "-o", str(scaled))
+        errors = []
+        for inst in (unscaled, scaled):
+            code = main(["solve", "--alg", "ef1", "--instance", str(inst),
+                         "--reference", str(bad)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            errors.append(captured.err.splitlines())
+        assert errors[0] == ["error: unscaled instances take no reference"]
+        assert len(errors[1]) == 1 and errors[1][0].startswith("error: ")
+        assert errors[1] != errors[0]
+
+    @pytest.mark.parametrize("prop", ["ef1", "prop1", "mms"])
+    def test_pof_of_one_agent_and_many_goods(self, tmp_path, capsys, prop):
+        inst = tmp_path / "one.json"
+        run_cli(capsys, "gen", "--family", "random", "--n", "1", "--m",
+                "1200", "-o", str(inst))
+        code, out = run_cli(capsys, "pof", "--instance", str(inst),
+                            "--property", prop)
+        assert code == 0 and out["price"] == "1"
+
     def test_ef1_solve_of_explicit_instance_over_the_cap(self, tmp_path,
                                                          capsys):
         # 11^11 allocations exceed the enumeration cap, so the scaled

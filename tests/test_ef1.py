@@ -326,6 +326,21 @@ class TestSolve:
         assert run.high_run is None
         assert 2 * inst.n * run.welfare >= total_value(inst)
 
+    def test_unscaled_refuses_a_reference(self):
+        # Only the absolute algorithm runs on an unscaled instance, so no
+        # reference is read there, valid or not; a scaled one validates it.
+        inst = generate("ef1-unscaled", 3)
+        bad = Allocation.of([[0], [8]])
+        for ref in (max_welfare(inst)[0], bad):
+            with pytest.raises(ValidationError, match="^unscaled instances "
+                                                      "take no reference$"):
+                run_solve_ef1(inst, reference=ref)
+        scaled = generate("random", 3, 9, distribution="dirichlet-scaled",
+                          seed=1)
+        with pytest.raises(ValidationError) as err:
+            run_solve_ef1(scaled, reference=bad)
+        assert err.value.axiom != "scaled"
+
     def test_scaled_sixteen_sqrt_bound(self):
         for seed in range(12):
             inst = generate("random", 4, 8, distribution="dirichlet-scaled",

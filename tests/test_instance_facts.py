@@ -164,14 +164,15 @@ def test_no_build_and_one_scan_per_ef1_solve(counts):
 
 
 def test_no_build_per_half_mms_solve(counts):
-    # Half-MMS adds no values across agents, and needs no monotonicity scan:
-    # its agents are additive.
+    # Half-MMS adds no values across agents, and scans each agent for
+    # monotonicity once: the solve and the branch it runs both refuse a
+    # negative value, and the instance remembers the pass.
     for inst, branch in ((generate("random", 5, 20,
                                    distribution="dirichlet-scaled", seed=3),
                           "abs"), (diagonal(26), "high")):
         counts.clear()
         assert run_solve_half_mms(inst).branch == branch
-        assert counts == {}
+        assert counts == {"monotone": inst.n}
 
 
 def test_one_mms_profile_per_half_mms_row(monkeypatch):

@@ -11,7 +11,7 @@ from fairdiv import (Allocation, Event, MmsProfile, ValidationError, generate,
                      injected_profile, is_alpha_mms, is_prop1, max_welfare,
                      mms_lower_bound, mms_profile, prop1_subroutine,
                      rescale_instance, run_mms_abs, run_mms_high,
-                     run_solve_half_mms, social_welfare)
+                     run_solve_ef1, run_solve_half_mms, social_welfare)
 from fairdiv.exact import sqrt_ge
 from fairdiv.model import ZERO
 
@@ -293,6 +293,21 @@ class TestHigh:
         assert err.value.axiom == "mms-profile"
 
 
+def test_negative_value_rejected_by_every_entry():
+    # The same first error run_solve_ef1 raises, whatever the branch.
+    inst = additive_instance([[1, 1, 1], [-1, 2, 1]])
+    for call in (lambda: run_solve_half_mms(inst),
+                 lambda: run_mms_abs(inst),
+                 lambda: run_mms_high(inst, injected_profile([ZERO] * 2)),
+                 lambda: prop1_subroutine(inst, [0, 1], range(3)),
+                 lambda: run_solve_ef1(inst)):
+        with pytest.raises(ValidationError,
+                           match="^agent 2: v\\(1\\) = -1 < 0$") as err:
+            call()
+        assert (err.value.axiom, err.value.agent, err.value.witness) == \
+            ("nonnegative", 2, (1,))
+
+
 class TestSolve:
     def test_exact_epsilon_zero_is_half_mms(self):
         rng = random.Random(73)
@@ -361,6 +376,30 @@ class TestSolve:
         with pytest.raises(ValidationError) as err:
             run_solve_half_mms(inst, epsilon=epsilon)
         assert err.value.axiom == "epsilon"
+
+    @pytest.mark.parametrize("branch", ["abs", "high"])
+    def test_epsilon_comes_from_the_profile(self, branch):
+        # A profile carries its epsilon, on either branch: `epsilon` may
+        # repeat it and nothing else, and it must be below 1/2.
+        inst = (generate("random", 4, 8, distribution="dirichlet-scaled",
+                         seed=1)
+                if branch == "abs" else diagonal(36))
+        z = [mms_lower_bound(v, inst.n) for v in inst.valuations]
+        profile = injected_profile(z, epsilon=Fraction(2, 5))
+        run = run_solve_half_mms(inst, profile=profile)
+        assert run.branch == branch
+        same = run_solve_half_mms(inst, epsilon=Fraction(2, 5),
+                                  profile=profile)
+        assert same.allocation == run.allocation
+        for epsilon in (ZERO, Fraction(1, 5)):
+            with pytest.raises(ValidationError,
+                               match="^the profile's epsilon is 2/5$") as err:
+                run_solve_half_mms(inst, epsilon=epsilon, profile=profile)
+            assert err.value.axiom == "epsilon"
+        with pytest.raises(ValidationError,
+                           match="^epsilon 3/5 outside \\[0, 1/2\\)$"):
+            run_solve_half_mms(inst, profile=injected_profile(
+                z, epsilon=Fraction(3, 5)))
 
     def test_fifteen_sqrt_bound_on_scaled_grid(self):
         for n in (4, 9):

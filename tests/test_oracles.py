@@ -491,6 +491,29 @@ class TestConstrainedOpt:
         _, cw = constrained_opt(inst, "ef1")
         assert cw == opt
 
+    @pytest.mark.parametrize("prop", oracles.PROPERTIES)
+    def test_single_agent_past_the_recursion_limit(self, prop):
+        # One agent's only leaf is the round-robin seed, returned without a
+        # search one level deep per good.
+        inst = generate("random", 1, 1200, seed=1)
+        alloc, welfare = constrained_opt(inst, prop)
+        assert alloc == Allocation.of([range(1200)])
+        assert welfare == inst.total_value(0) == max_welfare(inst)[1]
+
+    @pytest.mark.parametrize("prop", ["ef1", "prop1"])
+    @pytest.mark.parametrize("name, value", [
+        ("alpha", Fraction(1, 3)),
+        ("profile", MmsProfile(mms=(Fraction(1),) * 8))],
+        ids=["alpha", "profile"])
+    def test_alpha_and_profile_refused_outside_alpha_mms(self, prop, name,
+                                                         value):
+        # Refused before the cap check: 8^32 allocations exceed the cap.
+        inst = generate("random", 8, 32, seed=1)
+        with pytest.raises(ValueError, match=f"^{prop} takes no {name}$"):
+            constrained_opt(inst, prop, **{name: value})
+        with pytest.raises(InfeasibleError):
+            constrained_opt(inst, prop, **{name: None})
+
     def test_high_agent_family_ef1_value(self):
         inst = generate("ef1-unscaled", 4)
         got = constrained_opt(inst, "ef1")
@@ -744,6 +767,21 @@ class TestPriceOfFairness:
         profile = MmsProfile(mms=(Fraction(1), Fraction(1)))
         assert price_of_fairness(inst, "alpha-mms", alpha=Fraction(1),
                                  profile=profile) == (1, None)
+
+    @pytest.mark.parametrize("prop", ["ef1", "prop1"])
+    @pytest.mark.parametrize("name", ["alpha", "profile"])
+    def test_alpha_and_profile_refused_before_either_search(
+            self, prop, name, monkeypatch):
+        def searched(*args, **kwargs):
+            raise AssertionError("searched")
+
+        for search in ("max_welfare", "_search", "mms_profile"):
+            monkeypatch.setattr(oracles, search, searched)
+        value = {"alpha": Fraction(1, 3),
+                 "profile": MmsProfile(mms=(Fraction(1),) * 2)}[name]
+        with pytest.raises(ValueError, match=f"^{prop} takes no {name}$"):
+            price_of_fairness(additive_instance([[1, 2], [2, 1]]), prop,
+                              **{name: value})
 
 
 class TestLemmaLevelInvariants:
